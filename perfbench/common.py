@@ -19,20 +19,16 @@ EXPECTED_PATH = BENCH_DIR / "expected.json"
 # Sizing, and why (also in README.md):
 # - the trial grids run 20 (plain) or 10 (agreement) replicates per
 #   (condition, length) cell per repetition, so one repetition is 1-2 s of
-#   trial work and a run holds about 20 fresh interpreters: run-level
+#   trial work and a run holds 16 fresh interpreters at 36 s: run-level
 #   medians then average over the speed of many processes, which on the
 #   reference machine differs by up to +-30 % between fresh interpreters;
 # - a run's repetition count is fixed by --seconds and rep_s, the nominal
 #   seconds per repetition on a 2-core Xeon, not by the clock: the same seed
 #   and --seconds do the same work on any machine, and the pooled trial
-#   metrics never depend on whether one more heavy repetition fit;
-# - resume-report resumes a 2040-record grid log cut after its first 90 %
-#   (1836 lines), so each repetition reads the whole log back, re-runs the
-#   last 204 trials (the 237-rule, length-50 cell) and appends them.
+#   metrics never depend on whether one more heavy repetition fit.
 PLAIN_SIZES = (57, 237)
 AGREE_SIZE = 128
 LENGTHS = (5, 20, 50)
-RESUME_KEEP = 0.9
 
 WORKLOADS = {
     "grid-plain-oracle": {
@@ -47,18 +43,11 @@ WORKLOADS = {
         "n_per_cell": 10,
         "rep_s": 2.3,
     },
-    "resume-report": {
-        "endpoint": "mock://oracle",
-        "agreement": False,
-        "n_per_cell": 340,
-        "rep_s": 8.0,
-        "build_s": 22.0,
-    },
 }
 
 # Fewest repetitions a run makes, so set-up time is a median of several.
 MIN_REPS = 3
-# A traced repetition runs the untraced one plus the replay.
+# A traced repetition runs the untraced one, then the traced one.
 TRACE_REP_FACTOR = 2.5
 
 # Ladder of percentiles a tail may be reported at.
@@ -72,17 +61,11 @@ def mix(*parts) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=4).digest(), "big") >> 1
 
 
-def resume_keep_count(workload: str) -> int:
-    w = WORKLOADS[workload]
-    return int(len(PLAIN_SIZES) * len(LENGTHS) * w["n_per_cell"] * RESUME_KEEP)
-
-
 def rep_count(workload: str, seconds: float, trace: bool) -> int:
-    w = WORKLOADS[workload]
-    budget = seconds - w.get("build_s", 0.0)
+    rep_s = WORKLOADS[workload]["rep_s"]
     if trace:
-        return max(1, round(budget / (w["rep_s"] * TRACE_REP_FACTOR)))
-    return max(MIN_REPS, round(budget / w["rep_s"]))
+        return max(1, round(seconds / (rep_s * TRACE_REP_FACTOR)))
+    return max(MIN_REPS, round(seconds / rep_s))
 
 
 def tail_for_count(n: int) -> float:
@@ -104,12 +87,11 @@ def experiment_config(workload: str, seed: int, rep: int, out_dir: str) -> dict:
     each sampled derivation (and with it the gold-set size, 4^k under target
     agreement), follows a schedule by repetition index alone, so every run
     pays for the same mix of shapes: the heavy tail is in every run rather
-    than a lottery per seed.  Trial grids take a new grammar and a new shape
-    set per repetition; resume-report keeps one log per run.
+    than a lottery per seed.  Each repetition takes a new grammar and a new
+    shape set.
     """
     w = WORKLOADS[workload]
-    shapes = () if workload == "resume-report" else (rep,)
-    key = (seed, *shapes)
+    key = (seed, rep)
     if w["agreement"]:
         conditions = [{
             "size": AGREE_SIZE, "word_order_src": "SVO", "word_order_tgt": "SOV",
@@ -128,7 +110,7 @@ def experiment_config(workload: str, seed: int, rep: int, out_dir: str) -> dict:
         "endpoint": {"url": w["endpoint"]},
         "model_name": "perfbench",
         "out_dir": out_dir,
-        "master_seed": mix(workload, "shapes", *shapes),
+        "master_seed": mix(workload, "shapes", rep),
         # Trial work is CPU-bound under the GIL: a second thread adds no
         # throughput, only scheduling noise in per-trial latency.
         "max_parallel": 1,
@@ -194,7 +176,7 @@ def check_records(workload: str, records, readback) -> None:
     ids = [r["trial_id"] for r in records]
     if len(set(ids)) != len(ids):
         raise GateError(f"{workload}: duplicate trial ids in the log")
-    if workload in ("grid-plain-oracle", "resume-report"):
+    if workload == "grid-plain-oracle":
         wrong = [r["trial_id"] for r in records if r["scores"]["exact"] != 1]
         if wrong:
             raise GateError(f"{workload}: oracle answers scored inexact: {wrong[:5]}")

@@ -4,13 +4,14 @@ The runner (``run.py``) starts this script once per repetition, so the
 library's module caches start cold, as they do for a user's ``scfgkit run``.
 Modes:
 
-``build``  write the resume-report prior log: a full grid run cut after its
-           first 90 % of lines (untimed).
 ``rep``    one repetition as a user runs it, timed step by step: set-up, the
            ``run_experiment`` call (each ``run_trial`` call timed by wrapping
-           the module attribute), a resume, and ``write_report``.
-``trace``  replay the same trials sequentially, in ``run_trial``'s order,
-           with a span around every call into a library layer.
+           the module attribute), a re-invocation of the finished run, and
+           ``write_report``.  Afterwards, untimed, every sampled gold is
+           checked against ``translate`` and ``is_valid_translation``.
+``trace``  the same repetition through the real ``run_experiment``, with the
+           harness's names for the layer functions it calls replaced by
+           span-wrapping versions, so the spans follow the program.
 
 Each mode writes one JSON object to ``--result``.  A violated invariant
 raises :class:`common.GateError`, which exits with status 3.
@@ -19,15 +20,17 @@ raises :class:`common.GateError`, which exits with status 3.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import resource
-import shutil
 import sys
+import threading
 import time
 import tracemalloc
 from contextlib import contextmanager
-from datetime import datetime, timezone
 from pathlib import Path
+from unittest import mock
 
 import common
 
@@ -66,29 +69,16 @@ def _verify_golds(cfg, records) -> None:
             raise common.GateError(f"{r['trial_id']}: sampled gold rejected by is_valid_translation")
 
 
-def build(args) -> dict:
-    _import_library()
-    from scfgkit import harness
-
-    work = Path(args.dir)
-    full = work / "build"
-    cfg = _config(harness, args, full)
-    harness.run_experiment(cfg, resume=False)
-    keep = common.resume_keep_count(args.workload)
-    lines = (full / "runs.jsonl").read_text("utf-8").splitlines(keepends=True)
-    (work / "prior.jsonl").write_text("".join(lines[:keep]), "utf-8")
-    shutil.rmtree(full)
-    return {"records": keep}
+def _digests(records, paths) -> dict:
+    return {
+        "records": common.records_digest(records),
+        "report": common.files_digest([paths["by_size"], paths["by_length"], paths["text"]]),
+    }
 
 
 def rep(args) -> dict:
-    work = Path(args.dir)
-    out = work / "run"
+    out = Path(args.dir) / "run"
     log = out / "runs.jsonl"
-    resuming = args.workload == "resume-report"
-    if resuming:
-        out.mkdir(parents=True)
-        shutil.copyfile(work.parent / "prior.jsonl", log)
 
     t0 = time.perf_counter()
     _import_library()
@@ -115,287 +105,212 @@ def rep(args) -> dict:
     run_s = time.perf_counter() - start
     harness.run_trial = inner
 
-    prior = common.resume_keep_count(args.workload) if resuming else 0
-    fresh = records[prior:]
-    if len(trial_s) != len(fresh):
-        raise common.GateError(
-            f"timed {len(trial_s)} run_trial calls for {len(fresh)} new records"
-        )
+    if len(trial_s) != len(records):
+        raise common.GateError(f"timed {len(trial_s)} run_trial calls for {len(records)} records")
     log_bytes = log.stat().st_size
     common.check_records(args.workload, records, harness.read_log(log))
 
-    # The trial grids' resume and report steps are short and idempotent, so
-    # each is timed REPEATS times and the fastest kept, as timeit does: on a
-    # machine whose speed drifts, interference only adds time.  resume-report's
-    # are seconds long and its resume is the measured run itself.
-    if resuming:
-        resume_times, repeats = [run_s], 1
-    else:
-        resume_times, repeats = [], REPEATS
-        for _ in range(repeats):
-            # Re-invoking a finished run: reads the whole log, runs nothing.
-            start = time.perf_counter()
-            again = harness.run_experiment(cfg, resume=True)
-            resume_times.append(time.perf_counter() - start)
-            if again != records:
-                raise common.GateError("re-invoked run did not return the logged records")
+    # Resume and report are short and idempotent, so each is timed REPEATS
+    # times and the fastest kept, as timeit does: on a machine whose speed
+    # drifts, interference only adds time.
+    resume_times = []
+    for _ in range(REPEATS):
+        # Re-invoking a finished run: reads the whole log, runs nothing.
+        start = time.perf_counter()
+        again = harness.run_experiment(cfg, resume=True)
+        resume_times.append(time.perf_counter() - start)
+        if again != records:
+            raise common.GateError("re-invoked run did not return the logged records")
 
     report_times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         paths = report.write_report(records, out / "report")
         report_times.append(time.perf_counter() - start)
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
-    if args.verify:
-        _verify_golds(cfg, fresh)
+    _verify_golds(cfg, records)
     return {
         "setup_s": setup_s,
-        "trials": len(fresh),
+        "trials": len(records),
         "run_s": run_s,
         "trial_ms": [s * 1e3 for s in trial_s],
-        "failed": sum(r["status"] != "ok" for r in fresh),
+        "failed": sum(r["status"] != "ok" for r in records),
         "log_bytes_per_record": log_bytes / len(records),
         "resume_s": min(resume_times),
         "report_s": min(report_times),
         "peak_rss_mb": peak_rss_mb,
-        "digests": {
-            "records": common.records_digest(records),
-            "report": common.files_digest([paths["by_size"], paths["by_length"], paths["text"]]),
-        },
+        "digests": _digests(records, paths),
     }
 
 
 class Tracer:
-    """Spans kept in memory: name, start, end, parent span, trial id."""
+    """Spans kept in memory: name, start, end, parent span, trial id.
+
+    The harness runs trials on a worker thread and writes the log on the
+    calling thread, so each thread keeps its own stack of open spans.  A span
+    without a trial id of its own takes its parent's.
+    """
 
     def __init__(self):
         self.t0 = time.perf_counter()
         self.spans: list[dict] = []
-        self._stack: list[int] = []
+        self._ids = itertools.count()
+        self._local = threading.local()
 
     @contextmanager
     def span(self, name: str, trial: str | None = None):
+        stack = self._local.__dict__.setdefault("stack", [])
+        parent = stack[-1] if stack else None
         record = {
-            "id": len(self.spans),
+            "id": next(self._ids),
             "name": name,
-            "parent": self._stack[-1] if self._stack else None,
-            "trial": trial,
+            "parent": parent["id"] if parent else None,
+            "trial": trial if trial is not None or parent is None else parent["trial"],
             "start": time.perf_counter() - self.t0,
             "end": None,
         }
         self.spans.append(record)
-        self._stack.append(record["id"])
+        stack.append(record)
         try:
             yield record
         finally:
             record["end"] = time.perf_counter() - self.t0
-            self._stack.pop()
+            stack.pop()
 
-    def call(self, name: str, trial: str | None, fn, *a, **kw):
-        with self.span(name, trial):
-            return fn(*a, **kw)
+    def wrap(self, name: str, fn, trial_of=None, observe=None):
+        """``fn`` with a span around each call; ``trial_of(*a, **kw)`` names the
+        trial, ``observe(result, *a, **kw)`` sees each call (outside the span)."""
 
+        @functools.wraps(fn)
+        def traced(*a, **kw):
+            with self.span(name, trial_of(*a, **kw) if trial_of else None):
+                result = fn(*a, **kw)
+            if observe:
+                observe(result, *a, **kw)
+            return result
 
-def _replay_trial(tr: Tracer, lib, cfg, grammar, ci: int, length: int, rep_i: int) -> dict:
-    """run_trial's steps, in its order, each call into a layer in a span."""
-    tid = lib.harness.trial_id(ci, length, rep_i)
-    with tr.span("harness.run_trial", tid):
-        spec = cfg.conditions[ci]
-        seed = lib.derive_seed(cfg.master_seed, ci, length, rep_i)
-        pair = tr.call("sampling.sample_pair", tid, lib.sample_pair, grammar, length, rng_seed=seed)
-        source = " ".join(pair.source)
-        gold = " ".join(pair.target)
-        golds = tr.call("parsing.translate", tid, lib.translate, grammar, pair.source,
-                        cap=cfg.translate_cap)
-        gold_set = sorted(set(golds) | {gold})
-        prompt = tr.call("prompts.render_prompt", tid, lib.render_prompt, grammar, pair.source)
-        # The in-process mock endpoints of harness._Client.
-        answer = gold if cfg.endpoint.url == lib.harness.MOCK_ORACLE else source
-        response = tr.call("harness.client", tid, "Final answer: {}".format, answer)
-        extracted = tr.call("prompts.extract_answer", tid, lib.extract_answer, response)
-        status, labels = "ok", []
-        if extracted is None:
-            status, labels = "extraction_failed", [lib.UNPARSEABLE]
-            scores = {"exact": 0, "bag_of_words": 0, "bleu": 0.0, "chrfpp": 0.0}
-        else:
-            candidate = " ".join(extracted)
-            scored = tr.call("metrics.score_candidate", tid, lib.score_candidate, candidate, gold_set)
-            scores = scored.as_dict()
-            if not scored.exact:
-                src_vocab = tr.call("grammar.word_vocab", tid, lib.word_vocab, grammar, "src")
-                tgt_vocab = tr.call("grammar.word_vocab", tid, lib.word_vocab, grammar, "tgt")
-                script = tr.call("scripts.get_script", tid, lib.get_script, spec.script_tgt)
-                english = tr.call("lexicon.english_words", tid, lib.english_words)
-                found = tr.call("errors.classify", tid, lib.classify, candidate, gold_set,
-                                src_vocab=src_vocab, tgt_vocab=tgt_vocab,
-                                script=script, english=english)
-                labels = tr.call("errors.sorted_labels", tid, lib.sorted_labels, found)
-        # run_trial's record (logged fields only; the harness's own records are
-        # what the log-append spans serialize).
-        tr.call("harness.record", tid, _record_fields, spec, cfg)
-    return {
-        "trial_id": tid, "seed": seed, "source": source, "gold": gold,
-        "gold_set_size": len(gold_set), "golds_overflowed": golds.overflowed,
-        "status": status, "labels": labels, "scores": scores,
-        "gold_in_translate": gold in golds,
-        "prompt_bytes": len(prompt.encode("utf-8")),
-        "scored": extracted is not None,
-    }
+        return traced
 
 
-def _record_fields(spec, cfg) -> dict:
-    return {
-        "spec": spec.to_dict(),
-        "endpoint": cfg.endpoint.metadata(),
-        "started_at": datetime.now(timezone.utc).isoformat(),
-    }
+class _SpannedJson:
+    """A stand-in for the harness's ``json`` module whose ``dumps`` (the
+    serialization of each record appended to the log) runs in a span."""
 
+    def __init__(self, dumps):
+        self.dumps = dumps
 
-class _Lib:
-    """The public functions the replay calls, resolved after the timed import."""
-
-    def __init__(self):
-        import scfgkit
-        from scfgkit import errors, harness, lexicon, report
-
-        for name in ("derive_seed", "sample_pair", "translate", "is_valid_translation",
-                     "render_prompt", "extract_answer", "score_candidate", "classify",
-                     "sorted_labels", "word_vocab", "get_script", "generate", "read_log",
-                     "write_report"):
-            setattr(self, name, getattr(scfgkit, name))
-        self.english_words = lexicon.english_words
-        self.UNPARSEABLE = errors.UNPARSEABLE
-        self.harness = harness
-        self.report = report
+    def __getattr__(self, name):
+        return getattr(json, name)
 
 
 def trace(args) -> dict:
-    work = Path(args.dir)
-    out = work / "trace"
-    out.mkdir(parents=True)
-    resuming = args.workload == "resume-report"
+    out = Path(args.dir) / "trace"
+    log = out / "runs.jsonl"
     tr = Tracer()
 
     with tr.span("scfgkit.import"):
         _import_library()
-        lib = _Lib()
-    cfg = _config(lib.harness, args, out)
-    grammars = {}
-    for ci, spec in enumerate(cfg.conditions):
-        grammars[ci] = tr.call("metagrammar.generate", None, lib.generate, spec)
+        from scfgkit import generate, harness, is_valid_translation, report
+    cfg = _config(harness, args, out)
+    grammars = [tr.wrap("metagrammar.generate", generate)(spec) for spec in cfg.conditions]
 
-    # The log of the paired untraced repetition: the harness's own records.
-    harness_log = work / "run" / "runs.jsonl"
-    with harness_log.open("rb") as fh:
-        lines = fh.readlines()
-    harness_records = [json.loads(line) for line in lines]
-    prior = []
-    if resuming:
-        prior = tr.call("harness.read_log", None, lib.read_log, work.parent / "prior.jsonl")
-    done = {r["trial_id"] for r in prior}
+    prompt_bytes, golds_scored = [], []
+    h = harness
+    layers = {
+        "derive_seed": tr.wrap("seeds.derive_seed", h.derive_seed),
+        "sample_pair": tr.wrap("sampling.sample_pair", h.sample_pair),
+        "translate": tr.wrap("parsing.translate", h.translate),
+        "render_prompt": tr.wrap("prompts.render_prompt", h.render_prompt,
+                                 observe=lambda p, *a, **kw: prompt_bytes.append(len(p.encode("utf-8")))),
+        "extract_answer": tr.wrap("prompts.extract_answer", h.extract_answer),
+        "score_candidate": tr.wrap("metrics.score_candidate", h.score_candidate,
+                                   observe=lambda s, cand, golds, *a, **kw: golds_scored.append(len(golds))),
+        "classify": tr.wrap("errors.classify", h.classify),
+        "sorted_labels": tr.wrap("errors.sorted_labels", h.sorted_labels),
+        "word_vocab": tr.wrap("grammar.word_vocab", h.word_vocab),
+        "get_script": tr.wrap("scripts.get_script", h.get_script),
+        "english_words": tr.wrap("lexicon.english_words", h.english_words),
+        "run_trial": tr.wrap("harness.run_trial", h.run_trial,
+                             trial_of=lambda cfg, g, ci, length, rep_i, *a, **kw: h.trial_id(ci, length, rep_i)),
+        "_Client": type("_Client", (h._Client,), {
+            "__call__": tr.wrap("harness.client", h._Client.__call__)}),
+        "json": _SpannedJson(tr.wrap("harness.log_append", json.dumps,
+                                     trial_of=lambda record, *a, **kw: record["trial_id"])),
+    }
+    with mock.patch.multiple(h, **layers), tr.span("harness.run_experiment"):
+        records = h.run_experiment(cfg, resume=True)
+    common.check_records(args.workload, records, h.read_log(log))
 
-    rows = []
-    with tr.span("harness.run_experiment"):
-        for ci in range(len(cfg.conditions)):
-            for length in cfg.lengths:
-                for rep_i in range(cfg.n_per_cell):
-                    if lib.harness.trial_id(ci, length, rep_i) in done:
-                        continue
-                    row = _replay_trial(tr, lib, cfg, grammars[ci], ci, length, rep_i)
-                    rows.append(row)
-                    # Off today's trial path: the forest-intersection check.
-                    ok = tr.call("parsing.is_valid_translation", row["trial_id"],
-                                 lib.is_valid_translation, grammars[ci], row["source"], row["gold"])
-                    if not ok:
-                        raise common.GateError(f"{row['trial_id']}: gold rejected by is_valid_translation")
-        # Serialize and append the harness's records as run_experiment does.
-        fresh_records = harness_records[len(prior):]
-        with (out / "runs.jsonl").open("a", encoding="utf-8") as fh:
-            for record in fresh_records:
-                with tr.span("harness.log_append", record["trial_id"]):
-                    fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-                    fh.flush()
+    # Off today's trial path: the forest-intersection check of each gold.
+    valid = tr.wrap("parsing.is_valid_translation", is_valid_translation)
+    for r in records:
+        if not valid(grammars[r["condition_index"]], r["source"], r["gold"]):
+            raise common.GateError(f"{r['trial_id']}: gold rejected by is_valid_translation")
 
-    replayed = common.records_digest(rows)
-    expected = common.records_digest(fresh_records)
-    if replayed != expected:
-        raise common.GateError("the traced replay does not reproduce the harness's records")
-    missing = [row["trial_id"] for row in rows if not row["gold_in_translate"]]
-    if missing:
-        raise common.GateError(f"sampled golds missing from translate(): {missing[:5]}")
+    # Re-invoking the finished run reads the whole log back.
+    with mock.patch.object(h, "read_log", tr.wrap("harness.read_log", h.read_log)):
+        h.run_experiment(cfg, resume=True)
 
-    if not resuming:
-        # Re-invoking the finished run reads the whole log back.
-        tr.call("harness.read_log", None, lib.read_log, harness_log)
-
-    bootstrap = lib.report.bootstrap_ci
-
-    def traced_bootstrap(*a, **kw):
-        return tr.call("report.bootstrap_ci", None, bootstrap, *a, **kw)
-
-    lib.report.bootstrap_ci = traced_bootstrap
-    tr.call("report.write_report", None, lib.write_report, harness_records, out / "report")
-    lib.report.bootstrap_ci = bootstrap
+    with mock.patch.object(report, "bootstrap_ci", tr.wrap("report.bootstrap_ci", report.bootstrap_ci)):
+        paths = tr.wrap("report.write_report", report.write_report)(records, out / "report")
 
     # Untimed pass: Python-heap peak of write_report (numpy buffers included).
     tracemalloc.start()
-    lib.write_report(harness_records, out / "report_mem")
+    report.write_report(records, out / "report_mem")
     report_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
 
     with open(args.spans, "a", encoding="utf-8") as fh:
         for span in tr.spans:
             fh.write(json.dumps(dict(span, rep=args.rep)) + "\n")
-    return _trace_summary(tr, rows, lines[len(prior):], report_peak)
+    with log.open("rb") as fh:
+        record_bytes = [len(line) for line in fh]
+    return {
+        **_trace_summary(tr),
+        "gold_set_size": [r["gold_set_size"] for r in records],
+        "overflowed": sum(bool(r["golds_overflowed"]) for r in records),
+        "golds_scored": sum(golds_scored),
+        "prompt_bytes": prompt_bytes,
+        "record_bytes": record_bytes,
+        "report_peak_mb": report_peak / 2**20,
+        "digests": _digests(records, paths),
+    }
 
 
-def _trace_summary(tr: Tracer, rows, fresh_lines, report_peak) -> dict:
+def _trace_summary(tr: Tracer) -> dict:
     by_name: dict[str, list[float]] = {}
     child_ms: dict[int, float] = {}
+    first_sample: dict[str, float] = {}
     for s in tr.spans:
         ms = (s["end"] - s["start"]) * 1e3
         by_name.setdefault(s["name"], []).append(ms)
         if s["parent"] is not None:
             child_ms[s["parent"]] = child_ms.get(s["parent"], 0.0) + ms
-    trial_spans = [s for s in tr.spans if s["name"] == "harness.run_trial"]
-    first_sample = []
-    seen_grammar = set()
-    for s in tr.spans:
         if s["name"] == "sampling.sample_pair":
-            cond = s["trial"].split("_", 1)[0]
-            if cond not in seen_grammar:
-                seen_grammar.add(cond)
-                first_sample.append((s["end"] - s["start"]) * 1e3)
+            first_sample.setdefault(s["trial"].split("_", 1)[0], ms)
+    trial_spans = [s for s in tr.spans if s["name"] == "harness.run_trial"]
     trial_ms = [(s["end"] - s["start"]) * 1e3 for s in trial_spans]
-    trial_self_ms = [(s["end"] - s["start"]) * 1e3 - child_ms.get(s["id"], 0.0) for s in trial_spans]
     return {
         "span_ms": by_name,
         "trial_ms": trial_ms,
-        "trial_self_ms": trial_self_ms,
-        "first_sample_ms": first_sample,
-        "gold_set_size": [r["gold_set_size"] for r in rows],
-        "overflowed": sum(bool(r["golds_overflowed"]) for r in rows),
-        "golds_scored": sum(r["gold_set_size"] for r in rows if r["scored"]),
-        "prompt_bytes": [r["prompt_bytes"] for r in rows],
-        "record_bytes": [len(line) for line in fresh_lines],
-        "report_peak_mb": report_peak / 2**20,
+        "trial_self_ms": [ms - child_ms.get(s["id"], 0.0) for s, ms in zip(trial_spans, trial_ms)],
+        "first_sample_ms": list(first_sample.values()),
     }
 
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("mode", choices=("build", "rep", "trace"))
+    p.add_argument("mode", choices=("rep", "trace"))
     p.add_argument("--workload", required=True, choices=sorted(common.WORKLOADS))
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--rep", type=int, default=0)
     p.add_argument("--dir", required=True, help="this repetition's working directory")
     p.add_argument("--result", required=True, help="where to write the JSON result")
-    p.add_argument("--verify", type=int, default=0, help="1: check every gold with translate/is_valid_translation")
     p.add_argument("--spans", help="trace mode: append spans to this JSONL file")
     args = p.parse_args(argv)
     try:
-        result = {"build": build, "rep": rep, "trace": trace}[args.mode](args)
+        result = {"rep": rep, "trace": trace}[args.mode](args)
     except common.GateError as exc:
         print(f"correctness gate: {exc}", file=sys.stderr)
         return 3

@@ -2,15 +2,17 @@
 
 Usage (from the repository root):
 
-    python3 perfbench/run.py --workload grid-plain-oracle --seed 0 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload grid-plain-oracle --seed 0 --seconds 36 --trace 0
 
 Runs repetitions of one workload, each in a fresh interpreter, one at a time,
 until ``--seconds`` are used, then prints a table of every metric (with unit
 and sample count) and, as the last line, one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  ``--trace 0`` reports
-the end-to-end metrics; ``--trace 1`` replays the same trials with a span
-around every layer call and reports the per-layer metrics, writing the spans
-to ``.perfbench/trace-<workload>-s<seed>.jsonl``.
+the end-to-end metrics; ``--trace 1`` runs each repetition untraced and then
+traced, with a span around every layer call the harness makes, and reports
+the per-layer metrics, writing the spans to
+``.perfbench/trace-<workload>-s<seed>.jsonl``.  ``--seconds`` defaults to
+``run_seconds`` in ``BENCHMARK.json``.
 
 The correctness gate runs in every mode; on a mismatch the command prints the
 result with ``"correct": false`` and exits 1.  Without ``src/scfgkit`` next to
@@ -24,6 +26,7 @@ import json
 import os
 import platform
 import shutil
+import statistics
 import subprocess
 import sys
 import time
@@ -37,8 +40,9 @@ WORK_ROOT = ROOT / ".perfbench"
 REP_SCRIPT = common.BENCH_DIR / "rep.py"
 # Stop starting repetitions once this much of the run has passed; with the
 # child timeout, a run on a slow machine still ends within three minutes.
-HARD_STOP_S = 85.0
-CHILD_TIMEOUT_S = 90.0
+# A repetition takes 3-7 s on the reference machine, gold checks included.
+HARD_STOP_S = 140.0
+CHILD_TIMEOUT_S = 35.0
 
 
 class ChildFailed(RuntimeError):
@@ -118,8 +122,11 @@ def end_to_end(reps: list) -> tuple[dict, list]:
                           f"p{tail_p:g} of {len(trial_ms)} trials, {beyond} beyond"),
         "log_bytes_per_record": (common.median([r["log_bytes_per_record"] for r in reps]),
                                  "bytes", f"median of {n} reps"),
-        "resume_s": (common.median([r["resume_s"] for r in reps]), "s", f"median of {n} reps"),
-        "report_s": (common.median([r["report_s"] for r in reps]), "s", f"median of {n} reps"),
+        # Means: one fresh interpreter runs these short steps either fast or
+        # about 1.6x slower, and a median of repetitions flips between the
+        # two modes from run to run.
+        "resume_s": (statistics.fmean(r["resume_s"] for r in reps), "s", f"mean of {n} reps"),
+        "report_s": (statistics.fmean(r["report_s"] for r in reps), "s", f"mean of {n} reps"),
         "peak_rss_mb": (common.median([r["peak_rss_mb"] for r in reps]), "MB", f"median of {n} reps"),
         "setup_s": (common.median([r["setup_s"] for r in reps]), "s", f"median of {n} reps"),
     }
@@ -141,7 +148,7 @@ def _stat(values, stat: str):
 
 
 def per_layer(traces: list, untraced_trial_ms: list) -> tuple[dict, list]:
-    """Per-layer metrics from the traced replays (pooled over repetitions)."""
+    """Per-layer metrics from the traced repetitions (pooled over repetitions)."""
     span: dict[str, list] = {}
     for t in traces:
         for name, values in t["span_ms"].items():
@@ -204,7 +211,7 @@ def per_layer(traces: list, untraced_trial_ms: list) -> tuple[dict, list]:
     add("report.peak_mb", common.median([t["report_peak_mb"] for t in traces]), "MB",
         f"tracemalloc peak, median of {n} reps")
     add("trace.coverage", 1.0 - sum(pooled["trial_self_ms"]) / trial_total, "ratio",
-        "layer self time / replayed trial time")
+        "layer self time / traced trial time")
     add("trace.overhead", trial_total / sum(untraced_trial_ms), "ratio",
         f"traced / untraced trial time, {len(pooled['trial_ms'])} trials")
     return {name: {"value": v, "unit": u} for name, v, u, _ in rows}, rows
@@ -220,7 +227,8 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--workload", required=True, choices=sorted(common.WORKLOADS))
     p.add_argument("--seed", type=int, default=common.DEFAULT_SEED)
-    p.add_argument("--seconds", type=float, default=40.0)
+    p.add_argument("--seconds", type=float,
+                   default=json.loads((ROOT / "BENCHMARK.json").read_text("utf-8"))["run_seconds"])
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = p.parse_args(argv)
 
@@ -237,9 +245,6 @@ def main(argv=None) -> int:
     digests = []
     spans_path = WORK_ROOT / f"trace-{args.workload}-s{args.seed}.jsonl"
     try:
-        if args.workload == "resume-report":
-            run_child("build", args.workload, args.seed, 0, run_dir)
-
         if args.trace:
             spans_path.unlink(missing_ok=True)
             untraced_ms = []
@@ -250,18 +255,21 @@ def main(argv=None) -> int:
                 digests.append(plain["digests"])
                 untraced_ms.extend(plain["trial_ms"])
                 failures.append(plain["failed"])
-                return run_child("trace", args.workload, args.seed, rep, rep_dir,
-                                 spans=spans_path)
+                traced = run_child("trace", args.workload, args.seed, rep, rep_dir,
+                                   spans=spans_path)
+                if traced["digests"] != plain["digests"]:
+                    raise common.GateError(
+                        f"{args.workload}: rep {rep} traced output differs from untraced")
+                return traced
 
             traces = repetitions(count, run_dir, started, one_rep)
             metrics, rows = per_layer(traces, untraced_ms)
             attempted = sum(len(t["trial_ms"]) for t in traces)
             failed = sum(failures)
-            title = f"per-layer metrics (traced replay; spans in {spans_path.relative_to(ROOT)})"
+            title = f"per-layer metrics (traced runs; spans in {spans_path.relative_to(ROOT)})"
         else:
             def one_rep(rep, rep_dir):
-                result = run_child("rep", args.workload, args.seed, rep, rep_dir,
-                                   verify=int(rep == 0))
+                result = run_child("rep", args.workload, args.seed, rep, rep_dir)
                 digests.append(result["digests"])
                 return result
 
@@ -272,8 +280,6 @@ def main(argv=None) -> int:
             title = "end-to-end metrics"
 
         print(json.dumps({"digests_rep0": digests[0]}))
-        if args.workload == "resume-report" and len({d["report"] for d in digests}) != 1:
-            raise common.GateError("resume-report: report output differs between repetitions")
         common.check_expected(args.workload, args.seed, digests[0])
     except (ChildFailed, common.GateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
