@@ -15,14 +15,20 @@ Eight non-exclusive labels describe how a wrong candidate went wrong:
 - ``omission``: failed to include every needed gold word (multiset-wise).
 
 Labels that compare against "the" gold sentence anchor to the gold-set
-member with minimum word-level edit distance to the candidate.  Callers
-classify only failures; a candidate equal to some gold member gets the
-empty set.
+member with minimum word-level edit distance to the candidate (ties: the
+first such member in the order given).  The distances to a whole block of
+``GOLD_BLOCK`` golds come from one row-vectorized Levenshtein pass, one
+candidate word per row; blocks are compared with a strict ``<`` so the first
+minimum wins across blocks as within one.  Callers classify only failures; a
+candidate equal to some gold member gets the empty set.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain, count, repeat
+
+import numpy as np
 
 from .grammar import as_words
 from .scripts import ScriptSpec
@@ -71,13 +77,49 @@ def edit_distance(a, b, limit: int | None = None) -> int:
 
 MISSPELLING_DISTANCE = 2
 
+# Golds per Levenshtein pass; the table is GOLD_BLOCK x (longest gold + 1).
+GOLD_BLOCK = 128
+
+
+def _edit_distances(cand: list[int], block, vocab: dict) -> np.ndarray:
+    """Word-level Levenshtein distance from ``cand`` (word ids) to each gold.
+
+    Golds are padded into one matrix; row i of the table is computed for all
+    golds at once from row i-1: the deletion and substitution moves first,
+    then the insertion chain as a running minimum of ``t[k] - k`` plus ``j``.
+    Padding never equals a word id and lies right of every gold's last
+    column, so it changes no distance.
+    """
+    lengths = np.array([len(g) for g in block])
+    grid = np.full((len(block), lengths.max()), -1)
+    words = chain.from_iterable(block)
+    grid[np.arange(grid.shape[1]) < lengths[:, None]] = np.fromiter(
+        map(vocab.get, words, repeat(-1)), np.int64
+    )
+    cols = np.arange(grid.shape[1] + 1)
+    row = np.tile(cols, (len(block), 1))
+    step = np.empty_like(row)
+    for i, x in enumerate(cand, start=1):
+        step[:, 0] = i
+        np.minimum(row[:, 1:] + 1, row[:, :-1] + (grid != x), out=step[:, 1:])
+        row = np.minimum.accumulate(step - cols, axis=1) + cols
+    return row[np.arange(len(block)), lengths]
+
 
 def nearest_gold(cand_words: tuple[str, ...], golds) -> tuple[str, ...]:
     """The gold member at minimum word-level edit distance (ties: first)."""
     members = [as_words(g) for g in golds]
     if not members:
         raise ValueError("gold set is empty")
-    return min(members, key=lambda g: edit_distance(cand_words, g))
+    vocab = dict(zip(dict.fromkeys(cand_words), count()))
+    cand = [vocab[w] for w in cand_words]
+    best = best_distance = None
+    for start in range(0, len(members), GOLD_BLOCK):
+        distances = _edit_distances(cand, members[start : start + GOLD_BLOCK], vocab)
+        at = int(np.argmin(distances))
+        if best is None or distances[at] < best_distance:
+            best, best_distance = start + at, distances[at]
+    return members[best]
 
 
 def classify(

@@ -15,6 +15,10 @@ target, ``mock://echo-source`` parrots the source sentence back.
 Trial results never raise: endpoint failures after retries and responses
 with no ``Final answer:`` marker are recorded as failed trials with zero
 scores.
+
+Exact credit never depends on ``translate_cap``: when enumeration overflowed
+and the answer is not among the enumerated targets, ``is_valid_translation``
+(forest intersection, no enumeration) decides whether it is a gold member.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from .grammar import SyncGrammar, word_vocab
 from .lexicon import english_words
 from .metagrammar import GrammarSpec, generate
 from .metrics import ScoreRecord, score_candidate
-from .parsing import translate
+from .parsing import is_valid_translation, translate
 from .prompts import extract_answer, render_prompt
 from .sampling import sample_pair
 from .scripts import get_script
@@ -246,7 +250,15 @@ def run_trial(
             labels = [UNPARSEABLE]
         else:
             candidate = " ".join(extracted)
-            scores = score_candidate(candidate, gold_set)
+            members = gold_set
+            if (
+                golds.overflowed
+                and candidate not in gold_set
+                and is_valid_translation(grammar, pair.source, candidate)
+            ):
+                # a member the capped enumeration left out
+                members = [*gold_set, candidate]
+            scores = score_candidate(candidate, members)
             if not scores.exact:
                 labels = sorted_labels(
                     classify(
@@ -305,16 +317,38 @@ def read_log(path: str | Path) -> list[dict]:
     return records
 
 
+def _drop_torn_tail(path: Path) -> None:
+    """Truncate a log to its last newline, dropping a partly written line so
+    the next append starts a line of its own."""
+    if not path.exists():
+        return
+    with path.open("r+b") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        while end > 0:
+            start = max(0, end - 4096)
+            fh.seek(start)
+            newline = fh.read(end - start).rfind(b"\n")
+            if newline >= 0:
+                fh.truncate(start + newline + 1)
+                return
+            end = start
+        fh.truncate(0)
+
+
 def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> list[dict]:
     """Run (or resume) the full grid; returns all records including prior ones.
 
     Each finished trial is appended to ``<out_dir>/runs.jsonl`` immediately.
     Records are written in grid order (conditions x lengths x replicates) so
-    identical configs yield identical logs up to timing fields.
+    identical configs yield identical logs up to timing fields.  A resumed
+    log is first cut back to its last newline, so the log on disk reads back
+    to exactly the records returned.
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "runs.jsonl"
+    if resume:
+        _drop_torn_tail(log_path)
     prior = read_log(log_path) if resume else []
     if not resume and log_path.exists():
         log_path.unlink()

@@ -13,17 +13,34 @@ over the orders where both sides have n-grams.
 
 For multi-reference items (a gold set with several credited variants) exact
 match is membership; the graded metrics take the maximum over the gold set.
+
+Every metric reads one set of integer n-gram statistics: per order, the
+candidate's n-gram count, each gold's n-gram count and each gold's clipped
+overlap.  The candidate's n-grams are coded once per call as exact integers
+(symbols numbered among the candidate's distinct symbols, order-n codes built
+as ``rank(n-1) * base + symbol`` and re-ranked with ``np.unique``, so no
+hashing and no collisions in any script).  Gold n-grams are ranked against
+those codes by binary search, ``GOLD_BLOCK`` golds per numpy pass, which
+bounds the temporary arrays for gold sets of any size.  Word orders are shared by BLEU and chrF++, bag of words is read off
+the unigram overlap, and the floats come from the same per-gold formulas, so
+every score is what one Counter per n-gram order would give.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, count, repeat
+
+import numpy as np
 
 from .grammar import as_words
 
 Sentence = "str | tuple[str, ...] | list[str]"
+
+# Golds measured per numpy pass: the temporaries hold about 60 bytes per
+# character of the block's golds (~1 MB for 32 golds of 600 characters).
+GOLD_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -81,12 +98,122 @@ class ScoreRecord:
         }
 
 
-def _ngram_counts(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
-
-
 def _clamp(value: float) -> float:
     return min(1.0, max(0.0, value))
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Index of each value in the sorted ``keys``, or ``len(keys)`` if absent."""
+    at = np.searchsorted(keys, values)
+    if not len(keys):
+        return at
+    return np.where(keys[np.minimum(at, len(keys) - 1)] == values, at, len(keys))
+
+
+def _word_coder(cand):
+    """Numbers the candidate's distinct words 0..V-1; any other word is V."""
+    vocab = dict(zip(dict.fromkeys(cand), count()))
+    absent = len(vocab)
+
+    def code(seqs) -> np.ndarray:
+        words = chain.from_iterable(seqs)
+        return np.fromiter(map(vocab.get, words, repeat(absent)), np.int64)
+
+    return code, absent
+
+
+def _char_coder(cand):
+    """Numbers the candidate's distinct characters 0..V-1; any other is V.
+    A sentence's characters are those of its words joined without spaces."""
+    alphabet = np.array(sorted(map(ord, set("".join(cand)))), np.uint32)
+
+    def code(seqs) -> np.ndarray:
+        text = "".join(chain.from_iterable(seqs))
+        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+        return _lookup(alphabet, points)
+
+    return code, len(alphabet)
+
+
+def _char_count(words) -> int:
+    return sum(map(len, words))
+
+
+class _CandidateNgrams:
+    """One candidate's n-grams of orders 1..max_order, coded and counted once.
+
+    Order-1 ranks are the symbol ids; an order-n code is the order-(n-1) rank
+    of its prefix times ``base`` plus its last symbol, ranked among the
+    candidate's distinct codes.  Gold positions are followed order by order
+    only while the candidate has their n-gram: an (n+1)-gram can match only
+    where its n-gram prefix did, so the work shrinks with the order.
+    """
+
+    def __init__(self, cand, max_order: int, chars: bool):
+        self.size = _char_count if chars else len
+        self.length = self.size(cand)
+        self.max_order = max_order
+        self.code, symbols = _char_coder(cand) if chars else _word_coder(cand)
+        self.base = symbols + 1
+        ids = self.code([cand])
+        ranks = ids
+        self.orders: list[tuple[np.ndarray, np.ndarray]] = []
+        for n in range(1, max_order + 1):
+            if n == 1:
+                uniq, counts = np.arange(symbols), np.bincount(ids, minlength=symbols)
+            else:
+                codes = ranks[:-1] * self.base + ids[n - 1 :]
+                uniq, ranks, counts = np.unique(
+                    codes, return_inverse=True, return_counts=True
+                )
+            if not len(uniq):
+                break
+            self.orders.append((uniq, counts))
+
+    def stats(self, golds) -> list[tuple[int, list[int], list[int]]]:
+        """Per order 1..max_order: (candidate n-gram count, each gold's
+        n-gram count, each gold's clipped overlap), as Python ints."""
+        lengths = [self.size(g) for g in golds]
+        overlaps: list[list[int]] = [[] for _ in range(self.max_order)]
+        for start in range(0, len(golds), GOLD_BLOCK):
+            stop = start + GOLD_BLOCK
+            self._overlaps(golds[start:stop], lengths[start:stop], overlaps)
+        return [
+            (
+                max(0, self.length - n + 1),
+                [max(0, m - n + 1) for m in lengths],
+                overlaps[n - 1],
+            )
+            for n in range(1, self.max_order + 1)
+        ]
+
+    def _overlaps(self, block, lengths, overlaps) -> None:
+        rows = len(block)
+        ids = self.code(block)
+        ends = np.cumsum(lengths, dtype=np.int64)
+        # positions whose n-gram the candidate has: start, gold, n-gram rank
+        at = np.flatnonzero(ids < self.base - 1)
+        gold = np.searchsorted(ends, at, side="right")
+        ranks = ids[at]
+        for n in range(1, self.max_order + 1):
+            if n > len(self.orders) or not len(at):
+                overlaps[n - 1].extend([0] * rows)
+                continue
+            uniq, counts = self.orders[n - 1]
+            if n > 1:
+                fits = ends[gold] - at >= n  # the n-gram ends inside its gold
+                at, gold = at[fits], gold[fits]
+                ranks = _lookup(uniq, ranks[fits] * self.base + ids[at + n - 1])
+                found = ranks < len(uniq)
+                at, gold, ranks = at[found], gold[found], ranks[found]
+            cells = np.bincount(
+                gold * len(uniq) + ranks, minlength=rows * len(uniq)
+            ).reshape(rows, len(uniq))
+            overlaps[n - 1].extend(np.minimum(cells, counts).sum(axis=1).tolist())
+
+
+def _word_stats(cand_words, golds, max_order: int):
+    return _CandidateNgrams(cand_words, max_order, chars=False).stats(golds)
 
 
 def exact_match(cand: Sentence, golds) -> int:
@@ -95,20 +222,16 @@ def exact_match(cand: Sentence, golds) -> int:
     return int(any(words == as_words(g) for g in golds))
 
 
+def _any_bag_match(words) -> int:
+    """1 iff some gold has the candidate's word multiset: the unigram
+    overlap equals both lengths."""
+    cand_len, gold_lens, overlaps = words[0]
+    return int(any(o == cand_len == m for o, m in zip(overlaps, gold_lens)))
+
+
 def bag_of_words(cand: Sentence, gold: Sentence) -> int:
     """1 iff candidate and gold agree as unordered multisets of words."""
-    return int(Counter(as_words(cand)) == Counter(as_words(gold)))
-
-
-def _bleu_stats(cand_words, gold_words, max_order: int):
-    correct = [0] * max_order
-    total = [0] * max_order
-    gold_counts = [_ngram_counts(gold_words, n + 1) for n in range(max_order)]
-    for n in range(max_order):
-        cand_counts = _ngram_counts(cand_words, n + 1)
-        total[n] = sum(cand_counts.values())
-        correct[n] = sum((cand_counts & gold_counts[n]).values())
-    return correct, total
+    return _any_bag_match(_word_stats(as_words(cand), [as_words(gold)], 1))
 
 
 def _bleu_from_stats(
@@ -143,17 +266,22 @@ def _bleu_from_stats(
     return brevity * math.exp(log_sum)
 
 
+def _best_bleu(words, cfg: BleuConfig) -> float:
+    """Highest sentence BLEU over the golds measured in ``words``; golds with
+    equal statistics (reference length, overlap per order) score once."""
+    orders = words[: cfg.max_order]
+    sys_len, ref_lens, _ = words[0]
+    total = [c for c, _, _ in orders]
+    return max(
+        _clamp(_bleu_from_stats(correct, total, sys_len, ref_len, cfg, effective=True))
+        for ref_len, *correct in set(zip(ref_lens, *(o for _, _, o in orders)))
+    )
+
+
 def bleu(cand: Sentence, gold: Sentence, cfg: BleuConfig | None = None) -> float:
     """Sentence-level BLEU in [0, 1] (effective-order, smoothed per cfg)."""
     cfg = cfg or BleuConfig()
-    cand_words = as_words(cand)
-    gold_words = as_words(gold)
-    correct, total = _bleu_stats(cand_words, gold_words, cfg.max_order)
-    return _clamp(
-        _bleu_from_stats(
-            correct, total, len(cand_words), len(gold_words), cfg, effective=True
-        )
-    )
+    return _best_bleu(_word_stats(as_words(cand), [as_words(gold)], cfg.max_order), cfg)
 
 
 def corpus_bleu(cands, golds, cfg: BleuConfig | None = None) -> float:
@@ -165,35 +293,15 @@ def corpus_bleu(cands, golds, cfg: BleuConfig | None = None) -> float:
     if len(cands) != len(golds):
         raise ValueError("candidate and gold streams differ in length")
     for cand, gold in zip(cands, golds):
-        cand_words = as_words(cand)
-        gold_words = as_words(gold)
-        c, t = _bleu_stats(cand_words, gold_words, cfg.max_order)
-        for n in range(cfg.max_order):
-            correct[n] += c[n]
-            total[n] += t[n]
-        sys_len += len(cand_words)
-        ref_len += len(gold_words)
+        words = _word_stats(as_words(cand), [as_words(gold)], cfg.max_order)
+        for n, (c, _, o) in enumerate(words):
+            correct[n] += o[0]
+            total[n] += c
+        sys_len += words[0][0]
+        ref_len += words[0][1][0]
     return _clamp(
         _bleu_from_stats(correct, total, sys_len, ref_len, cfg, effective=False)
     )
-
-
-def _chrf_order_stats(cand: Sentence, gold: Sentence, cfg: ChrfConfig):
-    """(cand count, gold count, overlap) per order: chars first, then words."""
-    cand_words = as_words(cand)
-    gold_words = as_words(gold)
-    cand_chars = "".join(cand_words)
-    gold_chars = "".join(gold_words)
-    stats = []
-    for n in range(1, cfg.char_order + 1):
-        c = _ngram_counts(cand_chars, n)
-        g = _ngram_counts(gold_chars, n)
-        stats.append((sum(c.values()), sum(g.values()), sum((c & g).values())))
-    for n in range(1, cfg.word_order + 1):
-        c = _ngram_counts(cand_words, n)
-        g = _ngram_counts(gold_words, n)
-        stats.append((sum(c.values()), sum(g.values()), sum((c & g).values())))
-    return stats
 
 
 def _chrf_from_stats(stats, beta: float) -> float:
@@ -210,10 +318,33 @@ def _chrf_from_stats(stats, beta: float) -> float:
     return total / effective if effective else 0.0
 
 
+def _chrf_orders(cand: Sentence, golds, cfg: ChrfConfig, words=None):
+    """Per chrF++ order, chars first: (candidate count, gold counts, overlaps).
+    ``words`` may pass word statistics already measured to order >= word_order."""
+    cand_words = as_words(cand)
+    golds = [as_words(g) for g in golds]
+    if words is None:
+        words = _word_stats(cand_words, golds, cfg.word_order)
+    chars = _CandidateNgrams(cand_words, cfg.char_order, chars=True).stats(golds)
+    return chars + words[: cfg.word_order]
+
+
+def _best_chrf(orders, cfg: ChrfConfig) -> float:
+    """Highest chrF++ over the golds measured in ``orders``; golds with equal
+    statistics score once."""
+    cand = [c for c, _, _ in orders]
+    k = len(orders)
+    keys = set(zip(*(g for _, g, _ in orders), *(o for _, _, o in orders)))
+    return max(
+        (_clamp(_chrf_from_stats(zip(cand, key[:k], key[k:]), cfg.beta)) for key in keys),
+        default=0.0,
+    )
+
+
 def chrfpp(cand: Sentence, gold: Sentence, cfg: ChrfConfig | None = None) -> float:
     """chrF++ in [0, 1]: mean per-order F(beta) of character and word n-grams."""
     cfg = cfg or ChrfConfig()
-    return _clamp(_chrf_from_stats(_chrf_order_stats(cand, gold, cfg), cfg.beta))
+    return _best_chrf(_chrf_orders(cand, [gold], cfg), cfg)
 
 
 def corpus_chrfpp(cands, golds, cfg: ChrfConfig | None = None) -> float:
@@ -224,7 +355,7 @@ def corpus_chrfpp(cands, golds, cfg: ChrfConfig | None = None) -> float:
     orders = cfg.char_order + cfg.word_order
     pooled = [(0, 0, 0)] * orders
     for cand, gold in zip(cands, golds):
-        stats = _chrf_order_stats(cand, gold, cfg)
+        stats = [(c, g[0], o[0]) for c, g, o in _chrf_orders(cand, [gold], cfg)]
         pooled = [
             (a + x, b + y, c + z) for (a, b, c), (x, y, z) in zip(pooled, stats)
         ]
@@ -241,14 +372,22 @@ def score_candidate(
 
     Exact match is membership in the gold set; bag of words, BLEU and chrF++
     each take their maximum over the set (the crediting rule for grammars
-    that pair one source with several target variants).
+    that pair one source with several target variants).  The n-gram
+    statistics of the whole set come from one batched pass per side (words,
+    characters); BLEU and chrF++ share the word orders.
     """
+    bleu_cfg = bleu_cfg or BleuConfig()
+    chrf_cfg = chrf_cfg or ChrfConfig()
     golds = [as_words(g) for g in golds]
     if not golds:
         raise ValueError("gold set is empty")
+    cand_words = as_words(cand)
+    words = _word_stats(
+        cand_words, golds, max(bleu_cfg.max_order, chrf_cfg.word_order)
+    )
     return ScoreRecord(
-        exact=exact_match(cand, golds),
-        bag_of_words=max(bag_of_words(cand, g) for g in golds),
-        bleu=max(bleu(cand, g, bleu_cfg) for g in golds),
-        chrfpp=max(chrfpp(cand, g, chrf_cfg) for g in golds),
+        exact=exact_match(cand_words, golds),
+        bag_of_words=_any_bag_match(words),
+        bleu=_best_bleu(words, bleu_cfg),
+        chrfpp=_best_chrf(_chrf_orders(cand_words, golds, chrf_cfg, words), chrf_cfg),
     )

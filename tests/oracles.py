@@ -1,16 +1,32 @@
-"""Independent brute-force oracles for cross-checking the chart parser.
+"""Independent brute-force oracles for cross-checking the library.
 
-Everything here enumerates derivations top-down from the grammar rules,
-sharing no code with the packed-forest machinery it is used to verify.
+The parsing oracles enumerate derivations top-down from the grammar rules,
+sharing no code with the packed-forest machinery they are used to verify.
 Pruning is by source length only, so these stay honest (they consider every
 derivation shape) but remain feasible for short sentences.
+
+The scoring oracles count n-grams with one ``Counter`` per sentence, order
+and metric, and find the nearest gold by a pure-Python Levenshtein against
+each member in turn.  They share only the float formulas
+(``_bleu_from_stats``, ``_chrf_from_stats``) with the batched integer
+statistics in ``scfgkit.metrics`` and ``scfgkit.errors`` that they check.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 
-from scfgkit.grammar import SyncGrammar, SyncRule
+from scfgkit.errors import edit_distance
+from scfgkit.grammar import SyncGrammar, SyncRule, as_words
+from scfgkit.metrics import (
+    BleuConfig,
+    ChrfConfig,
+    ScoreRecord,
+    _bleu_from_stats,
+    _chrf_from_stats,
+    _clamp,
+)
 
 
 def min_src_lens(grammar: SyncGrammar) -> dict[str, int]:
@@ -133,3 +149,108 @@ def targets_for(grammar: SyncGrammar, src_words: tuple[str, ...]) -> set[str]:
     return {
         " ".join(tgt) for end, tgt in expand(grammar.start, 0, n) if end == n
     }
+
+
+# --- scoring ----------------------------------------------------------------
+
+
+def _ngram_counts(tokens, n: int) -> Counter:
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def _bleu_stats(cand_words, gold_words, max_order: int):
+    correct = [0] * max_order
+    total = [0] * max_order
+    gold_counts = [_ngram_counts(gold_words, n + 1) for n in range(max_order)]
+    for n in range(max_order):
+        cand_counts = _ngram_counts(cand_words, n + 1)
+        total[n] = sum(cand_counts.values())
+        correct[n] = sum((cand_counts & gold_counts[n]).values())
+    return correct, total
+
+
+def _chrf_order_stats(cand, gold, cfg: ChrfConfig):
+    """(cand count, gold count, overlap) per order: chars first, then words."""
+    cand_words = as_words(cand)
+    gold_words = as_words(gold)
+    cand_chars = "".join(cand_words)
+    gold_chars = "".join(gold_words)
+    stats = []
+    for n in range(1, cfg.char_order + 1):
+        c = _ngram_counts(cand_chars, n)
+        g = _ngram_counts(gold_chars, n)
+        stats.append((sum(c.values()), sum(g.values()), sum((c & g).values())))
+    for n in range(1, cfg.word_order + 1):
+        c = _ngram_counts(cand_words, n)
+        g = _ngram_counts(gold_words, n)
+        stats.append((sum(c.values()), sum(g.values()), sum((c & g).values())))
+    return stats
+
+
+def bag_of_words(cand, gold) -> int:
+    return int(Counter(as_words(cand)) == Counter(as_words(gold)))
+
+
+def bleu(cand, gold, cfg: BleuConfig | None = None) -> float:
+    cfg = cfg or BleuConfig()
+    cand_words = as_words(cand)
+    gold_words = as_words(gold)
+    correct, total = _bleu_stats(cand_words, gold_words, cfg.max_order)
+    return _clamp(
+        _bleu_from_stats(
+            correct, total, len(cand_words), len(gold_words), cfg, effective=True
+        )
+    )
+
+
+def corpus_bleu(cands, golds, cfg: BleuConfig | None = None) -> float:
+    cfg = cfg or BleuConfig()
+    correct = [0] * cfg.max_order
+    total = [0] * cfg.max_order
+    sys_len = ref_len = 0
+    for cand, gold in zip(cands, golds):
+        cand_words = as_words(cand)
+        gold_words = as_words(gold)
+        c, t = _bleu_stats(cand_words, gold_words, cfg.max_order)
+        for n in range(cfg.max_order):
+            correct[n] += c[n]
+            total[n] += t[n]
+        sys_len += len(cand_words)
+        ref_len += len(gold_words)
+    return _clamp(
+        _bleu_from_stats(correct, total, sys_len, ref_len, cfg, effective=False)
+    )
+
+
+def chrfpp(cand, gold, cfg: ChrfConfig | None = None) -> float:
+    cfg = cfg or ChrfConfig()
+    return _clamp(_chrf_from_stats(_chrf_order_stats(cand, gold, cfg), cfg.beta))
+
+
+def corpus_chrfpp(cands, golds, cfg: ChrfConfig | None = None) -> float:
+    cfg = cfg or ChrfConfig()
+    pooled = [(0, 0, 0)] * (cfg.char_order + cfg.word_order)
+    for cand, gold in zip(cands, golds):
+        stats = _chrf_order_stats(cand, gold, cfg)
+        pooled = [
+            (a + x, b + y, c + z) for (a, b, c), (x, y, z) in zip(pooled, stats)
+        ]
+    return _clamp(_chrf_from_stats(pooled, cfg.beta))
+
+
+def score_candidate(cand, golds, bleu_cfg=None, chrf_cfg=None) -> ScoreRecord:
+    """One Counter-based BLEU and chrF++ per gold, maximized over the set."""
+    golds = [as_words(g) for g in golds]
+    words = as_words(cand)
+    return ScoreRecord(
+        exact=int(any(words == g for g in golds)),
+        bag_of_words=max(bag_of_words(cand, g) for g in golds),
+        bleu=max(bleu(cand, g, bleu_cfg) for g in golds),
+        chrfpp=max(chrfpp(cand, g, chrf_cfg) for g in golds),
+    )
+
+
+def nearest_gold(cand_words, golds) -> tuple[str, ...]:
+    """The first gold member at minimum word-level edit distance."""
+    members = [as_words(g) for g in golds]
+    return min(members, key=lambda g: edit_distance(cand_words, g))

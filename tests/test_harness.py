@@ -16,6 +16,7 @@ from scfgkit.harness import (
     trial_id,
 )
 from scfgkit.metagrammar import GrammarSpec, generate
+from scfgkit.parsing import is_valid_translation, translate
 from scfgkit.seeds import derive_seed
 
 
@@ -111,8 +112,41 @@ def test_resume_skips_finished_trials(tmp_path):
     ids = [r["trial_id"] for r in resumed]
     assert sorted(ids) == sorted(r["trial_id"] for r in first)
     assert len(set(ids)) == len(ids) == len(first)
+    # the first fresh record must not fuse with the torn fragment on disk
+    assert read_log(log) == resumed
     # rerunning a complete log adds nothing
     assert len(run_experiment(cfg)) == len(first)
+
+
+def test_exact_credit_does_not_depend_on_translate_cap(tmp_path):
+    spec = GrammarSpec(
+        size=128, word_order_src="SVO", word_order_tgt="SOV", agreement_tgt=True, seed=0
+    )
+    cfg = make_config(
+        tmp_path, conditions=(spec,), lengths=(5,), n_per_cell=1, translate_cap=2
+    )
+    grammar = generate(spec)
+    answers = []
+
+    def left_out_variant(prompt, gold, source):
+        capped = translate(grammar, source, cap=cfg.translate_cap)
+        assert capped.overflowed
+        answers.append(sorted(translate(grammar, source) - capped - {gold})[0])
+        return f"Final answer: {answers[-1]}"
+
+    record = run_trial(cfg, grammar, 0, 5, 0, client=left_out_variant)
+    assert record["golds_overflowed"]
+    assert is_valid_translation(grammar, record["source"], answers[0])
+    assert record["scores"] == {
+        "exact": 1, "bag_of_words": 1, "bleu": 1.0, "chrfpp": 1.0, "labels": [],
+    }
+    assert record["labels"] == []
+    # the recorded size stays that of the enumerated (capped) set
+    capped = translate(grammar, record["source"], cap=cfg.translate_cap)
+    assert record["gold_set_size"] == len(capped | {record["gold"]})
+    # an answer outside the language still gets no credit
+    echo = run_trial(cfg, grammar, 0, 5, 0, client=_Client(make_config(tmp_path, url=MOCK_ECHO_SOURCE)))
+    assert echo["golds_overflowed"] and echo["scores"]["exact"] == 0
 
 
 def test_resume_false_restarts_log(tmp_path):
