@@ -35,7 +35,6 @@ from .sampling import (
     Sampler,
     SentencePair,
     sample_pair,
-    sampler_for,
 )
 from .parsing import (
     SourceParseError,
@@ -133,7 +132,6 @@ __all__ = [
     "rule_text",
     "run_experiment",
     "sample_pair",
-    "sampler_for",
     "score_candidate",
     "script_of",
     "serialize_grammar",

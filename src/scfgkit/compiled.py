@@ -1,0 +1,47 @@
+"""The state derived from one grammar, built once and kept on the grammar.
+
+Every trial on a grammar reads the same derived state: the merged agreement
+grammar, the parse tables of each side, the sampler's count tables and the
+word vocabularies.  ``SyncGrammar.compiled`` builds one
+:class:`CompiledGrammar` on first use and keeps it on the grammar object, so
+a lookup is an attribute read and never hashes the frozen grammar.  The
+tables and the sampler are built on first use as well, so a grammar that is
+only sampled builds no tables.  Two threads may build a part twice on a
+cold grammar; both results are equal, so no lock is needed.
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+
+from .grammar import SyncGrammar
+from .parsing import ParseTables, merge_features, parse_tables
+from .sampling import Sampler
+
+
+class CompiledGrammar:
+    """Derived state of one grammar; read it through ``grammar.compiled``.
+
+    ``merged`` is the grammar with feature families merged (the grammar
+    itself when it has none).  ``words`` maps each side to its surface words.
+    """
+
+    def __init__(self, grammar: SyncGrammar):
+        self.grammar = grammar
+        self.merged = merge_features(grammar)
+        self.words = {
+            side: frozenset(w for r in grammar.rules for s in r.side(side) for w in s.words())
+            for side in ("src", "tgt")
+        }
+
+    @cached_property
+    def src_tables(self) -> ParseTables:
+        return parse_tables(self.merged, "src")
+
+    @cached_property
+    def tgt_tables(self) -> ParseTables:
+        return parse_tables(self.merged, "tgt")
+
+    @cached_property
+    def sampler(self) -> Sampler:
+        return Sampler(self.grammar)

@@ -25,7 +25,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Literal
+from typing import TYPE_CHECKING, Iterator, Literal
+
+if TYPE_CHECKING:
+    from .compiled import CompiledGrammar
 
 NULL_MARK = "∅"
 
@@ -88,13 +91,22 @@ class SyncRule:
     def side(self, side: Side) -> tuple[Symbol, ...]:
         return self.src if side == "src" else self.tgt
 
-    def src_slot(self, tgt_index: int) -> int:
-        """Index into ``src`` of the nonterminal at ``tgt[tgt_index]``."""
-        name = self.tgt[tgt_index].text
-        for i, sym in enumerate(self.src):
-            if not sym.terminal and sym.text == name:
-                return i
-        raise GrammarError(f"nonterminal {name!r} missing from source side of {self.lhs}")
+    @cached_property
+    def children(self) -> tuple[str, ...]:
+        """Source-side nonterminals in order: a derivation node's subtrees."""
+        return tuple(s.text for s in self.src if not s.terminal)
+
+    @cached_property
+    def layout(self) -> dict[Side, tuple[tuple[str, ...] | int, ...]]:
+        """Per side, each right-hand-side symbol as its surface words or, for a
+        nonterminal, the index of its child in :attr:`children`."""
+        return {
+            side: tuple(
+                s.words() if s.terminal else self.children.index(s.text)
+                for s in self.side(side)
+            )
+            for side in ("src", "tgt")
+        }
 
 
 @dataclass(frozen=True)
@@ -112,17 +124,12 @@ class SyncGrammar:
         return frozenset(names)
 
     @cached_property
-    def src_vocab(self) -> frozenset[str]:
-        return self._vocab("src")
+    def compiled(self) -> CompiledGrammar:
+        """The state derived from this grammar (merged grammar, parse tables,
+        sampler, word vocabularies), built on first use and kept here."""
+        from .compiled import CompiledGrammar
 
-    @cached_property
-    def tgt_vocab(self) -> frozenset[str]:
-        return self._vocab("tgt")
-
-    def _vocab(self, side: Side) -> frozenset[str]:
-        return frozenset(
-            sym.text for r in self.rules for sym in r.side(side) if sym.terminal and not sym.null
-        )
+        return CompiledGrammar(self)
 
     @cached_property
     def _by_lhs(self) -> dict[str, tuple[SyncRule, ...]]:
@@ -159,11 +166,7 @@ def as_words(sentence: str | tuple[str, ...] | list[str]) -> tuple[str, ...]:
 
 def word_vocab(grammar: SyncGrammar, side: Side) -> frozenset[str]:
     """All surface words on one side (multi-word terminals split, nulls dropped)."""
-    words: set[str] = set()
-    vocab = grammar.src_vocab if side == "src" else grammar.tgt_vocab
-    for surface in vocab:
-        words.update(surface.split())
-    return frozenset(words)
+    return grammar.compiled.words[side]
 
 
 # --- text format ---------------------------------------------------------
@@ -301,6 +304,50 @@ def validate(grammar: SyncGrammar) -> None:
     ]
     if missing:
         raise GrammarError(f"reachable nonterminals without rules: {', '.join(missing)}")
+
+
+def check_well_founded(grammar: SyncGrammar, side: Side) -> frozenset[str]:
+    """Reject grammars where some nonterminal derives itself while consuming
+    no input on this side (unary cycles, including through null terminals).
+
+    Returns the nullable nonterminals (those that can derive no words on this
+    side).  The edges checked, ``A -> B`` for a rule of ``A`` whose other
+    names are all nullable, are then proved acyclic.
+    """
+    nullable: set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for r in grammar.rules:
+            if r.lhs in nullable:
+                continue
+            if all(
+                r.children[p] in nullable if isinstance(p, int) else not p
+                for p in r.layout[side]
+            ):
+                nullable.add(r.lhs)
+                changed = True
+    edges: dict[str, set[str]] = {}
+    for r in grammar.rules:
+        syms = r.side(side)
+        if any(s.terminal for s in syms):
+            continue
+        names = [s.text for s in syms]
+        for i, name in enumerate(names):
+            others = names[:i] + names[i + 1 :]
+            if all(o in nullable for o in others):
+                edges.setdefault(r.lhs, set()).add(name)
+    # peel off names whose edges all leave the graph; a cycle never peels
+    while edges:
+        peeled = [a for a, bs in edges.items() if not bs & edges.keys()]
+        if not peeled:
+            raise GrammarError(
+                f"grammar admits unbounded derivations without consuming {side} "
+                f"input, through {', '.join(sorted(edges))}"
+            )
+        for a in peeled:
+            del edges[a]
+    return frozenset(nullable)
 
 
 # --- projection ----------------------------------------------------------

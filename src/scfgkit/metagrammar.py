@@ -92,15 +92,15 @@ def _head_slots(order: str, head: str, complement: str) -> list[str]:
     return [complement, head] if _head_final(order) else [head, complement]
 
 
-def _rule(lhs: str, src_slots: list[str], tgt_slots: list[str]) -> SyncRule:
-    """Build a non-lexical rule, remembering slot layout in the spelling so
+def _rule(lhs: str, src_positions: list[str], tgt_positions: list[str]) -> SyncRule:
+    """Build a non-lexical rule, remembering the positions in the spelling so
     empty specifier positions leave their padding (``< VBAR, VBAR >``)."""
-    src = tuple(nonterminal(s) for s in src_slots if s)
-    tgt = tuple(nonterminal(s) for s in tgt_slots if s)
+    src = tuple(nonterminal(s) for s in src_positions if s)
+    tgt = tuple(nonterminal(s) for s in tgt_positions if s)
     return SyncRule(
         lhs, src, tgt,
-        src_text=" ".join(src_slots),
-        tgt_text=" " + " ".join(tgt_slots),
+        src_text=" ".join(src_positions),
+        tgt_text=" " + " ".join(tgt_positions),
     )
 
 

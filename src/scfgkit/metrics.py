@@ -29,7 +29,7 @@ every score is what one Counter per n-gram order would give.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, count, repeat
 
 import numpy as np
@@ -80,13 +80,12 @@ class ChrfConfig:
 
 @dataclass(frozen=True)
 class ScoreRecord:
-    """Per-candidate metric values, plus any error labels attached later."""
+    """Per-candidate metric values."""
 
     exact: int
     bag_of_words: int
     bleu: float
     chrfpp: float
-    labels: tuple[str, ...] = field(default=(), compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -94,7 +93,6 @@ class ScoreRecord:
             "bag_of_words": self.bag_of_words,
             "bleu": self.bleu,
             "chrfpp": self.chrfpp,
-            "labels": list(self.labels),
         }
 
 

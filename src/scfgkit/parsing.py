@@ -5,7 +5,10 @@ The grammar is binarized internally (virtual items never escape); phonetically
 null terminals become zero-width chart items, so covert material (tense,
 aspect, silent complementizers) parses at any position without appearing in
 the input.  Grammars whose derivations could loop without consuming input are
-rejected up front.
+rejected up front by :func:`~scfgkit.grammar.check_well_founded`, which
+:func:`parse_tables` runs, so every forest is acyclic.  The oracles read the
+merged grammar and its tables from ``grammar.compiled``, built once per
+grammar object (see :mod:`scfgkit.compiled`).
 
 :func:`translate` enumerates the distinct target yields of the source forest.
 :func:`is_valid_translation` instead intersects the source forest of the
@@ -23,14 +26,13 @@ feature cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .grammar import (
-    GrammarError,
     Side,
     SyncGrammar,
     SyncRule,
     as_words,
+    check_well_founded,
     nonterminal,
 )
 from .metagrammar import FEATURES
@@ -63,7 +65,6 @@ def strip_feature(name: str) -> str:
     return base if sep and feat in FEATURES else name
 
 
-@lru_cache(maxsize=32)
 def merge_features(grammar: SyncGrammar) -> SyncGrammar:
     """Collapse feature-indexed nonterminal families (``VP_1sg`` ... ``VP_3pl``)
     into one symbol each, dropping rules that become duplicates."""
@@ -97,7 +98,7 @@ def _is_virtual(name: str) -> bool:
 
 
 @dataclass(frozen=True)
-class _Tables:
+class ParseTables:
     """One side of a grammar, indexed for chart parsing."""
 
     start: str
@@ -107,60 +108,10 @@ class _Tables:
     binary_by_right: dict  # right name -> [(parent, left name, rule index)]
 
 
-def _side_names(rule: SyncRule, side: Side) -> tuple[str, ...]:
-    return tuple(sym.text for sym in rule.side(side) if not sym.terminal)
-
-
-def _check_well_founded(grammar: SyncGrammar, side: Side) -> None:
-    """Reject grammars where some nonterminal derives itself while consuming
-    no input on this side (unary cycles, including through null terminals)."""
-    nullable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for r in grammar.rules:
-            if r.lhs in nullable:
-                continue
-            syms = r.side(side)
-            if all(
-                (s.terminal and not s.words()) or (not s.terminal and s.text in nullable)
-                for s in syms
-            ):
-                nullable.add(r.lhs)
-                changed = True
-    edges: dict[str, set[str]] = {}
-    for r in grammar.rules:
-        syms = r.side(side)
-        if any(s.terminal for s in syms):
-            continue
-        names = [s.text for s in syms]
-        for i, name in enumerate(names):
-            others = names[:i] + names[i + 1 :]
-            if all(o in nullable for o in others):
-                edges.setdefault(r.lhs, set()).add(name)
-    state: dict[str, int] = {}  # 1 visiting, 2 done
-
-    def visit(node: str) -> None:
-        state[node] = 1
-        for nxt in edges.get(node, ()):
-            mark = state.get(nxt)
-            if mark == 1:
-                raise GrammarError(
-                    f"grammar admits unbounded derivations: {nxt} can derive "
-                    f"itself without consuming {side} input"
-                )
-            if mark is None:
-                visit(nxt)
-        state[node] = 2
-
-    for node in list(edges):
-        if node not in state:
-            visit(node)
-
-
-@lru_cache(maxsize=64)
-def _tables(grammar: SyncGrammar, side: Side) -> _Tables:
-    _check_well_founded(grammar, side)
+def parse_tables(grammar: SyncGrammar, side: Side) -> ParseTables:
+    """Index one side of the grammar for chart parsing, after rejecting it
+    if it admits unbounded derivations (see :func:`check_well_founded`)."""
+    check_well_founded(grammar, side)
     lex: dict = {}
     unary: dict = {}
     by_left: dict = {}
@@ -181,13 +132,13 @@ def _tables(grammar: SyncGrammar, side: Side) -> _Tables:
             right = names[piece + 1] if piece == len(names) - 2 else _virtual(idx, piece + 1)
             by_left.setdefault(left, []).append((parent, right, idx))
             by_right.setdefault(right, []).append((parent, left, idx))
-    return _Tables(grammar.start, lex, unary, by_left, by_right)
+    return ParseTables(grammar.start, lex, unary, by_left, by_right)
 
 
 # --- chart construction ---------------------------------------------------
 
 
-def _parse(tables: _Tables, words: tuple[str, ...]) -> dict:
+def _parse(tables: ParseTables, words: tuple[str, ...]) -> dict:
     """Build the packed forest: {(i, j): {name: [backpointer, ...]}}.
 
     Backpointers are ("lex", rule), ("un", rule, child_item) or
@@ -280,9 +231,10 @@ def _grouped_options(item: Item, chart: dict) -> dict[int, list[tuple[Item, ...]
 
 
 def recognizes(grammar: SyncGrammar, side: Side, sentence) -> bool:
-    """Plain CFG membership for one side of the grammar (no feature merge)."""
+    """Plain CFG membership for one side of the grammar (no feature merge).
+    Builds its parse tables on each call."""
     words = as_words(sentence)
-    chart = _parse(_tables(grammar, side), words)
+    chart = _parse(parse_tables(grammar, side), words)
     return grammar.start in chart[(0, len(words))]
 
 
@@ -295,8 +247,8 @@ def translate(grammar: SyncGrammar, sentence, cap: int = 10_000) -> Translations
     described in the module docstring.
     """
     words = as_words(sentence)
-    g = merge_features(grammar)
-    chart = _parse(_tables(g, "src"), words)
+    g = grammar.compiled.merged
+    chart = _parse(grammar.compiled.src_tables, words)
     root = (g.start, 0, len(words))
     if g.start not in chart[(0, len(words))]:
         raise SourceParseError(
@@ -304,26 +256,19 @@ def translate(grammar: SyncGrammar, sentence, cap: int = 10_000) -> Translations
         )
     overflowed = False
     memo: dict[Item, list[tuple[str, ...]]] = {}
-    visiting: set[Item] = set()
 
     def yields(item: Item) -> list[tuple[str, ...]]:
         nonlocal overflowed
         if item in memo:
             return memo[item]
-        if item in visiting:
-            raise GrammarError("cyclic parse forest")  # excluded by table checks
-        visiting.add(item)
         out: dict[tuple[str, ...], None] = {}
         for idx, child_lists in _grouped_options(item, chart).items():
-            rule = g.rules[idx]
-            src_names = _side_names(rule, "src")
+            layout = g.rules[idx].layout["tgt"]
             for children in child_lists:
-                parts: list[list[tuple[str, ...]]] = []
-                for sym in rule.tgt:
-                    if sym.terminal:
-                        parts.append([sym.words()])
-                    else:
-                        parts.append(yields(children[src_names.index(sym.text)]))
+                parts = [
+                    yields(children[part]) if isinstance(part, int) else [part]
+                    for part in layout
+                ]
                 combos: list[tuple[str, ...]] = [()]
                 for part in parts:
                     combos = [c + p for c in combos for p in part]
@@ -336,7 +281,6 @@ def translate(grammar: SyncGrammar, sentence, cap: int = 10_000) -> Translations
             overflowed = True
         result = list(out)[:cap]
         memo[item] = result
-        visiting.discard(item)
         return result
 
     return Translations((" ".join(t) for t in yields(root)), overflowed)
@@ -349,13 +293,13 @@ def is_valid_translation(grammar: SyncGrammar, source, candidate) -> bool:
     source sentence itself does not parse."""
     src_words = as_words(source)
     cand_words = as_words(candidate)
-    g = merge_features(grammar)
-    src_chart = _parse(_tables(g, "src"), src_words)
+    g = grammar.compiled.merged
+    src_chart = _parse(grammar.compiled.src_tables, src_words)
     if g.start not in src_chart[(0, len(src_words))]:
         raise SourceParseError(
             f"not a source-language sentence: {' '.join(src_words)!r}"
         )
-    tgt_chart = _parse(_tables(g, "tgt"), cand_words)
+    tgt_chart = _parse(grammar.compiled.tgt_tables, cand_words)
     if g.start not in tgt_chart[(0, len(cand_words))]:
         return False
 
@@ -369,15 +313,13 @@ def is_valid_translation(grammar: SyncGrammar, source, candidate) -> bool:
         t_groups = _grouped_options(t_item, tgt_chart)
         ok = False
         for idx in s_groups.keys() & t_groups.keys():
-            rule = g.rules[idx]
-            src_names = _side_names(rule, "src")
-            tgt_names = _side_names(rule, "tgt")
-            align = [src_names.index(name) for name in tgt_names]
+            # source-order child index of each target-side nonterminal
+            align = [p for p in g.rules[idx].layout["tgt"] if isinstance(p, int)]
             for s_children in s_groups[idx]:
                 for t_children in t_groups[idx]:
                     if all(
-                        match(s_children[align[tj]], t_children[tj])
-                        for tj in range(len(tgt_names))
+                        match(s_children[si], t_child)
+                        for si, t_child in zip(align, t_children)
                     ):
                         ok = True
                         break

@@ -9,16 +9,21 @@ hitting a common one, and equal seeds always reproduce the same pair.
 Lengths are counted in surface words of the source side: a multi-word
 terminal contributes each of its words, a phonetically null terminal
 contributes nothing.
+
+Grammars whose counts would be infinite (a nonterminal deriving itself
+without consuming source words) are rejected up front by
+:func:`~scfgkit.grammar.check_well_founded`, the check the parser runs too.
+Counting then recurses at one length only along edges that check proved
+acyclic, so it needs no cycle detection of its own, and a sampler shared by
+threads needs no lock: a memo key only ever receives one value.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .grammar import GrammarError, Side, SyncGrammar, SyncRule
+from .grammar import Side, SyncGrammar, check_well_founded
 
 
 class LengthError(ValueError):
@@ -60,22 +65,6 @@ class SentencePair:
         return len(self.target)
 
 
-def _rule_shape(rule: SyncRule) -> tuple[tuple[str, ...], int]:
-    """Source-side nonterminal names plus the fixed word count of terminals."""
-    names = tuple(sym.text for sym in rule.src if not sym.terminal)
-    words = sum(len(sym.words()) for sym in rule.src if sym.terminal)
-    return names, words
-
-
-def tree_rules(tree: DerivationTree):
-    """Iterate rule indices of a derivation, preorder."""
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        yield node.rule_index
-        stack.extend(reversed(node.children))
-
-
 def tree_from_preorder(grammar: SyncGrammar, indices: list[int]) -> DerivationTree:
     """Rebuild a tree from its preorder rule indices (arity comes from the rules)."""
     pos = 0
@@ -86,8 +75,7 @@ def tree_from_preorder(grammar: SyncGrammar, indices: list[int]) -> DerivationTr
             raise ValueError("preorder ended early")
         idx = indices[pos]
         pos += 1
-        names, _ = _rule_shape(grammar.rules[idx])
-        return DerivationTree(idx, tuple(build() for _ in names))
+        return DerivationTree(idx, tuple(build() for _ in grammar.rules[idx].children))
 
     tree = build()
     if pos != len(indices):
@@ -104,66 +92,51 @@ def tgt_yield(grammar: SyncGrammar, tree: DerivationTree) -> tuple[str, ...]:
 
 
 def _walk_yield(grammar: SyncGrammar, tree: DerivationTree, side: Side) -> tuple[str, ...]:
-    rule = grammar.rules[tree.rule_index]
-    names, _ = _rule_shape(rule)
     out: list[str] = []
-    for sym in rule.side(side):
-        if sym.terminal:
-            out.extend(sym.words())
+    for part in grammar.rules[tree.rule_index].layout[side]:
+        if isinstance(part, int):
+            out.extend(_walk_yield(grammar, tree.children[part], side))
         else:
-            out.extend(_walk_yield(grammar, tree.children[names.index(sym.text)], side))
+            out.extend(part)
     return tuple(out)
 
 
 class Sampler:
     """Count tables and uniform draws for one grammar.
 
-    Counting is memoized per (nonterminal, length).  A derivation that could
-    loop without consuming source words (a unary or null-only cycle) would
-    make counts infinite; such grammars are rejected when detected.
+    Counting is memoized per (nonterminal, length).  A grammar whose source
+    side admits unbounded derivations (a unary or null-only cycle) would make
+    counts infinite; the constructor rejects it with :class:`GrammarError`.
     """
 
     def __init__(self, grammar: SyncGrammar):
         self.grammar = grammar
-        self._shapes = [_rule_shape(r) for r in grammar.rules]
-        self._by_lhs: dict[str, list[int]] = {}
+        self._nullable = check_well_founded(grammar, "src")
+        # lhs -> [(rule index, child names, fixed count of source words)]
+        self._rules: dict[str, list[tuple[int, tuple[str, ...], int]]] = {}
         for i, r in enumerate(grammar.rules):
-            self._by_lhs.setdefault(r.lhs, []).append(i)
+            words = sum(len(p) for p in r.layout["src"] if not isinstance(p, int))
+            self._rules.setdefault(r.lhs, []).append((i, r.children, words))
         self._counts: dict[tuple[str, int], int] = {}
         self._seq_counts: dict[tuple[tuple[str, ...], int], int] = {}
-        self._in_progress: set[tuple[str, int]] = set()
-        # samplers are shared across threads (sampler_for is cached); the
-        # cycle-detection set must only ever see one recursion at a time
-        self._lock = threading.RLock()
 
     # --- counting ---------------------------------------------------------
 
     def count(self, length: int) -> int:
         """Number of derivations whose source yield has exactly ``length`` words."""
-        with self._lock:
-            return self._count(self.grammar.start, length)
+        return self._count(self.grammar.start, length)
 
     def _count(self, name: str, length: int) -> int:
-        if length < 0:
+        if length < 0 or (length == 0 and name not in self._nullable):
             return 0
         key = (name, length)
         if key in self._counts:
             return self._counts[key]
-        if key in self._in_progress:
-            raise GrammarError(
-                f"unbounded derivation count: {name} can derive itself without "
-                f"consuming source words"
-            )
-        self._in_progress.add(key)
-        try:
-            total = 0
-            for idx in self._by_lhs.get(name, ()):
-                names, words = self._shapes[idx]
-                total += self._count_seq(names, length - words)
-            self._counts[key] = total
-            return total
-        finally:
-            self._in_progress.discard(key)
+        total = sum(
+            self._count_seq(names, length - words) for _, names, words in self._rules.get(name, ())
+        )
+        self._counts[key] = total
+        return total
 
     def _count_seq(self, names: tuple[str, ...], length: int) -> int:
         if length < 0:
@@ -175,14 +148,21 @@ class Sampler:
         key = (names, length)
         if key in self._seq_counts:
             return self._seq_counts[key]
-        head, rest = names[0], names[1:]
-        total = sum(
-            self._count(head, l) * self._count_seq(rest, length - l)
-            for l in range(length + 1)
-            if self._count(head, l)
-        )
+        total = sum(weight for _, weight in self._head_splits(names, length))
         self._seq_counts[key] = total
         return total
+
+    def _head_splits(self, names: tuple[str, ...], length: int):
+        """(words of the first name, derivations of ``names`` at ``length``)
+        for each split with derivations.  The rest may take no words only if
+        all of it is nullable, tested before the first name is counted at the
+        full length: same-length recursion stays on the checked edges."""
+        head, rest = names[0], names[1:]
+        top = length if self._nullable.issuperset(rest) else length - 1
+        for l in range(top + 1):
+            head_count = self._count(head, l)
+            if head_count:
+                yield l, head_count * self._count_seq(rest, length - l)
 
     def achievable_lengths(self, lo: int = 1, hi: int = 60) -> list[int]:
         return [l for l in range(lo, hi + 1) if self.count(l) > 0]
@@ -190,24 +170,21 @@ class Sampler:
     # --- drawing ----------------------------------------------------------
 
     def sample_tree(self, length: int, rng: random.Random) -> DerivationTree:
-        with self._lock:
-            total = self.count(length)
-            if total == 0:
-                near = self.achievable_lengths(1, length + 10)
-                closest = sorted(near, key=lambda l: abs(l - length))[:6]
-                raise LengthError(
-                    f"no derivation with source length {length}; "
-                    f"nearest achievable lengths: {sorted(closest) or 'none'}"
-                )
-            return self._draw(self.grammar.start, length, rng)
+        if self.count(length) == 0:
+            near = self.achievable_lengths(1, length + 10)
+            closest = sorted(near, key=lambda l: abs(l - length))[:6]
+            raise LengthError(
+                f"no derivation with source length {length}; "
+                f"nearest achievable lengths: {sorted(closest) or 'none'}"
+            )
+        return self._draw(self.grammar.start, length, rng)
 
     def _draw(self, name: str, length: int, rng: random.Random) -> DerivationTree:
         """Choosing each step proportionally to the derivation counts below it
         makes the whole draw exactly uniform: the step probabilities telescope
         to 1/count(name, length)."""
         pick = rng.randrange(self._count(name, length))
-        for idx in self._by_lhs.get(name, ()):
-            names, words = self._shapes[idx]
+        for idx, names, words in self._rules.get(name, ()):
             weight = self._count_seq(names, length - words)
             if pick < weight:
                 lengths = self._draw_split(names, length - words, rng)
@@ -223,14 +200,9 @@ class Sampler:
         number of derivations under each split."""
         lengths: list[int] = []
         remaining = length
-        for i, name in enumerate(names):
-            rest = names[i + 1 :]
-            if not rest:
-                lengths.append(remaining)
-                break
+        for i in range(len(names) - 1):
             pick = rng.randrange(self._count_seq(names[i:], remaining))
-            for l in range(remaining + 1):
-                weight = self._count(name, l) * self._count_seq(rest, remaining - l)
+            for l, weight in self._head_splits(names[i:], remaining):
                 if pick < weight:
                     lengths.append(l)
                     remaining -= l
@@ -238,17 +210,9 @@ class Sampler:
                 pick -= weight
             else:
                 raise AssertionError("split weights out of sync")
+        if names:
+            lengths.append(remaining)
         return lengths
-
-
-@lru_cache(maxsize=64)
-def _sampler(grammar: SyncGrammar) -> Sampler:
-    return Sampler(grammar)
-
-
-def sampler_for(grammar: SyncGrammar) -> Sampler:
-    """A cached :class:`Sampler` for the grammar (count tables are reused)."""
-    return _sampler(grammar)
 
 
 def sample_pair(grammar: SyncGrammar, target_len_src: int, rng_seed: int) -> SentencePair:
@@ -259,6 +223,5 @@ def sample_pair(grammar: SyncGrammar, target_len_src: int, rng_seed: int) -> Sen
     """
     if target_len_src < 1:
         raise ValueError("target_len_src must be at least 1")
-    s = sampler_for(grammar)
-    tree = s.sample_tree(target_len_src, random.Random(rng_seed))
+    tree = grammar.compiled.sampler.sample_tree(target_len_src, random.Random(rng_seed))
     return SentencePair(src_yield(grammar, tree), tgt_yield(grammar, tree), tree)

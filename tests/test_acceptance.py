@@ -34,7 +34,7 @@ from scfgkit.metagrammar import (
 from scfgkit.metrics import BleuConfig, bleu, chrfpp, exact_match, score_candidate
 from scfgkit.parsing import is_valid_translation, translate
 from scfgkit.prompts import render_prompt
-from scfgkit.sampling import sample_pair, sampler_for
+from scfgkit.sampling import Sampler, sample_pair
 from scfgkit.scripts import get_script, script_of, transliterate
 
 from .oracles import all_pairs, targets_for
@@ -87,7 +87,7 @@ def test_criterion_04_sampled_pairs_are_sound():
     assert len(conditions) == 13
     grammars = [generate(spec) for spec in conditions]
     lengths = [
-        sampler_for(g).achievable_lengths(3, 20) for g in grammars
+        Sampler(g).achievable_lengths(3, 20) for g in grammars
     ]
     assert all(len(l) >= 15 for l in lengths)  # nearly every length reachable
     checked = 0

@@ -105,7 +105,7 @@ def test_score_pipeline(tmp_path, fig1_path):
     assert scored[1]["exact"] == 0.0
     assert scored[1]["bag_of_words"] == 1.0
     assert set(scored[0]) == {
-        "exact", "bag_of_words", "bleu", "chrfpp", "labels", "cand", "source"
+        "exact", "bag_of_words", "bleu", "chrfpp", "cand", "source"
     }
 
 

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from scfgkit.errors import UNPARSEABLE
+from scfgkit.grammar import SyncGrammar, SyncRule
 from scfgkit.harness import (
     MOCK_ECHO_SOURCE,
     MOCK_ORACLE,
@@ -138,7 +139,7 @@ def test_exact_credit_does_not_depend_on_translate_cap(tmp_path):
     assert record["golds_overflowed"]
     assert is_valid_translation(grammar, record["source"], answers[0])
     assert record["scores"] == {
-        "exact": 1, "bag_of_words": 1, "bleu": 1.0, "chrfpp": 1.0, "labels": [],
+        "exact": 1, "bag_of_words": 1, "bleu": 1.0, "chrfpp": 1.0,
     }
     assert record["labels"] == []
     # the recorded size stays that of the enumerated (capped) set
@@ -147,6 +148,31 @@ def test_exact_credit_does_not_depend_on_translate_cap(tmp_path):
     # an answer outside the language still gets no credit
     echo = run_trial(cfg, grammar, 0, 5, 0, client=_Client(make_config(tmp_path, url=MOCK_ECHO_SOURCE)))
     assert echo["golds_overflowed"] and echo["scores"]["exact"] == 0
+
+
+def test_trial_path_never_hashes_the_grammar(tmp_path, monkeypatch):
+    # derived grammar state is kept on the grammar object; a trial must not
+    # look it up by the grammar's (whole-rule-set) hash
+    spec = GrammarSpec(
+        size=128, word_order_src="SVO", word_order_tgt="SOV", agreement_tgt=True, seed=0
+    )
+    cfg = make_config(
+        tmp_path, url=MOCK_ECHO_SOURCE, conditions=(spec,), lengths=(5,), translate_cap=2
+    )
+    grammar = generate(spec)
+    client = _Client(cfg)
+    run_trial(cfg, grammar, 0, 5, 0, client)
+    hashed = []
+    for cls in (SyncGrammar, SyncRule):
+        monkeypatch.setattr(
+            cls, "__hash__", lambda self, _hash=cls.__hash__: hashed.append(self) or _hash(self)
+        )
+    record = run_trial(cfg, grammar, 0, 5, 1, client)
+    assert record["golds_overflowed"] and record["labels"]
+    assert hashed == []
+    assert grammar.compiled is grammar.compiled
+    hash(grammar)
+    assert hashed  # the counter itself works
 
 
 def test_resume_false_restarts_log(tmp_path):
@@ -187,7 +213,7 @@ def test_unknown_mock_is_a_transport_failure(tmp_path):
     assert record["status"] == "transport_failed"
     assert record["error"]
     assert record["scores"] == {
-        "exact": 0, "bag_of_words": 0, "bleu": 0.0, "chrfpp": 0.0, "labels": [],
+        "exact": 0, "bag_of_words": 0, "bleu": 0.0, "chrfpp": 0.0,
     }
 
 

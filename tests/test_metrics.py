@@ -131,7 +131,6 @@ def test_score_record_as_dict():
         "bag_of_words": 1.0,
         "bleu": 1.0,
         "chrfpp": 1.0,
-        "labels": [],
     }
 
 

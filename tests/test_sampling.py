@@ -8,7 +8,6 @@ from scfgkit.sampling import (
     LengthError,
     Sampler,
     sample_pair,
-    sampler_for,
     src_yield,
     tgt_yield,
     tree_from_preorder,
@@ -18,7 +17,7 @@ from .oracles import count_derivations
 
 
 def test_docs_grammar_has_one_derivation_per_length(fig1_grammar):
-    s = sampler_for(fig1_grammar)
+    s = Sampler(fig1_grammar)
     assert [s.count(l) for l in range(1, 8)] == [0, 1, 1, 1, 1, 0, 0]
     assert s.achievable_lengths(1, 10) == [2, 3, 4, 5]
 
@@ -33,7 +32,7 @@ def test_docs_grammar_pairs(fig1_grammar):
 
 
 def test_counts_match_brute_force_enumeration(appendix_grammar):
-    s = sampler_for(appendix_grammar)
+    s = Sampler(appendix_grammar)
     for length in range(1, 6):
         assert s.count(length) == count_derivations(appendix_grammar, length)
 
@@ -80,6 +79,19 @@ def test_null_only_cycle_is_rejected():
     )
     with pytest.raises(GrammarError):
         Sampler(g).count(1)
+
+
+def test_left_recursion_through_a_word_is_counted():
+    # S consumes a word of B before recursing, so the grammar is well
+    # founded; counting must not mistake the left-recursive rule for a cycle
+    g = parse_grammar_text(
+        "S -> <S B, B S>\n"
+        "S -> <'a', 'x'>\n"
+        "B -> <'b', 'y'>\n"
+    )
+    pair = sample_pair(g, 3, rng_seed=0)
+    assert (pair.source, pair.target) == (("a", "b", "b"), ("y", "y", "x"))
+    assert Sampler(g).count(3) == 1
 
 
 def test_concurrent_cold_counts_are_safe():
@@ -141,7 +153,7 @@ def test_sampled_pairs_have_requested_length(seed, length, draw):
     try:
         pair = sample_pair(g, length, rng_seed=draw)
     except LengthError:
-        assert sampler_for(g).count(length) == 0
+        assert g.compiled.sampler.count(length) == 0
         return
     assert pair.len_src == length
     assert src_yield(g, pair.tree) == pair.source
