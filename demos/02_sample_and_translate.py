@@ -53,8 +53,9 @@ for tgt in sorted(targets):
     print("  ", tgt)
 
 # --- 3. verification without enumeration ------------------------------------
-# is_valid_translation() intersects the source and target parse forests, so
-# it stays fast even when the gold set would be huge.
+# is_valid_translation() folds, over the source parse forest, the spans of the
+# candidate that a target yield can cover, so it never enumerates and stays
+# fast even when the gold set would be huge.
 print("\nvalidity checks:")
 print("  gold target:     ", is_valid_translation(grammar, src, tgt))
 scrambled = " ".join(reversed(pair.target))

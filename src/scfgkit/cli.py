@@ -17,11 +17,11 @@ from pathlib import Path
 from .errors import classify as classify_labels
 from .errors import sorted_labels
 from .grammar import parse_grammar_text, serialize_grammar, word_vocab
-from .harness import ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, gold_members, run_experiment
 from .lexicon import english_words
 from .metagrammar import WORD_ORDERS, GrammarSpec, generate_with_manifest
 from .metrics import score_candidate
-from .parsing import SourceParseError, translate
+from .parsing import SourceParseError, Translations, translate
 from .report import write_report
 from .sampling import sample_pair
 from .scripts import SCRIPT_NAMES, load_script_tables, script_of
@@ -75,13 +75,13 @@ def _read_candidates(path: str) -> list[str]:
     return cands
 
 
-def _gold_sets(pairs, grammar, cap: int) -> list[list[str]]:
+def _gold_sets(pairs, grammar, cap: int) -> list[tuple[list[str], bool]]:
+    """Per pair, its space-joined gold set and whether enumeration overflowed."""
     golds = []
     for pair in pairs:
-        base = {pair["target"]}
-        if grammar is not None:
-            base |= translate(grammar, pair["source"], cap=cap)
-        golds.append(sorted(base))
+        base = {" ".join(pair["target"].split())}
+        targets = translate(grammar, pair["source"], cap=cap) if grammar is not None else Translations()
+        golds.append((sorted(base | targets), targets.overflowed))
     return golds
 
 
@@ -171,8 +171,9 @@ def _cmd_score(args) -> int:
         return 1
     grammar = _read_grammar(args.grammar) if args.grammar else None
     records = []
-    for pair, cand, golds in zip(pairs, cands, _gold_sets(pairs, grammar, args.cap)):
-        record = score_candidate(cand, golds).as_dict()
+    for pair, cand, (golds, overflowed) in zip(pairs, cands, _gold_sets(pairs, grammar, args.cap)):
+        members = gold_members(grammar, pair["source"], cand, golds, overflowed)
+        record = score_candidate(cand, members).as_dict()
         record["cand"] = cand
         record["source"] = pair["source"]
         records.append(record)
@@ -192,8 +193,9 @@ def _cmd_classify(args) -> int:
     script = _target_script(args.script, tgt_vocab)
     english = english_words()
     records = []
-    for pair, cand, golds in zip(pairs, cands, _gold_sets(pairs, grammar, args.cap)):
-        if cand.split() in [g.split() for g in golds]:
+    for pair, cand, (golds, overflowed) in zip(pairs, cands, _gold_sets(pairs, grammar, args.cap)):
+        text = " ".join(cand.split())
+        if text in gold_members(grammar, pair["source"], text, golds, overflowed):
             labels = []
         else:
             labels = sorted_labels(

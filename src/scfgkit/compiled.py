@@ -1,7 +1,7 @@
 """The state derived from one grammar, built once and kept on the grammar.
 
 Every trial on a grammar reads the same derived state: the merged agreement
-grammar, the parse tables of each side, the sampler's count tables and the
+grammar, the source-side parse tables, the sampler's count tables and the
 word vocabularies.  ``SyncGrammar.compiled`` builds one
 :class:`CompiledGrammar` on first use and keeps it on the grammar object, so
 a lookup is an attribute read and never hashes the frozen grammar.  The
@@ -37,10 +37,6 @@ class CompiledGrammar:
     @cached_property
     def src_tables(self) -> ParseTables:
         return parse_tables(self.merged, "src")
-
-    @cached_property
-    def tgt_tables(self) -> ParseTables:
-        return parse_tables(self.merged, "tgt")
 
     @cached_property
     def sampler(self) -> Sampler:

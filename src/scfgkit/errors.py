@@ -159,12 +159,8 @@ def classify(
             labels.add("source_vocab")
         if word.lower() in english:
             labels.add("english_vocab")
-    if script is not None and cand_words:
-        text = " ".join(cand_words)
-        if any(not script.in_ranges(ch) for ch in text if ch != " "):
-            labels.add("orthography")
-        if script.diacritic_ranges and not any(script.is_diacritic(ch) for ch in text):
-            labels.add("orthography")
+    if script is not None and cand_words and not script.covers("".join(cand_words)):
+        labels.add("orthography")
     if Counter(gold) - Counter(cand_words):
         labels.add("omission")
     return frozenset(labels)

@@ -18,7 +18,9 @@ scores.
 
 Exact credit never depends on ``translate_cap``: when enumeration overflowed
 and the answer is not among the enumerated targets, ``is_valid_translation``
-(forest intersection, no enumeration) decides whether it is a gold member.
+(a fold over the source forest that never enumerates) decides whether it is
+a gold member.  :func:`gold_members` holds this rule for the harness and the
+command line.
 """
 
 from __future__ import annotations
@@ -210,6 +212,18 @@ class _Client:
         raise RuntimeError(f"endpoint failed after {self.cfg.retry.max_attempts} attempts: {last_error}")
 
 
+def gold_members(
+    grammar: SyncGrammar, source, candidate: str, golds: list[str], overflowed: bool
+) -> list[str]:
+    """The gold set to score ``candidate`` against: ``golds``, the enumerated
+    translations of ``source`` (space-joined, with any further reference
+    targets), plus ``candidate`` itself when the enumeration ``overflowed``
+    its cap and left out a candidate that is a translation."""
+    if overflowed and candidate not in golds and is_valid_translation(grammar, source, candidate):
+        return [*golds, candidate]
+    return golds
+
+
 def run_trial(
     cfg: ExperimentConfig,
     grammar: SyncGrammar,
@@ -250,14 +264,7 @@ def run_trial(
             labels = [UNPARSEABLE]
         else:
             candidate = " ".join(extracted)
-            members = gold_set
-            if (
-                golds.overflowed
-                and candidate not in gold_set
-                and is_valid_translation(grammar, pair.source, candidate)
-            ):
-                # a member the capped enumeration left out
-                members = [*gold_set, candidate]
+            members = gold_members(grammar, pair.source, candidate, gold_set, golds.overflowed)
             scores = score_candidate(candidate, members)
             if not scores.exact:
                 labels = sorted_labels(

@@ -1,19 +1,20 @@
 """Translation oracles: chart parsing, target enumeration, pair validation.
 
-Both oracles work on a packed parse forest built by a CKY-style chart parser.
-The grammar is binarized internally (virtual items never escape); phonetically
-null terminals become zero-width chart items, so covert material (tense,
-aspect, silent complementizers) parses at any position without appearing in
-the input.  Grammars whose derivations could loop without consuming input are
-rejected up front by :func:`~scfgkit.grammar.check_well_founded`, which
-:func:`parse_tables` runs, so every forest is acyclic.  The oracles read the
-merged grammar and its tables from ``grammar.compiled``, built once per
-grammar object (see :mod:`scfgkit.compiled`).
-
-:func:`translate` enumerates the distinct target yields of the source forest.
-:func:`is_valid_translation` instead intersects the source forest of the
-source sentence with the target forest of the candidate, so it stays
-polynomial and never enumerates the translation set.
+Both oracles are one fold (:func:`_fold_targets`) over the packed parse
+forest of the source sentence, built by a CKY-style chart parser, in two
+value types: :func:`translate` folds the target strings, and
+:func:`is_valid_translation` the spans of the candidate that a target yield
+can cover, so it stays polynomial and never enumerates the translation set.
+The grammar is binarized internally (virtual items never escape);
+phonetically null terminals become zero-width chart items, so covert material
+(tense, aspect, silent complementizers) parses at any position without
+appearing in the input.  Grammars whose source derivations could loop without
+consuming input are rejected up front by
+:func:`~scfgkit.grammar.check_well_founded`, which :func:`parse_tables` runs,
+so every forest is acyclic; the target side is never parsed, so a loop there
+alone is never followed.  The oracles read the merged grammar and its tables
+from ``grammar.compiled``, built once per grammar object (see
+:mod:`scfgkit.compiled`).
 
 Agreement crediting: grammars with feature-indexed nonterminals (``TP_3sg``)
 are merged down to their feature-free families first.  For a source language
@@ -26,6 +27,7 @@ feature cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .grammar import (
     Side,
@@ -238,6 +240,79 @@ def recognizes(grammar: SyncGrammar, side: Side, sentence) -> bool:
     return grammar.start in chart[(0, len(words))]
 
 
+def _fold_targets(grammar: SyncGrammar, sentence, values):
+    """Fold the target yields of the source forest of ``sentence`` in the
+    value type ``values``, once per item: an option multiplies the parts of
+    its rule's target layout from ``values.one``, and an item adds its options
+    in chart order.  Raises :class:`SourceParseError` when the sentence is not
+    in the source language."""
+    words = as_words(sentence)
+    g = grammar.compiled.merged
+    chart = _parse(grammar.compiled.src_tables, words)
+    if g.start not in chart[(0, len(words))]:
+        raise SourceParseError(f"not a source-language sentence: {' '.join(words)!r}")
+
+    @cache
+    def value(item: Item):
+        options = []
+        for idx, child_lists in _grouped_options(item, chart).items():
+            layout = g.rules[idx].layout["tgt"]
+            for children in child_lists:
+                acc = values.one
+                for part in layout:
+                    part_value = value(children[part]) if isinstance(part, int) else values.words(part)
+                    acc = values.times(acc, part_value)
+                options.append(acc)
+        return values.plus(options)
+
+    return value((g.start, 0, len(words)))
+
+
+@dataclass
+class _TargetStrings:
+    """Target yields as word tuples, in first-derived order, at most ``cap``
+    per value; ``overflowed`` records any truncation."""
+
+    cap: int
+    overflowed: bool = False
+    one = [()]
+
+    def _capped(self, yields: list) -> list:
+        self.overflowed |= len(yields) > self.cap
+        return yields[: self.cap]
+
+    def words(self, words: tuple[str, ...]) -> list:
+        return [words]
+
+    def times(self, left: list, right: list) -> list:
+        return self._capped([a + b for a in left for b in right])
+
+    def plus(self, options: list) -> list:
+        return self._capped(list(dict.fromkeys(y for option in options for y in option)))
+
+
+class _CandidateSpans:
+    """The spans ``(i, j)`` of a candidate that a target yield can cover: the
+    yield equals ``candidate[i:j]``."""
+
+    def __init__(self, candidate: tuple[str, ...]):
+        self.candidate = candidate
+        self.one = self.words(())  # every empty span (i, i)
+
+    def words(self, words: tuple[str, ...]) -> set:
+        n, cand = len(words), self.candidate
+        return {(i, i + n) for i in range(len(cand) - n + 1) if cand[i : i + n] == words}
+
+    def times(self, left, right) -> set:
+        ends: dict[int, list[int]] = {}
+        for j, k in right:
+            ends.setdefault(j, []).append(k)
+        return {(i, k) for i, j in left for k in ends.get(j, ())}
+
+    def plus(self, options: list) -> set:
+        return set().union(*options)
+
+
 def translate(grammar: SyncGrammar, sentence, cap: int = 10_000) -> Translations:
     """All distinct target sentences the grammar pairs with ``sentence``.
 
@@ -246,90 +321,16 @@ def translate(grammar: SyncGrammar, sentence, cap: int = 10_000) -> Translations
     truncation.  Feature-indexed grammars are credited per the merge rule
     described in the module docstring.
     """
-    words = as_words(sentence)
-    g = grammar.compiled.merged
-    chart = _parse(grammar.compiled.src_tables, words)
-    root = (g.start, 0, len(words))
-    if g.start not in chart[(0, len(words))]:
-        raise SourceParseError(
-            f"not a source-language sentence: {' '.join(words)!r}"
-        )
-    overflowed = False
-    memo: dict[Item, list[tuple[str, ...]]] = {}
-
-    def yields(item: Item) -> list[tuple[str, ...]]:
-        nonlocal overflowed
-        if item in memo:
-            return memo[item]
-        out: dict[tuple[str, ...], None] = {}
-        for idx, child_lists in _grouped_options(item, chart).items():
-            layout = g.rules[idx].layout["tgt"]
-            for children in child_lists:
-                parts = [
-                    yields(children[part]) if isinstance(part, int) else [part]
-                    for part in layout
-                ]
-                combos: list[tuple[str, ...]] = [()]
-                for part in parts:
-                    combos = [c + p for c in combos for p in part]
-                    if len(combos) > cap:
-                        overflowed = True
-                        combos = combos[:cap]
-                for c in combos:
-                    out[c] = None
-        if len(out) > cap:
-            overflowed = True
-        result = list(out)[:cap]
-        memo[item] = result
-        return result
-
-    return Translations((" ".join(t) for t in yields(root)), overflowed)
+    values = _TargetStrings(cap)
+    yields = _fold_targets(grammar, sentence, values)
+    return Translations((" ".join(t) for t in yields), values.overflowed)
 
 
 def is_valid_translation(grammar: SyncGrammar, source, candidate) -> bool:
     """True when some synchronized derivation pairs ``source`` with
-    ``candidate``.  Polynomial: intersects the two parse forests instead of
-    enumerating translations.  Raises :class:`SourceParseError` when the
-    source sentence itself does not parse."""
-    src_words = as_words(source)
-    cand_words = as_words(candidate)
-    g = grammar.compiled.merged
-    src_chart = _parse(grammar.compiled.src_tables, src_words)
-    if g.start not in src_chart[(0, len(src_words))]:
-        raise SourceParseError(
-            f"not a source-language sentence: {' '.join(src_words)!r}"
-        )
-    tgt_chart = _parse(grammar.compiled.tgt_tables, cand_words)
-    if g.start not in tgt_chart[(0, len(cand_words))]:
-        return False
-
-    memo: dict[tuple[Item, Item], bool] = {}
-
-    def match(s_item: Item, t_item: Item) -> bool:
-        key = (s_item, t_item)
-        if key in memo:
-            return memo[key]
-        s_groups = _grouped_options(s_item, src_chart)
-        t_groups = _grouped_options(t_item, tgt_chart)
-        ok = False
-        for idx in s_groups.keys() & t_groups.keys():
-            # source-order child index of each target-side nonterminal
-            align = [p for p in g.rules[idx].layout["tgt"] if isinstance(p, int)]
-            for s_children in s_groups[idx]:
-                for t_children in t_groups[idx]:
-                    if all(
-                        match(s_children[si], t_child)
-                        for si, t_child in zip(align, t_children)
-                    ):
-                        ok = True
-                        break
-                if ok:
-                    break
-            if ok:
-                break
-        memo[key] = ok
-        return ok
-
-    return match(
-        (g.start, 0, len(src_words)), (g.start, 0, len(cand_words))
-    )
+    ``candidate``.  Polynomial: folds the candidate spans that the target
+    yields of the source forest can cover, instead of enumerating
+    translations.  Raises :class:`SourceParseError` when the source sentence
+    itself does not parse."""
+    cand = as_words(candidate)
+    return (0, len(cand)) in _fold_targets(grammar, source, _CandidateSpans(cand))

@@ -6,6 +6,7 @@ from scfgkit.cli import main
 from scfgkit.grammar import parse_grammar_text
 
 from .conftest import FIG1_TEXT
+from .test_parsing import AMBIG_TEXT
 
 
 def jsonl(path):
@@ -132,6 +133,21 @@ def test_score_length_mismatch(tmp_path, fig1_path, capsys):
     cands.write_text("", "utf-8")
     assert main(["score", "--pairs", str(pairs), "--cands", str(cands),
                  "--out", str(tmp_path / "o.jsonl")]) == 1
+
+
+def test_exact_credit_does_not_depend_on_cap(tmp_path):
+    # 'a a' has 16 targets; at --cap 3 the enumerated set stops before 's z'
+    grammar = tmp_path / "ambig.scfg"
+    grammar.write_text(AMBIG_TEXT, "utf-8")
+    pairs = tmp_path / "pairs.jsonl"
+    cands = tmp_path / "cands.txt"
+    pairs.write_text(json.dumps({"source": "a a", "target": "p w"}) + "\n", "utf-8")
+    cands.write_text("s z\n", "utf-8")
+    common = ["--pairs", str(pairs), "--cands", str(cands), "--grammar", str(grammar), "--cap", "3"]
+    assert main(["score", *common, "--out", str(tmp_path / "scores.jsonl")]) == 0
+    assert jsonl(tmp_path / "scores.jsonl")[0]["exact"] == 1.0
+    assert main(["classify", *common, "--out", str(tmp_path / "labels.jsonl")]) == 0
+    assert jsonl(tmp_path / "labels.jsonl")[0]["labels"] == []
 
 
 def test_classify_pipeline(tmp_path, fig1_path):

@@ -1,3 +1,6 @@
+import hashlib
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,6 +146,19 @@ def test_null_cycle_rejected():
         recognizes(g, "src", "a")
 
 
+def test_target_only_null_cycle_is_not_followed():
+    # well-founded on the source side; on the target side S -> S N loops
+    # through the null N, which a check on the source forest never follows
+    g = parse_grammar_text(
+        "S -> <N S, S N>\n"
+        "S -> <'a', 'a'>\n"
+        "N -> <'x', '∅_n'>\n"
+    )
+    assert translate(g, "x x a") == {"a"}
+    assert is_valid_translation(g, "x x a", "a")
+    assert not is_valid_translation(g, "x x a", "a a")
+
+
 def test_null_terminals_only_skip_source_words():
     g = parse_grammar_text(
         "S -> <D N, D N>\n"
@@ -196,14 +212,18 @@ def test_validity_never_enumerates(appendix_grammar):
     assert out.overflowed or " ".join(pair.target) in out
 
 
+AGREE_SPEC = GrammarSpec(size=128, word_order_src="SVO", word_order_tgt="SOV", agreement_tgt=True)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
+    spec=st.sampled_from([GrammarSpec(size=57), AGREE_SPEC]),
     seed=st.integers(min_value=0, max_value=5),
     length=st.integers(min_value=3, max_value=15),
     draw=st.integers(min_value=0, max_value=10**9),
 )
-def test_sampled_pairs_always_validate(seed, length, draw):
-    g = generate(GrammarSpec(size=57, seed=seed))
+def test_sampled_pairs_always_validate(spec, seed, length, draw):
+    g = generate(replace(spec, seed=seed))
     pair = sample_pair(g, length, rng_seed=draw)
     tgt = " ".join(pair.target)
     assert is_valid_translation(g, pair.source, tgt)
@@ -211,3 +231,23 @@ def test_sampled_pairs_always_validate(seed, length, draw):
     if not out.overflowed:
         assert tgt in out
     assert not is_valid_translation(g, pair.source, tgt + " zzz")
+
+
+# (length, sample seed, gold-set size) -> {cap: digest of the sorted capped set}
+CAPPED_SUBSETS = {
+    (40, 43, 256): {1: "ebbbfae033919a2b", 5: "ec0551fb2fac3498", 100: "e2bda54420549860"},
+    (40, 212, 1024): {1: "c1b8385a2cacbb8e", 5: "9316ad7bb43fd596", 100: "4f95f1899f145a1e"},
+    (50, 224, 1024): {1: "deb3bb53ae21a9b0", 5: "8ce18b2b1ab7141a", 100: "97a2dc5120ba5961"},
+}
+
+
+def test_capped_subset_is_pinned():
+    # which targets a cap keeps follows the order of rules and backpointers
+    g = generate(AGREE_SPEC)
+    for (length, rng_seed, size), digests in CAPPED_SUBSETS.items():
+        source = sample_pair(g, length, rng_seed=rng_seed).source
+        assert len(translate(g, source)) == size
+        for cap, digest in digests.items():
+            out = translate(g, source, cap=cap)
+            assert out.overflowed and len(out) == cap
+            assert hashlib.sha256("\n".join(sorted(out)).encode()).hexdigest()[:16] == digest

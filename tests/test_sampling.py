@@ -95,10 +95,10 @@ def test_left_recursion_through_a_word_is_counted():
 
 
 def test_concurrent_cold_counts_are_safe():
-    # sampler_for() hands the same instance to every harness worker thread;
-    # racing recursions on a cold count table must not trip the cycle
-    # detector or disagree on counts.  The tiny switch interval makes the
-    # interleaving dense enough to race reliably without the lock.
+    # grammar.compiled.sampler hands one Sampler to every harness worker
+    # thread; racing fills of a cold count table must raise nothing and agree
+    # on the counts.  The tiny switch interval makes the interleaving dense
+    # enough to race reliably; the Sampler takes no lock.
     import sys
     import threading
 
