@@ -1,20 +1,20 @@
 """Translation oracles: chart parsing, target enumeration, pair validation.
 
-Both oracles are one fold (:func:`_fold_targets`) over the packed parse
-forest of the source sentence, built by a CKY-style chart parser, in two
-value types: :func:`translate` folds the target strings, and
-:func:`is_valid_translation` the spans of the candidate that a target yield
-can cover, so it stays polynomial and never enumerates the translation set.
-The grammar is binarized internally (virtual items never escape);
-phonetically null terminals become zero-width chart items, so covert material
-(tense, aspect, silent complementizers) parses at any position without
-appearing in the input.  Grammars whose source derivations could loop without
-consuming input are rejected up front by
-:func:`~scfgkit.grammar.check_well_founded`, which :func:`parse_tables` runs,
-so every forest is acyclic; the target side is never parsed, so a loop there
-alone is never followed.  The oracles read the merged grammar and its tables
-from ``grammar.compiled``, built once per grammar object (see
-:mod:`scfgkit.compiled`).
+Both oracles are one fold (:func:`_fold_targets`) over the packed parse forest
+of the source sentence in two value types: :func:`translate` folds the target
+strings, and :func:`is_valid_translation` the spans of the candidate that a
+target yield can cover, so it stays polynomial and never enumerates the
+translation set.  A CKY-style chart parser builds the forest, indexed by start
+position and holding only the spans that parse, over the grammar binarized
+internally (virtual items never escape); phonetically null terminals become
+zero-width chart items, so covert material (tense, aspect, silent
+complementizers) parses at any position without appearing in the input.
+Grammars whose source derivations could loop without consuming input are
+rejected up front by :func:`~scfgkit.grammar.check_well_founded`, which
+:func:`parse_tables` runs, so every forest is acyclic; the target side is
+never parsed, so a loop there alone is never followed.  The oracles read the
+merged grammar and its tables from ``grammar.compiled``, built once per
+grammar object (see :mod:`scfgkit.compiled`).
 
 Agreement crediting: grammars with feature-indexed nonterminals (``TP_3sg``)
 are merged down to their feature-free families first.  For a source language
@@ -26,6 +26,7 @@ feature cell.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 
@@ -140,19 +141,20 @@ def parse_tables(grammar: SyncGrammar, side: Side) -> ParseTables:
 # --- chart construction ---------------------------------------------------
 
 
-def _parse(tables: ParseTables, words: tuple[str, ...]) -> dict:
-    """Build the packed forest: {(i, j): {name: [backpointer, ...]}}.
-
-    Backpointers are ("lex", rule), ("un", rule, child_item) or
-    ("bin", rule, left_item, right_item); items are (name, i, j).
+def _parse(tables: ParseTables, words: tuple[str, ...]) -> list[dict]:
+    """Build the packed forest: ``forest[i]`` maps each end ``j`` (rising) to
+    the cell ``{name: [(rule, children), ...]}`` of span ``(i, j)``; only spans
+    where some name parses have a cell.  Children are items ``(name, i, j)``:
+    ``()`` for a lexical rule, ``(child,)`` for a unary one and ``(left, right)``
+    for a binarized piece, whose ``right`` may be virtual.
     """
     n = len(words)
-    chart: dict = {(i, j): {} for i in range(n + 1) for j in range(i, n + 1)}
+    forest: list[dict] = [{} for _ in range(n + 1)]
 
     for width in range(0, n + 1):
         for i in range(0, n - width + 1):
             j = i + width
-            cell = chart[(i, j)]
+            cell: dict = {}
             seen_bps: set = set()
             queue: list[str] = []
 
@@ -167,65 +169,59 @@ def _parse(tables: ParseTables, words: tuple[str, ...]) -> dict:
                 else:
                     bps.append(bp)
 
-            for lhs, idx in tables.lex.get(words[i:j] if width else (), ()):
-                add(lhs, ("lex", idx))
-            for k in range(i + 1, j):
-                left_cell, right_cell = chart[(i, k)], chart[(k, j)]
+            for lhs, idx in tables.lex.get(words[i:j], ()):
+                add(lhs, (idx, ()))
+            # forest[i] has no cell (i, j) yet, so k == i finds no right cell
+            for k, left_cell in forest[i].items():
+                right_cell = forest[k].get(j)
+                if right_cell is None:
+                    continue
                 for lname in left_cell:
                     for parent, right, idx in tables.binary_by_left.get(lname, ()):
                         if right in right_cell:
-                            add(parent, ("bin", idx, (lname, i, k), (right, k, j)))
+                            add(parent, (idx, ((lname, i, k), (right, k, j))))
             # Closure: unary rules, plus binary rules one of whose children is
             # a zero-width item at this span's edge.  Zero-width cells are
-            # complete before any wider span (and fill in within this loop
-            # when i == j).
+            # complete before any wider span; when i == j the cell fills in
+            # within this loop, so it must already be visible as forest[i][i].
+            forest[i][j] = cell
+            left_nulls, right_nulls = forest[i].get(i, {}), forest[j].get(j, {})
             while queue:
                 name = queue.pop()
                 item = (name, i, j)
                 for parent, idx in tables.unary.get(name, ()):
-                    add(parent, ("un", idx, item))
+                    add(parent, (idx, (item,)))
                 for parent, right, idx in tables.binary_by_left.get(name, ()):
-                    if right in chart[(j, j)]:
-                        add(parent, ("bin", idx, item, (right, j, j)))
+                    if right in right_nulls:
+                        add(parent, (idx, (item, (right, j, j))))
                 for parent, left, idx in tables.binary_by_right.get(name, ()):
-                    if left in chart[(i, i)]:
-                        add(parent, ("bin", idx, (left, i, i), item))
-    return chart
+                    if left in left_nulls:
+                        add(parent, (idx, ((left, i, i), item)))
+            if not cell:
+                del forest[i][j]
+    return forest
 
 
 # --- forest walking -------------------------------------------------------
 
 
-def _child_options(bp: tuple, chart: dict) -> list[tuple[int, tuple[Item, ...]]]:
-    """Expand one backpointer into (rule index, real child items) options,
-    flattening any virtual right spines introduced by binarization."""
-    kind = bp[0]
-    if kind == "lex":
-        return [(bp[1], ())]
-    if kind == "un":
-        return [(bp[1], (bp[2],))]
-    _, idx, left, right = bp
-    options: list[tuple[int, tuple[Item, ...]]] = []
-
-    def walk(acc: tuple[Item, ...], item: Item) -> None:
-        name, i, j = item
-        if not _is_virtual(name):
-            options.append((idx, acc + (item,)))
-            return
-        for sub in chart[(i, j)][name]:
-            _, _, l2, r2 = sub
-            walk(acc + (l2,), r2)
-
-    walk((left,), right)
-    return options
+def _expand(children: tuple[Item, ...], forest: list[dict]) -> Iterator[tuple[Item, ...]]:
+    """The real child lists of one backpointer: a virtual last child, from
+    binarization, is replaced by each expansion of its own backpointers."""
+    if not children or not _is_virtual(children[-1][0]):
+        yield children
+        return
+    name, i, j = children[-1]
+    for _, sub in forest[i][j][name]:
+        for rest in _expand(sub, forest):
+            yield children[:-1] + rest
 
 
-def _grouped_options(item: Item, chart: dict) -> dict[int, list[tuple[Item, ...]]]:
+def _grouped_options(item: Item, forest: list[dict]) -> dict[int, list[tuple[Item, ...]]]:
     """All ways to expand an item, grouped by originating rule."""
     grouped: dict[int, list[tuple[Item, ...]]] = {}
-    for bp in chart[(item[1], item[2])].get(item[0], ()):
-        for idx, children in _child_options(bp, chart):
-            grouped.setdefault(idx, []).append(children)
+    for idx, children in forest[item[1]][item[2]][item[0]]:
+        grouped.setdefault(idx, []).extend(_expand(children, forest))
     return grouped
 
 
@@ -236,8 +232,8 @@ def recognizes(grammar: SyncGrammar, side: Side, sentence) -> bool:
     """Plain CFG membership for one side of the grammar (no feature merge).
     Builds its parse tables on each call."""
     words = as_words(sentence)
-    chart = _parse(parse_tables(grammar, side), words)
-    return grammar.start in chart[(0, len(words))]
+    forest = _parse(parse_tables(grammar, side), words)
+    return grammar.start in forest[0].get(len(words), ())
 
 
 def _fold_targets(grammar: SyncGrammar, sentence, values):
@@ -248,14 +244,14 @@ def _fold_targets(grammar: SyncGrammar, sentence, values):
     in the source language."""
     words = as_words(sentence)
     g = grammar.compiled.merged
-    chart = _parse(grammar.compiled.src_tables, words)
-    if g.start not in chart[(0, len(words))]:
+    forest = _parse(grammar.compiled.src_tables, words)
+    if g.start not in forest[0].get(len(words), ()):
         raise SourceParseError(f"not a source-language sentence: {' '.join(words)!r}")
 
     @cache
     def value(item: Item):
         options = []
-        for idx, child_lists in _grouped_options(item, chart).items():
+        for idx, child_lists in _grouped_options(item, forest).items():
             layout = g.rules[idx].layout["tgt"]
             for children in child_lists:
                 acc = values.one
@@ -265,7 +261,10 @@ def _fold_targets(grammar: SyncGrammar, sentence, values):
                 options.append(acc)
         return values.plus(options)
 
-    return value((g.start, 0, len(words)))
+    result = value((g.start, 0, len(words)))
+    # value reaches its memo through its own closure: unbind it to free both now
+    value = None
+    return result
 
 
 @dataclass

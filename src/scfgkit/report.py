@@ -18,6 +18,8 @@ import numpy as np
 
 METRICS = ("exact", "bag_of_words", "bleu", "chrfpp")
 EMPTY_CELL = "—"
+# elements of resample indices drawn at once by bootstrap_ci
+RESAMPLE_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,15 @@ def bootstrap_ci(
     if arr.size == 0:
         raise ValueError("cannot bootstrap an empty sample")
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, arr.size, size=(n_resamples, arr.size))
-    means = arr[idx].mean(axis=1)
+    # draw the resample indices a block of rows at a time, so memory stays
+    # bounded; the generator's stream, and so every index, is the same as in
+    # one (n_resamples, n) draw
+    rows = max(1, RESAMPLE_BLOCK // arr.size)
+    blocks = []
+    for start in range(0, n_resamples, rows):
+        size = (min(rows, n_resamples - start), arr.size)
+        blocks.append(arr[rng.integers(0, arr.size, size=size)].mean(axis=1))
+    means = np.concatenate(blocks)
     tail = (1.0 - confidence) / 2.0
     low, high = np.quantile(means, [tail, 1.0 - tail])
     # quantile interpolation can drift one ulp past the sample range

@@ -13,6 +13,7 @@ combining marks.  The mapping tables live in a versioned data file
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
@@ -45,18 +46,22 @@ class ScriptSpec:
         cp = ord(char)
         return any(lo <= cp <= hi for lo, hi in self.base_ranges + self.diacritic_ranges)
 
-    def is_diacritic(self, char: str) -> bool:
-        cp = ord(char)
-        return any(lo <= cp <= hi for lo, hi in self.diacritic_ranges)
+    @cached_property
+    def _covered(self) -> re.Pattern:
+        def char_class(ranges: Ranges) -> str:
+            return "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in ranges)
+
+        chars = char_class(self.base_ranges + self.diacritic_ranges)
+        pattern = f"[{chars}]*" if chars else ""
+        if self.diacritic_ranges:  # and a diacritic somewhere in the word
+            marks = char_class(self.diacritic_ranges)
+            pattern = f"(?=[^{marks}]*[{marks}])" + pattern
+        return re.compile(pattern)
 
     def covers(self, word: str) -> bool:
         """True when every codepoint of ``word`` falls in this script's ranges
         and, for scripts that use diacritics, at least one diacritic appears."""
-        if not all(self.in_ranges(ch) for ch in word):
-            return False
-        if self.diacritic_ranges and not any(self.is_diacritic(ch) for ch in word):
-            return False
-        return True
+        return self._covered.fullmatch(word) is not None
 
 
 def _parse_ranges(raw: list[list[str]]) -> Ranges:

@@ -10,12 +10,17 @@ and metric, and find the nearest gold by a pure-Python Levenshtein against
 each member in turn.  They share only the float formulas
 (``_bleu_from_stats``, ``_chrf_from_stats``) with the batched integer
 statistics in ``scfgkit.metrics`` and ``scfgkit.errors`` that they check.
+
+The bootstrap oracle draws all ``(n_resamples, n)`` resample indices at once,
+the reference for ``scfgkit.report.bootstrap_ci``'s draw in row blocks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+
+import numpy as np
 
 from scfgkit.errors import edit_distance
 from scfgkit.grammar import SyncGrammar, SyncRule, as_words
@@ -254,3 +259,15 @@ def nearest_gold(cand_words, golds) -> tuple[str, ...]:
     """The first gold member at minimum word-level edit distance."""
     members = [as_words(g) for g in golds]
     return min(members, key=lambda g: edit_distance(cand_words, g))
+
+
+def bootstrap_ci(values, n_resamples: int = 10_000, confidence: float = 0.95, seed: int = 0):
+    """Percentile bootstrap interval for the mean, from one index draw."""
+    arr = np.asarray(values, dtype=float)
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, arr.size, size=(n_resamples, arr.size))
+    means = arr[idx].mean(axis=1)
+    tail = (1.0 - confidence) / 2.0
+    low, high = np.quantile(means, [tail, 1.0 - tail])
+    lo_bound, hi_bound = arr.min(), arr.max()
+    return float(np.clip(low, lo_bound, hi_bound)), float(np.clip(high, lo_bound, hi_bound))

@@ -200,6 +200,32 @@ def test_run_and_report(tmp_path, capsys):
     assert (report_dir / "by_size.csv").exists() or list(report_dir.glob("*.csv"))
 
 
+def test_report_reads_a_log_with_a_torn_last_line(tmp_path, capsys):
+    # a run cut mid-append leaves a partial line, which resume drops
+    config = tmp_path / "config.json"
+    run_dir = tmp_path / "run"
+    config.write_text(json.dumps({
+        "conditions": [{"size": 57, "seed": 0}],
+        "lengths": [3, 4],
+        "n_per_cell": 2,
+        "endpoint": {"url": "mock://oracle"},
+        "model_name": "oracle",
+        "out_dir": str(run_dir),
+    }), "utf-8")
+    assert main(["run", "--config", str(config)]) == 0
+    log = run_dir / "runs.jsonl"
+    with log.open("a", encoding="utf-8") as fh:
+        fh.write('{"trial_id": "c0-L3-r9", "source": "ha')
+    capsys.readouterr()
+    assert main(["report", "--log", str(log), "--out", str(tmp_path / "report"),
+                 "--resamples", "200"]) == 0
+    by_size = (tmp_path / "report" / "by_size.csv").read_text("utf-8")
+    assert "57,exact,4,1.000000" in by_size
+    assert main(["report", "--log", str(tmp_path / "missing.jsonl"),
+                 "--out", str(tmp_path / "report")]) == 2
+    assert "no run log" in capsys.readouterr().err
+
+
 def test_run_resume_via_cli(tmp_path, capsys):
     config = tmp_path / "config.json"
     run_dir = tmp_path / "run"

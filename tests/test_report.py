@@ -1,6 +1,8 @@
 import csv
 import io
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,8 @@ from scfgkit.report import (
     table_to_text,
     write_report,
 )
+
+from . import oracles
 
 
 def record(size, length, exact=1.0):
@@ -38,6 +42,29 @@ def test_bootstrap_ci_is_deterministic_in_seed():
     assert bootstrap_ci(values, seed=3) == bootstrap_ci(values, seed=3)
     with pytest.raises(ValueError):
         bootstrap_ci([])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 60, 101, 480, 1001, 2000, 3001])
+def test_bootstrap_ci_equals_the_one_shot_draw(n):
+    # 2,000 resamples: one row block up to n = 524, then up to six with a
+    # ragged last one
+    for seed in range(3):
+        rng = np.random.default_rng(1000 + seed)
+        for values in (rng.random(n), (rng.random(n) < 0.3).astype(float)):
+            got = bootstrap_ci(values, n_resamples=2_000, seed=seed)
+            assert got == oracles.bootstrap_ci(values, n_resamples=2_000, seed=seed)
+
+
+def test_bootstrap_ci_memory_is_bounded():
+    values = np.random.default_rng(0).random(2_000)
+    tracemalloc.start()
+    try:
+        bootstrap_ci(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one draw of all (10,000, 2,000) indices and their gather hold 320 MB
+    assert peak < 32 * 2**20
 
 
 def test_group_table_means():

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scfgkit.scripts import (
@@ -14,6 +14,15 @@ from scfgkit.scripts import (
 )
 
 latin_words = st.text(alphabet="bcdfghjklmnpqrstvwxyzaeiou", min_size=1, max_size=12)
+# characters from every packaged script's ranges, one past each end, and any
+script_chars = st.one_of(
+    *(
+        st.characters(min_codepoint=lo - 1, max_codepoint=hi + 1)
+        for spec in default_scripts().values()
+        for lo, hi in spec.base_ranges + spec.diacritic_ranges
+    ),
+    st.characters(),
+)
 
 
 def test_all_five_scripts_load():
@@ -120,3 +129,13 @@ def test_injective_scripts_separate_distinct_words(a, b):
     for name in ("Latin", "LatinDiacritics", "Cyrillic", "HebrewPointed"):
         if a != b:
             assert transliterate(a, name) != transliterate(b, name)
+
+
+@settings(max_examples=300, deadline=None)
+@given(word=st.text(script_chars, max_size=12))
+@example(word="")
+def test_covers_matches_the_per_codepoint_definition(word):
+    for spec in default_scripts().values():
+        marked = any(lo <= ord(ch) <= hi for ch in word for lo, hi in spec.diacritic_ranges)
+        expected = all(spec.in_ranges(ch) for ch in word) and (marked or not spec.diacritic_ranges)
+        assert spec.covers(word) == expected
