@@ -17,7 +17,7 @@ from pathlib import Path
 from .errors import classify as classify_labels
 from .errors import sorted_labels
 from .grammar import parse_grammar_text, serialize_grammar, word_vocab
-from .harness import ExperimentConfig, gold_members, read_log, run_experiment
+from .harness import ExperimentConfig, gold_members, run_experiment, scan_log
 from .lexicon import english_words
 from .metagrammar import WORD_ORDERS, GrammarSpec, generate_with_manifest
 from .metrics import score_candidate
@@ -231,7 +231,9 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     if not Path(args.log).is_file():
         raise FileNotFoundError(f"no run log at {args.log}")
-    records = read_log(args.log)
+    records, corrupt = scan_log(args.log)
+    if corrupt:
+        print(f"warning: skipped {corrupt} corrupt line(s) in {args.log}", file=sys.stderr)
     paths = write_report(
         records, args.out, n_resamples=args.resamples, seed=args.seed
     )

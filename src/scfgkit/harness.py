@@ -26,6 +26,7 @@ command line.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -45,6 +46,8 @@ from .scripts import get_script
 from .seeds import derive_seed
 
 SCHEMA_VERSION = 1
+
+logger = logging.getLogger(__name__)
 
 MOCK_ORACLE = "mock://oracle"
 MOCK_ECHO_SOURCE = "mock://echo-source"
@@ -306,21 +309,34 @@ def run_trial(
     }
 
 
-def read_log(path: str | Path) -> list[dict]:
-    """Records from a run log, skipping any torn trailing line."""
+def scan_log(path: str | Path) -> tuple[list[dict], int]:
+    """Records from a run log, and the number of corrupt lines skipped.
+
+    A line that does not decode is corrupt, except a last line without its
+    newline: that is a torn append (a run cut mid-write), dropped silently.
+    """
     records = []
+    corrupt = 0
     log = Path(path)
     if not log.exists():
-        return records
-    with log.open("r", encoding="utf-8") as fh:
+        return records, corrupt
+    with log.open("rb") as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
                 records.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
+            except ValueError:  # bad JSON, or UTF-8 cut mid-character
+                corrupt += line.endswith(b"\n")
+    return records, corrupt
+
+
+def read_log(path: str | Path) -> list[dict]:
+    """Records from a run log, skipping any torn trailing line; corrupt lines
+    elsewhere are skipped with a warning on this module's logger."""
+    records, corrupt = scan_log(path)
+    if corrupt:
+        logger.warning("skipped %d corrupt line(s) in %s", corrupt, path)
     return records
 
 

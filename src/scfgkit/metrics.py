@@ -13,6 +13,10 @@ over the orders where both sides have n-grams.
 
 For multi-reference items (a gold set with several credited variants) exact
 match is membership; the graded metrics take the maximum over the gold set.
+An exact member scores the maximum on every metric wherever its configs
+provably allow it (nonempty, some BLEU weight over its length, some chrF++
+order), so ``score_candidate`` returns that record from membership without
+counting n-grams.
 
 Every metric reads one set of integer n-gram statistics: per order, the
 candidate's n-gram count, each gold's n-gram count and each gold's clipped
@@ -360,6 +364,27 @@ def corpus_chrfpp(cands, golds, cfg: ChrfConfig | None = None) -> float:
     return _clamp(_chrf_from_stats(pooled, cfg.beta))
 
 
+def _member_scores_max(cand_words, bleu_cfg: BleuConfig, chrf_cfg: ChrfConfig) -> bool:
+    """True when a gold equal to ``cand_words`` scores 1 on every metric, so
+    the candidate's record is known without counting n-grams.
+
+    Against an equal gold every precision, recall and the brevity penalty
+    are exactly 1.  BLEU is then exactly 1.0 when the weights over its
+    effective order (the candidate's length, at most ``max_order``) sum to
+    more than 0, which an empty candidate never meets.  chrF++ averages
+    F(beta) = (1 + beta^2) / (beta^2 + 1), exactly 1.0 for a finite
+    ``beta**2``, over its orders; it has an order to average when some word
+    order is measured or some character order meets a word with characters.
+    """
+    weights = bleu_cfg.weights or (1.0,) * bleu_cfg.max_order
+    chrf_orders = chrf_cfg.word_order >= 1 or (chrf_cfg.char_order >= 1 and any(cand_words))
+    return (
+        sum(weights[: len(cand_words)]) > 0
+        and chrf_orders
+        and math.isfinite(chrf_cfg.beta**2)
+    )
+
+
 def score_candidate(
     cand: Sentence,
     golds,
@@ -370,9 +395,11 @@ def score_candidate(
 
     Exact match is membership in the gold set; bag of words, BLEU and chrF++
     each take their maximum over the set (the crediting rule for grammars
-    that pair one source with several target variants).  The n-gram
-    statistics of the whole set come from one batched pass per side (words,
-    characters); BLEU and chrF++ share the word orders.
+    that pair one source with several target variants).  A member that
+    provably scores the maximum on every metric (see
+    :func:`_member_scores_max`) is scored from membership alone.  Otherwise
+    the n-gram statistics of the whole set come from one batched pass per
+    side (words, characters); BLEU and chrF++ share the word orders.
     """
     bleu_cfg = bleu_cfg or BleuConfig()
     chrf_cfg = chrf_cfg or ChrfConfig()
@@ -380,6 +407,8 @@ def score_candidate(
     if not golds:
         raise ValueError("gold set is empty")
     cand_words = as_words(cand)
+    if cand_words in golds and _member_scores_max(cand_words, bleu_cfg, chrf_cfg):
+        return ScoreRecord(exact=1, bag_of_words=1, bleu=1.0, chrfpp=1.0)
     words = _word_stats(
         cand_words, golds, max(bleu_cfg.max_order, chrf_cfg.word_order)
     )

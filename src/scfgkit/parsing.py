@@ -4,17 +4,23 @@ Both oracles are one fold (:func:`_fold_targets`) over the packed parse forest
 of the source sentence in two value types: :func:`translate` folds the target
 strings, and :func:`is_valid_translation` the spans of the candidate that a
 target yield can cover, so it stays polynomial and never enumerates the
-translation set.  A CKY-style chart parser builds the forest, indexed by start
-position and holding only the spans that parse, over the grammar binarized
-internally (virtual items never escape); phonetically null terminals become
-zero-width chart items, so covert material (tense, aspect, silent
-complementizers) parses at any position without appearing in the input.
-Grammars whose source derivations could loop without consuming input are
-rejected up front by :func:`~scfgkit.grammar.check_well_founded`, which
-:func:`parse_tables` runs, so every forest is acyclic; the target side is
-never parsed, so a loop there alone is never followed.  The oracles read the
-merged grammar and its tables from ``grammar.compiled``, built once per
-grammar object (see :mod:`scfgkit.compiled`).
+translation set.  An agenda-driven CKY chart parser builds the forest over
+the grammar binarized internally (virtual items never escape).  It takes the
+start positions right to left and visits only the spans that can parse:
+from each start, the ends of its lexical matches and, for each span it has
+filled, the ends of the spans that continue it, in rising order from a
+min-heap.  So the forest, indexed by start position, holds only the spans
+that parse, in the order an all-spans CKY loop would build them.
+Phonetically null terminals become zero-width chart items, so covert
+material (tense, aspect, silent complementizers) parses at any position
+without appearing in the input.  Grammars whose source derivations could
+loop without consuming input are rejected up front by
+:func:`~scfgkit.grammar.check_well_founded`, which the grammar's compiled
+state runs before it builds parse tables, so every forest is acyclic; the
+target side is never parsed, so a loop there alone is never followed.  The
+oracles read the merged grammar and its tables from ``grammar.compiled``,
+built once per grammar object (see :mod:`scfgkit.compiled`).  Target
+strings are concatenated only up to the enumeration cap.
 
 Agreement crediting: grammars with feature-indexed nonterminals (``TP_3sg``)
 are merged down to their feature-free families first.  For a source language
@@ -26,16 +32,17 @@ feature cell.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
+from itertools import islice
 
 from .grammar import (
     Side,
     SyncGrammar,
     SyncRule,
     as_words,
-    check_well_founded,
     nonterminal,
 )
 from .metagrammar import FEATURES
@@ -109,12 +116,14 @@ class ParseTables:
     unary: dict  # child name -> [(parent name, rule index)]
     binary_by_left: dict  # left name -> [(parent, right name, rule index)]
     binary_by_right: dict  # right name -> [(parent, left name, rule index)]
+    longest: int  # words in the longest terminal run
 
 
 def parse_tables(grammar: SyncGrammar, side: Side) -> ParseTables:
-    """Index one side of the grammar for chart parsing, after rejecting it
-    if it admits unbounded derivations (see :func:`check_well_founded`)."""
-    check_well_founded(grammar, side)
+    """Index one side of the grammar for chart parsing.  The side must have
+    passed :func:`~scfgkit.grammar.check_well_founded`, which
+    :class:`~scfgkit.compiled.CompiledGrammar` runs once per side before it
+    builds tables, so that every forest is acyclic."""
     lex: dict = {}
     unary: dict = {}
     by_left: dict = {}
@@ -135,7 +144,8 @@ def parse_tables(grammar: SyncGrammar, side: Side) -> ParseTables:
             right = names[piece + 1] if piece == len(names) - 2 else _virtual(idx, piece + 1)
             by_left.setdefault(left, []).append((parent, right, idx))
             by_right.setdefault(right, []).append((parent, left, idx))
-    return ParseTables(grammar.start, lex, unary, by_left, by_right)
+    longest = max(map(len, lex), default=0)
+    return ParseTables(grammar.start, lex, unary, by_left, by_right, longest)
 
 
 # --- chart construction ---------------------------------------------------
@@ -147,13 +157,30 @@ def _parse(tables: ParseTables, words: tuple[str, ...]) -> list[dict]:
     where some name parses have a cell.  Children are items ``(name, i, j)``:
     ``()`` for a lexical rule, ``(child,)`` for a unary one and ``(left, right)``
     for a binarized piece, whose ``right`` may be virtual.
+
+    Starts are taken from ``n`` down, so every span right of ``i`` is built
+    before any span at ``i``.  Each start visits only the ends that can parse:
+    its zero-width cell, the ends of its lexical matches, and, for each
+    non-empty cell ``(i, k)``, the ends in ``forest[k]``; a min-heap yields
+    them rising, so ``forest[i]`` fills in end order and a cell's split loop
+    sees every shorter cell at its start.
     """
     n = len(words)
     forest: list[dict] = [{} for _ in range(n + 1)]
 
-    for width in range(0, n + 1):
-        for i in range(0, n - width + 1):
-            j = i + width
+    for i in range(n, -1, -1):
+        ends = [i] + [
+            i + width
+            for width in range(1, min(tables.longest, n - i) + 1)
+            if words[i : i + width] in tables.lex
+        ]
+        heapq.heapify(ends)
+        last = -1
+        while ends:
+            j = heapq.heappop(ends)
+            if j == last:
+                continue
+            last = j
             cell: dict = {}
             seen_bps: set = set()
             queue: list[str] = []
@@ -199,6 +226,11 @@ def _parse(tables: ParseTables, words: tuple[str, ...]) -> list[dict]:
                         add(parent, (idx, ((left, i, i), item)))
             if not cell:
                 del forest[i][j]
+            elif j > i:
+                # a split (i, j) + (j, m) can parse only where (j, m) does
+                for m in forest[j]:
+                    if m > j:
+                        heapq.heappush(ends, m)
     return forest
 
 
@@ -229,10 +261,9 @@ def _grouped_options(item: Item, forest: list[dict]) -> dict[int, list[tuple[Ite
 
 
 def recognizes(grammar: SyncGrammar, side: Side, sentence) -> bool:
-    """Plain CFG membership for one side of the grammar (no feature merge).
-    Builds its parse tables on each call."""
+    """Plain CFG membership for one side of the grammar (no feature merge)."""
     words = as_words(sentence)
-    forest = _parse(parse_tables(grammar, side), words)
+    forest = _parse(grammar.compiled.tables(side), words)
     return grammar.start in forest[0].get(len(words), ())
 
 
@@ -284,7 +315,8 @@ class _TargetStrings:
         return [words]
 
     def times(self, left: list, right: list) -> list:
-        return self._capped([a + b for a in left for b in right])
+        product = (a + b for a in left for b in right)
+        return self._capped(list(islice(product, self.cap + 1)))
 
     def plus(self, options: list) -> list:
         return self._capped(list(dict.fromkeys(y for option in options for y in option)))

@@ -12,7 +12,8 @@ contributes nothing.
 
 Grammars whose counts would be infinite (a nonterminal deriving itself
 without consuming source words) are rejected up front by
-:func:`~scfgkit.grammar.check_well_founded`, the check the parser runs too.
+:func:`~scfgkit.grammar.check_well_founded`, the check the parse tables of
+the same side rest on; a grammar's compiled state runs it once per side.
 Counting then recurses at one length only along edges that check proved
 acyclic, so it needs no cycle detection of its own, and a sampler shared by
 threads needs no lock: a memo key only ever receives one value.
@@ -107,11 +108,15 @@ class Sampler:
     Counting is memoized per (nonterminal, length).  A grammar whose source
     side admits unbounded derivations (a unary or null-only cycle) would make
     counts infinite; the constructor rejects it with :class:`GrammarError`.
+    A caller that has already run that check passes its result as
+    ``nullable``, and the constructor does not run it again.
     """
 
-    def __init__(self, grammar: SyncGrammar):
+    def __init__(self, grammar: SyncGrammar, nullable: frozenset[str] | None = None):
         self.grammar = grammar
-        self._nullable = check_well_founded(grammar, "src")
+        if nullable is None:
+            nullable = check_well_founded(grammar, "src")
+        self._nullable = nullable
         # lhs -> [(rule index, child names, fixed count of source words)]
         self._rules: dict[str, list[tuple[int, tuple[str, ...], int]]] = {}
         for i, r in enumerate(grammar.rules):

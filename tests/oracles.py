@@ -11,6 +11,10 @@ each member in turn.  They share only the float formulas
 (``_bleu_from_stats``, ``_chrf_from_stats``) with the batched integer
 statistics in ``scfgkit.metrics`` and ``scfgkit.errors`` that they check.
 
+The chart oracle is the all-spans CKY loop the agenda-driven
+``scfgkit.parsing._parse`` replaced: it visits every span, so the forests
+it builds, order included, are the reference for the parser's.
+
 The bootstrap oracle draws all ``(n_resamples, n)`` resample indices at once,
 the reference for ``scfgkit.report.bootstrap_ci``'s draw in row blocks.
 """
@@ -32,6 +36,7 @@ from scfgkit.metrics import (
     _chrf_from_stats,
     _clamp,
 )
+from scfgkit.parsing import ParseTables
 
 
 def min_src_lens(grammar: SyncGrammar) -> dict[str, int]:
@@ -154,6 +159,68 @@ def targets_for(grammar: SyncGrammar, src_words: tuple[str, ...]) -> set[str]:
     return {
         " ".join(tgt) for end, tgt in expand(grammar.start, 0, n) if end == n
     }
+
+
+# --- chart parsing -------------------------------------------------------
+
+
+def parse_all_spans(tables: ParseTables, words: tuple[str, ...]) -> list[dict]:
+    """The forest ``scfgkit.parsing._parse`` must build, made by visiting
+    every span, width by width and start by start: ``forest[i]`` maps each
+    end ``j`` (rising) to the cell ``{name: [(rule, children), ...]}`` of span
+    ``(i, j)``, for the spans where some name parses."""
+    n = len(words)
+    forest: list[dict] = [{} for _ in range(n + 1)]
+
+    for width in range(0, n + 1):
+        for i in range(0, n - width + 1):
+            j = i + width
+            cell: dict = {}
+            seen_bps: set = set()
+            queue: list[str] = []
+
+            def add(name: str, bp: tuple) -> None:
+                if bp in seen_bps:
+                    return
+                seen_bps.add(bp)
+                bps = cell.get(name)
+                if bps is None:
+                    cell[name] = [bp]
+                    queue.append(name)
+                else:
+                    bps.append(bp)
+
+            for lhs, idx in tables.lex.get(words[i:j], ()):
+                add(lhs, (idx, ()))
+            # forest[i] has no cell (i, j) yet, so k == i finds no right cell
+            for k, left_cell in forest[i].items():
+                right_cell = forest[k].get(j)
+                if right_cell is None:
+                    continue
+                for lname in left_cell:
+                    for parent, right, idx in tables.binary_by_left.get(lname, ()):
+                        if right in right_cell:
+                            add(parent, (idx, ((lname, i, k), (right, k, j))))
+            # Closure: unary rules, plus binary rules one of whose children is
+            # a zero-width item at this span's edge.  Zero-width cells are
+            # complete before any wider span; when i == j the cell fills in
+            # within this loop, so it must already be visible as forest[i][i].
+            forest[i][j] = cell
+            left_nulls, right_nulls = forest[i].get(i, {}), forest[j].get(j, {})
+            while queue:
+                name = queue.pop()
+                item = (name, i, j)
+                for parent, idx in tables.unary.get(name, ()):
+                    add(parent, (idx, (item,)))
+                for parent, right, idx in tables.binary_by_left.get(name, ()):
+                    if right in right_nulls:
+                        add(parent, (idx, (item, (right, j, j))))
+                for parent, left, idx in tables.binary_by_right.get(name, ()):
+                    if left in left_nulls:
+                        add(parent, (idx, ((left, i, i), item)))
+            if not cell:
+                del forest[i][j]
+    return forest
 
 
 # --- scoring ----------------------------------------------------------------

@@ -226,6 +226,30 @@ def test_report_reads_a_log_with_a_torn_last_line(tmp_path, capsys):
     assert "no run log" in capsys.readouterr().err
 
 
+def test_report_counts_corrupt_lines(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    run_dir = tmp_path / "run"
+    config.write_text(json.dumps({
+        "conditions": [{"size": 57, "seed": 0}],
+        "lengths": [3, 4],
+        "n_per_cell": 2,
+        "endpoint": {"url": "mock://oracle"},
+        "model_name": "oracle",
+        "out_dir": str(run_dir),
+    }), "utf-8")
+    assert main(["run", "--config", str(config)]) == 0
+    log = run_dir / "runs.jsonl"
+    lines = log.read_text("utf-8").splitlines()
+    lines[1] = lines[1][:40]
+    log.write_text("\n".join(lines) + "\n", "utf-8")
+    capsys.readouterr()
+    assert main(["report", "--log", str(log), "--out", str(tmp_path / "report"),
+                 "--resamples", "200"]) == 0
+    assert f"skipped 1 corrupt line(s) in {log}" in capsys.readouterr().err
+    by_size = (tmp_path / "report" / "by_size.csv").read_text("utf-8")
+    assert "57,exact,3,1.000000" in by_size
+
+
 def test_run_resume_via_cli(tmp_path, capsys):
     config = tmp_path / "config.json"
     run_dir = tmp_path / "run"

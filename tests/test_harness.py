@@ -119,6 +119,24 @@ def test_resume_skips_finished_trials(tmp_path):
     assert len(run_experiment(cfg)) == len(first)
 
 
+def test_read_log_counts_corrupt_lines_but_not_a_torn_tail(tmp_path, caplog):
+    log = tmp_path / "runs.jsonl"
+    records = [{"trial_id": f"t{i}", "target": "Вася ест"} for i in range(3)]
+    lines = [json.dumps(r, ensure_ascii=False) for r in records]
+    torn = lines[2].encode("utf-8")[:-12]  # cut inside a Cyrillic letter
+    log.write_bytes(
+        (lines[0] + "\n" + lines[1][:20] + "\n\n" + lines[1] + "\n").encode("utf-8") + torn
+    )
+    with caplog.at_level("WARNING", logger="scfgkit.harness"):
+        assert read_log(log) == records[:2]
+    assert [r.getMessage() for r in caplog.records] == [f"skipped 1 corrupt line(s) in {log}"]
+    caplog.clear()
+    log.write_bytes((lines[0] + "\n").encode("utf-8") + torn)
+    with caplog.at_level("WARNING", logger="scfgkit.harness"):
+        assert read_log(log) == records[:1]
+    assert not caplog.records
+
+
 def test_exact_credit_does_not_depend_on_translate_cap(tmp_path):
     spec = GrammarSpec(
         size=128, word_order_src="SVO", word_order_tgt="SOV", agreement_tgt=True, seed=0

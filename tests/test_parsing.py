@@ -1,12 +1,15 @@
 import gc
 import hashlib
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scfgkit.grammar import GrammarError, parse_grammar_text
+from scfgkit import compiled, parsing, sampling
+from scfgkit.grammar import GrammarError, check_well_founded, parse_grammar_text
 from scfgkit.metagrammar import GrammarSpec, generate
 from scfgkit.parsing import (
     SourceParseError,
@@ -17,9 +20,9 @@ from scfgkit.parsing import (
     strip_feature,
     translate,
 )
-from scfgkit.sampling import sample_pair
+from scfgkit.sampling import Sampler, sample_pair, src_yield
 
-from .oracles import all_pairs, targets_for
+from .oracles import all_pairs, parse_all_spans, targets_for
 
 
 def test_docs_grammar_translation(fig1_grammar):
@@ -297,3 +300,124 @@ def test_fold_frees_its_memo_on_return():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _ordered(forest: list[dict]) -> list:
+    """A forest with every order made visible to ``==``: ends, names, and
+    backpointers."""
+    return [[(j, list(cell.items())) for j, cell in row.items()] for row in forest]
+
+
+NAMES = ("S", "A", "B", "C", "D")
+WORDS = ("a", "b", "c")
+
+
+@st.composite
+def random_grammars(draw):
+    """A well-founded grammar over a few names and words, with null and
+    multi-word terminals, unary chains and rules of 2 to 4 names, and a
+    word sequence to parse: sampled from the grammar, or random."""
+    names = NAMES[: draw(st.integers(2, len(NAMES)))]
+    surface = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
+    lines = []
+    for name in names:
+        for src in draw(st.lists(st.one_of(surface, st.just(f"∅_{name}")), min_size=1, max_size=3)):
+            tgt = draw(st.one_of(surface, st.just("∅_t")))
+            lines.append(f"{name} -> <'{src}', '{tgt}'>")
+    structural = draw(st.lists(
+        st.tuples(st.sampled_from(names), st.permutations(names), st.integers(1, 4), st.randoms()),
+        max_size=7,
+    ))
+    for lhs, order, arity, rnd in structural:
+        rhs = list(order[:arity])
+        tgt = rnd.sample(rhs, len(rhs))
+        lines.insert(rnd.randrange(len(lines) + 1), f"{lhs} -> <{' '.join(rhs)}, {' '.join(tgt)}>")
+    # drop structural rules until no side derives a name from itself
+    # without consuming words (what a GrammarError would reject)
+    while True:
+        g = parse_grammar_text("\n".join(lines), start="S")
+        try:
+            check_well_founded(g, "src")
+            check_well_founded(g, "tgt")
+            break
+        except GrammarError:
+            lines.remove(next(line for line in reversed(lines) if "'" not in line))
+    length = draw(st.integers(0, 9))
+    sampler = Sampler(g)
+    if length and sampler.count(length) and draw(st.booleans()):
+        words = src_yield(g, sampler.sample_tree(length, draw(st.randoms())))
+    else:
+        words = tuple(draw(st.lists(st.sampled_from(WORDS), max_size=length)))
+    return g, words
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=random_grammars(), side=st.sampled_from(["src", "tgt"]))
+def test_agenda_parse_matches_all_spans_on_random_grammars(case, side):
+    g, words = case
+    tables = g.compiled.tables(side)
+    assert _ordered(parsing._parse(tables, words)) == _ordered(parse_all_spans(tables, words))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spec=st.sampled_from([GrammarSpec(size=57), GrammarSpec(size=237), AGREE_SPEC]),
+    seed=st.integers(min_value=0, max_value=3),
+    length=st.sampled_from([3, 5, 20, 50]),
+    draw=st.integers(min_value=0, max_value=10**9),
+)
+def test_agenda_parse_matches_all_spans_on_benchmark_grammars(spec, seed, length, draw):
+    g = generate(replace(spec, seed=seed))
+    words = sample_pair(g, length, rng_seed=draw).source
+    tables = g.compiled.src_tables
+    for sentence in (words, words[1:], words[::-1]):
+        assert _ordered(parsing._parse(tables, sentence)) == _ordered(
+            parse_all_spans(tables, sentence)
+        )
+
+
+# Two halves of 7^3 = 343 target yields each: their product is 117,649.
+PRODUCT_TEXT = "S -> <A D, A D>\nA -> <X Y Z, X Y Z>\nD -> <X Y Z, X Y Z>\n" + "".join(
+    f"{name} -> <'{name.lower()}', '{name.lower()}{k}'>\n" for name in "XYZ" for k in range(7)
+)
+
+
+def test_product_stops_at_the_cap():
+    g = parse_grammar_text(PRODUCT_TEXT)
+    translate(g, "x y z x y z", cap=1)  # builds the grammar's derived state
+    tracemalloc.start()
+    try:
+        out = translate(g, "x y z x y z", cap=400)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.overflowed and len(out) == 400
+    # a 117,649-yield product alone holds over 10 MB of word tuples
+    assert peak < 2_000_000, peak
+
+
+def test_each_side_is_checked_once():
+    g = parse_grammar_text(SPINE_TEXT)
+    sides = []
+
+    def counted(grammar, side):
+        sides.append(side)
+        return check_well_founded(grammar, side)
+
+    patches = [
+        mock.patch.object(module, "check_well_founded", counted)
+        for module in (compiled, parsing, sampling)
+        if hasattr(module, "check_well_founded")
+    ]
+    for patch in patches:
+        patch.start()
+    try:
+        for _ in range(2):
+            pair = sample_pair(g, 4, rng_seed=0)
+            translate(g, pair.source)
+            assert recognizes(g, "src", pair.source)
+            assert recognizes(g, "tgt", pair.target)
+    finally:
+        for patch in patches:
+            patch.stop()
+    assert sorted(sides) == ["src", "tgt"]
