@@ -21,7 +21,7 @@ from .harness import ExperimentConfig, gold_members, run_experiment, scan_log
 from .lexicon import english_words
 from .metagrammar import WORD_ORDERS, GrammarSpec, generate_with_manifest
 from .metrics import score_candidate
-from .parsing import SourceParseError, Translations, translate
+from .parsing import TRANSLATE_CAP, SourceParseError, Translations, translate
 from .report import write_report
 from .sampling import sample_pair
 from .scripts import SCRIPT_NAMES, load_script_tables, script_of
@@ -274,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("translate", help="enumerate target translations")
     p.add_argument("--grammar", required=True)
     p.add_argument("--sentence", help="source sentence (default: read stdin)")
-    p.add_argument("--cap", type=int, default=10_000)
+    p.add_argument("--cap", type=int, default=TRANSLATE_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_translate)
 
@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cands", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--grammar", help="credit all grammar translations as gold")
-    p.add_argument("--cap", type=int, default=10_000)
+    p.add_argument("--cap", type=int, default=TRANSLATE_CAP)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("classify", help="label translation errors")
@@ -292,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grammar", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--script", choices=SCRIPT_NAMES, help="target script (default: detect)")
-    p.add_argument("--cap", type=int, default=10_000)
+    p.add_argument("--cap", type=int, default=TRANSLATE_CAP)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("run", help="run an experiment from a JSON config")

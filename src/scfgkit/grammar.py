@@ -125,8 +125,8 @@ class SyncGrammar:
 
     @cached_property
     def compiled(self) -> CompiledGrammar:
-        """The state derived from this grammar (merged grammar, parse tables,
-        sampler, word vocabularies), built on first use and kept here."""
+        """The state derived from this grammar (text, merged grammar, parse
+        tables, sampler, word vocabularies), built on first use and kept here."""
         from .compiled import CompiledGrammar
 
         return CompiledGrammar(self)
@@ -329,10 +329,9 @@ def check_well_founded(grammar: SyncGrammar, side: Side) -> frozenset[str]:
                 changed = True
     edges: dict[str, set[str]] = {}
     for r in grammar.rules:
-        syms = r.side(side)
-        if any(s.terminal for s in syms):
+        if not r.children:  # validated rules are homogeneous: lexical
             continue
-        names = [s.text for s in syms]
+        names = [r.children[p] for p in r.layout[side]]
         for i, name in enumerate(names):
             others = names[:i] + names[i + 1 :]
             if all(o in nullable for o in others):

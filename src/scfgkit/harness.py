@@ -12,9 +12,11 @@ Endpoints speak a minimal JSON POST ``{model, prompt} -> {text}``; a
 in-process mocks need no network: ``mock://oracle`` answers with the gold
 target, ``mock://echo-source`` parrots the source sentence back.
 
-Trial results never raise: endpoint failures after retries and responses
-with no ``Final answer:`` marker are recorded as failed trials with zero
-scores.
+Trial results never raise: endpoint failures and responses with no
+``Final answer:`` marker are recorded as failed trials with zero scores.
+Only what a retry can fix is retried, with exponential backoff: transport
+errors (connection failures, timeouts), HTTP 429 and HTTP 5xx.  Any other
+error status, or a body without the answer field, fails the trial at once.
 
 Exact credit never depends on ``translate_cap``: when enumeration overflowed
 and the answer is not among the enumerated targets, ``is_valid_translation``
@@ -37,9 +39,9 @@ from pathlib import Path
 from .errors import UNPARSEABLE, classify, sorted_labels
 from .grammar import SyncGrammar, word_vocab
 from .lexicon import english_words
-from .metagrammar import GrammarSpec, generate
+from .metagrammar import GrammarSpec, from_fields, generate
 from .metrics import ScoreRecord, score_candidate
-from .parsing import is_valid_translation, translate
+from .parsing import TRANSLATE_CAP, is_valid_translation, translate
 from .prompts import extract_answer, render_prompt
 from .sampling import sample_pair
 from .scripts import get_script
@@ -108,7 +110,7 @@ class ExperimentConfig:
     master_seed: int = 0
     max_parallel: int = 4
     retry: RetryPolicy = RetryPolicy()
-    translate_cap: int = 10_000
+    translate_cap: int = TRANSLATE_CAP
 
     def __post_init__(self):
         if not self.conditions:
@@ -122,26 +124,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        endpoint = raw["endpoint"]
-        if isinstance(endpoint, dict):
-            endpoint = EndpointProfile(**endpoint)
-        retry = raw.get("retry", RetryPolicy())
-        if isinstance(retry, dict):
-            retry = RetryPolicy(**retry)
-        return cls(
-            conditions=tuple(
-                s if isinstance(s, GrammarSpec) else GrammarSpec.from_dict(s)
-                for s in raw["conditions"]
-            ),
-            lengths=tuple(raw["lengths"]),
-            n_per_cell=raw["n_per_cell"],
-            endpoint=endpoint,
-            model_name=raw["model_name"],
-            out_dir=Path(raw["out_dir"]),
-            master_seed=raw.get("master_seed", 0),
-            max_parallel=raw.get("max_parallel", 4),
-            retry=retry,
-            translate_cap=raw.get("translate_cap", 10_000),
+        """The config from its JSON form.  Keys left out take the field
+        defaults; an unknown key at any level raises ``ValueError``."""
+
+        def nested(kind):
+            return lambda value: from_fields(kind, value) if isinstance(value, dict) else value
+
+        return from_fields(
+            cls,
+            raw,
+            conditions=lambda specs: tuple(map(nested(GrammarSpec), specs)),
+            lengths=tuple,
+            endpoint=nested(EndpointProfile),
+            out_dir=Path,
+            retry=nested(RetryPolicy),
         )
 
     @classmethod
@@ -205,13 +201,20 @@ class _Client:
                     headers=headers,
                     timeout=endpoint.timeout_s,
                 )
-                resp.raise_for_status()
+            except (requests.ConnectionError, requests.Timeout) as exc:
+                last_error = exc
+                continue
+            if resp.status_code == 429 or resp.status_code >= 500:
+                last_error = f"HTTP {resp.status_code}"
+                continue
+            resp.raise_for_status()  # any other error status is not retried
+            try:
                 body = resp.json()
                 if endpoint.kind == "chat":
                     return body["choices"][0]["message"]["content"]
                 return body["text"]
-            except Exception as exc:  # noqa: BLE001 - every failure is retryable
-                last_error = exc
+            except (ValueError, LookupError, TypeError) as exc:
+                raise RuntimeError(f"malformed response body (HTTP {resp.status_code}): {exc!r}") from exc
         raise RuntimeError(f"endpoint failed after {self.cfg.retry.max_attempts} attempts: {last_error}")
 
 

@@ -24,7 +24,7 @@ grammar compiles the indexing into plain nonterminal names (``TP_3sg``).
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Callable
 
 from .grammar import SyncGrammar, SyncRule, nonterminal, terminal, validate
@@ -64,11 +64,26 @@ class GrammarSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GrammarSpec":
-        return cls(**data)
+        return from_fields(cls, data)
 
     @property
     def agreement(self) -> bool:
         return self.agreement_src or self.agreement_tgt
+
+
+def from_fields(cls, data: dict, **convert: Callable):
+    """Build the dataclass ``cls`` from ``data``, one key per field, passing
+    the value of each field named in ``convert`` through its function.
+    Raises ``ValueError`` naming any key that is not a field, and any
+    field without a default that has no key."""
+    known = {f.name: f.default is MISSING and f.default_factory is MISSING for f in fields(cls)}
+    unknown = [str(k) for k in data if k not in known]
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
+    missing = [name for name, required in known.items() if required and name not in data]
+    if missing:
+        raise ValueError(f"missing {cls.__name__} key(s): {', '.join(missing)}")
+    return cls(**{k: convert[k](v) if k in convert else v for k, v in data.items()})
 
 
 class SpecError(ValueError):

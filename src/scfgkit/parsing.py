@@ -49,6 +49,8 @@ from .metagrammar import FEATURES
 
 Item = tuple[str, int, int]
 
+TRANSLATE_CAP = 10_000  # default bound on the targets one translation enumerates
+
 
 class SourceParseError(ValueError):
     """The sentence is not in the grammar's source language."""
@@ -120,21 +122,20 @@ class ParseTables:
 
 
 def parse_tables(grammar: SyncGrammar, side: Side) -> ParseTables:
-    """Index one side of the grammar for chart parsing.  The side must have
-    passed :func:`~scfgkit.grammar.check_well_founded`, which
-    :class:`~scfgkit.compiled.CompiledGrammar` runs once per side before it
-    builds tables, so that every forest is acyclic."""
+    """Index one side of the grammar's rule layouts for chart parsing.  The
+    side must have passed :func:`~scfgkit.grammar.check_well_founded`, which
+    :class:`~scfgkit.compiled.CompiledGrammar`, the only caller, runs before
+    it builds tables, so that every forest is acyclic."""
     lex: dict = {}
     unary: dict = {}
     by_left: dict = {}
     by_right: dict = {}
     for idx, rule in enumerate(grammar.rules):
-        syms = rule.side(side)
-        if any(s.terminal for s in syms):
-            words = tuple(w for s in syms for w in s.words())
-            lex.setdefault(words, []).append((rule.lhs, idx))
+        layout = rule.layout[side]
+        if not rule.children:  # validated rules are homogeneous: lexical
+            lex.setdefault(layout[0], []).append((rule.lhs, idx))
             continue
-        names = [s.text for s in syms]
+        names = [rule.children[p] for p in layout]
         if len(names) == 1:
             unary.setdefault(names[0], []).append((rule.lhs, idx))
             continue
@@ -344,7 +345,7 @@ class _CandidateSpans:
         return set().union(*options)
 
 
-def translate(grammar: SyncGrammar, sentence, cap: int = 10_000) -> Translations:
+def translate(grammar: SyncGrammar, sentence, cap: int = TRANSLATE_CAP) -> Translations:
     """All distinct target sentences the grammar pairs with ``sentence``.
 
     Raises :class:`SourceParseError` when the sentence is not in the source

@@ -3,13 +3,14 @@
 The prompt is a fixed instruction text (typos and all: it is frozen, and
 every byte matters for reproducibility) followed by the serialized grammar
 in a fenced block, the input sentence, and a closing reminder about the
-``Final answer:`` marker.  Extraction takes whatever follows the last
-occurrence of that marker.
+``Final answer:`` marker.  The grammar block is ``grammar.compiled.text``,
+serialized once per grammar object.  Extraction takes whatever follows the
+last occurrence of that marker.
 """
 
 from __future__ import annotations
 
-from .grammar import SyncGrammar, as_words, serialize_grammar
+from .grammar import SyncGrammar, as_words
 
 ANSWER_MARKER = "Final answer:"
 
@@ -67,7 +68,7 @@ def render_prompt(grammar: SyncGrammar, sentence) -> str:
     blocks = (
         *_PARAGRAPHS,
         _GRAMMAR_HEADER,
-        f"```\n{serialize_grammar(grammar)}```",
+        f"```\n{grammar.compiled.text}```",
         _INPUT_LINE.format(sentence=" ".join(words)),
         _REMINDER,
     )

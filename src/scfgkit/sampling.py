@@ -11,12 +11,19 @@ terminal contributes each of its words, a phonetically null terminal
 contributes nothing.
 
 Grammars whose counts would be infinite (a nonterminal deriving itself
-without consuming source words) are rejected up front by
-:func:`~scfgkit.grammar.check_well_founded`, the check the parse tables of
-the same side rest on; a grammar's compiled state runs it once per side.
-Counting then recurses at one length only along edges that check proved
-acyclic, so it needs no cycle detection of its own, and a sampler shared by
-threads needs no lock: a memo key only ever receives one value.
+without consuming source words) are rejected up front by the one source
+check of ``grammar.compiled.nullable("src")``; the sampler takes no nullable
+set of its own.  Counting then recurses at one length only along edges that
+check proved acyclic, so it needs no cycle detection of its own, and a
+sampler shared by threads needs no lock: a memo key only ever receives one
+value.
+
+Counting works at any length the start symbol can reach: before the start
+symbol is counted at a new length, it is counted at each shorter length in
+rising order, so one count recurses through one length's worth of cells
+rather than one call level per word.  Drawing still recurses once per level
+of the drawn derivation, so a deep enough derivation (a right-recursive
+rule repeated hundreds of times) exceeds Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .grammar import Side, SyncGrammar, check_well_founded
+from .grammar import Side, SyncGrammar
 
 
 class LengthError(ValueError):
@@ -107,16 +114,13 @@ class Sampler:
 
     Counting is memoized per (nonterminal, length).  A grammar whose source
     side admits unbounded derivations (a unary or null-only cycle) would make
-    counts infinite; the constructor rejects it with :class:`GrammarError`.
-    A caller that has already run that check passes its result as
-    ``nullable``, and the constructor does not run it again.
+    counts infinite; the constructor rejects it with :class:`GrammarError`,
+    raised by the grammar's compiled source-side check.
     """
 
-    def __init__(self, grammar: SyncGrammar, nullable: frozenset[str] | None = None):
+    def __init__(self, grammar: SyncGrammar):
         self.grammar = grammar
-        if nullable is None:
-            nullable = check_well_founded(grammar, "src")
-        self._nullable = nullable
+        self._nullable = grammar.compiled.nullable("src")
         # lhs -> [(rule index, child names, fixed count of source words)]
         self._rules: dict[str, list[tuple[int, tuple[str, ...], int]]] = {}
         for i, r in enumerate(grammar.rules):
@@ -124,11 +128,20 @@ class Sampler:
             self._rules.setdefault(r.lhs, []).append((i, r.children, words))
         self._counts: dict[tuple[str, int], int] = {}
         self._seq_counts: dict[tuple[tuple[str, ...], int], int] = {}
+        # the start symbol is counted at every shorter length; a racing
+        # thread may lower it, which only re-reads memoized counts
+        self._counted = 0
 
     # --- counting ---------------------------------------------------------
 
     def count(self, length: int) -> int:
-        """Number of derivations whose source yield has exactly ``length`` words."""
+        """Number of derivations whose source yield has exactly ``length`` words.
+
+        The start symbol is first counted at each shorter length not yet
+        counted, in rising order, which bounds the recursion of this count."""
+        for shorter in range(self._counted, length):
+            self._count(self.grammar.start, shorter)
+        self._counted = max(self._counted, length)
         return self._count(self.grammar.start, length)
 
     def _count(self, name: str, length: int) -> int:

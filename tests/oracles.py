@@ -13,7 +13,9 @@ statistics in ``scfgkit.metrics`` and ``scfgkit.errors`` that they check.
 
 The chart oracle is the all-spans CKY loop the agenda-driven
 ``scfgkit.parsing._parse`` replaced: it visits every span, so the forests
-it builds, order included, are the reference for the parser's.
+it builds, order included, are the reference for the parser's.  The table
+oracle indexes a grammar side from its symbols, the way
+``scfgkit.parsing.parse_tables`` did before it read the rules' layouts.
 
 The bootstrap oracle draws all ``(n_resamples, n)`` resample indices at once,
 the reference for ``scfgkit.report.bootstrap_ci``'s draw in row blocks.
@@ -27,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from scfgkit.errors import edit_distance
-from scfgkit.grammar import SyncGrammar, SyncRule, as_words
+from scfgkit.grammar import Side, SyncGrammar, SyncRule, as_words
 from scfgkit.metrics import (
     BleuConfig,
     ChrfConfig,
@@ -36,7 +38,7 @@ from scfgkit.metrics import (
     _chrf_from_stats,
     _clamp,
 )
-from scfgkit.parsing import ParseTables
+from scfgkit.parsing import ParseTables, _virtual
 
 
 def min_src_lens(grammar: SyncGrammar) -> dict[str, int]:
@@ -162,6 +164,33 @@ def targets_for(grammar: SyncGrammar, src_words: tuple[str, ...]) -> set[str]:
 
 
 # --- chart parsing -------------------------------------------------------
+
+
+def parse_tables_from_symbols(grammar: SyncGrammar, side: Side) -> ParseTables:
+    """The tables ``scfgkit.parsing.parse_tables`` must build, read from each
+    rule's symbols: a side with a terminal is lexical, keyed by its words."""
+    lex: dict = {}
+    unary: dict = {}
+    by_left: dict = {}
+    by_right: dict = {}
+    for idx, rule in enumerate(grammar.rules):
+        syms = rule.side(side)
+        if any(s.terminal for s in syms):
+            words = tuple(w for s in syms for w in s.words())
+            lex.setdefault(words, []).append((rule.lhs, idx))
+            continue
+        names = [s.text for s in syms]
+        if len(names) == 1:
+            unary.setdefault(names[0], []).append((rule.lhs, idx))
+            continue
+        for piece in range(len(names) - 1):
+            parent = rule.lhs if piece == 0 else _virtual(idx, piece)
+            left = names[piece]
+            right = names[piece + 1] if piece == len(names) - 2 else _virtual(idx, piece + 1)
+            by_left.setdefault(left, []).append((parent, right, idx))
+            by_right.setdefault(right, []).append((parent, left, idx))
+    longest = max(map(len, lex), default=0)
+    return ParseTables(grammar.start, lex, unary, by_left, by_right, longest)
 
 
 def parse_all_spans(tables: ParseTables, words: tuple[str, ...]) -> list[dict]:

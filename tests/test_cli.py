@@ -62,6 +62,14 @@ def test_sample_writes_pairs(tmp_path, fig1_path):
         assert isinstance(r["tree"], list)
 
 
+def test_sample_at_a_long_length(tmp_path):
+    grammar = tmp_path / "g.scfg"
+    assert main(["gen", "--size", "57", "--out", str(grammar)]) == 0
+    out = tmp_path / "pairs.jsonl"
+    assert main(["sample", "--grammar", str(grammar), "--len", "150", "--out", str(out)]) == 0
+    assert jsonl(out)[0]["len_src"] == 150
+
+
 def test_sample_unreachable_length_fails(tmp_path, fig1_path, capsys):
     assert main(["sample", "--grammar", str(fig1_path), "--len", "9",
                  "--out", str(tmp_path / "x.jsonl")]) == 2
@@ -173,6 +181,28 @@ def test_classify_pipeline(tmp_path, fig1_path):
     assert labeled[1]["labels"] == ["word_order"]
     assert "source_vocab" in labeled[2]["labels"]
     assert "omission" in labeled[2]["labels"]
+
+
+@pytest.mark.parametrize("where", ["top", "endpoint", "retry", "condition"])
+def test_run_rejects_an_unknown_config_key(tmp_path, capsys, where):
+    raw = {
+        "conditions": [{"size": 57, "seed": 0}],
+        "lengths": [3],
+        "n_per_cell": 1,
+        "endpoint": {"url": "mock://oracle"},
+        "retry": {"max_attempts": 1},
+        "model_name": "oracle",
+        "out_dir": str(tmp_path / "run"),
+    }
+    target = {"top": raw, "endpoint": raw["endpoint"], "retry": raw["retry"],
+              "condition": raw["conditions"][0]}[where]
+    target["typo_key"] = 5
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw), "utf-8")
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "typo_key" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_run_and_report(tmp_path, capsys):

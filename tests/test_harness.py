@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import requests
 
 from scfgkit.errors import UNPARSEABLE
 from scfgkit.grammar import SyncGrammar, SyncRule
@@ -18,6 +19,7 @@ from scfgkit.harness import (
 )
 from scfgkit.metagrammar import GrammarSpec, generate
 from scfgkit.parsing import is_valid_translation, translate
+from scfgkit.sampling import sample_pair
 from scfgkit.seeds import derive_seed
 
 
@@ -59,6 +61,48 @@ def test_config_from_dict(tmp_path):
     assert cfg.conditions == (GrammarSpec(size=57, seed=3),)
     assert cfg.retry == RetryPolicy(max_attempts=2, backoff_s=0.1)
     assert cfg.master_seed == 7
+
+
+def test_config_from_dict_takes_the_field_defaults(tmp_path):
+    raw = {
+        "conditions": [{"size": 57}],
+        "lengths": [3],
+        "n_per_cell": 1,
+        "endpoint": {"url": MOCK_ORACLE},
+        "model_name": "m",
+        "out_dir": str(tmp_path),
+    }
+    assert ExperimentConfig.from_dict(raw) == ExperimentConfig(
+        conditions=(GrammarSpec(size=57),), lengths=(3,), n_per_cell=1,
+        endpoint=EndpointProfile(url=MOCK_ORACLE), model_name="m", out_dir=tmp_path,
+    )
+
+
+@pytest.mark.parametrize(
+    "path", [(), ("endpoint",), ("retry",), ("conditions", 0)], ids=lambda p: "/".join(map(str, p))
+)
+def test_config_from_dict_rejects_unknown_keys(tmp_path, path):
+    raw = {
+        "conditions": [{"size": 57}],
+        "lengths": [3],
+        "n_per_cell": 1,
+        "endpoint": {"url": MOCK_ORACLE},
+        "retry": {"max_attempts": 1},
+        "model_name": "m",
+        "out_dir": str(tmp_path),
+    }
+    target = raw
+    for key in path:
+        target = target[key]
+    target["translate_caps"] = 5
+    with pytest.raises(ValueError, match="unknown .* key.*translate_caps"):
+        ExperimentConfig.from_dict(raw)
+
+
+def test_config_from_dict_names_missing_keys():
+    with pytest.raises(ValueError, match="missing ExperimentConfig key.*endpoint"):
+        ExperimentConfig.from_dict({"conditions": [], "lengths": [], "n_per_cell": 1,
+                                    "model_name": "m", "out_dir": "x"})
 
 
 def test_trial_id_and_seed_derivation():
@@ -260,3 +304,71 @@ def test_records_are_json_round_trippable(tmp_path):
     assert r["endpoint"]["url"] == MOCK_ORACLE
     assert r["model"] == "test-model"
     assert "prompt" in r and "Final answer:" in r["prompt"]
+
+
+def _response(status: int, body) -> requests.Response:
+    resp = requests.Response()
+    resp.status_code = status
+    resp._content = json.dumps(body).encode("utf-8")
+    resp.url = "http://stub/v1"
+    return resp
+
+
+def _stubbed_trial(tmp_path, monkeypatch, replies):
+    """One trial against a stubbed ``requests.post`` that answers with
+    ``replies`` in turn (a reply may be an exception to raise); returns the
+    record and the number of requests sent."""
+    cfg = make_config(tmp_path, url="http://stub/v1", retry=RetryPolicy(backoff_s=0))
+    grammar = generate(cfg.conditions[0])
+    sent = []
+
+    def post(url, **kwargs):
+        sent.append(kwargs["json"])
+        reply = replies[len(sent) - 1]
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    monkeypatch.setattr(requests, "post", post)
+    return run_trial(cfg, grammar, 0, 3, 0, client=_Client(cfg)), len(sent)
+
+
+def _gold_answer(tmp_path) -> dict:
+    cfg = make_config(tmp_path)
+    pair = sample_pair(generate(cfg.conditions[0]), 3, derive_seed(cfg.master_seed, 0, 3, 0))
+    return {"text": "Final answer: " + " ".join(pair.target)}
+
+
+@pytest.mark.parametrize("status", [401, 404])
+def test_a_client_error_is_sent_once(tmp_path, monkeypatch, status):
+    record, sent = _stubbed_trial(tmp_path, monkeypatch, [_response(status, {})] * 3)
+    assert sent == 1
+    assert record["status"] == "transport_failed"
+    assert str(status) in record["error"]
+
+
+def test_a_malformed_body_is_sent_once(tmp_path, monkeypatch):
+    record, sent = _stubbed_trial(tmp_path, monkeypatch, [_response(200, {"txt": "hi"})] * 3)
+    assert sent == 1
+    assert record["status"] == "transport_failed"
+    assert "malformed" in record["error"] and "200" in record["error"]
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [_response(503, {}), _response(429, {}), requests.ConnectionError("refused"), requests.Timeout("slow")],
+    ids=["503", "429", "connection", "timeout"],
+)
+def test_a_retryable_failure_is_retried(tmp_path, monkeypatch, failure):
+    answer = _response(200, _gold_answer(tmp_path))
+    record, sent = _stubbed_trial(tmp_path, monkeypatch, [failure, answer])
+    assert sent == 2
+    assert record["status"] == "ok"
+    assert record["scores"]["exact"] == 1
+
+
+def test_retries_stop_at_max_attempts(tmp_path, monkeypatch):
+    record, sent = _stubbed_trial(tmp_path, monkeypatch, [_response(500, {})] * 3)
+    assert sent == 3
+    assert record["status"] == "transport_failed"
+    assert "after 3 attempts" in record["error"] and "500" in record["error"]

@@ -22,7 +22,7 @@ from scfgkit.parsing import (
 )
 from scfgkit.sampling import Sampler, sample_pair, src_yield
 
-from .oracles import all_pairs, parse_all_spans, targets_for
+from .oracles import all_pairs, parse_all_spans, parse_tables_from_symbols, targets_for
 
 
 def test_docs_grammar_translation(fig1_grammar):
@@ -356,6 +356,7 @@ def random_grammars(draw):
 def test_agenda_parse_matches_all_spans_on_random_grammars(case, side):
     g, words = case
     tables = g.compiled.tables(side)
+    assert tables == parse_tables_from_symbols(g, side)
     assert _ordered(parsing._parse(tables, words)) == _ordered(parse_all_spans(tables, words))
 
 
@@ -370,6 +371,7 @@ def test_agenda_parse_matches_all_spans_on_benchmark_grammars(spec, seed, length
     g = generate(replace(spec, seed=seed))
     words = sample_pair(g, length, rng_seed=draw).source
     tables = g.compiled.src_tables
+    assert tables == parse_tables_from_symbols(g.compiled.merged, "src")
     for sentence in (words, words[1:], words[::-1]):
         assert _ordered(parsing._parse(tables, sentence)) == _ordered(
             parse_all_spans(tables, sentence)
@@ -398,17 +400,8 @@ def test_product_stops_at_the_cap():
 
 def test_each_side_is_checked_once():
     g = parse_grammar_text(SPINE_TEXT)
-    sides = []
-
-    def counted(grammar, side):
-        sides.append(side)
-        return check_well_founded(grammar, side)
-
-    patches = [
-        mock.patch.object(module, "check_well_founded", counted)
-        for module in (compiled, parsing, sampling)
-        if hasattr(module, "check_well_founded")
-    ]
+    sides: list[str] = []
+    patches = _count_checks(sides)
     for patch in patches:
         patch.start()
     try:
@@ -421,3 +414,41 @@ def test_each_side_is_checked_once():
         for patch in patches:
             patch.stop()
     assert sorted(sides) == ["src", "tgt"]
+
+
+def _count_checks(sides):
+    """Patches counting every ``check_well_founded`` call, wherever imported."""
+
+    def counted(grammar, side):
+        sides.append(side)
+        return check_well_founded(grammar, side)
+
+    return [
+        mock.patch.object(module, "check_well_founded", counted)
+        for module in (compiled, parsing, sampling)
+        if hasattr(module, "check_well_founded")
+    ]
+
+
+def test_direct_samplers_share_the_compiled_source_check():
+    g = parse_grammar_text(SPINE_TEXT)
+    sides: list[str] = []
+    patches = _count_checks(sides)
+    for patch in patches:
+        patch.start()
+    try:
+        assert Sampler(g).count(4) == Sampler(g).count(4)
+        translate(g, sample_pair(g, 4, rng_seed=0).source)
+    finally:
+        for patch in patches:
+            patch.stop()
+    assert sides == ["src"]
+
+
+def test_merged_grammar_is_checked_as_a_grammar():
+    # the families A_1sg and A_3sg form a unary cycle only once merged
+    g = parse_grammar_text("S -> <A_1sg, A_1sg>\nA_1sg -> <A_3sg, A_3sg>\nA_3sg -> <'a', 'a'>\n")
+    assert sample_pair(g, 1, rng_seed=0).source == ("a",)
+    assert recognizes(g, "src", "a")
+    with pytest.raises(GrammarError, match="unbounded"):
+        translate(g, "a")

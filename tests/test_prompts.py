@@ -1,7 +1,10 @@
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scfgkit.grammar import serialize_grammar
+from scfgkit import compiled, grammar, prompts
+from scfgkit.grammar import parse_grammar_text, serialize_grammar
 from scfgkit.prompts import ANSWER_MARKER, extract_answer, render_prompt
 
 
@@ -18,6 +21,31 @@ def test_prompt_embeds_grammar_and_sentence(fig1_grammar):
     assert prompt.count(ANSWER_MARKER) == 2
     assert f"{ANSWER_MARKER} <output sentence>" in prompt
     assert not prompt.endswith("\n")
+
+
+def test_each_grammar_is_serialized_once(fig1_grammar):
+    fresh = parse_grammar_text(serialize_grammar(fig1_grammar))
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return grammar.serialize_grammar(g)
+
+    patches = [
+        mock.patch.object(module, "serialize_grammar", counted)
+        for module in (compiled, prompts)
+        if hasattr(module, "serialize_grammar")
+    ]
+    for patch in patches:
+        patch.start()
+    try:
+        first = render_prompt(fresh, "I open the box")
+        second = render_prompt(fresh, "I open the box")
+    finally:
+        for patch in patches:
+            patch.stop()
+    assert calls == [fresh]
+    assert first == second == render_prompt(fig1_grammar, "I open the box")
 
 
 def test_prompts_differ_only_in_input_line(fig1_grammar):

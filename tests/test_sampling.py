@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from scfgkit.grammar import GrammarError, parse_grammar_text
 from scfgkit.metagrammar import GrammarSpec, generate
+from scfgkit.parsing import translate
 from scfgkit.sampling import (
     LengthError,
     Sampler,
@@ -92,6 +93,29 @@ def test_left_recursion_through_a_word_is_counted():
     pair = sample_pair(g, 3, rng_seed=0)
     assert (pair.source, pair.target) == (("a", "b", "b"), ("y", "y", "x"))
     assert Sampler(g).count(3) == 1
+
+
+LONG_SPECS = [
+    GrammarSpec(size=57),
+    GrammarSpec(size=237),
+    GrammarSpec(size=128, agreement_tgt=True),
+    GrammarSpec(size=80, word_order_src="OVS", agreement_src=True, agreement_tgt=True),
+]
+
+
+@pytest.mark.parametrize("spec", LONG_SPECS, ids=lambda s: f"size{s.size}")
+def test_long_sources_are_sampled_and_translated(spec):
+    # a top-down count used to recurse one call level per word
+    g = generate(spec)
+    for length in (150, 300):
+        pair = sample_pair(g, length, rng_seed=length)
+        assert pair.len_src == length
+        assert " ".join(pair.target) in translate(g, pair.source, cap=10**6)
+
+
+def test_right_recursion_is_counted_at_any_length():
+    g = parse_grammar_text("S -> <A S, A S>\nS -> <A, A>\nA -> <'a', 'a'>\n")
+    assert Sampler(g).count(2000) == 1
 
 
 def test_concurrent_cold_counts_are_safe():
