@@ -121,6 +121,8 @@ class ExperimentConfig:
             raise ValueError("max_parallel must be >= 1")
         if any(not 3 <= n <= 50 for n in self.lengths):
             raise ValueError("lengths must lie in [3, 50]")
+        if self.translate_cap < 1:
+            raise ValueError("translate_cap must be >= 1")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":

@@ -1,10 +1,11 @@
 """Pseudo-word generation.
 
 Vocabulary words are strings of 2 to 5 CVC syllables drawn from a fixed
-consonant/vowel inventory ('rofxew', 'vejdetwukwesfef').  Generation is
-deterministic in the seed, avoids the embedded English wordlist, and can be
-told to keep words distinct under an arbitrary key (used to rule out
-collisions after rendering into scripts that drop vowels).
+consonant/vowel inventory ('rofxew', 'vejdetwukwesfef'), and agreement
+suffixes are short V, VC, CV or CVC strings.  Draws are deterministic in the
+random generator or seed they are given.  Which words a vocabulary admits
+(not English, not taken, distinct once rendered) is decided by the grammar
+generator in :mod:`scfgkit.metagrammar`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 import re
 from functools import cache
 from importlib import resources
-from typing import Callable, Collection, Iterable
+from typing import Callable
 
 CONSONANTS = "bcdfghjklmnpqrstvwxyz"
 VOWELS = "aeiou"
@@ -48,35 +49,6 @@ def draw_word(rng: random.Random) -> str:
     )
 
 
-def generate_vocab(
-    count: int,
-    rng_seed: int,
-    forbidden: Collection[str] = (),
-    distinct_key: Callable[[str], object] | None = None,
-) -> tuple[str, ...]:
-    """Draw ``count`` distinct pseudo-words, deterministically in ``rng_seed``.
-
-    Words never collide with ``forbidden``, never appear in the English
-    wordlist, and are pairwise distinct under ``distinct_key`` when given
-    (identity otherwise).
-    """
-    rng = random.Random(rng_seed)
-    english = english_words()
-    forbidden = set(forbidden)
-    key = distinct_key or (lambda w: w)
-    seen_keys = {key(w) for w in forbidden}
-    words: list[str] = []
-    while len(words) < count:
-        w = draw_word(rng)
-        k = key(w)
-        if w in english or w in forbidden or k in seen_keys:
-            continue
-        forbidden.add(w)
-        seen_keys.add(k)
-        words.append(w)
-    return tuple(words)
-
-
 def _draw_suffix(rng: random.Random) -> str:
     shape = rng.choice(SUFFIX_SHAPES)
     return "".join(rng.choice(VOWELS if ch == "V" else CONSONANTS) for ch in shape)
@@ -96,8 +68,3 @@ def generate_suffixes(count: int, rng_seed: int, distinct_key: Callable[[str], o
         suffixes.append(s)
     return tuple(suffixes)
 
-
-def novel_words(words: Iterable[str]) -> bool:
-    """True when no word is English (used as a sanity check on vocabularies)."""
-    english = english_words()
-    return not any(w in english for w in words)

@@ -19,6 +19,13 @@ Agreement splits the clausal spine into one copy per feature cell (1sg, 1pl,
 verbs on an agreeing side carry a per-cell suffix, pronouns exist per cell,
 and full DPs and proper names are third person singular.  The emitted
 grammar compiles the indexing into plain nonterminal names (``TP_3sg``).
+
+One table of closed classes gives the skeleton's size, the manifest's
+counts, the draw and the emission.  Each side draws its lexemes in one fixed
+order with one draw-and-reject loop; a lexeme is a stem with one surface per
+feature cell, and a plain word is a stem whose only cell is uninflected.
+The lexical rules are emitted in a second fixed order.  Both orders are part
+of the output: changing either changes every generated grammar.
 """
 
 from __future__ import annotations
@@ -29,18 +36,34 @@ from typing import Callable
 
 from .grammar import SyncGrammar, SyncRule, nonterminal, terminal, validate
 from .lexicon import draw_word, english_words, generate_suffixes
-from .scripts import ScriptSpec, default_scripts, get_script, transliterate
+from .scripts import ScriptSpec, get_script, transliterate
 from .seeds import derive_seed
 
 WORD_ORDERS = ("SVO", "SOV", "OVS")
 FEATURES = ("1sg", "1pl", "3sg", "3pl")
 
-# Open-class categories sharing the non-skeleton rule budget, in emission order.
+# Open-class categories sharing the non-skeleton rule budget, in draw order.
 OPEN_CLASSES = ("V", "N", "PROPN", "ADJ")
 
-NULL_T = "∅_T_pres"
-NULL_ASP = "∅_Asp_prog"
-NULL_C = "∅"
+# Closed classes in manifest order: the lexemes drawn per side (and per drawn
+# feature cell), or the one surface both sides give a phonetically null head.
+_CLOSED: dict[str, int | str] = {
+    "DET_def": 2,
+    "DET_indef": 2,
+    "T": "∅_T_pres",
+    "ASP": "∅_Asp_prog",
+    "PRON": 2,
+    "C": 2,
+    "CNULL": "∅",
+}
+# Under agreement pronouns are drawn anew for each feature cell, and each verb
+# stem is inflected for every cell.
+_DRAWN_PER_CELL = "PRON"
+_INFLECTED = "V"
+
+# Both orders are fixed, so equal specs give byte-identical grammars.
+_DRAW_ORDER = ("DET_def", "DET_indef", "C", "PRON", *OPEN_CLASSES)
+_EMIT_ORDER = ("DET_def", "DET_indef", "T", "ASP", "V", "N", "PROPN", "PRON", "ADJ", "C", "CNULL")
 
 MANIFEST_VERSION = 1
 SAMPLING_DISTRIBUTION = "uniform over derivations at fixed source length"
@@ -88,6 +111,17 @@ def from_fields(cls, data: dict, **convert: Callable):
 
 class SpecError(ValueError):
     """A GrammarSpec that the metagrammar cannot realize."""
+
+
+def _cells(spec: GrammarSpec, per_cell: bool = True) -> tuple[str | None, ...]:
+    """Feature cells: every feature under agreement, else (or unless
+    ``per_cell``) one cell with no feature."""
+    return FEATURES if spec.agreement and per_cell else (None,)
+
+
+def _lhs(category: str, feature: str | None) -> str:
+    """The name of ``category`` indexed by ``feature`` (``TP_3sg``)."""
+    return f"{category}_{feature}" if feature else category
 
 
 def _specifier_final(order: str) -> bool:
@@ -138,40 +172,36 @@ def _ordered(lhs: str, spec: GrammarSpec, layout: Callable[[str], list[str]]) ->
 
 
 def _skeleton_nonlexical(spec: GrammarSpec) -> list[SyncRule]:
-    feats = FEATURES if spec.agreement else None
-
-    def f(name: str, feat: str | None) -> str:
-        return f"{name}_{feat}" if feat else name
-
+    cells = _cells(spec)
     rules: list[SyncRule] = [_both("S", "CP_matrix")]
-    for feat in feats or (None,):
-        rules.append(_both("CP_matrix", "CNULL", f("TP", feat)))
-    for feat in feats or (None,):
-        rules.append(_both("CP_embed", "C", f("TP", feat)))
-    for feat in feats or (None,):
+    for feat in cells:
+        rules.append(_both("CP_matrix", "CNULL", _lhs("TP", feat)))
+    for feat in cells:
+        rules.append(_both("CP_embed", "C", _lhs("TP", feat)))
+    for feat in cells:
         rules.append(_ordered(
-            f("TP", feat), spec,
-            lambda order, feat=feat: _spec_slots(order, f("NP_SUBJ", feat), f("TBAR", feat)),
+            _lhs("TP", feat), spec,
+            lambda order, feat=feat: _spec_slots(order, _lhs("NP_SUBJ", feat), _lhs("TBAR", feat)),
         ))
-    for feat in feats or (None,):
+    for feat in cells:
         rules.append(_ordered(
-            f("TBAR", feat), spec,
-            lambda order, feat=feat: _head_slots(order, "T", f("VP", feat)),
+            _lhs("TBAR", feat), spec,
+            lambda order, feat=feat: _head_slots(order, "T", _lhs("VP", feat)),
         ))
-    for feat in feats or (None,):
-        rules.append(_both(f("NP_SUBJ", feat), f("PRON", feat)))
+    for feat in cells:
+        rules.append(_both(_lhs("NP_SUBJ", feat), _lhs("PRON", feat)))
     # Full nominals are third person singular subjects.
-    rules.append(_both(f("NP_SUBJ", "3sg" if feats else None), "PROPN"))
-    rules.append(_both(f("NP_SUBJ", "3sg" if feats else None), "DP"))
-    for feat in feats or (None,):
+    rules.append(_both(_lhs("NP_SUBJ", "3sg" if spec.agreement else None), "PROPN"))
+    rules.append(_both(_lhs("NP_SUBJ", "3sg" if spec.agreement else None), "DP"))
+    for feat in cells:
         rules.append(_ordered(
-            f("VP", feat), spec,
-            lambda order, feat=feat: _spec_slots(order, "", f("VBAR", feat)),
+            _lhs("VP", feat), spec,
+            lambda order, feat=feat: _spec_slots(order, "", _lhs("VBAR", feat)),
         ))
-    for feat in feats or (None,):
+    for feat in cells:
         rules.append(_ordered(
-            f("VBAR", feat), spec,
-            lambda order, feat=feat: _head_slots(order, f("V", feat), "OBJ_PHRASE"),
+            _lhs("VBAR", feat), spec,
+            lambda order, feat=feat: _head_slots(order, _lhs("V", feat), "OBJ_PHRASE"),
         ))
     rules.append(_both("OBJ_PHRASE", "DP"))
     rules.append(_both("OBJ_PHRASE", "CP_embed"))
@@ -193,14 +223,11 @@ def _skeleton_nonlexical(spec: GrammarSpec) -> list[SyncRule]:
 
 
 def _closed_class_counts(spec: GrammarSpec) -> dict[str, int]:
+    """Lexemes per closed class and side, in manifest order; a null head
+    counts as one."""
     return {
-        "DET_def": 2,
-        "DET_indef": 2,
-        "T": 1,
-        "ASP": 1,
-        "PRON": 2 * (len(FEATURES) if spec.agreement else 1),
-        "C": 2,
-        "CNULL": 1,
+        c: n * len(_cells(spec, c == _DRAWN_PER_CELL)) if isinstance(n, int) else 1
+        for c, n in _CLOSED.items()
     }
 
 
@@ -218,7 +245,7 @@ def open_class_counts(spec: GrammarSpec) -> dict[str, int]:
     base = skeleton_size(spec)
     n_classes = len(OPEN_CLASSES)
     budget = spec.size - base
-    step = n_classes * (len(FEATURES) if spec.agreement else 1)
+    step = n_classes * len(_cells(spec))
     if budget < step or budget % step:
         achievable = f"{base + step}, {base + 2 * step}, {base + 3 * step}, ..."
         raise SpecError(
@@ -226,10 +253,7 @@ def open_class_counts(spec: GrammarSpec) -> dict[str, int]:
             f"open classes grow in steps of {step}; achievable sizes are {achievable}"
         )
     share = budget // n_classes
-    verb_rules_per_stem = len(FEATURES) if spec.agreement else 1
-    return {
-        cls: share // verb_rules_per_stem if cls == "V" else share for cls in OPEN_CLASSES
-    }
+    return {c: share // len(_cells(spec, c == _INFLECTED)) for c in OPEN_CLASSES}
 
 
 @dataclass(frozen=True)
@@ -240,29 +264,36 @@ class _LexEntry:
     feature: str | None = None
 
 
+def _form(lexeme: tuple[_LexEntry, ...], feature: str | None) -> str:
+    """The rendered surface of ``lexeme`` in ``feature``'s cell; a lexeme
+    with one cell shows the same surface in every cell."""
+    return (lexeme[FEATURES.index(feature)] if len(lexeme) > 1 else lexeme[0]).rendered
+
+
 class _SideLexicon:
     """Vocabulary for one side, drawn deterministically and rendered into the
     side's script.  Rendered forms are kept globally distinct so words never
-    collide on the page, even in scripts that drop vowels."""
+    collide on the page, even in scripts that drop vowels.
+
+    ``lexemes`` maps each drawn name (``PRON_1sg``, ``V``, ``N``, ...) to its
+    lexemes; a lexeme holds one entry per feature cell."""
 
     def __init__(
         self,
         side: str,
         spec: GrammarSpec,
-        counts: dict[str, int],
+        open_counts: dict[str, int],
         script: ScriptSpec,
         taken_words: set[str],
         taken_renders: set[str],
     ) -> None:
-        self.side = side
-        self.agreeing = spec.agreement_src if side == "src" else spec.agreement_tgt
         self.script = script
         self._rng = random.Random(derive_seed(spec.seed, "vocab", side))
         self._english = english_words()
         self._taken_words = taken_words
         self._taken_renders = taken_renders
         self.suffixes: dict[str, str] | None = None
-        if self.agreeing:
+        if spec.agreement_src if side == "src" else spec.agreement_tgt:
             # Suffixes must stay distinct after rendering, or feature cells
             # would collapse on the page (vowel-dropping scripts).
             drawn = generate_suffixes(
@@ -272,122 +303,77 @@ class _SideLexicon:
             )
             self.suffixes = dict(zip(FEATURES, drawn))
         self.entries: list[_LexEntry] = []
-        # Draw order is fixed so vocabularies are stable for a given seed.
-        self.closed = {
-            "DET_def": self._draw_batch("DET_def", counts["DET_def"]),
-            "DET_indef": self._draw_batch("DET_indef", counts["DET_indef"]),
-            "C": self._draw_batch("C", counts["C"]),
-        }
-        if spec.agreement:
-            self.pronouns = {
-                feat: self._draw_batch("PRON", 2, feature=feat) for feat in FEATURES
-            }
-        else:
-            self.pronouns = {"": self._draw_batch("PRON", 2)}
-        self.verbs = self._draw_verbs(counts["V"])
-        self.open = {
-            "N": self._draw_batch("N", counts["N"]),
-            "PROPN": self._draw_batch("PROPN", counts["PROPN"]),
-            "ADJ": self._draw_batch("ADJ", counts["ADJ"]),
-        }
+        self.lexemes: dict[str, list[tuple[_LexEntry, ...]]] = {}
+        for category in _DRAW_ORDER:
+            count = open_counts[category] if category in open_counts else _CLOSED[category]
+            for cell in _cells(spec, category == _DRAWN_PER_CELL):
+                if category == _INFLECTED and self.suffixes:
+                    suffixes = self.suffixes
+                else:
+                    suffixes = {cell: ""}
+                self.lexemes[_lhs(category, cell)] = self._draw(category, count, suffixes)
 
-    def _admissible(self, surfaces: list[str]) -> list[str] | None:
-        renders = []
-        for s in surfaces:
-            if s in self._english or s in self._taken_words:
-                return None
-            renders.append(transliterate(s, self.script))
-        if len(set(renders)) != len(renders) or any(r in self._taken_renders for r in renders):
-            return None
-        return renders
+    def _draw(
+        self, category: str, count: int, suffixes: dict[str | None, str]
+    ) -> list[tuple[_LexEntry, ...]]:
+        """Draw ``count`` lexemes: stems with one surface per feature cell of
+        ``suffixes`` (a plain word is a stem whose one cell adds nothing).
 
-    def _claim(self, surfaces: list[str], renders: list[str]) -> None:
-        self._taken_words.update(surfaces)
-        self._taken_renders.update(renders)
-
-    def _draw_batch(self, category: str, count: int, feature: str | None = None) -> list[_LexEntry]:
-        batch: list[_LexEntry] = []
-        while len(batch) < count:
-            w = draw_word(self._rng)
-            renders = self._admissible([w])
-            if renders is None:
-                continue
-            self._claim([w], renders)
-            entry = _LexEntry(category, w, renders[0], feature)
-            batch.append(entry)
-            self.entries.append(entry)
-        return batch
-
-    def _draw_verbs(self, count: int) -> list[dict]:
-        """Verb lexemes: a stem plus, on an agreeing side, one suffixed surface
-        per feature cell.  All surfaces of a lexeme are claimed together.  The
-        bare stem is reserved as a word either way, but only surfaces that can
-        actually appear take part in the rendered-form distinctness check."""
-        verbs: list[dict] = []
-        while len(verbs) < count:
+        A stem is admitted when neither it nor any surface is English or
+        already taken, and the rendered surfaces are distinct and not already
+        taken.  It then takes the stem and the surfaces as words, and the
+        rendered surfaces only: a stem that takes suffixes never appears."""
+        lexemes: list[tuple[_LexEntry, ...]] = []
+        while len(lexemes) < count:
             stem = draw_word(self._rng)
-            if self.suffixes:
-                surfaces = {feat: stem + sfx for feat, sfx in self.suffixes.items()}
-            else:
-                surfaces = {"": stem}
-            words = [stem] + [s for s in surfaces.values() if s != stem]
-            if any(w in self._english or w in self._taken_words for w in words):
+            surfaces = [stem + sfx for sfx in suffixes.values()]
+            words = {stem, *surfaces}
+            if not (words.isdisjoint(self._english) and words.isdisjoint(self._taken_words)):
                 continue
-            rendered = {feat: transliterate(s, self.script) for feat, s in surfaces.items()}
-            renders = list(rendered.values())
-            if len(set(renders)) != len(renders) or any(r in self._taken_renders for r in renders):
+            renders = [transliterate(w, self.script) for w in surfaces]
+            if len(set(renders)) < len(renders) or not self._taken_renders.isdisjoint(renders):
                 continue
             self._taken_words.update(words)
             self._taken_renders.update(renders)
-            verbs.append({"stem": stem, "surfaces": surfaces, "rendered": rendered})
-            for feat, s in surfaces.items():
-                self.entries.append(_LexEntry("V", s, rendered[feat], feat or None))
-        return verbs
-
-    def verb_surface(self, index: int, feature: str | None) -> str:
-        key = feature if (self.suffixes and feature) else ""
-        return self.verbs[index]["rendered"][key]
+            lexeme = tuple(
+                _LexEntry(category, w, r, cell) for cell, w, r in zip(suffixes, surfaces, renders)
+            )
+            lexemes.append(lexeme)
+            self.entries.extend(lexeme)
+        return lexemes
 
 
 def _lexical_rules(spec: GrammarSpec, src: _SideLexicon, tgt: _SideLexicon) -> list[SyncRule]:
     rules: list[SyncRule] = []
-    for cat in ("DET_def", "DET_indef"):
-        for s, t in zip(src.closed[cat], tgt.closed[cat]):
-            rules.append(_lex(cat, s.rendered, t.rendered))
-    rules.append(_lex("T", NULL_T, NULL_T))
-    rules.append(_lex("ASP", NULL_ASP, NULL_ASP))
-    feats = FEATURES if spec.agreement else [None]
-    for i in range(len(src.verbs)):
-        for feat in feats:
-            lhs = f"V_{feat}" if feat else "V"
-            rules.append(_lex(lhs, src.verb_surface(i, feat), tgt.verb_surface(i, feat)))
-    for cat in ("N", "PROPN"):
-        for s, t in zip(src.open[cat], tgt.open[cat]):
-            rules.append(_lex(cat, s.rendered, t.rendered))
-    for feat in feats:
-        key = feat or ""
-        lhs = f"PRON_{feat}" if feat else "PRON"
-        for s, t in zip(src.pronouns[key], tgt.pronouns[key]):
-            rules.append(_lex(lhs, s.rendered, t.rendered))
-    for s, t in zip(src.open["ADJ"], tgt.open["ADJ"]):
-        rules.append(_lex("ADJ", s.rendered, t.rendered))
-    for s, t in zip(src.closed["C"], tgt.closed["C"]):
-        rules.append(_lex("C", s.rendered, t.rendered))
-    rules.append(_lex("CNULL", NULL_C, NULL_C))
+    for category in _EMIT_ORDER:
+        null = _CLOSED.get(category)
+        if isinstance(null, str):
+            rules.append(_lex(category, null, null))
+            continue
+        for cell in _cells(spec, category == _DRAWN_PER_CELL):
+            lhs = _lhs(category, cell)
+            for s, t in zip(src.lexemes[lhs], tgt.lexemes[lhs]):
+                for feat in _cells(spec, category == _INFLECTED):
+                    rules.append(_lex(_lhs(lhs, feat), _form(s, feat), _form(t, feat)))
     return rules
 
 
-def _build(spec: GrammarSpec, tables: dict[str, ScriptSpec] | None) -> tuple[SyncGrammar, dict]:
+def generate(spec: GrammarSpec, tables: dict[str, ScriptSpec] | None = None) -> SyncGrammar:
+    """Expand a spec into a grammar with exactly ``spec.size`` rules."""
+    return generate_with_manifest(spec, tables)[0]
+
+
+def generate_with_manifest(
+    spec: GrammarSpec, tables: dict[str, ScriptSpec] | None = None
+) -> tuple[SyncGrammar, dict]:
+    """Like :func:`generate`, also returning a manifest describing the draw."""
     counts = open_class_counts(spec)
-    closed = _closed_class_counts(spec)
-    lexeme_counts = dict(closed, **counts)
-    per_cat = dict(counts, DET_def=2, DET_indef=2, C=2)
     script_src = get_script(spec.script_src, tables)
     script_tgt = get_script(spec.script_tgt, tables)
     taken_words: set[str] = set()
     taken_renders: set[str] = set()
-    src = _SideLexicon("src", spec, per_cat, script_src, taken_words, taken_renders)
-    tgt = _SideLexicon("tgt", spec, per_cat, script_tgt, taken_words, taken_renders)
+    src = _SideLexicon("src", spec, counts, script_src, taken_words, taken_renders)
+    tgt = _SideLexicon("tgt", spec, counts, script_tgt, taken_words, taken_renders)
     rules = _skeleton_nonlexical(spec) + _lexical_rules(spec, src, tgt)
     grammar = SyncGrammar("S", tuple(rules))
     validate(grammar)
@@ -395,20 +381,16 @@ def _build(spec: GrammarSpec, tables: dict[str, ScriptSpec] | None) -> tuple[Syn
         raise AssertionError(
             f"internal accounting error: built {len(grammar.rules)} rules for size {spec.size}"
         )
-    rule_counts = {
-        "V": counts["V"] * (len(FEATURES) if spec.agreement else 1),
-        "N": counts["N"],
-        "PROPN": counts["PROPN"],
-        "ADJ": counts["ADJ"],
-    }
     manifest = {
         "format_version": MANIFEST_VERSION,
         "spec": spec.to_dict(),
         "size": len(grammar.rules),
         "skeleton_size": skeleton_size(spec),
         "features": list(FEATURES) if spec.agreement else None,
-        "per_category_lexemes": lexeme_counts,
-        "per_category_rules": rule_counts,
+        "per_category_lexemes": dict(_closed_class_counts(spec), **counts),
+        "per_category_rules": {
+            c: n * len(_cells(spec, c == _INFLECTED)) for c, n in counts.items()
+        },
         "suffixes": {
             "src": src.suffixes,
             "tgt": tgt.suffixes,
@@ -420,15 +402,3 @@ def _build(spec: GrammarSpec, tables: dict[str, ScriptSpec] | None) -> tuple[Syn
         "sampling_distribution": SAMPLING_DISTRIBUTION,
     }
     return grammar, manifest
-
-
-def generate(spec: GrammarSpec, tables: dict[str, ScriptSpec] | None = None) -> SyncGrammar:
-    """Expand a spec into a grammar with exactly ``spec.size`` rules."""
-    return _build(spec, tables)[0]
-
-
-def generate_with_manifest(
-    spec: GrammarSpec, tables: dict[str, ScriptSpec] | None = None
-) -> tuple[SyncGrammar, dict]:
-    """Like :func:`generate`, also returning a manifest describing the draw."""
-    return _build(spec, tables)

@@ -351,8 +351,11 @@ def translate(grammar: SyncGrammar, sentence, cap: int = TRANSLATE_CAP) -> Trans
     Raises :class:`SourceParseError` when the sentence is not in the source
     language.  At most ``cap`` targets are returned; ``.overflowed`` reports
     truncation.  Feature-indexed grammars are credited per the merge rule
-    described in the module docstring.
+    described in the module docstring.  Raises ``ValueError`` when ``cap`` is
+    below 1.
     """
+    if cap < 1:
+        raise ValueError(f"the enumeration cap must be at least 1, got {cap}")
     values = _TargetStrings(cap)
     yields = _fold_targets(grammar, sentence, values)
     return Translations((" ".join(t) for t in yields), values.overflowed)

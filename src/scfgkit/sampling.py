@@ -21,9 +21,9 @@ value.
 Counting works at any length the start symbol can reach: before the start
 symbol is counted at a new length, it is counted at each shorter length in
 rising order, so one count recurses through one length's worth of cells
-rather than one call level per word.  Drawing still recurses once per level
-of the drawn derivation, so a deep enough derivation (a right-recursive
-rule repeated hundreds of times) exceeds Python's recursion limit.
+rather than one call level per word.  Drawing a derivation and reading its
+yields keep explicit stacks, so a derivation of any depth (a right-recursive
+rule repeated thousands of times) is drawn and read without recursion.
 """
 
 from __future__ import annotations
@@ -100,12 +100,17 @@ def tgt_yield(grammar: SyncGrammar, tree: DerivationTree) -> tuple[str, ...]:
 
 
 def _walk_yield(grammar: SyncGrammar, tree: DerivationTree, side: Side) -> tuple[str, ...]:
+    """The words of ``side`` under ``tree``; the stack holds the subtrees and
+    word runs still to read, next on top, so any depth of tree can be read."""
     out: list[str] = []
-    for part in grammar.rules[tree.rule_index].layout[side]:
-        if isinstance(part, int):
-            out.extend(_walk_yield(grammar, tree.children[part], side))
-        else:
-            out.extend(part)
+    stack: list[DerivationTree | tuple[str, ...]] = [tree]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, tuple):
+            out.extend(item)
+            continue
+        for part in reversed(grammar.rules[item.rule_index].layout[side]):
+            stack.append(item.children[part] if isinstance(part, int) else part)
     return tuple(out)
 
 
@@ -200,18 +205,31 @@ class Sampler:
     def _draw(self, name: str, length: int, rng: random.Random) -> DerivationTree:
         """Choosing each step proportionally to the derivation counts below it
         makes the whole draw exactly uniform: the step probabilities telescope
-        to 1/count(name, length)."""
-        pick = rng.randrange(self._count(name, length))
-        for idx, names, words in self._rules.get(name, ()):
-            weight = self._count_seq(names, length - words)
-            if pick < weight:
-                lengths = self._draw_split(names, length - words, rng)
-                children = tuple(
-                    self._draw(child, l, rng) for child, l in zip(names, lengths)
-                )
-                return DerivationTree(idx, children)
-            pick -= weight
-        raise AssertionError("counts out of sync with rules")
+        to 1/count(name, length).
+
+        Nodes are drawn in preorder, children left to right, without
+        recursion: each open node on the stack holds its rule index, the
+        (name, length) of the children still to draw (next last) and the
+        subtrees drawn so far, and is closed once it has all of them."""
+        stack: list[tuple[int, list[tuple[str, int]], list[DerivationTree]]] = []
+        while True:
+            pick = rng.randrange(self._count(name, length))
+            for idx, names, words in self._rules.get(name, ()):
+                weight = self._count_seq(names, length - words)
+                if pick < weight:
+                    break
+                pick -= weight
+            else:
+                raise AssertionError("counts out of sync with rules")
+            lengths = self._draw_split(names, length - words, rng)
+            stack.append((idx, list(zip(names, lengths))[::-1], []))
+            while not stack[-1][1]:
+                idx, _, children = stack.pop()
+                tree = DerivationTree(idx, tuple(children))
+                if not stack:
+                    return tree
+                stack[-1][2].append(tree)
+            name, length = stack[-1][1].pop()
 
     def _draw_split(self, names: tuple[str, ...], length: int, rng: random.Random) -> list[int]:
         """Split ``length`` over ``names`` with probability proportional to the

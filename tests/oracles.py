@@ -17,6 +17,10 @@ it builds, order included, are the reference for the parser's.  The table
 oracle indexes a grammar side from its symbols, the way
 ``scfgkit.parsing.parse_tables`` did before it read the rules' layouts.
 
+The sampling oracles are the recursive draw and yield walk that
+``scfgkit.sampling`` replaced with explicit stacks; equal seeds must give
+the same derivations and yields.
+
 The bootstrap oracle draws all ``(n_resamples, n)`` resample indices at once,
 the reference for ``scfgkit.report.bootstrap_ci``'s draw in row blocks.
 """
@@ -39,6 +43,7 @@ from scfgkit.metrics import (
     _clamp,
 )
 from scfgkit.parsing import ParseTables, _virtual
+from scfgkit.sampling import DerivationTree, Sampler
 
 
 def min_src_lens(grammar: SyncGrammar) -> dict[str, int]:
@@ -250,6 +255,34 @@ def parse_all_spans(tables: ParseTables, words: tuple[str, ...]) -> list[dict]:
             if not cell:
                 del forest[i][j]
     return forest
+
+
+# --- sampling ---------------------------------------------------------------
+
+
+def draw_recursive(sampler: Sampler, name: str, length: int, rng) -> DerivationTree:
+    """Draw a derivation of ``name`` at ``length`` by recursing once per
+    level, reading the sampler's counts and split draws."""
+    pick = rng.randrange(sampler._count(name, length))
+    for idx, names, words in sampler._rules.get(name, ()):
+        weight = sampler._count_seq(names, length - words)
+        if pick < weight:
+            lengths = sampler._draw_split(names, length - words, rng)
+            return DerivationTree(
+                idx, tuple(draw_recursive(sampler, c, l, rng) for c, l in zip(names, lengths))
+            )
+        pick -= weight
+    raise AssertionError("counts out of sync with rules")
+
+
+def walk_yield_recursive(grammar: SyncGrammar, tree: DerivationTree, side: Side) -> tuple[str, ...]:
+    out: list[str] = []
+    for part in grammar.rules[tree.rule_index].layout[side]:
+        if isinstance(part, int):
+            out.extend(walk_yield_recursive(grammar, tree.children[part], side))
+        else:
+            out.extend(part)
+    return tuple(out)
 
 
 # --- scoring ----------------------------------------------------------------

@@ -70,6 +70,16 @@ def test_sample_at_a_long_length(tmp_path):
     assert jsonl(out)[0]["len_src"] == 150
 
 
+def test_sample_a_derivation_thousands_of_levels_deep(tmp_path):
+    grammar = tmp_path / "right.scfg"
+    grammar.write_text("S -> <A S, A S>\nS -> <A, A>\nA -> <'a', 'a'>\n", "utf-8")
+    out = tmp_path / "pairs.jsonl"
+    assert main(["sample", "--grammar", str(grammar), "--len", "3000", "--out", str(out)]) == 0
+    (record,) = jsonl(out)
+    assert record["source"] == " ".join(["a"] * 3000)
+    assert len(record["tree"]) == 2 * 3000
+
+
 def test_sample_unreachable_length_fails(tmp_path, fig1_path, capsys):
     assert main(["sample", "--grammar", str(fig1_path), "--len", "9",
                  "--out", str(tmp_path / "x.jsonl")]) == 2
@@ -87,6 +97,15 @@ def test_translate_json_flag(fig1_path, capsys):
                  "--sentence", "I open", "--json"]) == 0
     body = json.loads(capsys.readouterr().out)
     assert body == {"targets": ["watashi wa akemasu"], "overflowed": False}
+
+
+@pytest.mark.parametrize("cap", ["0", "-1", "-3"])
+def test_translate_rejects_a_cap_below_one(fig1_path, capsys, cap):
+    assert main(["translate", "--grammar", str(fig1_path),
+                 "--sentence", "I open", "--cap", cap]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "cap" in captured.err
 
 
 def test_translate_rejects_non_sentence(fig1_path, capsys):

@@ -40,6 +40,9 @@ def test_config_validation(tmp_path):
         make_config(tmp_path, n_per_cell=0)
     with pytest.raises(ValueError):
         make_config(tmp_path, conditions=())
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="translate_cap"):
+            make_config(tmp_path, translate_cap=cap)
     with pytest.raises(ValueError):
         RetryPolicy(max_attempts=0)
     with pytest.raises(ValueError):

@@ -9,11 +9,10 @@ from scfgkit.lexicon import (
     VOWELS,
     english_words,
     generate_suffixes,
-    generate_vocab,
     is_cvc_word,
-    novel_words,
 )
-from scfgkit.scripts import transliterate
+from scfgkit.metagrammar import GrammarSpec, generate_with_manifest
+from scfgkit.scripts import script_of
 
 
 def test_english_wordlist_loads():
@@ -31,32 +30,38 @@ def test_cvc_shape_recognizer():
     assert not is_cvc_word("rofxe")        # open final syllable
 
 
+def check_vocab(spec):
+    """Check the vocabulary the generator draws for ``spec``: every word is a
+    CVC pseudo-word and not English, except that the verb forms of an
+    agreeing side are a CVC stem plus that side's suffix, and every rendered
+    form is distinct across both sides.  Returns the vocabulary per side."""
+    _, manifest = generate_with_manifest(spec)
+    for side in ("src", "tgt"):
+        suffixes = manifest["suffixes"][side]
+        for e in manifest["vocab"][side]:
+            word = e["latin"]
+            assert word not in english_words(), word
+            if suffixes and e["category"] == "V":
+                suffix = suffixes[e["feature"]]
+                assert word.endswith(suffix), word
+                word = word[: -len(suffix)]
+            assert is_cvc_word(word), word
+    renders = [e["rendered"] for side in ("src", "tgt") for e in manifest["vocab"][side]]
+    assert len(set(renders)) == len(renders)
+    return manifest["vocab"]
+
+
 def test_generated_words_are_cvc_and_novel():
-    words = generate_vocab(200, rng_seed=0)
-    assert len(set(words)) == 200
-    assert all(is_cvc_word(w) for w in words)
-    assert novel_words(words)
-
-
-def test_generation_is_deterministic_and_seed_sensitive():
-    assert generate_vocab(30, rng_seed=5) == generate_vocab(30, rng_seed=5)
-    assert generate_vocab(30, rng_seed=5) != generate_vocab(30, rng_seed=6)
-
-
-def test_forbidden_words_are_avoided():
-    first = generate_vocab(20, rng_seed=1)
-    second = generate_vocab(20, rng_seed=1, forbidden=first)
-    assert not set(first) & set(second)
+    vocab = check_vocab(GrammarSpec(size=237, seed=0))
+    assert len(vocab["src"]) + len(vocab["tgt"]) > 400
 
 
 def test_distinct_key_controls_collisions():
-    # keying on the consonant skeleton forces distinctness after a
-    # vowel-dropping script has been applied
-    skeleton = lambda w: "".join(c for c in w if c not in VOWELS)
-    words = generate_vocab(100, rng_seed=2, distinct_key=skeleton)
-    assert len({skeleton(w) for w in words}) == 100
-    rendered = [transliterate(w, "Hebrew") for w in words]
-    assert len(set(rendered)) == 100
+    # the generator keys distinctness on the rendered form, so no two words
+    # collide once a vowel-dropping script has rendered them
+    vocab = check_vocab(GrammarSpec(size=237, script_tgt="Hebrew", seed=2))
+    assert len(vocab["tgt"]) > 200
+    assert all(script_of(e["rendered"]) == {"Hebrew"} for e in vocab["tgt"])
 
 
 def test_suffix_shapes_and_distinctness():
@@ -91,11 +96,18 @@ def test_suffix_shape_inventory_is_full():
     assert seen == set(SUFFIX_SHAPES)
 
 
-@settings(max_examples=50, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**9), count=st.integers(min_value=1, max_value=40))
-def test_vocab_properties_hold_for_any_seed(seed, count):
-    words = generate_vocab(count, rng_seed=seed)
-    assert len(words) == count
-    assert len(set(words)) == count
-    assert all(is_cvc_word(w) for w in words)
-    assert novel_words(words)
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**9),
+    agreement=st.sampled_from([(False, False), (False, True), (True, False), (True, True)]),
+    script=st.sampled_from(["Latin", "Cyrillic", "Hebrew"]),
+)
+def test_vocab_properties_hold_for_any_seed(seed, agreement, script):
+    agreement_src, agreement_tgt = agreement
+    check_vocab(GrammarSpec(
+        size=128 if agreement_src or agreement_tgt else 57,
+        agreement_src=agreement_src,
+        agreement_tgt=agreement_tgt,
+        script_tgt=script,
+        seed=seed,
+    ))

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from scfgkit.lexicon import english_words
 from scfgkit.metagrammar import (
     FEATURES,
     OPEN_CLASSES,
+    WORD_ORDERS,
     GrammarSpec,
     SpecError,
     generate,
@@ -14,7 +18,9 @@ from scfgkit.metagrammar import (
     open_class_counts,
     skeleton_size,
 )
-from scfgkit.scripts import get_script, script_of
+from scfgkit.scripts import SCRIPT_NAMES, get_script, script_of
+
+from .conftest import DATA
 
 
 def rules_by_lhs(grammar, lhs):
@@ -175,3 +181,50 @@ def test_spec_dict_roundtrip():
 def test_generated_sizes_hold_under_any_seed(seed, script):
     g = generate(GrammarSpec(size=77, script_tgt=script, seed=seed))
     assert len(g.rules) == 77
+
+
+# Every word-order pair, agreement setting and target script at one seed; the
+# source script runs one step behind the target's so both sides are rendered.
+PINNED_SPECS = [
+    GrammarSpec(
+        size=128 if agr_src or agr_tgt else 77,
+        word_order_src=src,
+        word_order_tgt=tgt,
+        agreement_src=agr_src,
+        agreement_tgt=agr_tgt,
+        script_src=SCRIPT_NAMES[i - 1],
+        script_tgt=script,
+        seed=13,
+    )
+    for src in WORD_ORDERS
+    for tgt in WORD_ORDERS
+    for agr_src in (False, True)
+    for agr_tgt in (False, True)
+    for i, script in enumerate(SCRIPT_NAMES)
+]
+
+
+def spec_key(spec):
+    agr = "".join(side for side, on in (("s", spec.agreement_src), ("t", spec.agreement_tgt)) if on)
+    return f"{spec.word_order_src}-{spec.word_order_tgt}-agr{agr or '0'}-{spec.script_src}-{spec.script_tgt}"
+
+
+def generator_digests():
+    """SHA-256 of the serialized grammar and of the JSON manifest, per pinned spec."""
+    digests = {}
+    for spec in PINNED_SPECS:
+        g, manifest = generate_with_manifest(spec)
+        digests[spec_key(spec)] = [
+            hashlib.sha256(serialize_grammar(g).encode("utf-8")).hexdigest(),
+            hashlib.sha256(
+                json.dumps(manifest, ensure_ascii=False, sort_keys=False).encode("utf-8")
+            ).hexdigest(),
+        ]
+    return digests
+
+
+def test_generated_bytes_are_pinned():
+    # frozen from the generator's output; a change here changes every
+    # grammar and manifest a spec names, so it must be deliberate
+    pinned = json.loads((DATA / "generator_digests.json").read_text("utf-8"))
+    assert generator_digests() == pinned

@@ -128,6 +128,9 @@ def test_translation_cap_and_overflow_flag():
     assert capped.overflowed
     assert len(capped) <= 10
     assert capped <= full
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="cap"):
+            translate(g, "a a", cap=cap)
 
 
 def test_unary_cycle_rejected():

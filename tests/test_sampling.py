@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from scfgkit.sampling import (
     tree_from_preorder,
 )
 
-from .oracles import count_derivations
+from .oracles import count_derivations, draw_recursive, walk_yield_recursive
 
 
 def test_docs_grammar_has_one_derivation_per_length(fig1_grammar):
@@ -111,6 +113,22 @@ def test_long_sources_are_sampled_and_translated(spec):
         pair = sample_pair(g, length, rng_seed=length)
         assert pair.len_src == length
         assert " ".join(pair.target) in translate(g, pair.source, cap=10**6)
+
+
+@pytest.mark.parametrize("spec", LONG_SPECS, ids=lambda s: f"size{s.size}")
+def test_draws_and_yields_match_the_recursive_reference(spec):
+    # trees are compared by preorder: == on a deep frozen tree recurses
+    g = generate(spec)
+    sampler = g.compiled.sampler
+    for length in (3, 5, 20, 50):
+        if not sampler.count(length):
+            continue
+        for seed in range(12):
+            tree = sampler.sample_tree(length, random.Random(seed))
+            reference = draw_recursive(sampler, g.start, length, random.Random(seed))
+            assert tree.preorder() == reference.preorder()
+            assert src_yield(g, tree) == walk_yield_recursive(g, reference, "src")
+            assert tgt_yield(g, tree) == walk_yield_recursive(g, reference, "tgt")
 
 
 def test_right_recursion_is_counted_at_any_length():
