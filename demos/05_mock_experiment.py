@@ -4,11 +4,14 @@ The harness samples gold pairs over a grid of (grammar condition, source
 length, replicate), prompts an endpoint, scores and labels each answer, and
 appends one JSON record per trial to a resumable log.  The two mock URLs
 stand in for a model: "mock://oracle" always answers with a gold target,
-"mock://echo-source" parrots the source back.  Run:
+"mock://echo-source" parrots the source back.  A record carries the SHA-256
+of its prompt; the run's manifest, run.json, holds each grammar once, and
+record_prompt rebuilds a record's prompt from it.  Run:
 
     python demos/05_mock_experiment.py
 """
 
+import hashlib
 import tempfile
 from pathlib import Path
 
@@ -20,7 +23,7 @@ from scfgkit import (
     run_experiment,
     write_report,
 )
-from scfgkit.harness import MOCK_ECHO_SOURCE, MOCK_ORACLE
+from scfgkit.harness import MOCK_ECHO_SOURCE, MOCK_ORACLE, read_manifest, record_prompt
 
 out_dir = Path(tempfile.mkdtemp(prefix="scfgkit_demo_"))
 config = ExperimentConfig(
@@ -42,9 +45,19 @@ print("every trial scored exact:",
       all(r["scores"]["exact"] == 1 for r in records))
 
 sample = records[0]
-print("\none record, minus the prompt:")
-for key in ("trial_id", "grammar_size", "length", "source", "extracted", "scores"):
+print("\none record:")
+for key in ("trial_id", "grammar_size", "length", "source", "extracted", "scores", "prompt_sha256"):
     print(f"  {key}: {sample[key]}")
+
+# --- the manifest ------------------------------------------------------------
+# run.json holds the config, the versions and each condition's grammar text,
+# so a record's prompt is rebuilt rather than stored in every line.
+manifest = read_manifest(config.out_dir)
+print(f"\nrun.json: scfgkit {manifest['version']}, "
+      f"{len(manifest['conditions'])} grammars, Python {manifest['python']}")
+prompt = record_prompt(config.out_dir, sample)
+assert hashlib.sha256(prompt.encode("utf-8")).hexdigest() == sample["prompt_sha256"]
+print("rebuilt prompt, first line:", prompt.splitlines()[0][:72] + "...")
 
 # --- resumability ------------------------------------------------------------
 # The log is the source of truth.  Rerunning the same config skips every

@@ -7,6 +7,15 @@ pair, renders the prompt, queries the endpoint, extracts and scores the
 answer, and appends one JSON line to the run log.  Logs are append-only and
 resumable: a rerun skips trial ids already present.
 
+A record does not repeat its prompt, which is mostly the grammar: it carries
+the prompt's SHA-256 (``prompt_sha256``).  Before the first record of a log,
+the run writes a manifest, ``run.json``, holding the config, the package,
+Python and numpy versions, and each condition's grammar text with its
+SHA-256; :func:`record_prompt` rebuilds a record's prompt from it.  A resumed
+run reads the manifest instead of generating every grammar, and refuses a
+config whose grammars, seeds or model differ from the ones the log was made
+with.  Records of schema version 1, which held the prompt itself, still read.
+
 Endpoints speak a minimal JSON POST ``{model, prompt} -> {text}``; a
 "chat" profile adapts that to chat-completion shaped payloads.  Two
 in-process mocks need no network: ``mock://oracle`` answers with the gold
@@ -27,17 +36,22 @@ command line.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import logging
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from .errors import UNPARSEABLE, classify, sorted_labels
-from .grammar import SyncGrammar, word_vocab
+from .grammar import SyncGrammar, parse_grammar_text, word_vocab
 from .lexicon import english_words
 from .metagrammar import GrammarSpec, from_fields, generate
 from .metrics import ScoreRecord, score_candidate
@@ -47,7 +61,13 @@ from .sampling import sample_pair
 from .scripts import get_script
 from .seeds import derive_seed
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+MANIFEST_NAME = "run.json"
+# The config fields that fix what a finished trial id stands for: its
+# grammar, its sentence and gold set, and the model that answered.  A resumed
+# run must agree on them with the manifest; the others (the grid's extent,
+# where the endpoint is, retries, threads, out_dir) may change.
+_RESUME_KEYS = ("conditions", "master_seed", "translate_cap", "model_name")
 
 logger = logging.getLogger(__name__)
 
@@ -142,6 +162,12 @@ class ExperimentConfig:
             retry=nested(RetryPolicy),
         )
 
+    def to_dict(self) -> dict:
+        """The config's JSON form, which :meth:`from_dict` reads back equal."""
+        raw = asdict(self)
+        return dict(raw, conditions=list(raw["conditions"]), lengths=list(self.lengths),
+                    out_dir=str(self.out_dir))
+
     @classmethod
     def from_json_file(cls, path: str | Path) -> "ExperimentConfig":
         return cls.from_dict(json.loads(Path(path).read_text("utf-8")))
@@ -149,6 +175,11 @@ class ExperimentConfig:
 
 def trial_id(condition_index: int, length: int, replicate: int) -> str:
     return f"c{condition_index}_len{length}_r{replicate}"
+
+
+def _sha256(text: str) -> str:
+    """SHA-256 hex digest of the UTF-8 encoding of ``text``."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _zero_scores() -> ScoreRecord:
@@ -301,7 +332,7 @@ def run_trial(
         "gold": gold,
         "gold_set_size": len(gold_set),
         "golds_overflowed": golds.overflowed,
-        "prompt": prompt,
+        "prompt_sha256": _sha256(prompt),
         "response": response,
         "extracted": list(extracted) if extracted is not None else None,
         "status": status,
@@ -363,6 +394,70 @@ def _drop_torn_tail(path: Path) -> None:
         fh.truncate(0)
 
 
+def _manifest(cfg: ExperimentConfig, conditions: list[dict]) -> dict:
+    from . import __version__  # the package imports this module first
+
+    return {
+        "version": __version__,
+        "config": cfg.to_dict(),
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
+        "conditions": conditions,
+    }
+
+
+def _condition_entry(spec: GrammarSpec, grammar: SyncGrammar) -> dict:
+    text = grammar.compiled.text
+    return {"spec": spec.to_dict(), "grammar_sha256": _sha256(text), "grammar": text}
+
+
+def _write_manifest(path: Path, manifest: dict) -> None:
+    """Write the manifest whole or not at all: to a temporary file, then
+    renamed over ``path``."""
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, ensure_ascii=False, indent=1)
+        fh.write("\n")
+    os.replace(tmp, path)
+
+
+def read_manifest(run_dir: str | Path) -> dict:
+    """The manifest (``run.json``) of the run in ``run_dir``."""
+    return json.loads((Path(run_dir) / MANIFEST_NAME).read_text("utf-8"))
+
+
+@functools.lru_cache(maxsize=8)
+def _manifest_grammar(text: str) -> SyncGrammar:
+    return parse_grammar_text(text)
+
+
+def record_prompt(run_dir: str | Path, record: dict) -> str:
+    """The prompt the trial of ``record`` sent, rebuilt from the manifest of
+    the run in ``run_dir`` and checked against the record's ``prompt_sha256``
+    (``ValueError`` on a mismatch).  A schema-1 record holds its prompt."""
+    if record.get("schema_version", 1) < 2:
+        return record["prompt"]
+    entry = read_manifest(run_dir)["conditions"][record["condition_index"]]
+    prompt = render_prompt(_manifest_grammar(entry["grammar"]), record["source"])
+    if _sha256(prompt) != record["prompt_sha256"]:
+        raise ValueError(
+            f"{record['trial_id']}: the prompt rebuilt from {MANIFEST_NAME} does not match "
+            "the record's prompt_sha256"
+        )
+    return prompt
+
+
+def _check_resumable(cfg: ExperimentConfig, manifest: dict) -> None:
+    """Refuse to resume a log made under other grammars, seeds or model."""
+    now, then = cfg.to_dict(), manifest["config"]
+    changed = [key for key in _RESUME_KEYS if now[key] != then.get(key)]
+    if changed:
+        raise ValueError(
+            f"{cfg.out_dir} holds a run made with other {', '.join(changed)}; "
+            "resume with its config, or use another out_dir or resume=False"
+        )
+
+
 def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> list[dict]:
     """Run (or resume) the full grid; returns all records including prior ones.
 
@@ -371,19 +466,25 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> list[dict]:
     identical configs yield identical logs up to timing fields.  A resumed
     log is first cut back to its last newline, so the log on disk reads back
     to exactly the records returned.
+
+    A new log starts with ``<out_dir>/run.json``, the run's manifest.  A log
+    with records resumed under its manifest generates only the conditions
+    with trials left, so a finished run generates nothing.  Before any trial
+    runs, it raises ``ValueError`` when the config differs from the
+    manifest's in its conditions, master seed, enumeration cap or model, or
+    when a condition now generates another grammar; any other change of
+    config (a larger grid, say) is written to the manifest.
     """
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "runs.jsonl"
+    manifest_path = out_dir / MANIFEST_NAME
     if resume:
         _drop_torn_tail(log_path)
     prior = read_log(log_path) if resume else []
     if not resume and log_path.exists():
         log_path.unlink()
     done = {r["trial_id"] for r in prior}
-
-    grammars = {ci: generate(spec) for ci, spec in enumerate(cfg.conditions)}
-    client = _Client(cfg)
     todo = [
         (ci, length, rep)
         for ci in range(len(cfg.conditions))
@@ -392,6 +493,24 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> list[dict]:
         if trial_id(ci, length, rep) not in done
     ]
 
+    # a log with records and no manifest predates manifests: it gets one now
+    manifest = read_manifest(out_dir) if prior and manifest_path.exists() else None
+    if manifest is None:
+        grammars = {ci: generate(spec) for ci, spec in enumerate(cfg.conditions)}
+        entries = [_condition_entry(spec, grammars[ci]) for ci, spec in enumerate(cfg.conditions)]
+        _write_manifest(manifest_path, _manifest(cfg, entries))
+    else:
+        _check_resumable(cfg, manifest)
+        grammars = {ci: generate(cfg.conditions[ci]) for ci in sorted({ci for ci, _, _ in todo})}
+        for ci, grammar in grammars.items():
+            if _sha256(grammar.compiled.text) != manifest["conditions"][ci]["grammar_sha256"]:
+                raise ValueError(
+                    f"condition {ci} generates a grammar other than the one in {manifest_path}"
+                )
+        if manifest["config"] != cfg.to_dict():
+            _write_manifest(manifest_path, _manifest(cfg, manifest["conditions"]))
+
+    client = _Client(cfg)
     fresh: list[dict] = []
     with ThreadPoolExecutor(max_workers=cfg.max_parallel) as pool:
         futures = [

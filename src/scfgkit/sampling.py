@@ -21,9 +21,10 @@ value.
 Counting works at any length the start symbol can reach: before the start
 symbol is counted at a new length, it is counted at each shorter length in
 rising order, so one count recurses through one length's worth of cells
-rather than one call level per word.  Drawing a derivation and reading its
-yields keep explicit stacks, so a derivation of any depth (a right-recursive
-rule repeated thousands of times) is drawn and read without recursion.
+rather than one call level per word.  Drawing a derivation, reading its
+yields, rebuilding it from its preorder, and comparing or hashing trees keep
+explicit stacks, so a derivation of any depth (a right-recursive rule
+repeated thousands of times) is handled without recursion.
 """
 
 from __future__ import annotations
@@ -38,22 +39,39 @@ class LengthError(ValueError):
     """No derivation exists at the requested source length."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivationTree:
     """A derivation: a rule index plus subtrees for each source-side
-    nonterminal, in source order."""
+    nonterminal, in source order.
+
+    Trees compare and hash by their nodes' (rule index, child count) in
+    preorder, read without recursion, so a tree of any depth can be compared
+    and hashed.  The child counts tell apart trees with one preorder that
+    differ in shape (a tree does not know its grammar's arities)."""
 
     rule_index: int
     children: tuple["DerivationTree", ...] = ()
 
-    def preorder(self) -> list[int]:
-        out: list[int] = []
+    def _nodes(self):
         stack = [self]
         while stack:
             node = stack.pop()
-            out.append(node.rule_index)
+            yield node
             stack.extend(reversed(node.children))
-        return out
+
+    def preorder(self) -> list[int]:
+        return [node.rule_index for node in self._nodes()]
+
+    def _shape(self) -> tuple[tuple[int, int], ...]:
+        return tuple((node.rule_index, len(node.children)) for node in self._nodes())
+
+    def __eq__(self, other):
+        if not isinstance(other, DerivationTree):
+            return NotImplemented
+        return self is other or self._shape() == other._shape()
+
+    def __hash__(self):
+        return hash(self._shape())
 
 
 @dataclass(frozen=True)
@@ -74,21 +92,23 @@ class SentencePair:
 
 
 def tree_from_preorder(grammar: SyncGrammar, indices: list[int]) -> DerivationTree:
-    """Rebuild a tree from its preorder rule indices (arity comes from the rules)."""
-    pos = 0
+    """Rebuild a tree from its preorder rule indices (arity comes from the rules).
 
-    def build() -> DerivationTree:
-        nonlocal pos
-        if pos >= len(indices):
-            raise ValueError("preorder ended early")
-        idx = indices[pos]
-        pos += 1
-        return DerivationTree(idx, tuple(build() for _ in grammar.rules[idx].children))
-
-    tree = build()
-    if pos != len(indices):
-        raise ValueError("trailing rule indices after tree was complete")
-    return tree
+    Built without recursion: each open node on the stack holds its rule
+    index, its arity and the subtrees read so far, and is closed once it has
+    all of them."""
+    stack: list[tuple[int, int, list[DerivationTree]]] = []
+    for pos, idx in enumerate(indices):
+        stack.append((idx, len(grammar.rules[idx].children), []))
+        while len(stack[-1][2]) == stack[-1][1]:
+            idx, _, children = stack.pop()
+            tree = DerivationTree(idx, tuple(children))
+            if not stack:
+                if pos + 1 != len(indices):
+                    raise ValueError("trailing rule indices after tree was complete")
+                return tree
+            stack[-1][2].append(tree)
+    raise ValueError("preorder ended early")
 
 
 def src_yield(grammar: SyncGrammar, tree: DerivationTree) -> tuple[str, ...]:

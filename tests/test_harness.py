@@ -1,8 +1,17 @@
+import hashlib
 import json
+import shutil
+import sys
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 import requests
 
+import scfgkit
+from scfgkit import harness
+from scfgkit.cli import main
 from scfgkit.errors import UNPARSEABLE
 from scfgkit.grammar import SyncGrammar, SyncRule
 from scfgkit.harness import (
@@ -13,12 +22,15 @@ from scfgkit.harness import (
     RetryPolicy,
     _Client,
     read_log,
+    read_manifest,
+    record_prompt,
     run_experiment,
     run_trial,
     trial_id,
 )
 from scfgkit.metagrammar import GrammarSpec, generate
 from scfgkit.parsing import is_valid_translation, translate
+from scfgkit.prompts import render_prompt
 from scfgkit.sampling import sample_pair
 from scfgkit.seeds import derive_seed
 
@@ -303,10 +315,165 @@ def test_records_are_json_round_trippable(tmp_path):
     records = run_experiment(cfg)
     for r in records:
         assert json.loads(json.dumps(r)) == r
-    assert r["schema_version"] == 1
+    assert r["schema_version"] == 2
     assert r["endpoint"]["url"] == MOCK_ORACLE
     assert r["model"] == "test-model"
-    assert "prompt" in r and "Final answer:" in r["prompt"]
+    assert "prompt" not in r and len(r["prompt_sha256"]) == 64
+    assert "Final answer:" in record_prompt(tmp_path / "run", r)
+
+
+def test_record_prompt_rebuilds_the_prompt_each_trial_sent(tmp_path, monkeypatch):
+    sent = []
+
+    def answer(self, prompt, gold, source):
+        sent.append(prompt)
+        return f"Final answer: {gold}"
+
+    monkeypatch.setattr(_Client, "__call__", answer)
+    spec = GrammarSpec(size=128, agreement_tgt=True, script_tgt="Hebrew", seed=4)
+    cfg = make_config(tmp_path, max_parallel=1,
+                      conditions=(GrammarSpec(size=57, seed=0), spec, GrammarSpec(size=77, seed=1)))
+    records = run_experiment(cfg)
+    assert len(records) == len(sent) == 12
+    assert {r["condition_index"] for r in records} == {0, 1, 2}
+    for record, prompt in zip(records, sent):
+        assert record_prompt(cfg.out_dir, record) == prompt
+        assert record["prompt_sha256"] == hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+
+
+def test_record_prompt_refuses_a_manifest_that_does_not_match(tmp_path):
+    cfg = make_config(tmp_path)
+    record = run_experiment(cfg)[0]
+    manifest_path = cfg.out_dir / "run.json"
+    manifest = json.loads(manifest_path.read_text("utf-8"))
+    manifest["conditions"][0]["grammar"] = manifest["conditions"][1]["grammar"]
+    manifest_path.write_text(json.dumps(manifest), "utf-8")
+    with pytest.raises(ValueError, match="prompt_sha256"):
+        record_prompt(cfg.out_dir, record)
+
+
+def test_manifest_holds_config_versions_and_grammars(tmp_path):
+    cfg = replace(
+        make_config(tmp_path, master_seed=9, translate_cap=50, max_parallel=2,
+                    retry=RetryPolicy(max_attempts=2, backoff_s=0.25)),
+        endpoint=EndpointProfile(url=MOCK_ORACLE, timeout_s=5.5, params={"temperature": 0.5}),
+    )
+    run_experiment(cfg)
+    manifest = read_manifest(cfg.out_dir)
+    assert ExperimentConfig.from_dict(manifest["config"]) == cfg
+    assert manifest["version"] == scfgkit.__version__
+    assert manifest["numpy"] == np.__version__
+    assert manifest["python"] == "{}.{}.{}".format(*sys.version_info)
+    assert len(manifest["conditions"]) == len(cfg.conditions)
+    for spec, entry in zip(cfg.conditions, manifest["conditions"]):
+        text = generate(spec).compiled.text
+        assert entry["spec"] == spec.to_dict()
+        assert entry["grammar"] == text
+        assert entry["grammar_sha256"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert not list(cfg.out_dir.glob("*.tmp"))
+
+
+def test_each_record_is_serialized_once(tmp_path, monkeypatch):
+    # a stand-in for the harness's json module (as a tracing tool would
+    # install) sees one dumps call per record, with that record
+    dumped = []
+
+    class CountingJson:
+        def dumps(self, record, **kw):
+            dumped.append(record["trial_id"])
+            return json.dumps(record, **kw)
+
+        def __getattr__(self, name):
+            return getattr(json, name)
+
+    monkeypatch.setattr(harness, "json", CountingJson())
+    records = run_experiment(make_config(tmp_path))
+    assert dumped == [r["trial_id"] for r in records]
+    assert run_experiment(make_config(tmp_path)) == records
+    assert len(dumped) == len(records)
+
+
+def _count_generated(monkeypatch) -> list:
+    generated = []
+    monkeypatch.setattr(harness, "generate", lambda spec: generated.append(spec) or generate(spec))
+    return generated
+
+
+def test_a_finished_run_resumes_without_generating(tmp_path, monkeypatch):
+    cfg = make_config(tmp_path)
+    records = run_experiment(cfg)
+    generated = _count_generated(monkeypatch)
+    assert run_experiment(cfg) == records
+    assert generated == []
+    # with trials left in one condition, only that grammar is generated
+    log = cfg.out_dir / "runs.jsonl"
+    log.write_text("".join(log.read_text("utf-8").splitlines(keepends=True)[:-1]), "utf-8")
+    resumed = run_experiment(cfg)
+    assert generated == [cfg.conditions[1]]
+    assert [dict(r, timing=None) for r in resumed] == [dict(r, timing=None) for r in records]
+
+
+def test_resume_refuses_a_generator_that_changed(tmp_path, monkeypatch):
+    cfg = make_config(tmp_path)
+    run_experiment(cfg)
+    log = cfg.out_dir / "runs.jsonl"
+    log.write_text("".join(log.read_text("utf-8").splitlines(keepends=True)[:-1]), "utf-8")
+    monkeypatch.setattr(harness, "generate", lambda spec: generate(replace(spec, seed=spec.seed + 1)))
+    with pytest.raises(ValueError, match="condition 1 generates a grammar other than"):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"conditions": (GrammarSpec(size=57, seed=5), GrammarSpec(size=77, seed=1))},
+     {"master_seed": 1}, {"translate_cap": 10}, {"model_name": "other-model"}],
+    ids=["conditions", "master_seed", "translate_cap", "model_name"],
+)
+def test_resume_refuses_other_grammars_seeds_or_model(tmp_path, monkeypatch, change):
+    cfg = make_config(tmp_path, lengths=(3,))
+    records = run_experiment(cfg)
+    ran = []
+    monkeypatch.setattr(harness, "run_trial", lambda *a, **kw: ran.append(a))
+    generated = _count_generated(monkeypatch)
+    with pytest.raises(ValueError, match=next(iter(change))):
+        run_experiment(make_config(tmp_path, lengths=(3, 4), **change))
+    assert ran == [] and generated == []
+    assert read_log(cfg.out_dir / "runs.jsonl") == records
+
+
+def test_resume_may_grow_the_grid(tmp_path):
+    small = make_config(tmp_path, lengths=(3,), n_per_cell=1)
+    run_experiment(small)
+    grown = make_config(tmp_path, lengths=(3, 4), n_per_cell=2, max_parallel=1)
+    records = run_experiment(grown)
+    assert len(records) == 8
+    assert ExperimentConfig.from_dict(read_manifest(grown.out_dir)["config"]) == grown
+    for record in records:
+        record_prompt(grown.out_dir, record)
+
+
+def test_a_schema_1_log_still_reads_reports_and_rebuilds(tmp_path, capsys):
+    log = tmp_path / "runs.jsonl"
+    shutil.copy(Path(__file__).parent / "data" / "v1_runs.jsonl", log)
+    records = read_log(log)
+    assert [r["schema_version"] for r in records] == [1, 1]
+    grammar = generate(GrammarSpec.from_dict(records[0]["spec"]))
+    for record in records:
+        assert record_prompt(tmp_path, record) == record["prompt"]
+        assert record["prompt"] == render_prompt(grammar, record["source"])
+    assert main(["report", "--log", str(log), "--out", str(tmp_path / "report"),
+                 "--resamples", "200"]) == 0
+    assert "57,exact,2,1.000000" in (tmp_path / "report" / "by_size.csv").read_text("utf-8")
+    # resuming it, with one more replicate, writes the manifest it lacked
+    cfg = make_config(tmp_path, conditions=(GrammarSpec(size=57, seed=0),), lengths=(3,),
+                      n_per_cell=3, model_name="v1-oracle", master_seed=5)
+    cfg.out_dir.mkdir()
+    shutil.copy(log, cfg.out_dir / "runs.jsonl")
+    resumed = run_experiment(cfg)
+    assert resumed[:2] == records
+    assert resumed[2]["schema_version"] == 2
+    assert [record_prompt(cfg.out_dir, r) for r in resumed[:2]] == [r["prompt"] for r in records]
+    assert record_prompt(cfg.out_dir, resumed[2]) == render_prompt(grammar, resumed[2]["source"])
 
 
 def _response(status: int, body) -> requests.Response:
@@ -334,6 +501,23 @@ def _stubbed_trial(tmp_path, monkeypatch, replies):
 
     monkeypatch.setattr(requests, "post", post)
     return run_trial(cfg, grammar, 0, 3, 0, client=_Client(cfg)), len(sent)
+
+
+@pytest.mark.parametrize("kind", ["plain", "chat"])
+def test_the_endpoint_receives_the_prompt_the_record_names(tmp_path, monkeypatch, kind):
+    payloads = []
+    text = "Final answer: x"
+    body = {"text": text} if kind == "plain" else {"choices": [{"message": {"content": text}}]}
+    monkeypatch.setattr(requests, "post", lambda url, **kw: payloads.append(kw["json"]) or _response(200, body))
+    cfg = replace(
+        make_config(tmp_path, conditions=(GrammarSpec(size=57, seed=0),), lengths=(3,), n_per_cell=1),
+        endpoint=EndpointProfile(url="http://stub/v1", kind=kind),
+    )
+    [record] = run_experiment(cfg)
+    [payload] = payloads
+    prompt = payload["prompt"] if kind == "plain" else payload["messages"][0]["content"]
+    assert prompt.startswith("You will be presented with a synchronous context-free grammar")
+    assert record_prompt(cfg.out_dir, record) == prompt
 
 
 def _gold_answer(tmp_path) -> dict:

@@ -8,6 +8,7 @@ from scfgkit.grammar import GrammarError, parse_grammar_text
 from scfgkit.metagrammar import GrammarSpec, generate
 from scfgkit.parsing import translate
 from scfgkit.sampling import (
+    DerivationTree,
     LengthError,
     Sampler,
     sample_pair,
@@ -117,7 +118,6 @@ def test_long_sources_are_sampled_and_translated(spec):
 
 @pytest.mark.parametrize("spec", LONG_SPECS, ids=lambda s: f"size{s.size}")
 def test_draws_and_yields_match_the_recursive_reference(spec):
-    # trees are compared by preorder: == on a deep frozen tree recurses
     g = generate(spec)
     sampler = g.compiled.sampler
     for length in (3, 5, 20, 50):
@@ -126,7 +126,7 @@ def test_draws_and_yields_match_the_recursive_reference(spec):
         for seed in range(12):
             tree = sampler.sample_tree(length, random.Random(seed))
             reference = draw_recursive(sampler, g.start, length, random.Random(seed))
-            assert tree.preorder() == reference.preorder()
+            assert tree == reference
             assert src_yield(g, tree) == walk_yield_recursive(g, reference, "src")
             assert tgt_yield(g, tree) == walk_yield_recursive(g, reference, "tgt")
 
@@ -134,6 +134,25 @@ def test_draws_and_yields_match_the_recursive_reference(spec):
 def test_right_recursion_is_counted_at_any_length():
     g = parse_grammar_text("S -> <A S, A S>\nS -> <A, A>\nA -> <'a', 'a'>\n")
     assert Sampler(g).count(2000) == 1
+
+
+def test_a_deep_tree_is_rebuilt_compared_and_hashed():
+    # rebuilding, == and hash used to recurse once per derivation level
+    g = parse_grammar_text("S -> <A S, A S>\nS -> <A, A>\nA -> <'a', 'a'>\n")
+    tree = sample_pair(g, 3000, rng_seed=0).tree
+    rebuilt = tree_from_preorder(g, tree.preorder())
+    assert rebuilt is not tree
+    assert rebuilt == tree and hash(rebuilt) == hash(tree)
+    assert len({tree, rebuilt}) == 1
+    assert rebuilt != DerivationTree(rebuilt.rule_index, rebuilt.children[:1])
+
+
+def test_trees_with_one_preorder_and_two_shapes_differ():
+    wide = DerivationTree(0, (DerivationTree(1), DerivationTree(2)))
+    deep = DerivationTree(0, (DerivationTree(1, (DerivationTree(2),)),))
+    assert wide.preorder() == deep.preorder()
+    assert wide != deep
+    assert wide == DerivationTree(0, (DerivationTree(1), DerivationTree(2)))
 
 
 def test_concurrent_cold_counts_are_safe():
