@@ -16,21 +16,22 @@ Eight non-exclusive labels describe how a wrong candidate went wrong:
 
 Labels that compare against "the" gold sentence anchor to the gold-set
 member with minimum word-level edit distance to the candidate (ties: the
-first such member in the order given).  The distances to a whole block of
-``GOLD_BLOCK`` golds come from one row-vectorized Levenshtein pass, one
-candidate word per row; blocks are compared with a strict ``<`` so the first
-minimum wins across blocks as within one.  Callers classify only failures; a
-candidate equal to some gold member gets the empty set.
+first such member in the order given).  One row-vectorized Levenshtein
+kernel gives the distances to ``GOLD_BLOCK`` members per pass: over words to
+the gold members, and over characters from a hallucinated word to the target
+words whose length is within ``MISSPELLING_DISTANCE`` of its own (a distance
+is at least the length difference; Ukkonen 1985).  Callers classify only
+failures; a candidate equal to some gold member gets the empty set.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from itertools import chain, count, repeat
 
 import numpy as np
 
 from .grammar import as_words
+from .metrics import _word_coder
 from .scripts import ScriptSpec
 
 LABELS = (
@@ -56,46 +57,25 @@ def normalize_words(sentence) -> tuple[str, ...]:
     return tuple(w for w in words if w)
 
 
-def edit_distance(a, b, limit: int | None = None) -> int:
-    """Levenshtein distance over any sequences; stops early past ``limit``."""
-    if len(a) < len(b):
-        a, b = b, a
-    if limit is not None and len(a) - len(b) > limit:
-        return limit + 1
-    previous = list(range(len(b) + 1))
-    for i, x in enumerate(a, start=1):
-        current = [i]
-        for j, y in enumerate(b, start=1):
-            current.append(
-                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (x != y))
-            )
-        if limit is not None and min(current) > limit:
-            return limit + 1
-        previous = current
-    return previous[-1]
-
-
 MISSPELLING_DISTANCE = 2
 
-# Golds per Levenshtein pass; the table is GOLD_BLOCK x (longest gold + 1).
+# Members per Levenshtein pass; the table is GOLD_BLOCK x (longest member + 1).
 GOLD_BLOCK = 128
 
 
-def _edit_distances(cand: list[int], block, vocab: dict) -> np.ndarray:
-    """Word-level Levenshtein distance from ``cand`` (word ids) to each gold.
+def _edit_distances(cand: list[int], block, code) -> np.ndarray:
+    """Levenshtein distance from ``cand`` (symbol ids) to each member.
 
-    Golds are padded into one matrix; row i of the table is computed for all
-    golds at once from row i-1: the deletion and substitution moves first,
-    then the insertion chain as a running minimum of ``t[k] - k`` plus ``j``.
-    Padding never equals a word id and lies right of every gold's last
-    column, so it changes no distance.
+    Members are padded into one matrix of ids (``code`` numbers them); row i
+    of the table is computed for all members at once from row i-1: the
+    deletion and substitution moves first, then the insertion chain as a
+    running minimum of ``t[k] - k`` plus ``j``.  Padding never equals a
+    symbol id and lies right of every member's last column, so it changes no
+    distance.
     """
     lengths = np.array([len(g) for g in block])
     grid = np.full((len(block), lengths.max()), -1)
-    words = chain.from_iterable(block)
-    grid[np.arange(grid.shape[1]) < lengths[:, None]] = np.fromiter(
-        map(vocab.get, words, repeat(-1)), np.int64
-    )
+    grid[np.arange(grid.shape[1]) < lengths[:, None]] = code(block)
     cols = np.arange(grid.shape[1] + 1)
     row = np.tile(cols, (len(block), 1))
     step = np.empty_like(row)
@@ -106,20 +86,25 @@ def _edit_distances(cand: list[int], block, vocab: dict) -> np.ndarray:
     return row[np.arange(len(block)), lengths]
 
 
+def _distances(cand, members) -> np.ndarray:
+    """Levenshtein distance from ``cand`` to each of ``members``, over
+    symbols: words of word tuples, characters of strings."""
+    code, _ = _word_coder(cand)
+    ids = code([cand]).tolist()
+    return np.concatenate(
+        [
+            _edit_distances(ids, members[start : start + GOLD_BLOCK], code)
+            for start in range(0, len(members), GOLD_BLOCK)
+        ]
+    )
+
+
 def nearest_gold(cand_words: tuple[str, ...], golds) -> tuple[str, ...]:
     """The gold member at minimum word-level edit distance (ties: first)."""
     members = [as_words(g) for g in golds]
     if not members:
         raise ValueError("gold set is empty")
-    vocab = dict(zip(dict.fromkeys(cand_words), count()))
-    cand = [vocab[w] for w in cand_words]
-    best = best_distance = None
-    for start in range(0, len(members), GOLD_BLOCK):
-        distances = _edit_distances(cand, members[start : start + GOLD_BLOCK], vocab)
-        at = int(np.argmin(distances))
-        if best is None or distances[at] < best_distance:
-            best, best_distance = start + at, distances[at]
-    return members[best]
+    return members[int(np.argmin(_distances(cand_words, members)))]
 
 
 def classify(
@@ -149,11 +134,8 @@ def classify(
             labels.add("recall")
         if word not in src_vocab and word not in tgt_vocab:
             labels.add("hallucination")
-            if any(
-                edit_distance(word, real, limit=MISSPELLING_DISTANCE)
-                <= MISSPELLING_DISTANCE
-                for real in tgt_vocab
-            ):
+            near = [r for r in tgt_vocab if abs(len(r) - len(word)) <= MISSPELLING_DISTANCE]
+            if near and _distances(word, near).min() <= MISSPELLING_DISTANCE:
                 labels.add("misspelling")
         if word in src_vocab and word not in tgt_vocab:
             labels.add("source_vocab")

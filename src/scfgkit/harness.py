@@ -36,7 +36,6 @@ command line.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import logging
@@ -51,12 +50,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import UNPARSEABLE, classify, sorted_labels
-from .grammar import SyncGrammar, parse_grammar_text, word_vocab
+from .grammar import SyncGrammar, word_vocab
 from .lexicon import english_words
 from .metagrammar import GrammarSpec, from_fields, generate
 from .metrics import ScoreRecord, score_candidate
 from .parsing import TRANSLATE_CAP, is_valid_translation, translate
-from .prompts import extract_answer, render_prompt
+from .prompts import extract_answer, render_prompt, render_prompt_from_text
 from .sampling import sample_pair
 from .scripts import get_script
 from .seeds import derive_seed
@@ -426,11 +425,6 @@ def read_manifest(run_dir: str | Path) -> dict:
     return json.loads((Path(run_dir) / MANIFEST_NAME).read_text("utf-8"))
 
 
-@functools.lru_cache(maxsize=8)
-def _manifest_grammar(text: str) -> SyncGrammar:
-    return parse_grammar_text(text)
-
-
 def record_prompt(run_dir: str | Path, record: dict) -> str:
     """The prompt the trial of ``record`` sent, rebuilt from the manifest of
     the run in ``run_dir`` and checked against the record's ``prompt_sha256``
@@ -438,7 +432,7 @@ def record_prompt(run_dir: str | Path, record: dict) -> str:
     if record.get("schema_version", 1) < 2:
         return record["prompt"]
     entry = read_manifest(run_dir)["conditions"][record["condition_index"]]
-    prompt = render_prompt(_manifest_grammar(entry["grammar"]), record["source"])
+    prompt = render_prompt_from_text(entry["grammar"], record["source"])
     if _sha256(prompt) != record["prompt_sha256"]:
         raise ValueError(
             f"{record['trial_id']}: the prompt rebuilt from {MANIFEST_NAME} does not match "

@@ -4,8 +4,8 @@ The prompt is a fixed instruction text (typos and all: it is frozen, and
 every byte matters for reproducibility) followed by the serialized grammar
 in a fenced block, the input sentence, and a closing reminder about the
 ``Final answer:`` marker.  The grammar block is ``grammar.compiled.text``,
-serialized once per grammar object.  Extraction takes whatever follows the
-last occurrence of that marker.
+serialized once per grammar object (or that text as a run manifest holds
+it).  Extraction takes whatever follows the last occurrence of that marker.
 """
 
 from __future__ import annotations
@@ -64,11 +64,17 @@ _REMINDER = (
 
 def render_prompt(grammar: SyncGrammar, sentence) -> str:
     """The full task prompt for one (grammar, source sentence) pair."""
+    return render_prompt_from_text(grammar.compiled.text, sentence)
+
+
+def render_prompt_from_text(grammar_text: str, sentence) -> str:
+    """The prompt of :func:`render_prompt` for a grammar given as its
+    serialized text, such as a run manifest holds; nothing is parsed."""
     words = as_words(sentence)
     blocks = (
         *_PARAGRAPHS,
         _GRAMMAR_HEADER,
-        f"```\n{grammar.compiled.text}```",
+        f"```\n{grammar_text}```",
         _INPUT_LINE.format(sentence=" ".join(words)),
         _REMINDER,
     )

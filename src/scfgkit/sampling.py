@@ -21,10 +21,10 @@ value.
 Counting works at any length the start symbol can reach: before the start
 symbol is counted at a new length, it is counted at each shorter length in
 rising order, so one count recurses through one length's worth of cells
-rather than one call level per word.  Drawing a derivation, reading its
-yields, rebuilding it from its preorder, and comparing or hashing trees keep
-explicit stacks, so a derivation of any depth (a right-recursive rule
-repeated thousands of times) is handled without recursion.
+rather than one call level per word.  Drawing, reading, rebuilding,
+comparing, hashing, printing and pickling a derivation keep explicit stacks,
+so one of any depth (a right-recursive rule repeated thousands of times) is
+handled without recursion.
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ class DerivationTree:
     """A derivation: a rule index plus subtrees for each source-side
     nonterminal, in source order.
 
-    Trees compare and hash by their nodes' (rule index, child count) in
-    preorder, read without recursion, so a tree of any depth can be compared
-    and hashed.  The child counts tell apart trees with one preorder that
-    differ in shape (a tree does not know its grammar's arities)."""
+    Trees compare, hash, print and pickle by their nodes' (rule index, child
+    count) in preorder, read without recursion, so any depth of tree works.
+    The child counts tell apart trees with one preorder that differ in shape
+    (a tree does not know its grammar's arities)."""
 
     rule_index: int
     children: tuple["DerivationTree", ...] = ()
@@ -73,6 +73,12 @@ class DerivationTree:
     def __hash__(self):
         return hash(self._shape())
 
+    def __repr__(self):
+        return f"<DerivationTree {self._shape()!r}>"
+
+    def __reduce__(self):
+        return _tree_from_shape, (self._shape(),)
+
 
 @dataclass(frozen=True)
 class SentencePair:
@@ -92,19 +98,24 @@ class SentencePair:
 
 
 def tree_from_preorder(grammar: SyncGrammar, indices: list[int]) -> DerivationTree:
-    """Rebuild a tree from its preorder rule indices (arity comes from the rules).
+    """Rebuild a tree from its preorder rule indices (arity comes from the rules)."""
+    return _tree_from_shape([(idx, len(grammar.rules[idx].children)) for idx in indices])
+
+
+def _tree_from_shape(shape) -> DerivationTree:
+    """Rebuild a tree from its nodes' (rule index, child count) in preorder.
 
     Built without recursion: each open node on the stack holds its rule
     index, its arity and the subtrees read so far, and is closed once it has
     all of them."""
     stack: list[tuple[int, int, list[DerivationTree]]] = []
-    for pos, idx in enumerate(indices):
-        stack.append((idx, len(grammar.rules[idx].children), []))
+    for pos, (idx, arity) in enumerate(shape):
+        stack.append((idx, arity, []))
         while len(stack[-1][2]) == stack[-1][1]:
             idx, _, children = stack.pop()
             tree = DerivationTree(idx, tuple(children))
             if not stack:
-                if pos + 1 != len(indices):
+                if pos + 1 != len(shape):
                     raise ValueError("trailing rule indices after tree was complete")
                 return tree
             stack[-1][2].append(tree)

@@ -6,7 +6,8 @@ Pruning is by source length only, so these stay honest (they consider every
 derivation shape) but remain feasible for short sentences.
 
 The scoring oracles count n-grams with one ``Counter`` per sentence, order
-and metric, and find the nearest gold by a pure-Python Levenshtein against
+and metric, and find the nearest gold by a pure-Python Levenshtein
+(``edit_distance``, also the reference for the misspelling label) against
 each member in turn.  They share only the float formulas
 (``_bleu_from_stats``, ``_chrf_from_stats``) with the batched integer
 statistics in ``scfgkit.metrics`` and ``scfgkit.errors`` that they check.
@@ -32,7 +33,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from scfgkit.errors import edit_distance
 from scfgkit.grammar import Side, SyncGrammar, SyncRule, as_words
 from scfgkit.metrics import (
     BleuConfig,
@@ -382,6 +382,25 @@ def score_candidate(cand, golds, bleu_cfg=None, chrf_cfg=None) -> ScoreRecord:
         bleu=max(bleu(cand, g, bleu_cfg) for g in golds),
         chrfpp=max(chrfpp(cand, g, chrf_cfg) for g in golds),
     )
+
+
+def edit_distance(a, b, limit: int | None = None) -> int:
+    """Levenshtein distance over any sequences; stops early past ``limit``."""
+    if len(a) < len(b):
+        a, b = b, a
+    if limit is not None and len(a) - len(b) > limit:
+        return limit + 1
+    previous = list(range(len(b) + 1))
+    for i, x in enumerate(a, start=1):
+        current = [i]
+        for j, y in enumerate(b, start=1):
+            current.append(
+                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (x != y))
+            )
+        if limit is not None and min(current) > limit:
+            return limit + 1
+        previous = current
+    return previous[-1]
 
 
 def nearest_gold(cand_words, golds) -> tuple[str, ...]:

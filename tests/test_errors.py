@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,13 +10,16 @@ from scfgkit.errors import (
     UNPARSEABLE,
     aggregate,
     classify,
-    edit_distance,
     nearest_gold,
     normalize_words,
     sorted_labels,
 )
+from scfgkit.grammar import word_vocab
 from scfgkit.lexicon import english_words
-from scfgkit.scripts import get_script, transliterate
+from scfgkit.metagrammar import GrammarSpec, generate
+from scfgkit.scripts import SCRIPT_NAMES, get_script, transliterate
+
+from .oracles import edit_distance
 
 SRC = frozenset({"wug", "nat", "ido"})
 TGT = frozenset({"lomu", "bako", "zatpuj", "kem"})
@@ -190,3 +195,59 @@ def test_edit_distance_properties(a, b):
 def test_classify_returns_known_labels(cand):
     got = labels_for(" ".join(cand), english=english_words())
     assert got <= set(LABELS)
+
+
+@lru_cache(maxsize=None)
+def target_vocab(size: int, agreement: bool, script: str) -> tuple[str, ...]:
+    spec = GrammarSpec(size=size, agreement_tgt=agreement, script_tgt=script, seed=4)
+    return tuple(sorted(word_vocab(generate(spec), "tgt")))
+
+
+EDITS = ("substitute", "delete", "insert", "mark", "foreign")
+
+
+def apply_edit(word: str, edit, alphabet: str, foreign: str) -> str:
+    kind, at, pick = edit
+    cut = at % (len(word) + 1)
+    if kind == "substitute" and word:
+        cut = at % len(word)
+        return word[:cut] + alphabet[pick % len(alphabet)] + word[cut + 1 :]
+    if kind == "delete" and word:
+        cut = at % len(word)
+        return word[:cut] + word[cut + 1 :]
+    if kind == "insert":
+        return word[:cut] + alphabet[pick % len(alphabet)] + word[cut:]
+    if kind == "mark":
+        # a combining acute accent or a Hebrew qamats
+        return word[:cut] + "\u0301\u05b8"[pick % 2] + word[cut:]
+    return word[:cut] + foreign + word[cut:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    grammar=st.sampled_from([(237, False), (128, True)]),
+    script=st.sampled_from(SCRIPT_NAMES),
+    pick=st.integers(min_value=0, max_value=10**6),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(EDITS),
+            st.integers(min_value=0, max_value=100),
+            st.integers(min_value=0, max_value=10**6),
+        ),
+        max_size=4,
+    ),
+)
+def test_misspelling_matches_the_oracle(grammar, script, pick, edits):
+    # the kernel compares a word only with target words of a length within
+    # MISSPELLING_DISTANCE of its own; the oracle compares it with all of them
+    tgt = target_vocab(*grammar, script)
+    alphabet = "".join(sorted(set("".join(tgt))))
+    foreign = next(ch for ch in "qжא" if not get_script(script).in_ranges(ch))
+    word = tgt[pick % len(tgt)]
+    for edit in edits:
+        word = apply_edit(word, edit, alphabet, foreign)
+    if not word:
+        return
+    labels = classify(word, {tgt[0]}, src_vocab=frozenset(), tgt_vocab=frozenset(tgt))
+    near = any(edit_distance(word, real) <= MISSPELLING_DISTANCE for real in tgt)
+    assert ("misspelling" in labels) == (word not in tgt and near)

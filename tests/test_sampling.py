@@ -147,6 +147,31 @@ def test_a_deep_tree_is_rebuilt_compared_and_hashed():
     assert rebuilt != DerivationTree(rebuilt.rule_index, rebuilt.children[:1])
 
 
+def test_a_deep_tree_is_printed_and_pickled():
+    # the generated repr and the default pickling recursed once per level.
+    # A RecursionError is turned into a plain failure: pytest would walk its
+    # thousands of frames, comparing the deep trees each one holds
+    import copy
+    import pickle
+
+    g = parse_grammar_text("S -> <A S, A S>\nS -> <A, A>\nA -> <'a', 'a'>\n")
+    pair = sample_pair(g, 3000, rng_seed=0)
+    try:
+        text = repr(pair)
+        restored = pickle.loads(pickle.dumps(pair))
+        copied = copy.deepcopy(pair.tree)
+        recursed = False
+    except RecursionError:
+        recursed = True
+    assert not recursed
+    assert "tree=<DerivationTree ((0, 2), (2, 0), (0, 2)" in text
+    assert restored == pair and restored.tree is not pair.tree
+    assert copied == pair.tree
+    wide = DerivationTree(0, (DerivationTree(1), DerivationTree(2)))
+    assert repr(wide) == "<DerivationTree ((0, 2), (1, 0), (2, 0))>"
+    assert pickle.loads(pickle.dumps(wide)) == wide
+
+
 def test_trees_with_one_preorder_and_two_shapes_differ():
     wide = DerivationTree(0, (DerivationTree(1), DerivationTree(2)))
     deep = DerivationTree(0, (DerivationTree(1, (DerivationTree(2),)),))
