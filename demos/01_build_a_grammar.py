@@ -15,7 +15,6 @@ from scfgkit import (
     serialize_grammar,
     word_vocab,
 )
-from scfgkit.grammar import project
 
 # --- 1. a tiny hand-written grammar ---------------------------------------
 # Each rule pairs a source expansion with a target expansion.  Nonterminals
@@ -41,12 +40,11 @@ print(f"parsed {len(grammar.rules)} rules, start symbol {grammar.start}")
 print("source vocabulary:", sorted(word_vocab(grammar, "src")))
 print("target vocabulary:", sorted(word_vocab(grammar, "tgt")))
 
-# Each side on its own is an ordinary CFG (the projection).
-src_cfg = project(grammar, "src")
-print("source projection of VP rules:")
-for lhs, rhs in src_cfg:
-    if lhs == "VP":
-        print("  VP ->", " ".join(s.text for s in rhs))
+# Each rule names its nonterminals once per side; here the VP rules put
+# the verb last in the target language.
+print("VP rules:")
+for rule in grammar.rules_for("VP"):
+    print(" ", rule_text(rule))
 
 # Serialization is the exact text format back, so grammars round-trip.
 assert parse_grammar_text(serialize_grammar(grammar)) is not None
@@ -68,6 +66,6 @@ for rule in generated.rules[:4]:
 print("\na few lexical entries (source word -> target word):")
 shown = 0
 for rule in generated.rules:
-    if rule.lexical and rule.lhs in ("V", "N") and shown < 6:
+    if not rule.children and rule.lhs in ("V", "N") and shown < 6:
         print(f"  {rule.lhs}: {rule.src[0].text} -> {rule.tgt[0].text}")
         shown += 1

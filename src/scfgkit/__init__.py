@@ -7,7 +7,6 @@ against model endpoints.
 """
 
 from .grammar import (
-    Cfg,
     GrammarError,
     SyncGrammar,
     SyncRule,
@@ -81,7 +80,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ANSWER_MARKER",
     "BleuConfig",
-    "Cfg",
     "ChrfConfig",
     "DerivationTree",
     "EndpointProfile",

@@ -25,7 +25,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, Literal
+from typing import TYPE_CHECKING, Literal
 
 if TYPE_CHECKING:
     from .compiled import CompiledGrammar
@@ -83,10 +83,6 @@ class SyncRule:
     tgt: tuple[Symbol, ...]
     src_text: str | None = field(default=None, compare=False)
     tgt_text: str | None = field(default=None, compare=False)
-
-    @property
-    def lexical(self) -> bool:
-        return any(s.terminal for s in self.src)
 
     def side(self, side: Side) -> tuple[Symbol, ...]:
         return self.src if side == "src" else self.tgt
@@ -348,21 +344,3 @@ def check_well_founded(grammar: SyncGrammar, side: Side) -> frozenset[str]:
             del edges[a]
     return frozenset(nullable)
 
-
-# --- projection ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Cfg:
-    """One side of an SCFG viewed as a plain CFG."""
-
-    start: str
-    rules: tuple[tuple[str, tuple[Symbol, ...]], ...]
-
-    def __iter__(self) -> Iterator[tuple[str, tuple[Symbol, ...]]]:
-        return iter(self.rules)
-
-
-def project(grammar: SyncGrammar, side: Side) -> Cfg:
-    """Drop one side of every rule, keeping null terminals marked as such."""
-    return Cfg(grammar.start, tuple((r.lhs, r.side(side)) for r in grammar.rules))

@@ -4,13 +4,16 @@ Both oracles are one fold (:func:`_fold_targets`) over the packed parse forest
 of the source sentence in two value types: :func:`translate` folds the target
 strings, and :func:`is_valid_translation` the spans of the candidate that a
 target yield can cover, so it stays polynomial and never enumerates the
-translation set.  An agenda-driven CKY chart parser builds the forest over
-the grammar binarized internally (virtual items never escape).  It takes the
-start positions right to left and visits only the spans that can parse:
-from each start, the ends of its lexical matches and, for each span it has
-filled, the ends of the spans that continue it, in rising order from a
-min-heap.  So the forest, indexed by start position, holds only the spans
-that parse, in the order an all-spans CKY loop would build them.
+translation set.  A value type supplies ``words`` (a terminal's words),
+``times`` (concatenation) and ``plus`` (alternatives); the fold visits the
+items reachable from the root in post-order with an explicit stack, so a
+forest of any depth folds.  An agenda-driven CKY chart parser builds the
+forest over the grammar binarized internally (virtual items never escape).
+It takes the start positions right to left and visits only the spans that
+can parse: from each start, the ends of its lexical matches and, for each
+span it has filled, the ends of the spans that continue it, in rising order
+from a min-heap.  So the forest, indexed by start position, holds only the
+spans that parse, in the order an all-spans CKY loop would build them.
 Phonetically null terminals become zero-width chart items, so covert
 material (tense, aspect, silent complementizers) parses at any position
 without appearing in the input.  Grammars whose source derivations could
@@ -35,7 +38,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cache
+from functools import reduce
 from itertools import islice
 
 from .grammar import (
@@ -270,33 +273,47 @@ def recognizes(grammar: SyncGrammar, side: Side, sentence) -> bool:
 
 def _fold_targets(grammar: SyncGrammar, sentence, values):
     """Fold the target yields of the source forest of ``sentence`` in the
-    value type ``values``, once per item: an option multiplies the parts of
-    its rule's target layout from ``values.one``, and an item adds its options
-    in chart order.  Raises :class:`SourceParseError` when the sentence is not
-    in the source language."""
+    value type ``values``, once per item, in post-order from the root with an
+    explicit stack: an option multiplies the parts of its rule's target
+    layout (a child's value, or ``values.words`` of a terminal's words, which
+    are ``()`` for a null one), and an item adds its options in chart order.
+    Items that no complete parse uses are never visited.  Raises
+    :class:`SourceParseError` when the sentence is not in the source
+    language."""
     words = as_words(sentence)
     g = grammar.compiled.merged
     forest = _parse(grammar.compiled.src_tables, words)
+    root = (g.start, 0, len(words))
     if g.start not in forest[0].get(len(words), ()):
         raise SourceParseError(f"not a source-language sentence: {' '.join(words)!r}")
 
-    @cache
-    def value(item: Item):
+    value: dict = {}
+    # an item is pushed with None; its first visit pushes it again with its
+    # options, above its children, so its second visit finds them folded
+    stack: list = [(root, None)]
+    while stack:
+        item, grouped = stack.pop()
+        if grouped is None:
+            if item not in value:  # else pushed twice and already folded
+                grouped = _grouped_options(item, forest)
+                stack.append((item, grouped))
+                for child_lists in grouped.values():
+                    for children in child_lists:
+                        for child in children:
+                            if child not in value:
+                                stack.append((child, None))
+            continue
         options = []
-        for idx, child_lists in _grouped_options(item, forest).items():
+        for idx, child_lists in grouped.items():
             layout = g.rules[idx].layout["tgt"]
             for children in child_lists:
-                acc = values.one
-                for part in layout:
-                    part_value = value(children[part]) if isinstance(part, int) else values.words(part)
-                    acc = values.times(acc, part_value)
-                options.append(acc)
-        return values.plus(options)
-
-    result = value((g.start, 0, len(words)))
-    # value reaches its memo through its own closure: unbind it to free both now
-    value = None
-    return result
+                parts = [
+                    value[children[part]] if isinstance(part, int) else values.words(part)
+                    for part in layout
+                ]
+                options.append(reduce(values.times, parts))
+        value[item] = values.plus(options)
+    return value[root]
 
 
 @dataclass
@@ -306,7 +323,6 @@ class _TargetStrings:
 
     cap: int
     overflowed: bool = False
-    one = [()]
 
     def _capped(self, yields: list) -> list:
         self.overflowed |= len(yields) > self.cap
@@ -329,7 +345,6 @@ class _CandidateSpans:
 
     def __init__(self, candidate: tuple[str, ...]):
         self.candidate = candidate
-        self.one = self.words(())  # every empty span (i, i)
 
     def words(self, words: tuple[str, ...]) -> set:
         n, cand = len(words), self.candidate

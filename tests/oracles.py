@@ -18,6 +18,12 @@ it builds, order included, are the reference for the parser's.  The table
 oracle indexes a grammar side from its symbols, the way
 ``scfgkit.parsing.parse_tables`` did before it read the rules' layouts.
 
+The fold oracle is the memoized recursion that ``scfgkit.parsing`` replaced
+with a post-order walk on an explicit stack, with the value type's unit
+passed in: it reuses the parser and the value types, since only the
+traversal changed, and its values, order included, are the reference for
+``scfgkit.parsing._fold_targets``.
+
 The sampling oracles are the recursive draw and yield walk that
 ``scfgkit.sampling`` replaced with explicit stacks; equal seeds must give
 the same derivations and yields.
@@ -42,7 +48,7 @@ from scfgkit.metrics import (
     _chrf_from_stats,
     _clamp,
 )
-from scfgkit.parsing import ParseTables, _virtual
+from scfgkit.parsing import ParseTables, SourceParseError, _grouped_options, _parse, _virtual
 from scfgkit.sampling import DerivationTree, Sampler
 
 
@@ -75,7 +81,7 @@ def _expand(grammar, lens, name: str, budget: int):
     """All (src words, tgt words) pairs derivable from ``name`` with source
     yield at most ``budget`` words."""
     for rule in grammar.rules_for(name):
-        if rule.lexical:
+        if not rule.children:
             src = rule.src[0].words()
             if len(src) <= budget:
                 yield src, rule.tgt[0].words()
@@ -137,7 +143,7 @@ def targets_for(grammar: SyncGrammar, src_words: tuple[str, ...]) -> set[str]:
         src_words[start:end] with end <= limit."""
         results = []
         for rule in grammar.rules_for(name):
-            if rule.lexical:
+            if not rule.children:
                 words = rule.src[0].words()
                 end = start + len(words)
                 if end <= limit and src_words[start:end] == words:
@@ -255,6 +261,34 @@ def parse_all_spans(tables: ParseTables, words: tuple[str, ...]) -> list[dict]:
             if not cell:
                 del forest[i][j]
     return forest
+
+
+def fold_targets_recursive(grammar: SyncGrammar, sentence, values, one):
+    """The fold ``scfgkit.parsing._fold_targets`` must compute, by recursing
+    once per forest level from the root: an option multiplies its target
+    layout's parts onto ``one``, and an item adds its options in chart order."""
+    words = as_words(sentence)
+    g = grammar.compiled.merged
+    forest = _parse(grammar.compiled.src_tables, words)
+    if g.start not in forest[0].get(len(words), ()):
+        raise SourceParseError(f"not a source-language sentence: {' '.join(words)!r}")
+    memo: dict = {}
+
+    def value(item):
+        if item not in memo:
+            options = []
+            for idx, child_lists in _grouped_options(item, forest).items():
+                layout = g.rules[idx].layout["tgt"]
+                for children in child_lists:
+                    acc = one
+                    for part in layout:
+                        part_value = value(children[part]) if isinstance(part, int) else values.words(part)
+                        acc = values.times(acc, part_value)
+                    options.append(acc)
+            memo[item] = values.plus(options)
+        return memo[item]
+
+    return value((g.start, 0, len(words)))
 
 
 # --- sampling ---------------------------------------------------------------

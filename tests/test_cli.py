@@ -6,7 +6,7 @@ from scfgkit.cli import main
 from scfgkit.grammar import parse_grammar_text
 
 from .conftest import FIG1_TEXT
-from .test_parsing import AMBIG_TEXT
+from .test_parsing import AMBIG_TEXT, DEEP_TEXT, deep_pair
 
 
 def jsonl(path):
@@ -97,6 +97,14 @@ def test_translate_json_flag(fig1_path, capsys):
                  "--sentence", "I open", "--json"]) == 0
     body = json.loads(capsys.readouterr().out)
     assert body == {"targets": ["watashi wa akemasu"], "overflowed": False}
+
+
+def test_translate_a_source_thousands_of_levels_deep(tmp_path, capsys):
+    grammar = tmp_path / "spine.scfg"
+    grammar.write_text(DEEP_TEXT, "utf-8")
+    source, target = deep_pair(2999)
+    assert main(["translate", "--grammar", str(grammar), "--sentence", source]) == 0
+    assert capsys.readouterr().out.splitlines() == [target]
 
 
 @pytest.mark.parametrize("cap", ["0", "-1", "-3"])

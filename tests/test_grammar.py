@@ -9,7 +9,6 @@ from scfgkit.grammar import (
     as_words,
     nonterminal,
     parse_grammar_text,
-    project,
     rule_text,
     serialize_grammar,
     terminal,
@@ -33,7 +32,7 @@ def test_parse_single_rule():
     assert g.rules[0].lhs == "S"
     assert [s.text for s in g.rules[0].src] == ["NP", "VP"]
     assert [s.text for s in g.rules[0].tgt] == ["VP", "NP"]
-    assert g.rules[1].lexical and not g.rules[0].lexical
+    assert not g.rules[1].children and g.rules[0].children == ("NP", "VP")
 
 
 def test_parse_skips_blank_and_comment_lines():
@@ -91,12 +90,6 @@ def test_word_vocab_splits_multiword_and_drops_nulls(fig1_grammar):
     assert {"watashi", "wa", "hako", "wo", "akemasu"} == tgt
     assert "∅_def" not in tgt
     assert "I" in word_vocab(fig1_grammar, "src")
-
-
-def test_projection_keeps_one_side(fig1_grammar):
-    cfg = project(fig1_grammar, "tgt")
-    assert cfg.start == "S"
-    assert len(cfg.rules) == len(fig1_grammar.rules)
 
 
 def test_as_words_accepts_strings_and_sequences():

@@ -14,6 +14,9 @@ from scfgkit.metagrammar import GrammarSpec, generate
 from scfgkit.parsing import (
     SourceParseError,
     Translations,
+    _CandidateSpans,
+    _fold_targets,
+    _TargetStrings,
     is_valid_translation,
     merge_features,
     recognizes,
@@ -22,7 +25,13 @@ from scfgkit.parsing import (
 )
 from scfgkit.sampling import Sampler, sample_pair, src_yield
 
-from .oracles import all_pairs, parse_all_spans, parse_tables_from_symbols, targets_for
+from .oracles import (
+    all_pairs,
+    fold_targets_recursive,
+    parse_all_spans,
+    parse_tables_from_symbols,
+    targets_for,
+)
 
 
 def test_docs_grammar_translation(fig1_grammar):
@@ -290,8 +299,9 @@ def test_capped_subset_is_pinned():
 
 
 def test_fold_frees_its_memo_on_return():
-    # the memoized fold reaches itself through its closure; unless that cycle
-    # is broken on return, the memo and the forest wait for the cyclic collector
+    # the fold's values live in a dict local to one call; a reference cycle
+    # through it (say, a memoized closure that reaches itself) would leave the
+    # values and the forest to the cyclic collector
     g = parse_grammar_text(SPINE_TEXT)
     translate(g, "a a c a a")  # builds the grammar's derived state
     gc.collect()
@@ -379,6 +389,70 @@ def test_agenda_parse_matches_all_spans_on_benchmark_grammars(spec, seed, length
         assert _ordered(parsing._parse(tables, sentence)) == _ordered(
             parse_all_spans(tables, sentence)
         )
+
+
+def _assert_fold_matches_recursion(g, source):
+    """The fold gives the recursive oracle's target yields, in order, and its
+    overflow flag at every cap, and its candidate spans and validity answers
+    for golds and near misses."""
+    try:
+        golds = fold_targets_recursive(g, source, _TargetStrings(3), [()])
+    except SourceParseError:
+        with pytest.raises(SourceParseError):
+            _fold_targets(g, source, _TargetStrings(3))
+        return
+    for cap in (10_000, 7, 1):
+        values, reference = _TargetStrings(cap), _TargetStrings(cap)
+        assert _fold_targets(g, source, values) == fold_targets_recursive(g, source, reference, [()])
+        assert values.overflowed == reference.overflowed
+    candidates = {()}
+    for gold in golds:
+        candidates.update((gold, gold[::-1], gold[:-1], gold + gold[:1]))
+    for cand in sorted(candidates):
+        spans = _CandidateSpans(cand)
+        expected = fold_targets_recursive(g, source, spans, spans.words(()))
+        assert _fold_targets(g, source, spans) == expected
+        assert is_valid_translation(g, source, cand) == ((0, len(cand)) in expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=random_grammars())
+def test_fold_matches_the_recursive_fold_on_random_grammars(case):
+    _assert_fold_matches_recursion(*case)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    spec=st.sampled_from([GrammarSpec(size=57), GrammarSpec(size=237), AGREE_SPEC]),
+    seed=st.integers(min_value=0, max_value=2),
+    length=st.sampled_from([5, 20, 50]),
+    draw=st.integers(min_value=0, max_value=10**9),
+)
+def test_fold_matches_the_recursive_fold_on_benchmark_grammars(spec, seed, length, draw):
+    g = generate(replace(spec, seed=seed))
+    _assert_fold_matches_recursion(g, sample_pair(g, length, rng_seed=draw).source)
+
+
+# A spine whose parse stays linear: the source a^k b is one chain of k + 1
+# nested S items, and its one target is b a^k.
+DEEP_TEXT = "S -> <A S, S A>\nS -> <B, B>\nA -> <'a', 'a'>\nB -> <'b', 'b'>\n"
+
+
+def deep_pair(k: int) -> tuple[str, str]:
+    return " ".join(["a"] * k + ["b"]), " ".join(["b"] + ["a"] * k)
+
+
+def test_translate_a_source_thousands_of_levels_deep():
+    source, target = deep_pair(2999)
+    out = translate(parse_grammar_text(DEEP_TEXT), source)
+    assert out == {target} and not out.overflowed
+
+
+def test_validate_a_source_hundreds_of_levels_deep():
+    # past the interpreter's recursion limit; validity is superlinear in the
+    # candidate here, so the source stays shorter than translate's
+    source, target = deep_pair(599)
+    assert is_valid_translation(parse_grammar_text(DEEP_TEXT), source, target)
 
 
 # Two halves of 7^3 = 343 target yields each: their product is 117,649.
