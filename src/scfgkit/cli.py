@@ -15,9 +15,9 @@ import sys
 from pathlib import Path
 
 from .errors import classify as classify_labels
-from .errors import sorted_labels
+from .errors import UNPARSEABLE, sorted_labels
 from .grammar import parse_grammar_text, serialize_grammar, word_vocab
-from .harness import ExperimentConfig, gold_members, run_experiment, scan_log
+from .harness import ExperimentConfig, gold_members, run_experiment, scan_log, zero_scores
 from .lexicon import english_words
 from .metagrammar import WORD_ORDERS, GrammarSpec, generate_with_manifest
 from .metrics import score_candidate
@@ -47,7 +47,7 @@ def _write_jsonl(path: str, records) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def _candidate_text(record) -> str:
+def _candidate_text(record) -> str | None:
     if isinstance(record, str):
         return record
     for key in ("cand", "candidate", "text", "extracted"):
@@ -57,9 +57,10 @@ def _candidate_text(record) -> str:
     raise ValueError(f"candidate record has no cand/candidate/text field: {record!r}")
 
 
-def _read_candidates(path: str) -> list[str]:
+def _read_candidates(path: str) -> list[str | None]:
     """One candidate per non-blank line: a JSON string, a JSON object with a
-    cand/candidate/text/extracted field (run logs work as-is), or plain text."""
+    cand/candidate/text/extracted field (run logs work as-is), or plain text.
+    A field that is null, as in the record of a failed trial, gives None."""
     cands = []
     for line in Path(path).read_text("utf-8").splitlines():
         line = line.strip()
@@ -75,14 +76,23 @@ def _read_candidates(path: str) -> list[str]:
     return cands
 
 
-def _gold_sets(pairs, grammar, cap: int) -> list[tuple[list[str], bool]]:
-    """Per pair, its space-joined gold set and whether enumeration overflowed."""
-    golds = []
-    for pair in pairs:
-        base = {" ".join(pair["target"].split())}
-        targets = translate(grammar, pair["source"], cap=cap) if grammar is not None else Translations()
-        golds.append((sorted(base | targets), targets.overflowed))
-    return golds
+def _judged(args, grammar) -> list | None:
+    """(pair, candidate or None if it has no answer, its gold set from
+    :func:`~scfgkit.harness.gold_members`) per line of ``--pairs`` and
+    ``--cands``; None once it has reported that the two differ in length."""
+    pairs = _read_jsonl(args.pairs)
+    cands = _read_candidates(args.cands)
+    if len(pairs) != len(cands):
+        print("pairs and candidates differ in length", file=sys.stderr)
+        return None
+    judged = []
+    for pair, cand in zip(pairs, cands):
+        targets = translate(grammar, pair["source"], cap=args.cap) if grammar is not None else Translations()
+        golds = sorted({" ".join(pair["target"].split())} | targets)
+        if cand is not None:
+            golds = gold_members(grammar, pair["source"], " ".join(cand.split()), golds, targets.overflowed)
+        judged.append((pair, cand, golds))
+    return judged
 
 
 def _cmd_gen(args) -> int:
@@ -164,38 +174,31 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    pairs = _read_jsonl(args.pairs)
-    cands = _read_candidates(args.cands)
-    if len(pairs) != len(cands):
-        print("pairs and candidates differ in length", file=sys.stderr)
+    judged = _judged(args, _read_grammar(args.grammar) if args.grammar else None)
+    if judged is None:
         return 1
-    grammar = _read_grammar(args.grammar) if args.grammar else None
     records = []
-    for pair, cand, (golds, overflowed) in zip(pairs, cands, _gold_sets(pairs, grammar, args.cap)):
-        members = gold_members(grammar, pair["source"], cand, golds, overflowed)
-        record = score_candidate(cand, members).as_dict()
-        record["cand"] = cand
-        record["source"] = pair["source"]
-        records.append(record)
+    for pair, cand, golds in judged:
+        scores = zero_scores() if cand is None else score_candidate(cand, golds)
+        records.append({**scores.as_dict(), "cand": cand, "source": pair["source"]})
     _write_jsonl(args.out, records)
     return 0
 
 
 def _cmd_classify(args) -> int:
-    pairs = _read_jsonl(args.pairs)
-    cands = _read_candidates(args.cands)
-    if len(pairs) != len(cands):
-        print("pairs and candidates differ in length", file=sys.stderr)
-        return 1
     grammar = _read_grammar(args.grammar)
+    judged = _judged(args, grammar)
+    if judged is None:
+        return 1
     src_vocab = word_vocab(grammar, "src")
     tgt_vocab = word_vocab(grammar, "tgt")
     script = _target_script(args.script, tgt_vocab)
     english = english_words()
     records = []
-    for pair, cand, (golds, overflowed) in zip(pairs, cands, _gold_sets(pairs, grammar, args.cap)):
-        text = " ".join(cand.split())
-        if text in gold_members(grammar, pair["source"], text, golds, overflowed):
+    for pair, cand, golds in judged:
+        if cand is None:
+            labels = [UNPARSEABLE]
+        elif " ".join(cand.split()) in golds:
             labels = []
         else:
             labels = sorted_labels(

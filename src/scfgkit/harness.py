@@ -181,7 +181,7 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _zero_scores() -> ScoreRecord:
+def zero_scores() -> ScoreRecord:
     return ScoreRecord(exact=0, bag_of_words=0, bleu=0.0, chrfpp=0.0)
 
 
@@ -298,7 +298,7 @@ def run_trial(
         extracted = extract_answer(response)
         if extracted is None:
             status = "extraction_failed"
-            scores = _zero_scores()
+            scores = zero_scores()
             labels = [UNPARSEABLE]
         else:
             candidate = " ".join(extracted)
@@ -316,7 +316,7 @@ def run_trial(
                     )
                 )
     else:
-        scores = _zero_scores()
+        scores = zero_scores()
 
     return {
         "schema_version": SCHEMA_VERSION,

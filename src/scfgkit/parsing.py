@@ -340,24 +340,33 @@ class _TargetStrings:
 
 
 class _CandidateSpans:
-    """The spans ``(i, j)`` of a candidate that a target yield can cover: the
-    yield equals ``candidate[i:j]``."""
+    """The spans of a candidate that a target yield can cover (it equals
+    ``candidate[i:j]``), as ``{i: ends j}``.  Values are never mutated, so a
+    terminal's spans are found once and a lone option passes ``plus`` as is:
+    a deep chain of items folds in time linear in the candidate."""
 
     def __init__(self, candidate: tuple[str, ...]):
         self.candidate = candidate
+        self._terminals: dict = {}
 
-    def words(self, words: tuple[str, ...]) -> set:
-        n, cand = len(words), self.candidate
-        return {(i, i + n) for i in range(len(cand) - n + 1) if cand[i : i + n] == words}
+    def words(self, words: tuple[str, ...]) -> dict:
+        if words not in self._terminals:
+            n, cand = len(words), self.candidate
+            self._terminals[words] = {i: {i + n} for i in range(len(cand) - n + 1) if cand[i : i + n] == words}
+        return self._terminals[words]
 
-    def times(self, left, right) -> set:
-        ends: dict[int, list[int]] = {}
-        for j, k in right:
-            ends.setdefault(j, []).append(k)
-        return {(i, k) for i, j in left for k in ends.get(j, ())}
+    def times(self, left: dict, right: dict) -> dict:
+        spans = {i: set().union(*(right.get(j, ()) for j in mids)) for i, mids in left.items()}
+        return {i: ends for i, ends in spans.items() if ends}
 
-    def plus(self, options: list) -> set:
-        return set().union(*options)
+    def plus(self, options: list) -> dict:
+        if len(options) == 1:
+            return options[0]
+        spans: dict = {}
+        for option in options:
+            for i, ends in option.items():
+                spans.setdefault(i, set()).update(ends)
+        return spans
 
 
 def translate(grammar: SyncGrammar, sentence, cap: int = TRANSLATE_CAP) -> Translations:
@@ -383,4 +392,4 @@ def is_valid_translation(grammar: SyncGrammar, source, candidate) -> bool:
     translations.  Raises :class:`SourceParseError` when the source sentence
     itself does not parse."""
     cand = as_words(candidate)
-    return (0, len(cand)) in _fold_targets(grammar, source, _CandidateSpans(cand))
+    return len(cand) in _fold_targets(grammar, source, _CandidateSpans(cand)).get(0, ())

@@ -1,10 +1,11 @@
 """Aggregate run records into tables of means with bootstrap intervals.
 
-Records group by grammar size and by source length; each cell reports the
-per-metric mean with a 95% nonparametric bootstrap confidence interval
-(10,000 percentile resamples).  Tables emit as CSV (long form) and as
-aligned text with metrics as rows and groups as columns; cells for groups
-with no records render as an em dash.
+A report groups records along each axis of :data:`AXES` (grammar size,
+source length); each cell reports the per-metric mean with a 95%
+nonparametric bootstrap confidence interval (10,000 percentile resamples).
+Tables emit as CSV (long form) and as aligned text with metrics as rows and
+groups as columns; a group given to :func:`group_table` with no records
+renders as an em dash.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ METRICS = ("exact", "bag_of_words", "bleu", "chrfpp")
 EMPTY_CELL = "—"
 # elements of resample indices drawn at once by bootstrap_ci
 RESAMPLE_BLOCK = 1 << 20
+# (table name, record field, CSV column, text title), in report order
+AXES = (
+    ("by_size", "grammar_size", "size", "grammar size"),
+    ("by_length", "length", "length", "sentence length"),
+)
 
 
 @dataclass(frozen=True)
@@ -69,10 +75,6 @@ def _cell(values, n_resamples: int, seed: int) -> CellStat:
     return CellStat(len(values), float(arr.mean()), low, high)
 
 
-def _metric_value(record: dict, metric: str) -> float:
-    return float(record["scores"][metric])
-
-
 def group_table(
     records,
     key: str,
@@ -85,37 +87,28 @@ def group_table(
     ``groups`` fixes the column set (empty groups included); by default the
     distinct values present in the records are used, sorted.
     """
-    records = list(records)
+    scores: dict = {}
+    for r in records:
+        scores.setdefault(r[key], []).append(r["scores"])
     if groups is None:
-        groups = sorted({r[key] for r in records})
-    table = {}
-    for group in groups:
-        members = [r for r in records if r[key] == group]
-        table[group] = {
+        groups = sorted(scores)
+    return {
+        group: {
             metric: _cell(
-                [_metric_value(r, metric) for r in members], n_resamples, seed
+                [s[metric] for s in scores.get(group, ())], n_resamples, seed
             )
             for metric in METRICS
         }
-    return table
+        for group in groups
+    }
 
 
-def aggregate_report(
-    records,
-    sizes=None,
-    lengths=None,
-    n_resamples: int = 10_000,
-    seed: int = 0,
-) -> dict:
-    """Means by grammar size and by source length over the run records."""
+def aggregate_report(records, *, n_resamples: int = 10_000, seed: int = 0) -> dict:
+    """{table name: group_table} for each axis of :data:`AXES`."""
     records = list(records)
     return {
-        "by_size": group_table(
-            records, "grammar_size", sizes, n_resamples=n_resamples, seed=seed
-        ),
-        "by_length": group_table(
-            records, "length", lengths, n_resamples=n_resamples, seed=seed
-        ),
+        name: group_table(records, key, n_resamples=n_resamples, seed=seed)
+        for name, key, _, _ in AXES
     }
 
 
@@ -164,32 +157,20 @@ def table_to_text(table: dict, key_name: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(records, out_dir: str | Path, sizes=None, lengths=None, n_resamples: int = 10_000, seed: int = 0) -> dict:
-    """Write by-size and by-length CSVs plus a combined text report.
+def write_report(records, out_dir: str | Path, *, n_resamples: int = 10_000, seed: int = 0) -> dict:
+    """Write one CSV per axis of :data:`AXES` plus a combined text report.
 
     Returns {"by_size": Path, "by_length": Path, "text": Path}.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    report = aggregate_report(
-        records, sizes=sizes, lengths=lengths, n_resamples=n_resamples, seed=seed
-    )
-    paths = {
-        "by_size": out / "by_size.csv",
-        "by_length": out / "by_length.csv",
-        "text": out / "report.txt",
-    }
-    paths["by_size"].write_text(
-        table_to_csv(report["by_size"], "size"), encoding="utf-8"
-    )
-    paths["by_length"].write_text(
-        table_to_csv(report["by_length"], "length"), encoding="utf-8"
-    )
-    text = (
-        "Mean results by grammar size\n\n"
-        + table_to_text(report["by_size"], "size")
-        + "\nMean results by sentence length\n\n"
-        + table_to_text(report["by_length"], "length")
-    )
-    paths["text"].write_text(text, encoding="utf-8")
+    report = aggregate_report(records, n_resamples=n_resamples, seed=seed)
+    paths = {}
+    sections = []
+    for name, _, column, title in AXES:
+        paths[name] = out / f"{name}.csv"
+        paths[name].write_text(table_to_csv(report[name], column), encoding="utf-8")
+        sections.append(f"Mean results by {title}\n\n" + table_to_text(report[name], column))
+    paths["text"] = out / "report.txt"
+    paths["text"].write_text("\n".join(sections), encoding="utf-8")
     return paths

@@ -210,6 +210,47 @@ def test_classify_pipeline(tmp_path, fig1_path):
     assert "omission" in labeled[2]["labels"]
 
 
+def answerless_inputs(tmp_path):
+    # a failed trial's run-log record carries no answer: "extracted" is null
+    pairs = tmp_path / "pairs.jsonl"
+    cands = tmp_path / "cands.jsonl"
+    pairs.write_text(
+        json.dumps({"source": "I open", "target": "watashi wa akemasu"}) + "\n"
+        + json.dumps({"source": "I open the box", "target": "watashi wa hako wo akemasu"}) + "\n",
+        "utf-8",
+    )
+    cands.write_text(
+        json.dumps({"extracted": None, "status": "extraction_failed"}) + "\n"
+        + json.dumps({"extracted": ["watashi", "wa", "hako", "wo", "akemasu"]}) + "\n",
+        "utf-8",
+    )
+    return ["--pairs", str(pairs), "--cands", str(cands)]
+
+
+def test_score_gives_an_answerless_record_zero(tmp_path, fig1_path):
+    out = tmp_path / "scores.jsonl"
+    common = answerless_inputs(tmp_path)
+    assert main(["score", *common, "--grammar", str(fig1_path), "--out", str(out)]) == 0
+    scored = jsonl(out)
+    assert scored[0] == {
+        "exact": 0, "bag_of_words": 0, "bleu": 0.0, "chrfpp": 0.0,
+        "cand": None, "source": "I open",
+    }
+    assert scored[1]["exact"] == 1
+    # without a grammar the reference target alone is gold
+    assert main(["score", *common, "--out", str(out)]) == 0
+    assert jsonl(out)[0]["exact"] == 0
+
+
+def test_classify_labels_an_answerless_record_unparseable(tmp_path, fig1_path):
+    out = tmp_path / "labels.jsonl"
+    common = answerless_inputs(tmp_path)
+    assert main(["classify", *common, "--grammar", str(fig1_path), "--out", str(out)]) == 0
+    labeled = jsonl(out)
+    assert labeled[0] == {"cand": None, "source": "I open", "labels": ["unparseable"]}
+    assert labeled[1]["labels"] == []
+
+
 @pytest.mark.parametrize("where", ["top", "endpoint", "retry", "condition"])
 def test_run_rejects_an_unknown_config_key(tmp_path, capsys, where):
     raw = {

@@ -412,7 +412,7 @@ def _assert_fold_matches_recursion(g, source):
         spans = _CandidateSpans(cand)
         expected = fold_targets_recursive(g, source, spans, spans.words(()))
         assert _fold_targets(g, source, spans) == expected
-        assert is_valid_translation(g, source, cand) == ((0, len(cand)) in expected)
+        assert is_valid_translation(g, source, cand) == (len(cand) in expected.get(0, ()))
 
 
 @settings(max_examples=300, deadline=None)
@@ -448,11 +448,46 @@ def test_translate_a_source_thousands_of_levels_deep():
     assert out == {target} and not out.overflowed
 
 
-def test_validate_a_source_hundreds_of_levels_deep():
-    # past the interpreter's recursion limit; validity is superlinear in the
-    # candidate here, so the source stays shorter than translate's
-    source, target = deep_pair(599)
-    assert is_valid_translation(parse_grammar_text(DEEP_TEXT), source, target)
+def test_validate_a_source_thousands_of_levels_deep():
+    # past the interpreter's recursion limit, at translate's depth
+    source, target = deep_pair(2999)
+    g = parse_grammar_text(DEEP_TEXT)
+    assert is_valid_translation(g, source, target)
+    assert not is_valid_translation(g, source, target + " a")
+
+
+class _CountingSpans(_CandidateSpans):
+    """Adds up the size of every new value that ``words``, ``times`` and
+    ``plus`` return."""
+
+    def __init__(self, candidate):
+        super().__init__(candidate)
+        self.built = 0
+        self._seen: dict = {}  # holds each value, so no id is reused
+
+    def _count(self, value):
+        if id(value) not in self._seen:
+            self._seen[id(value)] = value
+            self.built += len(value)
+        return value
+
+    def words(self, words):
+        return self._count(super().words(words))
+
+    def times(self, left, right):
+        return self._count(super().times(left, right))
+
+    def plus(self, options):
+        return self._count(super().plus(options))
+
+
+def test_validity_builds_values_linear_in_a_deep_candidate():
+    # each of the k + 1 S items adds one word to its target yield; building
+    # the spans of 'a' per A item, or copying a lone option, is quadratic
+    source, target = deep_pair(400)
+    spans = _CountingSpans(tuple(target.split()))
+    _fold_targets(parse_grammar_text(DEEP_TEXT), source, spans)
+    assert spans.built <= 3 * 401
 
 
 # Two halves of 7^3 = 343 target yields each: their product is 117,649.

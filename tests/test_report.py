@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import io
+import random
 import tracemalloc
 
 import numpy as np
@@ -132,3 +134,80 @@ def test_write_report_files(tmp_path):
 def test_ci_is_ordered_and_within_range(values):
     low, high = bootstrap_ci(values, n_resamples=300)
     assert min(values) <= low <= high <= max(values)
+
+
+def _pinned_record(size, length, scores):
+    return {"grammar_size": size, "length": length, "scores": dict(zip(METRICS, scores))}
+
+
+def _pinned_record_sets() -> dict:
+    # random() is the one stream Python keeps the same across versions
+    rng = random.Random(12)
+    unequal = (
+        [_pinned_record(57, 3, [1, 1, 1.0, 1.0])] * 5
+        + [_pinned_record(117, 20, [0, 1, 0.5, 0.75])] * 2
+        + [_pinned_record(237, 50, [0, 0, 0.0, 0.0])]
+    )
+    binary = [
+        _pinned_record(size, length, [int(rng.random() < 0.4)] * 4)
+        for size in (57, 117)
+        for length in (5, 20, 50)
+        for _ in range(3)
+    ]
+    fractional = [
+        _pinned_record(
+            (57, 117, 237)[int(rng.random() * 3)],
+            (3, 5, 20, 50)[int(rng.random() * 4)],
+            [
+                int(rng.random() < 0.3),
+                int(rng.random() < 0.5),
+                round(rng.random(), 4),
+                round(rng.random(), 4),
+            ],
+        )
+        for _ in range(40)
+    ]
+    return {"unequal": unequal, "binary": binary, "fractional": fractional}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# SHA-256 of by_size.csv, by_length.csv and report.txt (300 resamples, seed 1)
+PINNED_REPORTS = {
+    "unequal": (
+        "8a879460173c0a410d1e893b155f827a9c025ea73fa7d2c19392a45620d1024f",
+        "55ecbae53d884fd782351d7c8aadcb1c6eeff96f58663e4eb7a872afce43702e",
+        "7e196baf3b5ce525bc10b89b9ad7b73a6f23cb15f02601769ce67ec450018558",
+    ),
+    "binary": (
+        "79a132f53abb8eaeda7defff7de161b0f235fc380adbc8dba9de69b39354d1bc",
+        "058ee5fb1271062a62b646ea8c34d4109763a3a34d50184d275464430f667515",
+        "a7c10ecdbf831e6b5e5be808fd0a82a12efda508bedf4ba6a923ee22aafcb645",
+    ),
+    "fractional": (
+        "685a7067b76e12f6f4586648cee4adb938e60cf9796f94dcdbaebc9f7b647b3b",
+        "6a55835c24865e79ac90e1e4392da2a61f7e67977ea5902cf28a7057defd22af",
+        "dd9d475a4c67e5b8f832c57a443417d50462c2c5937e3ab4eca499abfb60a058",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(tmp_path, name):
+    records = _pinned_record_sets()[name]
+    paths = write_report(records, tmp_path, n_resamples=300, seed=1)
+    digests = tuple(_sha256(paths[key].read_text("utf-8")) for key in ("by_size", "by_length", "text"))
+    assert digests == PINNED_REPORTS[name]
+
+
+def test_empty_column_bytes_are_pinned():
+    records = _pinned_record_sets()["unequal"]
+    table = group_table(records, "grammar_size", groups=[57, 99, 117, 237], n_resamples=300, seed=1)
+    assert _sha256(table_to_csv(table, "size")) == (
+        "0df9856ea843828d364e5f4a760b2425b43b1c26992d769d0861eb687b1fcb66"
+    )
+    assert _sha256(table_to_text(table, "size")) == (
+        "a859b93cad2bfa3fc6a98a1fadca7e131c680333987536e6787d09612d35c09e"
+    )
