@@ -14,11 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-from .errors import classify as classify_labels
-from .errors import UNPARSEABLE, sorted_labels
 from .grammar import parse_grammar_text, serialize_grammar, word_vocab
-from .harness import ExperimentConfig, gold_members, run_experiment, scan_log, zero_scores
-from .lexicon import english_words
+from .harness import ExperimentConfig, gold_members, label_answer, run_experiment, scan_log, zero_scores
 from .metagrammar import WORD_ORDERS, GrammarSpec, generate_with_manifest
 from .metrics import score_candidate
 from .parsing import TRANSLATE_CAP, SourceParseError, Translations, translate
@@ -53,7 +50,11 @@ def _candidate_text(record) -> str | None:
     for key in ("cand", "candidate", "text", "extracted"):
         if key in record:
             value = record[key]
-            return " ".join(value) if isinstance(value, list) else value
+            if value is None or isinstance(value, str):
+                return value
+            if isinstance(value, list) and all(isinstance(word, str) for word in value):
+                return " ".join(value)
+            raise ValueError(f"candidate field {key!r} is not a string, a list of strings or null: {value!r}")
     raise ValueError(f"candidate record has no cand/candidate/text field: {record!r}")
 
 
@@ -190,20 +191,11 @@ def _cmd_classify(args) -> int:
     judged = _judged(args, grammar)
     if judged is None:
         return 1
-    src_vocab = word_vocab(grammar, "src")
-    tgt_vocab = word_vocab(grammar, "tgt")
-    script = _target_script(args.script, tgt_vocab)
-    english = english_words()
+    script = _target_script(args.script, word_vocab(grammar, "tgt"))
     records = []
     for pair, cand, golds in judged:
-        if cand is None:
-            labels = [UNPARSEABLE]
-        elif " ".join(cand.split()) in golds:
-            labels = []
-        else:
-            labels = sorted_labels(
-                classify_labels(cand, golds, src_vocab, tgt_vocab, script, english)
-            )
+        answer = None if cand is None else " ".join(cand.split())
+        labels = label_answer(grammar, answer, golds, script)
         records.append({"cand": cand, "source": pair["source"], "labels": labels})
     _write_jsonl(args.out, records)
     return 0

@@ -24,14 +24,17 @@ target, ``mock://echo-source`` parrots the source sentence back.
 Trial results never raise: endpoint failures and responses with no
 ``Final answer:`` marker are recorded as failed trials with zero scores.
 Only what a retry can fix is retried, with exponential backoff: transport
-errors (connection failures, timeouts), HTTP 429 and HTTP 5xx.  Any other
-error status, or a body without the answer field, fails the trial at once.
+errors (connection failures, timeouts), HTTP 429 and HTTP 5xx.  A 429 or 5xx
+response whose ``Retry-After`` header gives whole seconds waits at least that
+long before the next attempt.  Any other error status, or a body without the
+answer field, fails the trial at once.
 
 Exact credit never depends on ``translate_cap``: when enumeration overflowed
 and the answer is not among the enumerated targets, ``is_valid_translation``
 (a fold over the source forest that never enumerates) decides whether it is
 a gold member.  :func:`gold_members` holds this rule for the harness and the
-command line.
+command line, and :func:`label_answer` holds the rule that labels an answer's
+errors against that gold set.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .metrics import ScoreRecord, score_candidate
 from .parsing import TRANSLATE_CAP, is_valid_translation, translate
 from .prompts import extract_answer, render_prompt, render_prompt_from_text
 from .sampling import sample_pair
-from .scripts import get_script
+from .scripts import ScriptSpec, get_script
 from .seeds import derive_seed
 
 SCHEMA_VERSION = 2
@@ -138,6 +141,8 @@ class ExperimentConfig:
             raise ValueError("n_per_cell must be >= 1")
         if self.max_parallel < 1:
             raise ValueError("max_parallel must be >= 1")
+        if not self.lengths or len(set(self.lengths)) != len(self.lengths):
+            raise ValueError("lengths must be nonempty and free of repeats")
         if any(not 3 <= n <= 50 for n in self.lengths):
             raise ValueError("lengths must lie in [3, 50]")
         if self.translate_cap < 1:
@@ -185,6 +190,13 @@ def zero_scores() -> ScoreRecord:
     return ScoreRecord(exact=0, bag_of_words=0, bleu=0.0, chrfpp=0.0)
 
 
+def _retry_after_s(resp) -> float:
+    """The wait a response's ``Retry-After`` header asks for in whole seconds;
+    0 when it is absent or not whole seconds (an HTTP-date, say)."""
+    value = resp.headers.get("Retry-After", "").strip()
+    return float(value) if value.isascii() and value.isdigit() else 0.0
+
+
 class _Client:
     """Sends one prompt per call; mocks answer locally."""
 
@@ -223,9 +235,11 @@ class _Client:
                 **endpoint.params,
             }
         last_error = None
+        retry_after = 0.0
         for attempt in range(self.cfg.retry.max_attempts):
             if attempt:
-                time.sleep(self.cfg.retry.backoff_s * 2 ** (attempt - 1))
+                time.sleep(max(retry_after, self.cfg.retry.backoff_s * 2 ** (attempt - 1)))
+            retry_after = 0.0
             try:
                 resp = requests.post(
                     endpoint.url,
@@ -238,6 +252,7 @@ class _Client:
                 continue
             if resp.status_code == 429 or resp.status_code >= 500:
                 last_error = f"HTTP {resp.status_code}"
+                retry_after = _retry_after_s(resp)
                 continue
             resp.raise_for_status()  # any other error status is not retried
             try:
@@ -260,6 +275,21 @@ def gold_members(
     if overflowed and candidate not in golds and is_valid_translation(grammar, source, candidate):
         return [*golds, candidate]
     return golds
+
+
+def label_answer(
+    grammar: SyncGrammar, answer: str | None, members: list[str], script: ScriptSpec | None
+) -> list[str]:
+    """The error labels of ``answer`` (None if there is none) against its gold
+    set ``members`` from :func:`gold_members`: unparseable without an answer,
+    none for a member, else :func:`~scfgkit.errors.classify`'s against both
+    vocabularies of ``grammar``, the target ``script`` and English words."""
+    if answer is None:
+        return [UNPARSEABLE]
+    if answer in members:
+        return []
+    vocabs = word_vocab(grammar, "src"), word_vocab(grammar, "tgt")
+    return sorted_labels(classify(answer, members, *vocabs, script=script, english=english_words()))
 
 
 def run_trial(
@@ -293,30 +323,19 @@ def run_trial(
         error = str(exc)
     elapsed = time.perf_counter() - t0
 
+    scores = zero_scores()
     labels: list[str] = []
     if status == "ok":
         extracted = extract_answer(response)
         if extracted is None:
             status = "extraction_failed"
-            scores = zero_scores()
-            labels = [UNPARSEABLE]
+            answer, members = None, gold_set
         else:
-            candidate = " ".join(extracted)
-            members = gold_members(grammar, pair.source, candidate, gold_set, golds.overflowed)
-            scores = score_candidate(candidate, members)
-            if not scores.exact:
-                labels = sorted_labels(
-                    classify(
-                        candidate,
-                        gold_set,
-                        src_vocab=word_vocab(grammar, "src"),
-                        tgt_vocab=word_vocab(grammar, "tgt"),
-                        script=get_script(spec.script_tgt),
-                        english=english_words(),
-                    )
-                )
-    else:
-        scores = zero_scores()
+            answer = " ".join(extracted)
+            members = gold_members(grammar, pair.source, answer, gold_set, golds.overflowed)
+            scores = score_candidate(answer, members)
+        if not scores.exact:
+            labels = label_answer(grammar, answer, members, get_script(spec.script_tgt))
 
     return {
         "schema_version": SCHEMA_VERSION,

@@ -360,13 +360,11 @@ def _lexical_rules(spec: GrammarSpec, src: _SideLexicon, tgt: _SideLexicon) -> l
 
 def generate(spec: GrammarSpec, tables: dict[str, ScriptSpec] | None = None) -> SyncGrammar:
     """Expand a spec into a grammar with exactly ``spec.size`` rules."""
-    return generate_with_manifest(spec, tables)[0]
+    return _build(spec, tables)[0]
 
 
-def generate_with_manifest(
-    spec: GrammarSpec, tables: dict[str, ScriptSpec] | None = None
-) -> tuple[SyncGrammar, dict]:
-    """Like :func:`generate`, also returning a manifest describing the draw."""
+def _build(spec: GrammarSpec, tables: dict[str, ScriptSpec] | None):
+    """The grammar of ``spec`` with its two lexicons and open-class counts."""
     counts = open_class_counts(spec)
     script_src = get_script(spec.script_src, tables)
     script_tgt = get_script(spec.script_tgt, tables)
@@ -381,6 +379,14 @@ def generate_with_manifest(
         raise AssertionError(
             f"internal accounting error: built {len(grammar.rules)} rules for size {spec.size}"
         )
+    return grammar, src, tgt, counts
+
+
+def generate_with_manifest(
+    spec: GrammarSpec, tables: dict[str, ScriptSpec] | None = None
+) -> tuple[SyncGrammar, dict]:
+    """Like :func:`generate`, also returning a manifest describing the draw."""
+    grammar, src, tgt, counts = _build(spec, tables)
     manifest = {
         "format_version": MANIFEST_VERSION,
         "spec": spec.to_dict(),

@@ -251,6 +251,23 @@ def test_classify_labels_an_answerless_record_unparseable(tmp_path, fig1_path):
     assert labeled[1]["labels"] == []
 
 
+@pytest.mark.parametrize("command", ["score", "classify"])
+@pytest.mark.parametrize(
+    "field", [5, [1, 2], ["a", 2], {"a": 1}, True], ids=["int", "ints", "mixed", "object", "bool"]
+)
+def test_a_malformed_candidate_field_exits_2(tmp_path, fig1_path, capsys, command, field):
+    pairs = tmp_path / "pairs.jsonl"
+    cands = tmp_path / "cands.jsonl"
+    out = tmp_path / "out.jsonl"
+    pairs.write_text(json.dumps({"source": "I open", "target": "watashi wa akemasu"}) + "\n", "utf-8")
+    cands.write_text(json.dumps({"cand": field}) + "\n", "utf-8")
+    assert main([command, "--pairs", str(pairs), "--cands", str(cands),
+                 "--grammar", str(fig1_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "'cand'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where", ["top", "endpoint", "retry", "condition"])
 def test_run_rejects_an_unknown_config_key(tmp_path, capsys, where):
     raw = {

@@ -48,6 +48,10 @@ def test_config_validation(tmp_path):
         make_config(tmp_path, lengths=(2,))
     with pytest.raises(ValueError):
         make_config(tmp_path, lengths=(51,))
+    # a repeated length would run and log the same trial ids twice
+    for lengths in ((5, 5), (3, 4, 3), ()):
+        with pytest.raises(ValueError, match="lengths"):
+            make_config(tmp_path, lengths=lengths)
     with pytest.raises(ValueError):
         make_config(tmp_path, n_per_cell=0)
     with pytest.raises(ValueError):
@@ -452,6 +456,25 @@ def test_resume_may_grow_the_grid(tmp_path):
         record_prompt(grown.out_dir, record)
 
 
+def test_the_cli_rejudges_a_run_log_to_its_own_records(tmp_path):
+    spec = GrammarSpec(size=128, agreement_tgt=True, script_tgt="Cyrillic", seed=4)
+    cfg = make_config(tmp_path, url=MOCK_ECHO_SOURCE, conditions=(spec,), lengths=(5, 8, 12), n_per_cell=4)
+    records = run_experiment(cfg)
+    grammar = tmp_path / "grammar.scfg"
+    grammar.write_text(read_manifest(cfg.out_dir)["conditions"][0]["grammar"], "utf-8")
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(json.dumps({"source": r["source"], "target": r["gold"]}) + "\n" for r in records), "utf-8")
+    common = ["--pairs", str(pairs), "--cands", str(cfg.out_dir / "runs.jsonl"), "--grammar", str(grammar)]
+    assert main(["score", *common, "--out", str(tmp_path / "scores.jsonl")]) == 0
+    assert main(["classify", *common, "--script", "Cyrillic", "--out", str(tmp_path / "labels.jsonl")]) == 0
+    scored = [json.loads(line) for line in (tmp_path / "scores.jsonl").read_text("utf-8").splitlines()]
+    labeled = [json.loads(line) for line in (tmp_path / "labels.jsonl").read_text("utf-8").splitlines()]
+    assert [{key: s[key] for key in r["scores"]} for r, s in zip(records, scored)] == [r["scores"] for r in records]
+    assert [row["labels"] for row in labeled] == [r["labels"] for r in records]
+    assert len(scored) == len(labeled) == len(records) == 12
+    assert {"source_vocab", "orthography", "omission"} <= {label for r in records for label in r["labels"]}
+
+
 def test_a_schema_1_log_still_reads_reports_and_rebuilds(tmp_path, capsys):
     log = tmp_path / "runs.jsonl"
     shutil.copy(Path(__file__).parent / "data" / "v1_runs.jsonl", log)
@@ -484,11 +507,11 @@ def _response(status: int, body) -> requests.Response:
     return resp
 
 
-def _stubbed_trial(tmp_path, monkeypatch, replies):
+def _stubbed_trial(tmp_path, monkeypatch, replies, backoff_s=0):
     """One trial against a stubbed ``requests.post`` that answers with
     ``replies`` in turn (a reply may be an exception to raise); returns the
     record and the number of requests sent."""
-    cfg = make_config(tmp_path, url="http://stub/v1", retry=RetryPolicy(backoff_s=0))
+    cfg = make_config(tmp_path, url="http://stub/v1", retry=RetryPolicy(backoff_s=backoff_s))
     grammar = generate(cfg.conditions[0])
     sent = []
 
@@ -559,3 +582,35 @@ def test_retries_stop_at_max_attempts(tmp_path, monkeypatch):
     assert sent == 3
     assert record["status"] == "transport_failed"
     assert "after 3 attempts" in record["error"] and "500" in record["error"]
+
+
+@pytest.mark.parametrize(
+    "status, retry_after, backoff_s, waited",
+    [
+        (429, "7", 0, 7),
+        (503, "3", 0, 3),
+        (429, "1", 2.0, 2.0),  # the backoff, when it is longer
+        (429, "Wed, 21 Oct 2026 07:28:00 GMT", 0.5, 0.5),  # an HTTP-date: the backoff
+        (429, "soon", 0.5, 0.5),
+        (429, "-3", 0, 0),
+    ],
+)
+def test_a_retryable_response_waits_its_retry_after(tmp_path, monkeypatch, status, retry_after, backoff_s, waited):
+    slept = []
+    monkeypatch.setattr(harness.time, "sleep", slept.append)
+    limited = _response(status, {})
+    limited.headers["Retry-After"] = retry_after
+    answer = _response(200, _gold_answer(tmp_path))
+    record, sent = _stubbed_trial(tmp_path, monkeypatch, [limited, answer], backoff_s=backoff_s)
+    assert (sent, record["status"], slept) == (2, "ok", [waited])
+
+
+def test_retry_after_holds_for_one_wait_only(tmp_path, monkeypatch):
+    slept = []
+    monkeypatch.setattr(harness.time, "sleep", slept.append)
+    limited = _response(429, {})
+    limited.headers["Retry-After"] = "7"
+    answer = _response(200, _gold_answer(tmp_path))
+    replies = [limited, requests.ConnectionError("refused"), answer]
+    record, sent = _stubbed_trial(tmp_path, monkeypatch, replies, backoff_s=0.25)
+    assert (sent, record["status"], slept) == (3, "ok", [7, 0.5])
