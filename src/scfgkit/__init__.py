@@ -29,7 +29,7 @@ from .metagrammar import (
     skeleton_size,
 )
 from .sampling import (
-    DerivationTree,
+    Derivation,
     LengthError,
     Sampler,
     SentencePair,
@@ -81,7 +81,7 @@ __all__ = [
     "ANSWER_MARKER",
     "BleuConfig",
     "ChrfConfig",
-    "DerivationTree",
+    "Derivation",
     "EndpointProfile",
     "ExperimentConfig",
     "FEATURES",

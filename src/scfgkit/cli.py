@@ -140,7 +140,7 @@ def _cmd_sample(args) -> int:
                 "len_src": pair.len_src,
                 "len_tgt": pair.len_tgt,
                 "seed": seed,
-                "tree": list(pair.tree.preorder()),
+                "tree": list(pair.tree),
             }
         )
     if args.out:

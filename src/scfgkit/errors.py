@@ -15,13 +15,18 @@ Eight non-exclusive labels describe how a wrong candidate went wrong:
 - ``omission``: failed to include every needed gold word (multiset-wise).
 
 Labels that compare against "the" gold sentence anchor to the gold-set
-member with minimum word-level edit distance to the candidate (ties: the
-first such member in the order given).  One row-vectorized Levenshtein
-kernel gives the distances to ``GOLD_BLOCK`` members per pass: over words to
-the gold members, and over characters from a hallucinated word to the target
-words whose length is within ``MISSPELLING_DISTANCE`` of its own (a distance
-is at least the length difference; Ukkonen 1985).  Callers classify only
-failures; a candidate equal to some gold member gets the empty set.
+member with minimum word-level edit distance to the candidate.  Ties go to
+the first such member with the candidate's word multiset, else to the first
+such member in the order given: gold sets are sorted, so without that
+preference a reordered gold would anchor to another agreement variant and
+read as ``recall`` and ``omission`` instead of ``word_order``.
+
+One row-vectorized Levenshtein kernel gives the distances to ``GOLD_BLOCK``
+members per pass: over words to the gold members, and over characters from
+a hallucinated word to the target words whose length is within
+``MISSPELLING_DISTANCE`` of its own (a distance is at least the length
+difference; Ukkonen 1985).  Callers classify only failures; a candidate
+equal to some gold member gets the empty set.
 """
 
 from __future__ import annotations
@@ -100,11 +105,15 @@ def _distances(cand, members) -> np.ndarray:
 
 
 def nearest_gold(cand_words: tuple[str, ...], golds) -> tuple[str, ...]:
-    """The gold member at minimum word-level edit distance (ties: first)."""
+    """The gold member at minimum word-level edit distance (ties: the first
+    with the candidate's word multiset, else the first)."""
     members = [as_words(g) for g in golds]
     if not members:
         raise ValueError("gold set is empty")
-    return members[int(np.argmin(_distances(cand_words, members)))]
+    distances = _distances(cand_words, members)
+    tied = [members[i] for i in np.flatnonzero(distances == distances.min())]
+    bag = Counter(cand_words)
+    return next((m for m in tied if len(m) == len(cand_words) and Counter(m) == bag), tied[0])
 
 
 def classify(

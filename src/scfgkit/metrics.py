@@ -25,8 +25,9 @@ overlap.  The candidate's n-grams are coded once per call as exact integers
 as ``rank(n-1) * base + symbol`` and re-ranked with ``np.unique``, so no
 hashing and no collisions in any script).  Gold n-grams are ranked against
 those codes by binary search, ``GOLD_BLOCK`` golds per numpy pass, which
-bounds the temporary arrays for gold sets of any size.  Word orders are shared by BLEU and chrF++, bag of words is read off
-the unigram overlap, and the floats come from the same per-gold formulas, so
+bounds the temporary arrays for gold sets of any size.
+Word orders are shared by BLEU and chrF++, bag of words is read off the
+unigram overlap, and the floats come from the same per-gold formulas, so
 every score is what one Counter per n-gram order would give.
 """
 
@@ -407,13 +408,14 @@ def score_candidate(
     if not golds:
         raise ValueError("gold set is empty")
     cand_words = as_words(cand)
-    if cand_words in golds and _member_scores_max(cand_words, bleu_cfg, chrf_cfg):
+    exact = int(cand_words in golds)
+    if exact and _member_scores_max(cand_words, bleu_cfg, chrf_cfg):
         return ScoreRecord(exact=1, bag_of_words=1, bleu=1.0, chrfpp=1.0)
     words = _word_stats(
         cand_words, golds, max(bleu_cfg.max_order, chrf_cfg.word_order)
     )
     return ScoreRecord(
-        exact=exact_match(cand_words, golds),
+        exact=exact,
         bag_of_words=_any_bag_match(words),
         bleu=_best_bleu(words, bleu_cfg),
         chrfpp=_best_chrf(_chrf_orders(cand_words, golds, chrf_cfg, words), chrf_cfg),

@@ -116,7 +116,6 @@ def _is_virtual(name: str) -> bool:
 class ParseTables:
     """One side of a grammar, indexed for chart parsing."""
 
-    start: str
     lex: dict  # words tuple -> [(lhs, rule index)]; key () holds null rules
     unary: dict  # child name -> [(parent name, rule index)]
     binary_by_left: dict  # left name -> [(parent, right name, rule index)]
@@ -149,7 +148,7 @@ def parse_tables(grammar: SyncGrammar, side: Side) -> ParseTables:
             by_left.setdefault(left, []).append((parent, right, idx))
             by_right.setdefault(right, []).append((parent, left, idx))
     longest = max(map(len, lex), default=0)
-    return ParseTables(grammar.start, lex, unary, by_left, by_right, longest)
+    return ParseTables(lex, unary, by_left, by_right, longest)
 
 
 # --- chart construction ---------------------------------------------------

@@ -21,10 +21,14 @@ value.
 Counting works at any length the start symbol can reach: before the start
 symbol is counted at a new length, it is counted at each shorter length in
 rising order, so one count recurses through one length's worth of cells
-rather than one call level per word.  Drawing, reading, rebuilding,
-comparing, hashing, printing and pickling a derivation keep explicit stacks,
-so one of any depth (a right-recursive rule repeated thousands of times) is
-handled without recursion.
+rather than one call level per word.
+
+A derivation is the tuple of its rules' indices in preorder, children in
+source order; each rule's arity comes from the grammar.  Drawing one and
+reading its yields keep explicit stacks, and a tuple of ints compares,
+hashes, prints and pickles flat, so a derivation of any depth (a
+right-recursive rule repeated thousands of times) is handled without
+recursion.
 """
 
 from __future__ import annotations
@@ -39,45 +43,8 @@ class LengthError(ValueError):
     """No derivation exists at the requested source length."""
 
 
-@dataclass(frozen=True, eq=False)
-class DerivationTree:
-    """A derivation: a rule index plus subtrees for each source-side
-    nonterminal, in source order.
-
-    Trees compare, hash, print and pickle by their nodes' (rule index, child
-    count) in preorder, read without recursion, so any depth of tree works.
-    The child counts tell apart trees with one preorder that differ in shape
-    (a tree does not know its grammar's arities)."""
-
-    rule_index: int
-    children: tuple["DerivationTree", ...] = ()
-
-    def _nodes(self):
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
-
-    def preorder(self) -> list[int]:
-        return [node.rule_index for node in self._nodes()]
-
-    def _shape(self) -> tuple[tuple[int, int], ...]:
-        return tuple((node.rule_index, len(node.children)) for node in self._nodes())
-
-    def __eq__(self, other):
-        if not isinstance(other, DerivationTree):
-            return NotImplemented
-        return self is other or self._shape() == other._shape()
-
-    def __hash__(self):
-        return hash(self._shape())
-
-    def __repr__(self):
-        return f"<DerivationTree {self._shape()!r}>"
-
-    def __reduce__(self):
-        return _tree_from_shape, (self._shape(),)
+Derivation = tuple[int, ...]
+"""A derivation: its rules' indices in preorder, children in source order."""
 
 
 @dataclass(frozen=True)
@@ -86,7 +53,7 @@ class SentencePair:
 
     source: tuple[str, ...]
     target: tuple[str, ...]
-    tree: DerivationTree
+    tree: Derivation
 
     @property
     def len_src(self) -> int:
@@ -97,51 +64,43 @@ class SentencePair:
         return len(self.target)
 
 
-def tree_from_preorder(grammar: SyncGrammar, indices: list[int]) -> DerivationTree:
-    """Rebuild a tree from its preorder rule indices (arity comes from the rules)."""
-    return _tree_from_shape([(idx, len(grammar.rules[idx].children)) for idx in indices])
-
-
-def _tree_from_shape(shape) -> DerivationTree:
-    """Rebuild a tree from its nodes' (rule index, child count) in preorder.
-
-    Built without recursion: each open node on the stack holds its rule
-    index, its arity and the subtrees read so far, and is closed once it has
-    all of them."""
-    stack: list[tuple[int, int, list[DerivationTree]]] = []
-    for pos, (idx, arity) in enumerate(shape):
-        stack.append((idx, arity, []))
-        while len(stack[-1][2]) == stack[-1][1]:
-            idx, _, children = stack.pop()
-            tree = DerivationTree(idx, tuple(children))
-            if not stack:
-                if pos + 1 != len(shape):
-                    raise ValueError("trailing rule indices after tree was complete")
-                return tree
-            stack[-1][2].append(tree)
-    raise ValueError("preorder ended early")
-
-
-def src_yield(grammar: SyncGrammar, tree: DerivationTree) -> tuple[str, ...]:
+def src_yield(grammar: SyncGrammar, tree: Derivation) -> tuple[str, ...]:
     return _walk_yield(grammar, tree, "src")
 
 
-def tgt_yield(grammar: SyncGrammar, tree: DerivationTree) -> tuple[str, ...]:
+def tgt_yield(grammar: SyncGrammar, tree: Derivation) -> tuple[str, ...]:
     return _walk_yield(grammar, tree, "tgt")
 
 
-def _walk_yield(grammar: SyncGrammar, tree: DerivationTree, side: Side) -> tuple[str, ...]:
-    """The words of ``side`` under ``tree``; the stack holds the subtrees and
+def _walk_yield(grammar: SyncGrammar, tree: Derivation, side: Side) -> tuple[str, ...]:
+    """The words of ``side`` under ``tree``.
+
+    One pass right to left finds each node's children: the subtrees already
+    read wait on a stack, next child on top, and a node of arity k takes the
+    top k.  The walk's stack then holds the nodes (preorder positions) and
     word runs still to read, next on top, so any depth of tree can be read."""
+    rules = grammar.rules
+    children: list[list[int]] = [[]] * len(tree)
+    subtrees: list[int] = []
+    for pos in range(len(tree) - 1, -1, -1):
+        arity = len(rules[tree[pos]].children)
+        if arity > len(subtrees):
+            raise ValueError("not the preorder of one derivation")
+        if arity:
+            children[pos] = subtrees[: -arity - 1 : -1]
+            del subtrees[-arity:]
+        subtrees.append(pos)
+    if len(subtrees) != 1:
+        raise ValueError("not the preorder of one derivation")
     out: list[str] = []
-    stack: list[DerivationTree | tuple[str, ...]] = [tree]
+    stack: list[int | tuple[str, ...]] = [0]
     while stack:
         item = stack.pop()
         if isinstance(item, tuple):
             out.extend(item)
             continue
-        for part in reversed(grammar.rules[item.rule_index].layout[side]):
-            stack.append(item.children[part] if isinstance(part, int) else part)
+        for part in reversed(rules[tree[item]].layout[side]):
+            stack.append(children[item][part] if isinstance(part, int) else part)
     return tuple(out)
 
 
@@ -223,7 +182,7 @@ class Sampler:
 
     # --- drawing ----------------------------------------------------------
 
-    def sample_tree(self, length: int, rng: random.Random) -> DerivationTree:
+    def sample_tree(self, length: int, rng: random.Random) -> Derivation:
         if self.count(length) == 0:
             near = self.achievable_lengths(1, length + 10)
             closest = sorted(near, key=lambda l: abs(l - length))[:6]
@@ -233,17 +192,18 @@ class Sampler:
             )
         return self._draw(self.grammar.start, length, rng)
 
-    def _draw(self, name: str, length: int, rng: random.Random) -> DerivationTree:
+    def _draw(self, name: str, length: int, rng: random.Random) -> Derivation:
         """Choosing each step proportionally to the derivation counts below it
         makes the whole draw exactly uniform: the step probabilities telescope
         to 1/count(name, length).
 
-        Nodes are drawn in preorder, children left to right, without
-        recursion: each open node on the stack holds its rule index, the
-        (name, length) of the children still to draw (next last) and the
-        subtrees drawn so far, and is closed once it has all of them."""
-        stack: list[tuple[int, list[tuple[str, int]], list[DerivationTree]]] = []
-        while True:
+        Nodes are drawn in preorder without recursion: the stack holds the
+        (name, length) of the children still to draw, next on top, and each
+        node's split is drawn right after its rule, before its first child."""
+        preorder: list[int] = []
+        pending = [(name, length)]
+        while pending:
+            name, length = pending.pop()
             pick = rng.randrange(self._count(name, length))
             for idx, names, words in self._rules.get(name, ()):
                 weight = self._count_seq(names, length - words)
@@ -252,15 +212,10 @@ class Sampler:
                 pick -= weight
             else:
                 raise AssertionError("counts out of sync with rules")
+            preorder.append(idx)
             lengths = self._draw_split(names, length - words, rng)
-            stack.append((idx, list(zip(names, lengths))[::-1], []))
-            while not stack[-1][1]:
-                idx, _, children = stack.pop()
-                tree = DerivationTree(idx, tuple(children))
-                if not stack:
-                    return tree
-                stack[-1][2].append(tree)
-            name, length = stack[-1][1].pop()
+            pending.extend(reversed(list(zip(names, lengths))))
+        return tuple(preorder)
 
     def _draw_split(self, names: tuple[str, ...], length: int, rng: random.Random) -> list[int]:
         """Split ``length`` over ``names`` with probability proportional to the

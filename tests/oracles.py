@@ -25,8 +25,9 @@ traversal changed, and its values, order included, are the reference for
 ``scfgkit.parsing._fold_targets``.
 
 The sampling oracles are the recursive draw and yield walk that
-``scfgkit.sampling`` replaced with explicit stacks; equal seeds must give
-the same derivations and yields.
+``scfgkit.sampling`` replaced with explicit stacks, over nested
+``(rule index, children)`` trees; equal seeds must give the same
+derivations (a tree's recursive preorder) and yields.
 
 The bootstrap oracle draws all ``(n_resamples, n)`` resample indices at once,
 the reference for ``scfgkit.report.bootstrap_ci``'s draw in row blocks.
@@ -49,7 +50,7 @@ from scfgkit.metrics import (
     _clamp,
 )
 from scfgkit.parsing import ParseTables, SourceParseError, _grouped_options, _parse, _virtual
-from scfgkit.sampling import DerivationTree, Sampler
+from scfgkit.sampling import Derivation, Sampler
 
 
 def min_src_lens(grammar: SyncGrammar) -> dict[str, int]:
@@ -201,7 +202,7 @@ def parse_tables_from_symbols(grammar: SyncGrammar, side: Side) -> ParseTables:
             by_left.setdefault(left, []).append((parent, right, idx))
             by_right.setdefault(right, []).append((parent, left, idx))
     longest = max(map(len, lex), default=0)
-    return ParseTables(grammar.start, lex, unary, by_left, by_right, longest)
+    return ParseTables(lex, unary, by_left, by_right, longest)
 
 
 def parse_all_spans(tables: ParseTables, words: tuple[str, ...]) -> list[dict]:
@@ -294,26 +295,34 @@ def fold_targets_recursive(grammar: SyncGrammar, sentence, values, one):
 # --- sampling ---------------------------------------------------------------
 
 
-def draw_recursive(sampler: Sampler, name: str, length: int, rng) -> DerivationTree:
-    """Draw a derivation of ``name`` at ``length`` by recursing once per
-    level, reading the sampler's counts and split draws."""
+Tree = tuple  # (rule index, tuple of subtrees in source order)
+
+
+def draw_recursive(sampler: Sampler, name: str, length: int, rng) -> Tree:
+    """Draw a derivation of ``name`` at ``length`` as a nested
+    ``(rule index, children)`` tree, recursing once per level and reading
+    the sampler's counts and split draws."""
     pick = rng.randrange(sampler._count(name, length))
     for idx, names, words in sampler._rules.get(name, ()):
         weight = sampler._count_seq(names, length - words)
         if pick < weight:
             lengths = sampler._draw_split(names, length - words, rng)
-            return DerivationTree(
-                idx, tuple(draw_recursive(sampler, c, l, rng) for c, l in zip(names, lengths))
-            )
+            return idx, tuple(draw_recursive(sampler, c, l, rng) for c, l in zip(names, lengths))
         pick -= weight
     raise AssertionError("counts out of sync with rules")
 
 
-def walk_yield_recursive(grammar: SyncGrammar, tree: DerivationTree, side: Side) -> tuple[str, ...]:
+def preorder_recursive(tree: Tree) -> Derivation:
+    idx, children = tree
+    return (idx,) + tuple(i for child in children for i in preorder_recursive(child))
+
+
+def walk_yield_recursive(grammar: SyncGrammar, tree: Tree, side: Side) -> tuple[str, ...]:
+    idx, children = tree
     out: list[str] = []
-    for part in grammar.rules[tree.rule_index].layout[side]:
+    for part in grammar.rules[idx].layout[side]:
         if isinstance(part, int):
-            out.extend(walk_yield_recursive(grammar, tree.children[part], side))
+            out.extend(walk_yield_recursive(grammar, children[part], side))
         else:
             out.extend(part)
     return tuple(out)
@@ -438,9 +447,12 @@ def edit_distance(a, b, limit: int | None = None) -> int:
 
 
 def nearest_gold(cand_words, golds) -> tuple[str, ...]:
-    """The first gold member at minimum word-level edit distance."""
+    """The gold member at minimum word-level edit distance: the first with
+    the candidate's words in some order, else the first."""
     members = [as_words(g) for g in golds]
-    return min(members, key=lambda g: edit_distance(cand_words, g))
+    distances = [edit_distance(cand_words, g) for g in members]
+    tied = [g for g, d in zip(members, distances) if d == min(distances)]
+    return next((g for g in tied if sorted(g) == sorted(cand_words)), tied[0])
 
 
 def bootstrap_ci(values, n_resamples: int = 10_000, confidence: float = 0.95, seed: int = 0):

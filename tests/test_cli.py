@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from scfgkit.cli import main
 from scfgkit.grammar import parse_grammar_text
+from scfgkit.sampling import src_yield, tgt_yield
 
 from .conftest import FIG1_TEXT
 from .test_parsing import AMBIG_TEXT, DEEP_TEXT, deep_pair
@@ -78,6 +80,39 @@ def test_sample_a_derivation_thousands_of_levels_deep(tmp_path):
     (record,) = jsonl(out)
     assert record["source"] == " ".join(["a"] * 3000)
     assert len(record["tree"]) == 2 * 3000
+
+
+def test_a_sampled_tree_gives_back_its_source_and_target(tmp_path, appendix_text, appendix_grammar):
+    grammar = tmp_path / "appendix.scfg"
+    grammar.write_text(appendix_text, "utf-8")
+    out = tmp_path / "pairs.jsonl"
+    assert main([
+        "sample", "--grammar", str(grammar), "--len", "10", "--n", "5",
+        "--seed", "3", "--out", str(out),
+    ]) == 0
+    for record in jsonl(out):
+        tree = tuple(record["tree"])
+        assert " ".join(src_yield(appendix_grammar, tree)) == record["source"]
+        assert " ".join(tgt_yield(appendix_grammar, tree)) == record["target"]
+        for broken in (tree + (0,), tree[:-1], ()):
+            with pytest.raises(ValueError):
+                src_yield(appendix_grammar, broken)
+
+
+def test_sample_bytes_are_pinned(tmp_path, capsys):
+    # digest of the nested-tree sampler's output: the draws (and so the RNG
+    # call order), their yields and the written trees must not change
+    grammar = tmp_path / "g.scfg"
+    assert main([
+        "gen", "--size", "128", "--tgt-agr", "--tgt-script", "Hebrew", "--seed", "3",
+        "--out", str(grammar),
+    ]) == 0
+    capsys.readouterr()
+    assert main(["sample", "--grammar", str(grammar), "--len", "20", "--n", "50", "--seed", "4"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == (
+        "a90637c0a73f594f163251b0f28d24a7437ddf0be68bc2eaed82674002029c4a"
+    )
 
 
 def test_sample_unreachable_length_fails(tmp_path, fig1_path, capsys):

@@ -127,6 +127,24 @@ def test_nearest_gold_picks_minimum_edit_distance():
     assert got == {"hallucination", "misspelling", "omission"}
 
 
+def test_a_reversed_gold_anchors_to_a_member_with_its_words():
+    # gold sets are sorted, and with a Hebrew-script agreeing target every
+    # variant ties with the pair's own gold; the first of them used to win,
+    # labelling the reversal recall and omission instead of word order
+    from scfgkit.harness import label_answer
+    from scfgkit.parsing import translate
+    from scfgkit.sampling import sample_pair
+
+    grammar = generate(GrammarSpec(size=128, agreement_tgt=True, script_tgt="Hebrew", seed=3))
+    for length in (5, 8, 20):
+        for seed in range(10):
+            pair = sample_pair(grammar, length, rng_seed=seed)
+            golds = sorted(translate(grammar, pair.source))
+            answer = " ".join(reversed(pair.target))
+            labels = label_answer(grammar, answer, golds, get_script("Hebrew"))
+            assert "word_order" in labels, (length, seed, labels)
+
+
 def test_normalize_words():
     assert normalize_words("a, b. `c`!") == ("a", "b", "c")
     assert normalize_words("  ") == ()

@@ -8,16 +8,15 @@ from scfgkit.grammar import GrammarError, parse_grammar_text
 from scfgkit.metagrammar import GrammarSpec, generate
 from scfgkit.parsing import translate
 from scfgkit.sampling import (
-    DerivationTree,
     LengthError,
     Sampler,
+    SentencePair,
     sample_pair,
     src_yield,
     tgt_yield,
-    tree_from_preorder,
 )
 
-from .oracles import count_derivations, draw_recursive, walk_yield_recursive
+from .oracles import count_derivations, draw_recursive, preorder_recursive, walk_yield_recursive
 
 
 def test_docs_grammar_has_one_derivation_per_length(fig1_grammar):
@@ -126,7 +125,7 @@ def test_draws_and_yields_match_the_recursive_reference(spec):
         for seed in range(12):
             tree = sampler.sample_tree(length, random.Random(seed))
             reference = draw_recursive(sampler, g.start, length, random.Random(seed))
-            assert tree == reference
+            assert tree == preorder_recursive(reference)
             assert src_yield(g, tree) == walk_yield_recursive(g, reference, "src")
             assert tgt_yield(g, tree) == walk_yield_recursive(g, reference, "tgt")
 
@@ -137,20 +136,30 @@ def test_right_recursion_is_counted_at_any_length():
 
 
 def test_a_deep_tree_is_rebuilt_compared_and_hashed():
-    # rebuilding, == and hash used to recurse once per derivation level
+    # rebuilding a pair from its derivation, == and hash may not recurse once
+    # per derivation level. A RecursionError is turned into a plain failure:
+    # pytest would walk its thousands of frames
     g = parse_grammar_text("S -> <A S, A S>\nS -> <A, A>\nA -> <'a', 'a'>\n")
-    tree = sample_pair(g, 3000, rng_seed=0).tree
-    rebuilt = tree_from_preorder(g, tree.preorder())
-    assert rebuilt is not tree
-    assert rebuilt == tree and hash(rebuilt) == hash(tree)
-    assert len({tree, rebuilt}) == 1
-    assert rebuilt != DerivationTree(rebuilt.rule_index, rebuilt.children[:1])
+    pair = sample_pair(g, 3000, rng_seed=0)
+    try:
+        tree = tuple(list(pair.tree))
+        rebuilt = SentencePair(src_yield(g, tree), tgt_yield(g, tree), tree)
+        again = sample_pair(g, 3000, rng_seed=0)
+        equal = rebuilt == pair == again and hash(rebuilt) == hash(pair) == hash(again)
+        distinct = len({pair, rebuilt, again})
+        recursed = False
+    except RecursionError:
+        recursed = True
+    assert not recursed
+    assert rebuilt is not pair and again is not pair
+    assert equal and distinct == 1
+    assert pair.tree == (0, 2) * 2999 + (1, 2)
+    assert rebuilt != SentencePair(pair.source, pair.target, pair.tree[:-2])
 
 
 def test_a_deep_tree_is_printed_and_pickled():
-    # the generated repr and the default pickling recursed once per level.
-    # A RecursionError is turned into a plain failure: pytest would walk its
-    # thousands of frames, comparing the deep trees each one holds
+    # the repr, pickling and deep-copying may not recurse once per level.
+    # A RecursionError is turned into a plain failure, as above
     import copy
     import pickle
 
@@ -159,25 +168,14 @@ def test_a_deep_tree_is_printed_and_pickled():
     try:
         text = repr(pair)
         restored = pickle.loads(pickle.dumps(pair))
-        copied = copy.deepcopy(pair.tree)
+        copied = copy.deepcopy(pair)
         recursed = False
     except RecursionError:
         recursed = True
     assert not recursed
-    assert "tree=<DerivationTree ((0, 2), (2, 0), (0, 2)" in text
-    assert restored == pair and restored.tree is not pair.tree
-    assert copied == pair.tree
-    wide = DerivationTree(0, (DerivationTree(1), DerivationTree(2)))
-    assert repr(wide) == "<DerivationTree ((0, 2), (1, 0), (2, 0))>"
-    assert pickle.loads(pickle.dumps(wide)) == wide
-
-
-def test_trees_with_one_preorder_and_two_shapes_differ():
-    wide = DerivationTree(0, (DerivationTree(1), DerivationTree(2)))
-    deep = DerivationTree(0, (DerivationTree(1, (DerivationTree(2),)),))
-    assert wide.preorder() == deep.preorder()
-    assert wide != deep
-    assert wide == DerivationTree(0, (DerivationTree(1), DerivationTree(2)))
+    assert "tree=(0, 2, 0, 2, 0" in text
+    assert restored == pair and restored is not pair
+    assert copied == pair
 
 
 def test_concurrent_cold_counts_are_safe():
@@ -215,17 +213,6 @@ def test_concurrent_cold_counts_are_safe():
             assert results == [expected] * 8
     finally:
         sys.setswitchinterval(old_interval)
-
-
-def test_preorder_round_trip(appendix_grammar):
-    pair = sample_pair(appendix_grammar, 10, rng_seed=3)
-    indices = pair.tree.preorder()
-    rebuilt = tree_from_preorder(appendix_grammar, indices)
-    assert rebuilt == pair.tree
-    with pytest.raises(ValueError):
-        tree_from_preorder(appendix_grammar, indices + [0])
-    with pytest.raises(ValueError):
-        tree_from_preorder(appendix_grammar, indices[:-1])
 
 
 @settings(max_examples=25, deadline=None)

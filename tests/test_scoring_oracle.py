@@ -171,6 +171,14 @@ def test_ties_keep_the_first_member_across_blocks():
             assert errors.nearest_gold(("a", "b"), golds) == ("x", "b")
 
 
+def test_ties_prefer_the_candidates_words_across_blocks():
+    # every gold is two edits away; the last has the candidate's words
+    golds = ["x y c", "a x z", "c b a", "b a c"]
+    for block in (1, 2, 3, None):
+        with gold_block(block):
+            assert errors.nearest_gold(("a", "b", "c"), golds) == ("c", "b", "a")
+
+
 def test_256_gold_agreement_case_matches_oracle():
     spec = GrammarSpec(
         size=128, word_order_src="SVO", word_order_tgt="SOV", agreement_tgt=True, seed=0
