@@ -17,9 +17,11 @@ Eight non-exclusive labels describe how a wrong candidate went wrong:
 Labels that compare against "the" gold sentence anchor to the gold-set
 member with minimum word-level edit distance to the candidate.  Ties go to
 the first such member with the candidate's word multiset, else to the first
-such member in the order given: gold sets are sorted, so without that
-preference a reordered gold would anchor to another agreement variant and
-read as ``recall`` and ``omission`` instead of ``word_order``.
+such member sharing the most words with the candidate (as multisets), which
+is the first member in the order given when none shares a word.  Gold sets
+are sorted, so without that preference a reordered gold, whole or with a
+word dropped, would anchor to another agreement variant and read as
+``recall`` instead of ``word_order`` or ``omission``.
 
 One row-vectorized Levenshtein kernel gives the distances to ``GOLD_BLOCK``
 members per pass: over words to the gold members, and over characters from
@@ -106,14 +108,20 @@ def _distances(cand, members) -> np.ndarray:
 
 def nearest_gold(cand_words: tuple[str, ...], golds) -> tuple[str, ...]:
     """The gold member at minimum word-level edit distance (ties: the first
-    with the candidate's word multiset, else the first)."""
+    with the candidate's word multiset, else the first of those sharing the
+    most words with it)."""
     members = [as_words(g) for g in golds]
     if not members:
         raise ValueError("gold set is empty")
     distances = _distances(cand_words, members)
     tied = [members[i] for i in np.flatnonzero(distances == distances.min())]
     bag = Counter(cand_words)
-    return next((m for m in tied if len(m) == len(cand_words) and Counter(m) == bag), tied[0])
+
+    def agreement(member: tuple[str, ...]) -> tuple[bool, int]:
+        shared = sum((Counter(member) & bag).values())
+        return shared == len(member) == len(cand_words), shared
+
+    return max(tied, key=agreement)
 
 
 def classify(

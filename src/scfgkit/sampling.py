@@ -10,18 +10,26 @@ Lengths are counted in surface words of the source side: a multi-word
 terminal contributes each of its words, a phonetically null terminal
 contributes nothing.
 
-Grammars whose counts would be infinite (a nonterminal deriving itself
-without consuming source words) are rejected up front by the one source
-check of ``grammar.compiled.nullable("src")``; the sampler takes no nullable
-set of its own.  Counting then recurses at one length only along edges that
-check proved acyclic, so it needs no cycle detection of its own, and a
-sampler shared by threads needs no lock: a memo key only ever receives one
-value.
+Counts are filled bottom-up, one whole length at a time, at any length the
+start symbol can reach.  Each name, and each suffix of two or more of a
+rule's children, has a list of exact integer counts indexed by length (they
+pass 2**63 by length 30, so no fixed-width array holds them).  A suffix's
+count is a sum over the words its first name takes, of the first name's
+count times the rest's.  Within one length a cell reads other cells at that
+length only along the edges that the one source check of
+``grammar.compiled.nullable("src")`` proved acyclic, so the cells are
+written in one topological order fixed when the sampler is built.  That
+check also rejects grammars whose counts would be infinite (a nonterminal
+deriving itself without consuming source words).
 
-Counting works at any length the start symbol can reach: before the start
-symbol is counted at a new length, it is counted at each shorter length in
-rising order, so one count recurses through one length's worth of cells
-rather than one call level per word.
+A draw picks each rule, and then where each of its children's suffixes
+splits, with one ``randrange`` over the total weight and a bisection of the
+cumulative weights, kept once built for a (cell, length).
+
+``grammar.compiled.sampler`` is shared by threads.  A fill holds the
+sampler's lock, and a length becomes readable only once every cell at it is
+written, so reading filled counts takes no lock.  Cumulative weights are
+built without it: two threads building the same ones store equal lists.
 
 A derivation is the tuple of its rules' indices in preorder, children in
 source order; each rule's arity comes from the grammar.  Drawing one and
@@ -34,7 +42,12 @@ recursion.
 from __future__ import annotations
 
 import random
+import threading
+from bisect import bisect_right
 from dataclasses import dataclass
+from graphlib import TopologicalSorter
+from itertools import accumulate
+from operator import mul
 
 from .grammar import Side, SyncGrammar
 
@@ -45,6 +58,8 @@ class LengthError(ValueError):
 
 Derivation = tuple[int, ...]
 """A derivation: its rules' indices in preorder, children in source order."""
+
+_EMPTY = 0  # the cell of the empty sequence: one derivation, of no words
 
 
 @dataclass(frozen=True)
@@ -107,82 +122,153 @@ def _walk_yield(grammar: SyncGrammar, tree: Derivation, side: Side) -> tuple[str
 class Sampler:
     """Count tables and uniform draws for one grammar.
 
-    Counting is memoized per (nonterminal, length).  A grammar whose source
-    side admits unbounded derivations (a unary or null-only cycle) would make
-    counts infinite; the constructor rejects it with :class:`GrammarError`,
-    raised by the grammar's compiled source-side check.
+    Counts are filled bottom-up, one length at a time, in a same-length
+    order fixed here.  A grammar whose source side admits unbounded
+    derivations (a unary or null-only cycle) would make counts infinite;
+    the constructor rejects it with :class:`GrammarError`, raised by the
+    grammar's compiled source-side check.
     """
 
     def __init__(self, grammar: SyncGrammar):
         self.grammar = grammar
-        self._nullable = grammar.compiled.nullable("src")
-        # lhs -> [(rule index, child names, fixed count of source words)]
-        self._rules: dict[str, list[tuple[int, tuple[str, ...], int]]] = {}
+        nullable = grammar.compiled.nullable("src")
+        # a cell is the empty sequence, a name or a suffix of two or more of
+        # a rule's children; _cells maps each to its id
+        self._cells: dict[tuple[str, ...] | str, int] = {(): _EMPTY}
+        # name cell -> [(rule index, children's cell, fixed count of source words)]
+        self._rules: list[list[tuple[int, int, int]]] = [[]]
+        # suffix cell -> (head cell, rest cell, head_min, rest_min): the
+        # fewest words the head and the rest take in a split, 0 if nullable
+        # else 1, so a split reads a cell at its own length only where the
+        # order below writes that cell first
+        self._splits: list[tuple[int, int, int, int] | None] = [None]
         for i, r in enumerate(grammar.rules):
             words = sum(len(p) for p in r.layout["src"] if not isinstance(p, int))
-            self._rules.setdefault(r.lhs, []).append((i, r.children, words))
-        self._counts: dict[tuple[str, int], int] = {}
-        self._seq_counts: dict[tuple[tuple[str, ...], int], int] = {}
-        # the start symbol is counted at every shorter length; a racing
-        # thread may lower it, which only re-reads memoized counts
-        self._counted = 0
+            children = r.children[0] if len(r.children) == 1 else r.children
+            lhs = self._cell(r.lhs, nullable)
+            self._rules[lhs].append((i, self._cell(children, nullable), words))
+        self._start = self._cell(grammar.start, nullable)
+        # same-length reads: a name reads its rules' children without fixed
+        # words; a suffix reads its head when its rest is nullable and its
+        # rest when its head is nullable.  These follow the edges
+        # check_well_founded proved acyclic.
+        reads: dict[int, set[int]] = {}
+        for cell, (rules, split) in enumerate(zip(self._rules, self._splits)):
+            if split is None:
+                reads[cell] = {child for _, child, words in rules if not words}
+            else:
+                head, rest, head_min, rest_min = split
+                reads[cell] = {c for c, free in ((head, not rest_min), (rest, not head_min)) if free}
+        self._order = [c for c in TopologicalSorter(reads).static_order() if c != _EMPTY]
+        self._table: list[list[int]] = [[] for _ in self._splits]
+        # lengths below _filled are written in every cell; only _fill,
+        # holding _lock, writes the table
+        self._filled = 0
+        self._lock = threading.Lock()
+        self._cumulative_at: list[dict[int, list[int]]] = [{} for _ in self._splits]
+
+    def _cell(self, key: tuple[str, ...] | str, nullable: frozenset[str]) -> int:
+        """The id of a cell, made on first use (a suffix's head and rest
+        before it)."""
+        if key in self._cells:
+            return self._cells[key]
+        split = None
+        if isinstance(key, tuple):
+            rest = key[1:] if len(key) > 2 else key[1]
+            split = (
+                self._cell(key[0], nullable),
+                self._cell(rest, nullable),
+                int(key[0] not in nullable),
+                int(not nullable.issuperset(key[1:])),
+            )
+        self._cells[key] = len(self._splits)
+        self._rules.append([])
+        self._splits.append(split)
+        return self._cells[key]
 
     # --- counting ---------------------------------------------------------
 
     def count(self, length: int) -> int:
-        """Number of derivations whose source yield has exactly ``length`` words.
-
-        The start symbol is first counted at each shorter length not yet
-        counted, in rising order, which bounds the recursion of this count."""
-        for shorter in range(self._counted, length):
-            self._count(self.grammar.start, shorter)
-        self._counted = max(self._counted, length)
-        return self._count(self.grammar.start, length)
-
-    def _count(self, name: str, length: int) -> int:
-        if length < 0 or (length == 0 and name not in self._nullable):
-            return 0
-        key = (name, length)
-        if key in self._counts:
-            return self._counts[key]
-        total = sum(
-            self._count_seq(names, length - words) for _, names, words in self._rules.get(name, ())
-        )
-        self._counts[key] = total
-        return total
-
-    def _count_seq(self, names: tuple[str, ...], length: int) -> int:
+        """Number of derivations whose source yield has exactly ``length`` words."""
         if length < 0:
             return 0
-        if not names:
-            return 1 if length == 0 else 0
-        if len(names) == 1:
-            return self._count(names[0], length)
-        key = (names, length)
-        if key in self._seq_counts:
-            return self._seq_counts[key]
-        total = sum(weight for _, weight in self._head_splits(names, length))
-        self._seq_counts[key] = total
-        return total
+        if length >= self._filled:
+            with self._lock:
+                self._fill(length)
+        return self._table[self._start][length]
 
-    def _head_splits(self, names: tuple[str, ...], length: int):
-        """(words of the first name, derivations of ``names`` at ``length``)
-        for each split with derivations.  The rest may take no words only if
-        all of it is nullable, tested before the first name is counted at the
-        full length: same-length recursion stays on the checked edges."""
-        head, rest = names[0], names[1:]
-        top = length if self._nullable.issuperset(rest) else length - 1
-        for l in range(top + 1):
-            head_count = self._count(head, l)
-            if head_count:
-                yield l, head_count * self._count_seq(rest, length - l)
+    def _fill(self, top: int) -> None:
+        """Write every cell at each length up to ``top`` not yet written.
+
+        Within a length, cells go in the fixed order, so each reads only
+        cells at shorter lengths or already written at this one."""
+        table = self._table
+        for length in range(self._filled, top + 1):
+            table[_EMPTY].append(int(length == 0))
+            for cell in self._order:
+                split = self._splits[cell]
+                if split is None:
+                    n = sum(
+                        table[child][length - words]
+                        for _, child, words in self._rules[cell]
+                        if words <= length
+                    )
+                else:
+                    n = sum(self._split_weights(split, length))
+                table[cell].append(n)
+            self._filled = length + 1
+
+    def _split_weights(self, split: tuple[int, int, int, int], length: int):
+        """Derivations of a suffix at ``length`` per head length, from the
+        head's least: head count times rest count, one C-level product."""
+        head, rest, head_min, rest_min = split
+        top = length - rest_min
+        heads = self._table[head][head_min : top + 1]
+        return map(mul, heads, reversed(self._table[rest][length - top : length - head_min + 1]))
 
     def achievable_lengths(self, lo: int = 1, hi: int = 60) -> list[int]:
         return [l for l in range(lo, hi + 1) if self.count(l) > 0]
 
     # --- drawing ----------------------------------------------------------
 
+    def _cumulative(self, cell: int, length: int) -> list[int]:
+        """Cumulative weights of the choices at a filled (cell, length): a
+        name's rules in grammar order, a suffix's head lengths rising.  Built
+        once per key and kept; a racing build stores an equal list.
+
+        The choices after the last one of positive weight are cut off, as a
+        bisection below the total never reaches them: a right-recursive
+        rule whose first child takes one word then keeps one weight per
+        length of a long draw, not one per word of that length."""
+        at = self._cumulative_at[cell]
+        if length not in at:
+            split = self._splits[cell]
+            if split is None:
+                table = self._table
+                weights = (
+                    table[child][length - words] if words <= length else 0
+                    for _, child, words in self._rules[cell]
+                )
+            else:
+                weights = self._split_weights(split, length)
+            cumulative = list(accumulate(weights))
+            del cumulative[cumulative.index(cumulative[-1]) + 1 :]
+            at[length] = cumulative
+        return at[length]
+
     def sample_tree(self, length: int, rng: random.Random) -> Derivation:
+        """Draw a derivation uniformly among those of ``length`` source words.
+
+        Choosing each step proportionally to the derivation counts below it
+        makes the whole draw exactly uniform: the step probabilities telescope
+        to 1/count(length).  Each rule, then each split of its children
+        between the first name and the rest, is picked with one
+        ``rng.randrange`` over the total weight and a bisection of the
+        cumulative weights.
+
+        Nodes are drawn in preorder without recursion: the stack holds the
+        (cell, length) of the children still to draw, next on top, and each
+        node's split is drawn right after its rule, before its first child."""
         if self.count(length) == 0:
             near = self.achievable_lengths(1, length + 10)
             closest = sorted(near, key=lambda l: abs(l - length))[:6]
@@ -190,51 +276,26 @@ class Sampler:
                 f"no derivation with source length {length}; "
                 f"nearest achievable lengths: {sorted(closest) or 'none'}"
             )
-        return self._draw(self.grammar.start, length, rng)
-
-    def _draw(self, name: str, length: int, rng: random.Random) -> Derivation:
-        """Choosing each step proportionally to the derivation counts below it
-        makes the whole draw exactly uniform: the step probabilities telescope
-        to 1/count(name, length).
-
-        Nodes are drawn in preorder without recursion: the stack holds the
-        (name, length) of the children still to draw, next on top, and each
-        node's split is drawn right after its rule, before its first child."""
+        rules, splits, cumulative = self._rules, self._splits, self._cumulative
+        randrange = rng.randrange
         preorder: list[int] = []
-        pending = [(name, length)]
+        pending = [(self._start, length)]
         while pending:
-            name, length = pending.pop()
-            pick = rng.randrange(self._count(name, length))
-            for idx, names, words in self._rules.get(name, ()):
-                weight = self._count_seq(names, length - words)
-                if pick < weight:
-                    break
-                pick -= weight
-            else:
-                raise AssertionError("counts out of sync with rules")
+            cell, length = pending.pop()
+            weights = cumulative(cell, length)
+            idx, child, words = rules[cell][bisect_right(weights, randrange(weights[-1]))]
             preorder.append(idx)
-            lengths = self._draw_split(names, length - words, rng)
-            pending.extend(reversed(list(zip(names, lengths))))
+            length -= words
+            children: list[tuple[int, int]] = []
+            while (split := splits[child]) is not None:
+                weights = cumulative(child, length)
+                head_length = split[2] + bisect_right(weights, randrange(weights[-1]))
+                children.append((split[0], head_length))
+                child, length = split[1], length - head_length
+            if child != _EMPTY:
+                children.append((child, length))
+            pending.extend(reversed(children))
         return tuple(preorder)
-
-    def _draw_split(self, names: tuple[str, ...], length: int, rng: random.Random) -> list[int]:
-        """Split ``length`` over ``names`` with probability proportional to the
-        number of derivations under each split."""
-        lengths: list[int] = []
-        remaining = length
-        for i in range(len(names) - 1):
-            pick = rng.randrange(self._count_seq(names[i:], remaining))
-            for l, weight in self._head_splits(names[i:], remaining):
-                if pick < weight:
-                    lengths.append(l)
-                    remaining -= l
-                    break
-                pick -= weight
-            else:
-                raise AssertionError("split weights out of sync")
-        if names:
-            lengths.append(remaining)
-        return lengths
 
 
 def sample_pair(grammar: SyncGrammar, target_len_src: int, rng_seed: int) -> SentencePair:

@@ -24,10 +24,12 @@ passed in: it reuses the parser and the value types, since only the
 traversal changed, and its values, order included, are the reference for
 ``scfgkit.parsing._fold_targets``.
 
-The sampling oracles are the recursive draw and yield walk that
-``scfgkit.sampling`` replaced with explicit stacks, over nested
-``(rule index, children)`` trees; equal seeds must give the same
-derivations (a tree's recursive preorder) and yields.
+The sampling oracles are the memoized recursive counts that
+``scfgkit.sampling`` replaced with a bottom-up table, and the recursive,
+linearly scanning draw and yield walk it replaced with explicit stacks and
+bisection, over nested ``(rule index, children)`` trees; they must give the
+same counts, and equal seeds the same derivations (a tree's recursive
+preorder) and yields.
 
 The bootstrap oracle draws all ``(n_resamples, n)`` resample indices at once,
 the reference for ``scfgkit.report.bootstrap_ci``'s draw in row blocks.
@@ -50,7 +52,7 @@ from scfgkit.metrics import (
     _clamp,
 )
 from scfgkit.parsing import ParseTables, SourceParseError, _grouped_options, _parse, _virtual
-from scfgkit.sampling import Derivation, Sampler
+from scfgkit.sampling import Derivation
 
 
 def min_src_lens(grammar: SyncGrammar) -> dict[str, int]:
@@ -298,15 +300,93 @@ def fold_targets_recursive(grammar: SyncGrammar, sentence, values, one):
 Tree = tuple  # (rule index, tuple of subtrees in source order)
 
 
-def draw_recursive(sampler: Sampler, name: str, length: int, rng) -> Tree:
+class RecursiveSampler:
+    """Derivation counts by memoized recursion, the way ``scfgkit.sampling``
+    counted before it filled its table bottom-up, with its own rule index
+    and memo tables.
+
+    The start symbol is counted at each shorter length first, in rising
+    order, so one count recurses through one length's worth of cells."""
+
+    def __init__(self, grammar: SyncGrammar):
+        self.grammar = grammar
+        self.nullable = grammar.compiled.nullable("src")
+        # lhs -> [(rule index, child names, fixed count of source words)]
+        self.rules: dict[str, list[tuple[int, tuple[str, ...], int]]] = {}
+        for i, r in enumerate(grammar.rules):
+            words = sum(len(p) for p in r.layout["src"] if not isinstance(p, int))
+            self.rules.setdefault(r.lhs, []).append((i, r.children, words))
+        self.counts: dict[tuple[str, int], int] = {}
+        self.seq_counts: dict[tuple[tuple[str, ...], int], int] = {}
+
+    def count(self, name: str, length: int) -> int:
+        for shorter in range(length):
+            self._count(name, shorter)
+        return self._count(name, length)
+
+    def _count(self, name: str, length: int) -> int:
+        if length < 0 or (length == 0 and name not in self.nullable):
+            return 0
+        key = (name, length)
+        if key not in self.counts:
+            self.counts[key] = sum(
+                self.count_seq(names, length - words) for _, names, words in self.rules.get(name, ())
+            )
+        return self.counts[key]
+
+    def count_seq(self, names: tuple[str, ...], length: int) -> int:
+        if length < 0:
+            return 0
+        if not names:
+            return 1 if length == 0 else 0
+        if len(names) == 1:
+            return self._count(names[0], length)
+        key = (names, length)
+        if key not in self.seq_counts:
+            self.seq_counts[key] = sum(weight for _, weight in self.head_splits(names, length))
+        return self.seq_counts[key]
+
+    def head_splits(self, names: tuple[str, ...], length: int):
+        """(words of the first name, derivations of ``names`` at ``length``)
+        for each split with derivations.  The rest may take no words only if
+        all of it is nullable, tested before the first name is counted at the
+        full length: same-length recursion stays on the checked edges."""
+        head, rest = names[0], names[1:]
+        top = length if self.nullable.issuperset(rest) else length - 1
+        for l in range(top + 1):
+            head_count = self._count(head, l)
+            if head_count:
+                yield l, head_count * self.count_seq(rest, length - l)
+
+    def draw_split(self, names: tuple[str, ...], length: int, rng) -> list[int]:
+        """Split ``length`` over ``names`` with probability proportional to the
+        number of derivations under each split, scanning the splits."""
+        lengths: list[int] = []
+        remaining = length
+        for i in range(len(names) - 1):
+            pick = rng.randrange(self.count_seq(names[i:], remaining))
+            for l, weight in self.head_splits(names[i:], remaining):
+                if pick < weight:
+                    lengths.append(l)
+                    remaining -= l
+                    break
+                pick -= weight
+            else:
+                raise AssertionError("split weights out of sync")
+        if names:
+            lengths.append(remaining)
+        return lengths
+
+
+def draw_recursive(sampler: RecursiveSampler, name: str, length: int, rng) -> Tree:
     """Draw a derivation of ``name`` at ``length`` as a nested
-    ``(rule index, children)`` tree, recursing once per level and reading
-    the sampler's counts and split draws."""
-    pick = rng.randrange(sampler._count(name, length))
-    for idx, names, words in sampler._rules.get(name, ()):
-        weight = sampler._count_seq(names, length - words)
+    ``(rule index, children)`` tree, recursing once per level and scanning
+    the reference sampler's rules and splits."""
+    pick = rng.randrange(sampler.count(name, length))
+    for idx, names, words in sampler.rules.get(name, ()):
+        weight = sampler.count_seq(names, length - words)
         if pick < weight:
-            lengths = sampler._draw_split(names, length - words, rng)
+            lengths = sampler.draw_split(names, length - words, rng)
             return idx, tuple(draw_recursive(sampler, c, l, rng) for c, l in zip(names, lengths))
         pick -= weight
     raise AssertionError("counts out of sync with rules")
@@ -448,11 +528,16 @@ def edit_distance(a, b, limit: int | None = None) -> int:
 
 def nearest_gold(cand_words, golds) -> tuple[str, ...]:
     """The gold member at minimum word-level edit distance: the first with
-    the candidate's words in some order, else the first."""
+    the candidate's words in some order, else the first of those sharing the
+    most words with it, each word counted as often as both have it."""
     members = [as_words(g) for g in golds]
     distances = [edit_distance(cand_words, g) for g in members]
     tied = [g for g, d in zip(members, distances) if d == min(distances)]
-    return next((g for g in tied if sorted(g) == sorted(cand_words)), tied[0])
+    same = [g for g in tied if sorted(g) == sorted(cand_words)]
+    if same:
+        return same[0]
+    shared = [sum(min(g.count(w), cand_words.count(w)) for w in set(g)) for g in tied]
+    return tied[shared.index(max(shared))]
 
 
 def bootstrap_ci(values, n_resamples: int = 10_000, confidence: float = 0.95, seed: int = 0):

@@ -16,7 +16,17 @@ from scfgkit.sampling import (
     tgt_yield,
 )
 
-from .oracles import count_derivations, draw_recursive, preorder_recursive, walk_yield_recursive
+from .conftest import DATA, FIG1_TEXT
+from .oracles import (
+    RecursiveSampler,
+    count_derivations,
+    draw_recursive,
+    preorder_recursive,
+    walk_yield_recursive,
+)
+from .test_parsing import random_grammars
+
+SPINE_TEXT = "S -> <A S, A S>\nS -> <A, A>\nA -> <'a', 'a'>\n"
 
 
 def test_docs_grammar_has_one_derivation_per_length(fig1_grammar):
@@ -115,31 +125,75 @@ def test_long_sources_are_sampled_and_translated(spec):
         assert " ".join(pair.target) in translate(g, pair.source, cap=10**6)
 
 
-@pytest.mark.parametrize("spec", LONG_SPECS, ids=lambda s: f"size{s.size}")
-def test_draws_and_yields_match_the_recursive_reference(spec):
-    g = generate(spec)
-    sampler = g.compiled.sampler
-    for length in (3, 5, 20, 50):
+def _assert_matches_the_recursive_reference(g, top, lengths, seeds):
+    """Counts at every length up to ``top`` and draws at ``lengths`` equal
+    those of the memoized recursive reference with its linear scans."""
+    sampler, reference = Sampler(g), RecursiveSampler(g)
+    assert [sampler.count(l) for l in range(top + 1)] == [
+        reference.count(g.start, l) for l in range(top + 1)
+    ]
+    for length in lengths:
         if not sampler.count(length):
             continue
-        for seed in range(12):
+        for seed in seeds:
             tree = sampler.sample_tree(length, random.Random(seed))
-            reference = draw_recursive(sampler, g.start, length, random.Random(seed))
-            assert tree == preorder_recursive(reference)
-            assert src_yield(g, tree) == walk_yield_recursive(g, reference, "src")
-            assert tgt_yield(g, tree) == walk_yield_recursive(g, reference, "tgt")
+            drawn = draw_recursive(reference, g.start, length, random.Random(seed))
+            assert tree == preorder_recursive(drawn)
+            assert src_yield(g, tree) == walk_yield_recursive(g, drawn, "src")
+            assert tgt_yield(g, tree) == walk_yield_recursive(g, drawn, "tgt")
+
+
+@pytest.mark.parametrize("spec", LONG_SPECS, ids=lambda s: f"size{s.size}")
+def test_draws_and_yields_match_the_recursive_reference(spec):
+    _assert_matches_the_recursive_reference(generate(spec), 60, (3, 5, 20, 50), range(12))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [FIG1_TEXT, (DATA / "appendix_grammar.scfg").read_text("utf-8"), SPINE_TEXT],
+    ids=["fig1", "appendix", "spine"],
+)
+def test_small_grammars_match_the_recursive_reference(text):
+    _assert_matches_the_recursive_reference(
+        parse_grammar_text(text), 60, (2, 3, 4, 5, 8, 20, 50), range(12)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=random_grammars())
+def test_random_grammars_match_the_recursive_reference(case):
+    # null terminals, unary chains and nullable names make a name and a
+    # suffix read other cells at their own length
+    g, _ = case
+    _assert_matches_the_recursive_reference(g, 12, range(13), range(3))
 
 
 def test_right_recursion_is_counted_at_any_length():
-    g = parse_grammar_text("S -> <A S, A S>\nS -> <A, A>\nA -> <'a', 'a'>\n")
+    g = parse_grammar_text(SPINE_TEXT)
     assert Sampler(g).count(2000) == 1
+
+
+def test_a_long_right_recursive_draw_keeps_few_weights():
+    # each split of `A S` has one choice of positive weight, A taking one
+    # word, so a 3,000-word draw keeps one weight per split; keeping the
+    # zero-weight choices after it too would hold 4.5 million (40 MB)
+    import tracemalloc
+
+    g = parse_grammar_text(SPINE_TEXT)
+    tracemalloc.start()
+    try:
+        sample_pair(g, 3000, rng_seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_a_deep_tree_is_rebuilt_compared_and_hashed():
     # rebuilding a pair from its derivation, == and hash may not recurse once
     # per derivation level. A RecursionError is turned into a plain failure:
     # pytest would walk its thousands of frames
-    g = parse_grammar_text("S -> <A S, A S>\nS -> <A, A>\nA -> <'a', 'a'>\n")
+    g = parse_grammar_text(SPINE_TEXT)
     pair = sample_pair(g, 3000, rng_seed=0)
     try:
         tree = tuple(list(pair.tree))
@@ -163,7 +217,7 @@ def test_a_deep_tree_is_printed_and_pickled():
     import copy
     import pickle
 
-    g = parse_grammar_text("S -> <A S, A S>\nS -> <A, A>\nA -> <'a', 'a'>\n")
+    g = parse_grammar_text(SPINE_TEXT)
     pair = sample_pair(g, 3000, rng_seed=0)
     try:
         text = repr(pair)
@@ -182,7 +236,8 @@ def test_concurrent_cold_counts_are_safe():
     # grammar.compiled.sampler hands one Sampler to every harness worker
     # thread; racing fills of a cold count table must raise nothing and agree
     # on the counts.  The tiny switch interval makes the interleaving dense
-    # enough to race reliably; the Sampler takes no lock.
+    # enough to race reliably; without the Sampler's fill lock the counts
+    # come out 0.
     import sys
     import threading
 
@@ -211,6 +266,49 @@ def test_concurrent_cold_counts_are_safe():
                 t.join()
             assert not errors
             assert results == [expected] * 8
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
+def test_concurrent_cold_draws_match_one_thread():
+    # eight threads draw from one cold Sampler, each at the lengths 20-30
+    # from its own first one up, so fills, reads of filled lengths and
+    # cumulative weights race; every draw must be the one a single thread
+    # makes
+    import sys
+    import threading
+
+    grammar = generate(GrammarSpec(size=57, seed=9))
+    lengths = [[20 + (k + i) % 11 for i in range(11)] for k in range(8)]
+
+    def draws(sampler, k):
+        return [sampler.sample_tree(length, random.Random(k)) for length in lengths[k]]
+
+    expected = [draws(Sampler(grammar), k) for k in range(8)]
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            s = Sampler(grammar)
+            barrier = threading.Barrier(8)
+            results: list = [None] * 8
+            errors: list[Exception] = []
+
+            def work(k):
+                try:
+                    barrier.wait(timeout=60)
+                    results[k] = draws(s, k)
+                except Exception as exc:  # noqa: BLE001 - record, assert below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert not errors
+            assert results == expected
     finally:
         sys.setswitchinterval(old_interval)
 
