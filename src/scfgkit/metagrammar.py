@@ -83,7 +83,8 @@ class GrammarSpec:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # every field is a scalar, so asdict's deep copy would copy nothing
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "GrammarSpec":

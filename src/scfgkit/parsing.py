@@ -7,8 +7,14 @@ target yield can cover, so it stays polynomial and never enumerates the
 translation set.  A value type supplies ``words`` (a terminal's words),
 ``times`` (concatenation) and ``plus`` (alternatives); the fold visits the
 items reachable from the root in post-order with an explicit stack, so a
-forest of any depth folds.  An agenda-driven CKY chart parser builds the
-forest over the grammar binarized internally (virtual items never escape).
+forest of any depth folds.  An item with one backpointer whose last child is
+not virtual is its own lone option, so its options are neither grouped nor
+expanded; in :class:`_TargetStrings` a product of two one-yield values and a
+sum of one one-yield option skip deduplication and cap bookkeeping, so a
+source with one target folds without either.
+
+An agenda-driven CKY chart parser builds the forest over the grammar
+binarized internally (virtual items never escape).
 It takes the start positions right to left and visits only the spans that
 can parse: from each start, the ends of its lexical matches and, for each
 span it has filled, the ends of the spans that continue it, in rising order
@@ -38,7 +44,6 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import reduce
 from itertools import islice
 
 from .grammar import (
@@ -294,7 +299,12 @@ def _fold_targets(grammar: SyncGrammar, sentence, values):
         item, grouped = stack.pop()
         if grouped is None:
             if item not in value:  # else pushed twice and already folded
-                grouped = _grouped_options(item, forest)
+                bps = forest[item[1]][item[2]][item[0]]
+                idx, children = bps[0]
+                if len(bps) == 1 and not (children and _is_virtual(children[-1][0])):
+                    grouped = {idx: [children]}  # a lone option: nothing to group or expand
+                else:
+                    grouped = _grouped_options(item, forest)
                 stack.append((item, grouped))
                 for child_lists in grouped.values():
                     for children in child_lists:
@@ -306,11 +316,11 @@ def _fold_targets(grammar: SyncGrammar, sentence, values):
         for idx, child_lists in grouped.items():
             layout = g.rules[idx].layout["tgt"]
             for children in child_lists:
-                parts = [
-                    value[children[part]] if isinstance(part, int) else values.words(part)
-                    for part in layout
-                ]
-                options.append(reduce(values.times, parts))
+                product = None
+                for part in layout:
+                    factor = value[children[part]] if isinstance(part, int) else values.words(part)
+                    product = factor if product is None else values.times(product, factor)
+                options.append(product)
         value[item] = values.plus(options)
     return value[root]
 
@@ -331,10 +341,18 @@ class _TargetStrings:
         return [words]
 
     def times(self, left: list, right: list) -> list:
+        if len(left) == 1 and len(right) == 1:
+            return [left[0] + right[0]]  # one yield is never past a cap of 1 or more
         product = (a + b for a in left for b in right)
         return self._capped(list(islice(product, self.cap + 1)))
 
     def plus(self, options: list) -> list:
+        # A lone option of one yield has nothing to repeat.  One of several
+        # yields may: a product can repeat a concatenation ("x" + "y z" is
+        # "x y" + "z"), so it is deduplicated below.  Values are never
+        # mutated, so the option's list is shared.
+        if len(options) == 1 and len(options[0]) <= 1:
+            return options[0]
         return self._capped(list(dict.fromkeys(y for option in options for y in option)))
 
 

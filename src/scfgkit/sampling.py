@@ -36,7 +36,9 @@ source order; each rule's arity comes from the grammar.  Drawing one and
 reading its yields keep explicit stacks, and a tuple of ints compares,
 hashes, prints and pickles flat, so a derivation of any depth (a
 right-recursive rule repeated thousands of times) is handled without
-recursion.
+recursion.  Reading a yield needs each node's children, found in one pass
+over the preorder; :func:`sample_pair` finds them once and reads both
+yields from that one index.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from graphlib import TopologicalSorter
 from itertools import accumulate
 from operator import mul
 
-from .grammar import Side, SyncGrammar
+from .grammar import Side, SyncGrammar, SyncRule
 
 
 class LengthError(ValueError):
@@ -80,21 +82,19 @@ class SentencePair:
 
 
 def src_yield(grammar: SyncGrammar, tree: Derivation) -> tuple[str, ...]:
-    return _walk_yield(grammar, tree, "src")
+    return _read_yield(grammar.rules, tree, _children(grammar.rules, tree), "src")
 
 
 def tgt_yield(grammar: SyncGrammar, tree: Derivation) -> tuple[str, ...]:
-    return _walk_yield(grammar, tree, "tgt")
+    return _read_yield(grammar.rules, tree, _children(grammar.rules, tree), "tgt")
 
 
-def _walk_yield(grammar: SyncGrammar, tree: Derivation, side: Side) -> tuple[str, ...]:
-    """The words of ``side`` under ``tree``.
+def _children(rules: tuple[SyncRule, ...], tree: Derivation) -> list[list[int]]:
+    """Each node's children, as preorder positions in source order.
 
-    One pass right to left finds each node's children: the subtrees already
-    read wait on a stack, next child on top, and a node of arity k takes the
-    top k.  The walk's stack then holds the nodes (preorder positions) and
-    word runs still to read, next on top, so any depth of tree can be read."""
-    rules = grammar.rules
+    One pass right to left: the subtrees already read wait on a stack, next
+    child on top, and a node of arity k takes the top k.  Raises
+    ``ValueError`` when ``tree`` is not the preorder of one derivation."""
     children: list[list[int]] = [[]] * len(tree)
     subtrees: list[int] = []
     for pos in range(len(tree) - 1, -1, -1):
@@ -107,6 +107,16 @@ def _walk_yield(grammar: SyncGrammar, tree: Derivation, side: Side) -> tuple[str
         subtrees.append(pos)
     if len(subtrees) != 1:
         raise ValueError("not the preorder of one derivation")
+    return children
+
+
+def _read_yield(
+    rules: tuple[SyncRule, ...], tree: Derivation, children: list[list[int]], side: Side
+) -> tuple[str, ...]:
+    """The words of ``side`` under ``tree``, given its :func:`_children`.
+
+    The stack holds the nodes (preorder positions) and word runs still to
+    read, next on top, so any depth of tree can be read."""
     out: list[str] = []
     stack: list[int | tuple[str, ...]] = [0]
     while stack:
@@ -307,4 +317,8 @@ def sample_pair(grammar: SyncGrammar, target_len_src: int, rng_seed: int) -> Sen
     if target_len_src < 1:
         raise ValueError("target_len_src must be at least 1")
     tree = grammar.compiled.sampler.sample_tree(target_len_src, random.Random(rng_seed))
-    return SentencePair(src_yield(grammar, tree), tgt_yield(grammar, tree), tree)
+    rules = grammar.rules
+    children = _children(rules, tree)
+    return SentencePair(
+        _read_yield(rules, tree, children, "src"), _read_yield(rules, tree, children, "tgt"), tree
+    )

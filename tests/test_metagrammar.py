@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +171,13 @@ def test_spec_dict_roundtrip():
         script_tgt="HebrewPointed",
         seed=12,
     )
+    assert GrammarSpec.from_dict(spec.to_dict()) == spec
+
+
+def test_spec_dict_is_the_dataclass_dict():
+    # records and run.json hold this dict, so its keys keep the field order
+    spec = GrammarSpec(size=128, agreement_tgt=True, script_tgt="Cyrillic", seed=2)
+    assert list(spec.to_dict().items()) == list(asdict(spec).items())
     assert GrammarSpec.from_dict(spec.to_dict()) == spec
 
 

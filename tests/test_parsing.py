@@ -142,6 +142,28 @@ def test_translation_cap_and_overflow_flag():
             translate(g, "a a", cap=cap)
 
 
+REPEAT_TEXT = """\
+R -> <S T, S T>
+S -> <P Q, P Q>
+P -> <'p', 'x'>
+P -> <'p', 'x y'>
+Q -> <'q', 'y z'>
+Q -> <'q', 'z'>
+T -> <'t', 'u'>
+T -> <'t', 'v'>
+"""
+
+
+def test_a_lone_option_drops_the_yields_its_product_repeats():
+    # S over "p q" has one backpointer, but "x" + "y z" and "x y" + "z" both
+    # give "x y z"; the repeat must go before R's product counts against a cap
+    g = parse_grammar_text(REPEAT_TEXT)
+    yields = _fold_targets(g, "p q t", _TargetStrings(10_000))
+    assert len(yields) == len(set(yields)) == 6
+    assert not translate(g, "p q t", cap=6).overflowed
+    assert translate(g, "p q t", cap=5).overflowed
+
+
 def test_unary_cycle_rejected():
     g = parse_grammar_text(
         "S -> <A, A>\n"
