@@ -19,15 +19,19 @@ with.  Records of schema version 1, which held the prompt itself, still read.
 Endpoints speak a minimal JSON POST ``{model, prompt} -> {text}``; a
 "chat" profile adapts that to chat-completion shaped payloads.  Two
 in-process mocks need no network: ``mock://oracle`` answers with the gold
-target, ``mock://echo-source`` parrots the source sentence back.
+target, ``mock://echo-source`` parrots the source sentence back.  The POST
+uses stdlib ``urllib``, imported on first use: proxies come from ``*_proxy``
+variables, TLS is verified against the system CA store, a 307 or 308
+redirect is not followed, a 301, 302 or 303 is followed as a GET that
+carries no bearer token, and the User-Agent is ``scfgkit/<version>``.
 
 Trial results never raise: endpoint failures and responses with no
 ``Final answer:`` marker are recorded as failed trials with zero scores.
 Only what a retry can fix is retried, with exponential backoff: transport
-errors (connection failures, timeouts), HTTP 429 and HTTP 5xx.  A 429 or 5xx
-response whose ``Retry-After`` header gives whole seconds waits at least that
-long before the next attempt.  Any other error status, or a body without the
-answer field, fails the trial at once.
+errors (refused, dropped or timed-out connections, a body cut short), HTTP
+429 and HTTP 5xx.  A 429 or 5xx response whose ``Retry-After`` header gives
+whole seconds waits at least that long before the next attempt.  Any other
+error status, or a body without the answer field, fails the trial at once.
 
 Exact credit never depends on ``translate_cap``: when enumeration overflowed
 and the answer is not among the enumerated targets, ``is_valid_translation``
@@ -42,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -49,6 +54,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from urllib.parse import urlsplit  # already loaded by pathlib
 
 import numpy as np
 
@@ -87,6 +93,16 @@ class RetryPolicy:
             raise ValueError("max_attempts must be >= 1")
 
 
+def _names_a_host(url: str) -> bool:
+    """Whether ``url`` is an http or https URL with a host: urllib raises an
+    OSError, which a retry cannot fix, for any other scheme or a missing host."""
+    try:
+        parts = urlsplit(url)
+        return parts.scheme.lower() in ("http", "https") and bool(parts.hostname)
+    except ValueError:  # e.g. an unclosed IPv6 bracket
+        return False
+
+
 @dataclass(frozen=True)
 class EndpointProfile:
     """Where and how to send prompts.
@@ -107,6 +123,13 @@ class EndpointProfile:
     def __post_init__(self):
         if self.kind not in ("plain", "chat"):
             raise ValueError(f"unknown endpoint kind: {self.kind!r}")
+        if not (isinstance(self.url, str) and (self.mock or _names_a_host(self.url))):
+            raise ValueError(f"endpoint url must be an http://, https:// or mock:// URL: {self.url!r}")
+        timeout = self.timeout_s
+        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not 0 < timeout < math.inf:
+            raise ValueError(f"endpoint timeout_s must be a positive finite number: {timeout!r}")
+        if not isinstance(self.params, dict):
+            raise ValueError(f"endpoint params must be a JSON object: {self.params!r}")
 
     @property
     def mock(self) -> bool:
@@ -214,26 +237,24 @@ class _Client:
         return self._http(prompt)
 
     def _http(self, prompt: str) -> str:
-        import requests
+        import http.client
+        import urllib.error
+        import urllib.request
+
+        from . import __version__  # the package imports this module first
 
         endpoint = self.cfg.endpoint
-        headers = {"Content-Type": "application/json"}
-        if endpoint.auth_env:
-            token = os.environ.get(endpoint.auth_env)
-            if token:
-                headers["Authorization"] = f"Bearer {token}"
+        headers = {"Content-Type": "application/json", "User-Agent": f"scfgkit/{__version__}"}
+        token = endpoint.auth_env and os.environ.get(endpoint.auth_env)
         if endpoint.kind == "chat":
-            payload = {
-                "model": self.cfg.model_name,
-                "messages": [{"role": "user", "content": prompt}],
-                **endpoint.params,
-            }
+            message = {"messages": [{"role": "user", "content": prompt}]}
         else:
-            payload = {
-                "model": self.cfg.model_name,
-                "prompt": prompt,
-                **endpoint.params,
-            }
+            message = {"prompt": prompt}
+        payload = {"model": self.cfg.model_name, **message, **endpoint.params}
+        data = json.dumps(payload, allow_nan=False).encode("utf-8")
+        request = urllib.request.Request(endpoint.url, data, headers)
+        if token:  # an unredirected header is never sent on to a redirect's target
+            request.add_unredirected_header("Authorization", f"Bearer {token}")
         last_error = None
         retry_after = 0.0
         for attempt in range(self.cfg.retry.max_attempts):
@@ -241,27 +262,25 @@ class _Client:
                 time.sleep(max(retry_after, self.cfg.retry.backoff_s * 2 ** (attempt - 1)))
             retry_after = 0.0
             try:
-                resp = requests.post(
-                    endpoint.url,
-                    json=payload,
-                    headers=headers,
-                    timeout=endpoint.timeout_s,
-                )
-            except (requests.ConnectionError, requests.Timeout) as exc:
+                with urllib.request.urlopen(request, timeout=endpoint.timeout_s) as resp:
+                    status, raw = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:
+                exc.close()
+                if exc.code != 429 and exc.code < 500:
+                    raise  # any other error status is not retried
+                last_error = f"HTTP {exc.code}"
+                retry_after = _retry_after_s(exc)
+                continue
+            except (OSError, http.client.HTTPException) as exc:
                 last_error = exc
                 continue
-            if resp.status_code == 429 or resp.status_code >= 500:
-                last_error = f"HTTP {resp.status_code}"
-                retry_after = _retry_after_s(resp)
-                continue
-            resp.raise_for_status()  # any other error status is not retried
             try:
-                body = resp.json()
+                body = json.loads(raw)
                 if endpoint.kind == "chat":
                     return body["choices"][0]["message"]["content"]
                 return body["text"]
             except (ValueError, LookupError, TypeError) as exc:
-                raise RuntimeError(f"malformed response body (HTTP {resp.status_code}): {exc!r}") from exc
+                raise RuntimeError(f"malformed response body (HTTP {status}): {exc!r}") from exc
         raise RuntimeError(f"endpoint failed after {self.cfg.retry.max_attempts} attempts: {last_error}")
 
 

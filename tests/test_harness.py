@@ -1,13 +1,16 @@
 import hashlib
 import json
+import os
 import shutil
+import subprocess
 import sys
+import threading
 from dataclasses import replace
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
 import pytest
-import requests
 
 import scfgkit
 from scfgkit import harness
@@ -63,6 +66,12 @@ def test_config_validation(tmp_path):
         RetryPolicy(max_attempts=0)
     with pytest.raises(ValueError):
         EndpointProfile(url="http://x", kind="socket")
+    # urllib fails these at every attempt, so they are refused at load
+    for url in ("http://", "http:///v1", "https://:8000/v1", "http://[::1/v1", "MOCK://oracle", "file:///x"):
+        with pytest.raises(ValueError, match="endpoint url"):
+            EndpointProfile(url=url)
+    for url in ("HTTPS://host/v1", "Http://127.0.0.1:8000", "https://[::1]:8000/v1"):
+        assert EndpointProfile(url=url).url == url
 
 
 def test_config_from_dict(tmp_path):
@@ -499,48 +508,164 @@ def test_a_schema_1_log_still_reads_reports_and_rebuilds(tmp_path, capsys):
     assert record_prompt(cfg.out_dir, resumed[2]) == render_prompt(grammar, resumed[2]["source"])
 
 
-def _response(status: int, body) -> requests.Response:
-    resp = requests.Response()
-    resp.status_code = status
-    resp._content = json.dumps(body).encode("utf-8")
-    resp.url = "http://stub/v1"
-    return resp
+class _Loopback:
+    """A scripted HTTP endpoint on 127.0.0.1: the n-th POST gets the n-th
+    reply of :meth:`script` (:func:`_reply`, or one of ``HANG``, ``DROP`` and
+    ``SHORT``), and ``sent`` records each request's headers (looked up
+    without regard to case) and JSON body (None for a GET)."""
+
+    HANG = "hang"  # answers nothing until the server stops
+    DROP = "drop"  # closes the connection without a reply
+    SHORT = "short"  # sends fewer body bytes than its Content-Length
+
+    def __init__(self):
+        self.replies = []
+        self.sent = []
+        self.lock = threading.Lock()
+        self.stopping = threading.Event()
+        loopback = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.answer(json.loads(self.rfile.read(int(self.headers["Content-Length"]))))
+
+            def do_GET(self):  # urllib follows a 301, 302 or 303 to a POST as a GET
+                self.answer(None)
+
+            def answer(self, payload):
+                with loopback.lock:
+                    loopback.sent.append((self.headers, payload))
+                    reply = loopback.replies[len(loopback.sent) - 1]
+                if reply == loopback.HANG:
+                    # not time.sleep, which a test may have patched
+                    loopback.stopping.wait(30)
+                elif reply == loopback.SHORT:
+                    self.send_response(200)
+                    self.send_header("Content-Length", "100")
+                    self.end_headers()
+                    self.wfile.write(b'{"text": "Final')
+                elif reply != loopback.DROP:
+                    status, body, headers = reply
+                    data = json.dumps(body).encode("utf-8")
+                    self.send_response(status)
+                    for name, value in {"Content-Length": str(len(data)), **headers}.items():
+                        self.send_header(name, value)
+                    self.end_headers()
+                    self.wfile.write(data)
+
+            def log_message(self, *args):
+                pass
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server.server_port}/v1"
+        self.thread = threading.Thread(target=self.server.serve_forever, kwargs={"poll_interval": 0.01})
+        self.thread.start()
+
+    def script(self, replies) -> "_Loopback":
+        self.replies = list(replies)
+        return self
+
+    def close(self):
+        self.stopping.set()
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
 
 
-def _stubbed_trial(tmp_path, monkeypatch, replies, backoff_s=0):
-    """One trial against a stubbed ``requests.post`` that answers with
-    ``replies`` in turn (a reply may be an exception to raise); returns the
+def _reply(status: int, body, **headers) -> tuple:
+    return status, body, {name.replace("_", "-"): value for name, value in headers.items()}
+
+
+@pytest.fixture
+def loopback(monkeypatch):
+    # urllib sends even a loopback request through a *_proxy variable's proxy
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    server = _Loopback()
+    yield server
+    server.close()
+
+
+@pytest.fixture
+def second_loopback(loopback):
+    server = _Loopback()
+    yield server
+    server.close()
+
+
+def _loopback_trial(tmp_path, loopback, replies, backoff_s=0, timeout_s=60.0):
+    """One trial against ``loopback`` scripted with ``replies``; returns the
     record and the number of requests sent."""
-    cfg = make_config(tmp_path, url="http://stub/v1", retry=RetryPolicy(backoff_s=backoff_s))
+    cfg = replace(
+        make_config(tmp_path, retry=RetryPolicy(backoff_s=backoff_s)),
+        endpoint=EndpointProfile(url=loopback.script(replies).url, timeout_s=timeout_s),
+    )
     grammar = generate(cfg.conditions[0])
-    sent = []
-
-    def post(url, **kwargs):
-        sent.append(kwargs["json"])
-        reply = replies[len(sent) - 1]
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
-
-    monkeypatch.setattr(requests, "post", post)
-    return run_trial(cfg, grammar, 0, 3, 0, client=_Client(cfg)), len(sent)
+    return run_trial(cfg, grammar, 0, 3, 0, client=_Client(cfg)), len(loopback.sent)
 
 
 @pytest.mark.parametrize("kind", ["plain", "chat"])
-def test_the_endpoint_receives_the_prompt_the_record_names(tmp_path, monkeypatch, kind):
-    payloads = []
+def test_the_endpoint_receives_the_prompt_the_record_names(tmp_path, loopback, kind):
     text = "Final answer: x"
     body = {"text": text} if kind == "plain" else {"choices": [{"message": {"content": text}}]}
-    monkeypatch.setattr(requests, "post", lambda url, **kw: payloads.append(kw["json"]) or _response(200, body))
+    loopback.script([_reply(200, body)])
     cfg = replace(
         make_config(tmp_path, conditions=(GrammarSpec(size=57, seed=0),), lengths=(3,), n_per_cell=1),
-        endpoint=EndpointProfile(url="http://stub/v1", kind=kind),
+        endpoint=EndpointProfile(url=loopback.url, kind=kind, params={"temperature": 0}),
     )
     [record] = run_experiment(cfg)
-    [payload] = payloads
+    [(headers, payload)] = loopback.sent
     prompt = payload["prompt"] if kind == "plain" else payload["messages"][0]["content"]
     assert prompt.startswith("You will be presented with a synchronous context-free grammar")
     assert record_prompt(cfg.out_dir, record) == prompt
+    assert list(payload) == ["model", "prompt" if kind == "plain" else "messages", "temperature"]
+    assert payload["model"] == "test-model" and payload["temperature"] == 0
+    assert headers["Content-Type"] == "application/json"
+    assert headers["User-Agent"] == f"scfgkit/{scfgkit.__version__}"
+    assert "Authorization" not in headers
+    assert record["status"] == "ok" and record["response"] == text
+
+
+def test_the_token_is_sent_but_never_logged(tmp_path, loopback, monkeypatch):
+    token = "sk-loopback-5c2f9e"
+    monkeypatch.setenv("SCFGKIT_TEST_TOKEN", token)
+    loopback.script([_reply(200, _gold_answer(tmp_path))])
+    cfg = replace(
+        make_config(tmp_path, conditions=(GrammarSpec(size=57, seed=0),), lengths=(3,), n_per_cell=1),
+        endpoint=EndpointProfile(url=loopback.url, auth_env="SCFGKIT_TEST_TOKEN"),
+    )
+    [record] = run_experiment(cfg)
+    [(headers, _)] = loopback.sent
+    assert headers["Authorization"] == f"Bearer {token}"
+    assert record["status"] == "ok" and record["endpoint"]["auth_env"] == "SCFGKIT_TEST_TOKEN"
+    for name in ("runs.jsonl", "run.json"):
+        assert token not in (cfg.out_dir / name).read_text("utf-8")
+
+
+@pytest.mark.parametrize("status", [301, 302, 303])
+def test_a_redirect_is_not_sent_the_token(tmp_path, loopback, second_loopback, monkeypatch, status):
+    token = "sk-loopback-5c2f9e"
+    monkeypatch.setenv("SCFGKIT_TEST_TOKEN", token)
+    loopback.script([_reply(status, {}, Location=second_loopback.url)])
+    second_loopback.script([_reply(200, _gold_answer(tmp_path))])
+    cfg = replace(make_config(tmp_path), endpoint=EndpointProfile(url=loopback.url, auth_env="SCFGKIT_TEST_TOKEN"))
+    record = run_trial(cfg, generate(cfg.conditions[0]), 0, 3, 0, client=_Client(cfg))
+    [(headers, _)] = loopback.sent
+    assert headers["Authorization"] == f"Bearer {token}"
+    [(headers, payload)] = second_loopback.sent
+    assert payload is None and "Authorization" not in headers
+    assert record["status"] == "ok"
+
+
+def test_a_nan_param_fails_the_trial_unsent(tmp_path, loopback):
+    cfg = replace(
+        make_config(tmp_path),
+        endpoint=EndpointProfile(url=loopback.script([]).url, params={"temperature": float("nan")}),
+    )
+    record = run_trial(cfg, generate(cfg.conditions[0]), 0, 3, 0, client=_Client(cfg))
+    assert record["status"] == "transport_failed" and "JSON compliant" in record["error"]
+    assert loopback.sent == []
 
 
 def _gold_answer(tmp_path) -> dict:
@@ -549,16 +674,18 @@ def _gold_answer(tmp_path) -> dict:
     return {"text": "Final answer: " + " ".join(pair.target)}
 
 
-@pytest.mark.parametrize("status", [401, 404])
-def test_a_client_error_is_sent_once(tmp_path, monkeypatch, status):
-    record, sent = _stubbed_trial(tmp_path, monkeypatch, [_response(status, {})] * 3)
+@pytest.mark.parametrize("status", [401, 404, 307])
+def test_a_client_error_is_sent_once(tmp_path, loopback, status):
+    # a 307 is not followed: a POST's body is not sent again to another URL
+    reply = _reply(status, {}, Location=loopback.url)
+    record, sent = _loopback_trial(tmp_path, loopback, [reply] * 3)
     assert sent == 1
     assert record["status"] == "transport_failed"
     assert str(status) in record["error"]
 
 
-def test_a_malformed_body_is_sent_once(tmp_path, monkeypatch):
-    record, sent = _stubbed_trial(tmp_path, monkeypatch, [_response(200, {"txt": "hi"})] * 3)
+def test_a_malformed_body_is_sent_once(tmp_path, loopback):
+    record, sent = _loopback_trial(tmp_path, loopback, [_reply(200, {"txt": "hi"})] * 3)
     assert sent == 1
     assert record["status"] == "transport_failed"
     assert "malformed" in record["error"] and "200" in record["error"]
@@ -566,19 +693,19 @@ def test_a_malformed_body_is_sent_once(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "failure",
-    [_response(503, {}), _response(429, {}), requests.ConnectionError("refused"), requests.Timeout("slow")],
-    ids=["503", "429", "connection", "timeout"],
+    [_reply(503, {}), _reply(429, {}), _Loopback.DROP, _Loopback.HANG, _Loopback.SHORT],
+    ids=["503", "429", "connection", "timeout", "short-body"],
 )
-def test_a_retryable_failure_is_retried(tmp_path, monkeypatch, failure):
-    answer = _response(200, _gold_answer(tmp_path))
-    record, sent = _stubbed_trial(tmp_path, monkeypatch, [failure, answer])
+def test_a_retryable_failure_is_retried(tmp_path, loopback, failure):
+    answer = _reply(200, _gold_answer(tmp_path))
+    record, sent = _loopback_trial(tmp_path, loopback, [failure, answer], timeout_s=0.5)
     assert sent == 2
     assert record["status"] == "ok"
     assert record["scores"]["exact"] == 1
 
 
-def test_retries_stop_at_max_attempts(tmp_path, monkeypatch):
-    record, sent = _stubbed_trial(tmp_path, monkeypatch, [_response(500, {})] * 3)
+def test_retries_stop_at_max_attempts(tmp_path, loopback):
+    record, sent = _loopback_trial(tmp_path, loopback, [_reply(500, {})] * 3)
     assert sent == 3
     assert record["status"] == "transport_failed"
     assert "after 3 attempts" in record["error"] and "500" in record["error"]
@@ -595,22 +722,40 @@ def test_retries_stop_at_max_attempts(tmp_path, monkeypatch):
         (429, "-3", 0, 0),
     ],
 )
-def test_a_retryable_response_waits_its_retry_after(tmp_path, monkeypatch, status, retry_after, backoff_s, waited):
+def test_a_retryable_response_waits_its_retry_after(tmp_path, loopback, monkeypatch, status, retry_after, backoff_s, waited):
     slept = []
     monkeypatch.setattr(harness.time, "sleep", slept.append)
-    limited = _response(status, {})
-    limited.headers["Retry-After"] = retry_after
-    answer = _response(200, _gold_answer(tmp_path))
-    record, sent = _stubbed_trial(tmp_path, monkeypatch, [limited, answer], backoff_s=backoff_s)
+    limited = _reply(status, {}, Retry_After=retry_after)
+    answer = _reply(200, _gold_answer(tmp_path))
+    record, sent = _loopback_trial(tmp_path, loopback, [limited, answer], backoff_s=backoff_s)
     assert (sent, record["status"], slept) == (2, "ok", [waited])
 
 
-def test_retry_after_holds_for_one_wait_only(tmp_path, monkeypatch):
+def test_retry_after_holds_for_one_wait_only(tmp_path, loopback, monkeypatch):
     slept = []
     monkeypatch.setattr(harness.time, "sleep", slept.append)
-    limited = _response(429, {})
-    limited.headers["Retry-After"] = "7"
-    answer = _response(200, _gold_answer(tmp_path))
-    replies = [limited, requests.ConnectionError("refused"), answer]
-    record, sent = _stubbed_trial(tmp_path, monkeypatch, replies, backoff_s=0.25)
+    limited = _reply(429, {}, Retry_After="7")
+    answer = _reply(200, _gold_answer(tmp_path))
+    replies = [limited, _Loopback.DROP, answer]
+    record, sent = _loopback_trial(tmp_path, loopback, replies, backoff_s=0.25)
     assert (sent, record["status"], slept) == (3, "ok", [7, 0.5])
+
+
+def test_a_mock_run_imports_no_http_stack(tmp_path):
+    code = (
+        "import sys\n"
+        "import scfgkit\n"
+        "from scfgkit import harness\n"
+        "cfg = harness.ExperimentConfig(conditions=(scfgkit.GrammarSpec(size=57),), lengths=(3,),\n"
+        "    n_per_cell=1, endpoint=harness.EndpointProfile(url=harness.MOCK_ORACLE),\n"
+        "    model_name='m', out_dir=sys.argv[1])\n"
+        "[record] = harness.run_experiment(cfg)\n"
+        "assert record['status'] == 'ok', record\n"
+        "print(sorted({'requests', 'urllib.request', 'http.client', 'ssl'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(scfgkit.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "run")], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
