@@ -5,7 +5,8 @@ fixed number of replicates per cell.  Each trial deterministically derives
 its seed from the master seed and its cell coordinates, samples one gold
 pair, renders the prompt, queries the endpoint, extracts and scores the
 answer, and appends one JSON line to the run log.  Logs are append-only and
-resumable: a rerun skips trial ids already present.
+resumable: a rerun skips trial ids already present.  A line is a record once
+its newline is written: a resume cuts off a last line without one.
 
 A record does not repeat its prompt, which is mostly the grammar: it carries
 the prompt's SHA-256 (``prompt_sha256``).  Before the first record of a log,
@@ -19,7 +20,9 @@ with.  Records of schema version 1, which held the prompt itself, still read.
 Endpoints speak a minimal JSON POST ``{model, prompt} -> {text}``; a
 "chat" profile adapts that to chat-completion shaped payloads.  Two
 in-process mocks need no network: ``mock://oracle`` answers with the gold
-target, ``mock://echo-source`` parrots the source sentence back.  The POST
+target, ``mock://echo-source`` parrots the source sentence back.  Refused at
+load: any other mock, NaN or Infinity in ``params``, a timeout or backoff
+that is not a finite number, a retry count that is not whole.  The POST
 uses stdlib ``urllib``, imported on first use: proxies come from ``*_proxy``
 variables, TLS is verified against the system CA store, a 307 or 308
 redirect is not followed, a 301, 302 or 303 is followed as a GET that
@@ -54,6 +57,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import BinaryIO
 from urllib.parse import urlsplit  # already loaded by pathlib
 
 import numpy as np
@@ -81,6 +85,16 @@ logger = logging.getLogger(__name__)
 
 MOCK_ORACLE = "mock://oracle"
 MOCK_ECHO_SOURCE = "mock://echo-source"
+# The mock endpoints, each with its answer from a trial's gold target and source.
+_MOCKS = {
+    MOCK_ORACLE: lambda gold, source: gold,
+    MOCK_ECHO_SOURCE: lambda gold, source: source,
+}
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite number >= 0 (and not a bool)."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and 0 <= value < math.inf
 
 
 @dataclass(frozen=True)
@@ -89,8 +103,10 @@ class RetryPolicy:
     backoff_s: float = 0.5  # sleep backoff_s * 2**attempt between tries
 
     def __post_init__(self):
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        if isinstance(self.max_attempts, bool) or not isinstance(self.max_attempts, int) or self.max_attempts < 1:
+            raise ValueError(f"retry max_attempts must be a whole number >= 1: {self.max_attempts!r}")
+        if not _finite(self.backoff_s):
+            raise ValueError(f"retry backoff_s must be a finite number >= 0: {self.backoff_s!r}")
 
 
 def _names_a_host(url: str) -> bool:
@@ -123,17 +139,16 @@ class EndpointProfile:
     def __post_init__(self):
         if self.kind not in ("plain", "chat"):
             raise ValueError(f"unknown endpoint kind: {self.kind!r}")
-        if not (isinstance(self.url, str) and (self.mock or _names_a_host(self.url))):
-            raise ValueError(f"endpoint url must be an http://, https:// or mock:// URL: {self.url!r}")
-        timeout = self.timeout_s
-        if isinstance(timeout, bool) or not isinstance(timeout, (int, float)) or not 0 < timeout < math.inf:
-            raise ValueError(f"endpoint timeout_s must be a positive finite number: {timeout!r}")
-        if not isinstance(self.params, dict):
-            raise ValueError(f"endpoint params must be a JSON object: {self.params!r}")
-
-    @property
-    def mock(self) -> bool:
-        return self.url.startswith("mock://")
+        if not (isinstance(self.url, str) and (self.url in _MOCKS or _names_a_host(self.url))):
+            raise ValueError(f"endpoint url must be http(s) with a host or one of {', '.join(_MOCKS)}: {self.url!r}")
+        if not (_finite(self.timeout_s) and self.timeout_s > 0):
+            raise ValueError(f"endpoint timeout_s must be a positive finite number: {self.timeout_s!r}")
+        try:  # NaN is not JSON; json.dumps is left to the log append alone
+            encodable = isinstance(self.params, dict) and json.JSONEncoder(allow_nan=False).encode(self.params)
+        except (ValueError, TypeError):
+            encodable = False
+        if not encodable:
+            raise ValueError(f"endpoint params must be a JSON object without NaN or Infinity: {self.params!r}")
 
     def metadata(self) -> dict:
         return {
@@ -227,13 +242,9 @@ class _Client:
         self.cfg = cfg
 
     def __call__(self, prompt: str, gold: str, source: str) -> str:
-        url = self.cfg.endpoint.url
-        if url == MOCK_ORACLE:
-            return f"Final answer: {gold}"
-        if url == MOCK_ECHO_SOURCE:
-            return f"Final answer: {source}"
-        if self.cfg.endpoint.mock:
-            raise ValueError(f"unknown mock endpoint: {url!r}")
+        mock = _MOCKS.get(self.cfg.endpoint.url)
+        if mock:
+            return f"Final answer: {mock(gold, source)}"
         return self._http(prompt)
 
     def _http(self, prompt: str) -> str:
@@ -382,53 +393,42 @@ def run_trial(
     }
 
 
-def scan_log(path: str | Path) -> tuple[list[dict], int]:
+def scan_log(log: str | Path | BinaryIO) -> tuple[list[dict], int]:
     """Records from a run log, and the number of corrupt lines skipped.
 
-    A line that does not decode is corrupt, except a last line without its
-    newline: that is a torn append (a run cut mid-write), dropped silently.
+    A line is a record once its newline is written: a last line without one
+    is a torn append (a run cut mid-write), neither a record nor corrupt.
+    ``log`` is a path or a binary file open at its start, which the one pass
+    leaves at the end of the whole lines, where a resume truncates it.
     """
+    if isinstance(log, (str, os.PathLike)):
+        if not os.path.exists(log):
+            return [], 0
+        with open(log, "rb") as fh:
+            return scan_log(fh)
     records = []
     corrupt = 0
-    log = Path(path)
-    if not log.exists():
-        return records, corrupt
-    with log.open("rb") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except ValueError:  # bad JSON, or UTF-8 cut mid-character
-                corrupt += line.endswith(b"\n")
+    for line in log:
+        if not line.endswith(b"\n"):  # only ever the last line
+            log.seek(-len(line), os.SEEK_CUR)
+            break
+        if not line.strip():
+            continue
+        try:
+            records.append(json.loads(line))
+        except ValueError:  # bad JSON, or UTF-8 cut mid-character
+            corrupt += 1
     return records, corrupt
 
 
-def read_log(path: str | Path) -> list[dict]:
-    """Records from a run log, skipping any torn trailing line; corrupt lines
-    elsewhere are skipped with a warning on this module's logger."""
-    records, corrupt = scan_log(path)
+def read_log(log: str | Path | BinaryIO) -> list[dict]:
+    """The records of :func:`scan_log`; corrupt lines are skipped with a
+    warning on this module's logger."""
+    records, corrupt = scan_log(log)
     if corrupt:
-        logger.warning("skipped %d corrupt line(s) in %s", corrupt, path)
+        where = log if isinstance(log, (str, os.PathLike)) else log.name
+        logger.warning("skipped %d corrupt line(s) in %s", corrupt, where)
     return records
-
-
-def _drop_torn_tail(path: Path) -> None:
-    """Truncate a log to its last newline, dropping a partly written line so
-    the next append starts a line of its own."""
-    if not path.exists():
-        return
-    with path.open("r+b") as fh:
-        end = fh.seek(0, os.SEEK_END)
-        while end > 0:
-            start = max(0, end - 4096)
-            fh.seek(start)
-            newline = fh.read(end - start).rfind(b"\n")
-            if newline >= 0:
-                fh.truncate(start + newline + 1)
-                return
-            end = start
-        fh.truncate(0)
 
 
 def _manifest(cfg: ExperimentConfig, conditions: list[dict]) -> dict:
@@ -496,8 +496,8 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> list[dict]:
     Each finished trial is appended to ``<out_dir>/runs.jsonl`` immediately.
     Records are written in grid order (conditions x lengths x replicates) so
     identical configs yield identical logs up to timing fields.  A resumed
-    log is first cut back to its last newline, so the log on disk reads back
-    to exactly the records returned.
+    log is read in one pass that also cuts off a torn last line, so the log
+    on disk reads back to exactly the records returned.
 
     A new log starts with ``<out_dir>/run.json``, the run's manifest.  A log
     with records resumed under its manifest generates only the conditions
@@ -511,11 +511,14 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> list[dict]:
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "runs.jsonl"
     manifest_path = out_dir / MANIFEST_NAME
-    if resume:
-        _drop_torn_tail(log_path)
-    prior = read_log(log_path) if resume else []
-    if not resume and log_path.exists():
-        log_path.unlink()
+    prior = []
+    if not resume:
+        log_path.unlink(missing_ok=True)
+    elif log_path.exists():
+        with log_path.open("r+b") as fh:
+            prior = read_log(fh)  # leaves fh at the end of the last whole line
+            if fh.tell() < os.fstat(fh.fileno()).st_size:
+                fh.truncate()
     done = {r["trial_id"] for r in prior}
     todo = [
         (ci, length, rep)

@@ -22,9 +22,11 @@ written in one topological order fixed when the sampler is built.  That
 check also rejects grammars whose counts would be infinite (a nonterminal
 deriving itself without consuming source words).
 
-A draw picks each rule, and then where each of its children's suffixes
-splits, with one ``randrange`` over the total weight and a bisection of the
-cumulative weights, kept once built for a (cell, length).
+One method gives the weights of a cell's choices at a length.  A fill sums
+them into the cell's count; a draw picks each rule, and then where each of
+its children's suffixes splits, with one ``randrange`` below that count and
+a bisection of the weights' running total, kept once built for a (cell,
+length).  So a count is the very total a draw bisects.
 
 ``grammar.compiled.sampler`` is shared by threads.  A fill holds the
 sampler's lock, and a length becomes readable only once every cell at it is
@@ -212,29 +214,29 @@ class Sampler:
 
         Within a length, cells go in the fixed order, so each reads only
         cells at shorter lengths or already written at this one."""
-        table = self._table
+        table, weights = self._table, self._weights
         for length in range(self._filled, top + 1):
             table[_EMPTY].append(int(length == 0))
             for cell in self._order:
-                split = self._splits[cell]
-                if split is None:
-                    n = sum(
-                        table[child][length - words]
-                        for _, child, words in self._rules[cell]
-                        if words <= length
-                    )
-                else:
-                    n = sum(self._split_weights(split, length))
-                table[cell].append(n)
+                table[cell].append(sum(weights(cell, length)))
             self._filled = length + 1
 
-    def _split_weights(self, split: tuple[int, int, int, int], length: int):
-        """Derivations of a suffix at ``length`` per head length, from the
-        head's least: head count times rest count, one C-level product."""
+    def _weights(self, cell: int, length: int):
+        """The weights of the choices at (``cell``, ``length``) in draw order:
+        a name's rules, each its children's count at the words its own leave;
+        a suffix's head lengths rising from the head's least, each head count
+        times rest count, one C-level product."""
+        table = self._table
+        split = self._splits[cell]
+        if split is None:
+            return (
+                table[child][length - words] if words <= length else 0
+                for _, child, words in self._rules[cell]
+            )
         head, rest, head_min, rest_min = split
         top = length - rest_min
-        heads = self._table[head][head_min : top + 1]
-        return map(mul, heads, reversed(self._table[rest][length - top : length - head_min + 1]))
+        heads = table[head][head_min : top + 1]
+        return map(mul, heads, reversed(table[rest][length - top : length - head_min + 1]))
 
     def achievable_lengths(self, lo: int = 1, hi: int = 60) -> list[int]:
         return [l for l in range(lo, hi + 1) if self.count(l) > 0]
@@ -242,9 +244,9 @@ class Sampler:
     # --- drawing ----------------------------------------------------------
 
     def _cumulative(self, cell: int, length: int) -> list[int]:
-        """Cumulative weights of the choices at a filled (cell, length): a
-        name's rules in grammar order, a suffix's head lengths rising.  Built
-        once per key and kept; a racing build stores an equal list.
+        """The running total of :meth:`_weights` at a filled (cell, length),
+        whose last entry is the cell's count.  Built once per key and kept; a
+        racing build stores an equal list.
 
         The choices after the last one of positive weight are cut off, as a
         bisection below the total never reaches them: a right-recursive
@@ -252,16 +254,7 @@ class Sampler:
         length of a long draw, not one per word of that length."""
         at = self._cumulative_at[cell]
         if length not in at:
-            split = self._splits[cell]
-            if split is None:
-                table = self._table
-                weights = (
-                    table[child][length - words] if words <= length else 0
-                    for _, child, words in self._rules[cell]
-                )
-            else:
-                weights = self._split_weights(split, length)
-            cumulative = list(accumulate(weights))
+            cumulative = list(accumulate(self._weights(cell, length)))
             del cumulative[cumulative.index(cumulative[-1]) + 1 :]
             at[length] = cumulative
         return at[length]

@@ -328,9 +328,12 @@ def test_run_rejects_an_unknown_config_key(tmp_path, capsys, where):
 @pytest.mark.parametrize(
     "endpoint",
     [{"url": 5}, {"url": "localhost:8000/v1"}, {"url": "ftp://127.0.0.1/v1"}, {"url": "http:///v1"},
-     {"timeout_s": 0}, {"timeout_s": -1}, {"timeout_s": "60"}, {"timeout_s": float("inf")}, {"params": [1]}],
-    ids=["url-number", "url-schemeless", "url-ftp", "url-no-host", "timeout-zero", "timeout-negative",
-         "timeout-string", "timeout-infinite", "params"],
+     {"url": "mock://nope"}, {"timeout_s": 0}, {"timeout_s": -1}, {"timeout_s": "60"},
+     {"timeout_s": float("inf")}, {"params": [1]}, {"params": {"temperature": float("nan")}},
+     {"params": {"stop": [{"p": float("inf")}]}}],
+    ids=["url-number", "url-schemeless", "url-ftp", "url-no-host", "url-unknown-mock", "timeout-zero",
+         "timeout-negative", "timeout-string", "timeout-infinite", "params", "params-nan",
+         "params-nested-infinity"],
 )
 def test_run_rejects_a_malformed_endpoint(tmp_path, capsys, endpoint):
     config = tmp_path / "config.json"
@@ -346,6 +349,23 @@ def test_run_rejects_a_malformed_endpoint(tmp_path, capsys, endpoint):
     err = capsys.readouterr().err
     assert err.startswith("error: endpoint ") and err.count("\n") == 1
     assert next(iter(endpoint)) in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_rejects_a_non_finite_retry_backoff(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "conditions": [{"size": 57, "seed": 0}],
+        "lengths": [3],
+        "n_per_cell": 1,
+        "endpoint": {"url": "mock://oracle"},
+        "retry": {"backoff_s": float("nan")},
+        "model_name": "oracle",
+        "out_dir": str(tmp_path / "run"),
+    }), "utf-8")
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: retry backoff_s ") and err.count("\n") == 1
     assert not (tmp_path / "run").exists()
 
 

@@ -62,8 +62,13 @@ def test_config_validation(tmp_path):
     for cap in (0, -1):
         with pytest.raises(ValueError, match="translate_cap"):
             make_config(tmp_path, translate_cap=cap)
-    with pytest.raises(ValueError):
-        RetryPolicy(max_attempts=0)
+    for attempts in (0, 2.5, "3", True):
+        with pytest.raises(ValueError, match="retry max_attempts"):
+            RetryPolicy(max_attempts=attempts)
+    for backoff in (-0.5, float("nan"), float("inf"), "0.5", True):
+        with pytest.raises(ValueError, match="retry backoff_s"):
+            RetryPolicy(backoff_s=backoff)
+    assert RetryPolicy(backoff_s=0).backoff_s == 0
     with pytest.raises(ValueError):
         EndpointProfile(url="http://x", kind="socket")
     # urllib fails these at every attempt, so they are refused at load
@@ -191,6 +196,36 @@ def test_resume_skips_finished_trials(tmp_path):
     assert len(run_experiment(cfg)) == len(first)
 
 
+def test_a_record_is_a_line_once_its_newline_is_written(tmp_path, monkeypatch, capsys):
+    # the last record, whole but for its newline, is torn: every reader
+    # leaves it out, and a resume runs that trial again
+    cfg = make_config(tmp_path)
+    first = run_experiment(cfg)
+    log = tmp_path / "run" / "runs.jsonl"
+    log.write_bytes(log.read_bytes()[:-1])
+    assert read_log(log) == first[:-1]
+    assert harness.scan_log(log) == (first[:-1], 0)
+    assert main(["report", "--log", str(log), "--out", str(tmp_path / "report"),
+                 "--resamples", "200"]) == 0
+    by_size = (tmp_path / "report" / "by_size.csv").read_text("utf-8")
+    assert "57,exact,4,1.000000" in by_size and "77,exact,3,1.000000" in by_size
+    assert "warning" not in capsys.readouterr().err
+
+    ran = []
+    inner = harness.run_trial
+
+    def counted(cfg, grammar, ci, length, rep, client):
+        ran.append(trial_id(ci, length, rep))
+        return inner(cfg, grammar, ci, length, rep, client)
+
+    monkeypatch.setattr(harness, "run_trial", counted)
+    resumed = run_experiment(cfg)
+    assert ran == [first[-1]["trial_id"]]
+    assert resumed[:-1] == first[:-1] and resumed[-1]["trial_id"] == first[-1]["trial_id"]
+    assert read_log(log) == resumed
+    assert log.read_bytes().endswith(b"\n")
+
+
 def test_read_log_counts_corrupt_lines_but_not_a_torn_tail(tmp_path, caplog):
     log = tmp_path / "runs.jsonl"
     records = [{"trial_id": f"t{i}", "target": "Вася ест"} for i in range(3)]
@@ -296,15 +331,12 @@ def test_extraction_failure_is_a_failed_trial(tmp_path):
     assert record["extracted"] is None
 
 
-def test_unknown_mock_is_a_transport_failure(tmp_path):
-    cfg = make_config(tmp_path, url="mock://nope")
-    grammar = generate(cfg.conditions[0])
-    record = run_trial(cfg, grammar, 0, 3, 0, client=_Client(cfg))
-    assert record["status"] == "transport_failed"
-    assert record["error"]
-    assert record["scores"] == {
-        "exact": 0, "bag_of_words": 0, "bleu": 0.0, "chrfpp": 0.0,
-    }
+def test_an_unknown_mock_is_refused_at_load(tmp_path):
+    # the client answers only the mocks it knows, so any other would fail
+    # every trial of the run
+    for url in ("mock://nope", "mock://", "mock://oracle/", "mock://Oracle"):
+        with pytest.raises(ValueError, match="endpoint url"):
+            make_config(tmp_path, url=url)
 
 
 def test_unreachable_endpoint_fails_without_raising(tmp_path):
@@ -658,14 +690,13 @@ def test_a_redirect_is_not_sent_the_token(tmp_path, loopback, second_loopback, m
     assert record["status"] == "ok"
 
 
-def test_a_nan_param_fails_the_trial_unsent(tmp_path, loopback):
-    cfg = replace(
-        make_config(tmp_path),
-        endpoint=EndpointProfile(url=loopback.script([]).url, params={"temperature": float("nan")}),
-    )
-    record = run_trial(cfg, generate(cfg.conditions[0]), 0, 3, 0, client=_Client(cfg))
-    assert record["status"] == "transport_failed" and "JSON compliant" in record["error"]
-    assert loopback.sent == []
+def test_a_non_finite_param_is_refused_at_load():
+    # NaN or Infinity is not JSON: no request could carry it, and the
+    # manifest and every record would hold a token strict readers refuse
+    for params in ({"temperature": float("nan")}, {"stop": [{"p": float("inf")}]}, {"t": -float("inf")},
+                   {"seed": {1, 2}}):
+        with pytest.raises(ValueError, match="endpoint params"):
+            EndpointProfile(url="http://127.0.0.1/v1", params=params)
 
 
 def _gold_answer(tmp_path) -> dict:
