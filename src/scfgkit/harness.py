@@ -22,7 +22,9 @@ Endpoints speak a minimal JSON POST ``{model, prompt} -> {text}``; a
 in-process mocks need no network: ``mock://oracle`` answers with the gold
 target, ``mock://echo-source`` parrots the source sentence back.  Refused at
 load: any other mock, NaN or Infinity in ``params``, a timeout or backoff
-that is not a finite number, a retry count that is not whole.  The POST
+that is not a finite number, a retry count that is not whole; and in the
+config, a count, cap, length or master seed that is not whole, or a model
+name that is not a non-empty string.  The POST
 uses stdlib ``urllib``, imported on first use: proxies come from ``*_proxy``
 variables, TLS is verified against the system CA store, a 307 or 308
 redirect is not followed, a 301, 302 or 303 is followed as a GET that
@@ -92,6 +94,11 @@ _MOCKS = {
 }
 
 
+def _whole(value) -> bool:
+    """Whether ``value`` is a whole number (an int, and not a bool)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _finite(value) -> bool:
     """Whether ``value`` is a finite number >= 0 (and not a bool)."""
     return not isinstance(value, bool) and isinstance(value, (int, float)) and 0 <= value < math.inf
@@ -103,7 +110,7 @@ class RetryPolicy:
     backoff_s: float = 0.5  # sleep backoff_s * 2**attempt between tries
 
     def __post_init__(self):
-        if isinstance(self.max_attempts, bool) or not isinstance(self.max_attempts, int) or self.max_attempts < 1:
+        if not (_whole(self.max_attempts) and self.max_attempts >= 1):
             raise ValueError(f"retry max_attempts must be a whole number >= 1: {self.max_attempts!r}")
         if not _finite(self.backoff_s):
             raise ValueError(f"retry backoff_s must be a finite number >= 0: {self.backoff_s!r}")
@@ -175,16 +182,20 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.conditions:
             raise ValueError("need at least one grammar condition")
-        if self.n_per_cell < 1:
-            raise ValueError("n_per_cell must be >= 1")
-        if self.max_parallel < 1:
-            raise ValueError("max_parallel must be >= 1")
+        for name in ("n_per_cell", "max_parallel", "translate_cap"):
+            value = getattr(self, name)
+            if not (_whole(value) and value >= 1):
+                raise ValueError(f"{name} must be a whole number >= 1: {value!r}")
+        if not (isinstance(self.lengths, (tuple, list)) and all(map(_whole, self.lengths))):
+            raise ValueError(f"lengths must be a list of whole numbers: {self.lengths!r}")
         if not self.lengths or len(set(self.lengths)) != len(self.lengths):
             raise ValueError("lengths must be nonempty and free of repeats")
         if any(not 3 <= n <= 50 for n in self.lengths):
             raise ValueError("lengths must lie in [3, 50]")
-        if self.translate_cap < 1:
-            raise ValueError("translate_cap must be >= 1")
+        if not _whole(self.master_seed):
+            raise ValueError(f"master_seed must be a whole number: {self.master_seed!r}")
+        if not (isinstance(self.model_name, str) and self.model_name):
+            raise ValueError(f"model_name must be a non-empty string: {self.model_name!r}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -198,7 +209,7 @@ class ExperimentConfig:
             cls,
             raw,
             conditions=lambda specs: tuple(map(nested(GrammarSpec), specs)),
-            lengths=tuple,
+            lengths=lambda value: tuple(value) if isinstance(value, list) else value,
             endpoint=nested(EndpointProfile),
             out_dir=Path,
             retry=nested(RetryPolicy),

@@ -3,6 +3,10 @@
 A report groups records along each axis of :data:`AXES` (grammar size,
 source length); each cell reports the per-metric mean with a 95%
 nonparametric bootstrap confidence interval (10,000 percentile resamples).
+Cells with the same number of records, on any axis and for any metric, share
+one resample stream: its indices are drawn once, and each cell's interval is
+the one :func:`bootstrap_ci` gives for its scores alone.  A resample count
+that is not a whole number >= 1, or a confidence outside (0, 1), is refused.
 Tables emit as CSV (long form) and as aligned text with metrics as rows and
 groups as columns; a group given to :func:`group_table` with no records
 renders as an em dash.
@@ -13,13 +17,14 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 METRICS = ("exact", "bag_of_words", "bleu", "chrfpp")
 EMPTY_CELL = "—"
-# elements of resample indices drawn at once by bootstrap_ci
+# elements of resample indices drawn at once
 RESAMPLE_BLOCK = 1 << 20
 # (table name, record field, CSV column, text title), in report order
 AXES = (
@@ -40,6 +45,46 @@ class CellStat:
         return self.n == 0
 
 
+def _check(n_resamples, confidence: float = 0.95) -> None:
+    """Refuse bootstrap arguments that no interval can be drawn with."""
+    if isinstance(n_resamples, bool) or not isinstance(n_resamples, Integral) or n_resamples < 1:
+        raise ValueError(f"n_resamples must be a whole number >= 1: {n_resamples!r}")
+    if isinstance(confidence, bool) or not isinstance(confidence, Real) or not 0 < confidence < 1:
+        raise ValueError(f"confidence must lie in (0, 1): {confidence!r}")
+
+
+def _intervals(columns: list, n_resamples: int, confidence: float, seed: int) -> list:
+    """Percentile bootstrap interval for the mean of each nonempty float
+    array in ``columns``, in order.
+
+    Columns of one size share one resample stream, drawn once from
+    ``default_rng(seed)``.  It is drawn a block of rows at a time, so memory
+    stays bounded; the generator's stream, and so every index, is the same as
+    in one (n_resamples, n) draw, which is what each column would see alone.
+    Only the resampled means of one size's columns are held at a time.
+    """
+    _check(n_resamples, confidence)
+    by_size: dict = {}
+    for i, arr in enumerate(columns):
+        by_size.setdefault(arr.size, []).append(i)
+    tail = (1.0 - confidence) / 2.0
+    intervals = [None] * len(columns)
+    for n, same_size in by_size.items():
+        rng = np.random.default_rng(seed)
+        rows = max(1, RESAMPLE_BLOCK // n)
+        means = np.empty((len(same_size), n_resamples))
+        for start in range(0, n_resamples, rows):
+            idx = rng.integers(0, n, size=(min(rows, n_resamples - start), n))
+            for k, i in enumerate(same_size):
+                means[k, start:start + len(idx)] = columns[i][idx].mean(axis=1)
+        for i, resampled in zip(same_size, means):
+            low, high = np.quantile(resampled, [tail, 1.0 - tail])
+            # quantile interpolation can drift one ulp past the sample range
+            lo_bound, hi_bound = columns[i].min(), columns[i].max()
+            intervals[i] = float(np.clip(low, lo_bound, hi_bound)), float(np.clip(high, lo_bound, hi_bound))
+    return intervals
+
+
 def bootstrap_ci(
     values,
     n_resamples: int = 10_000,
@@ -50,29 +95,43 @@ def bootstrap_ci(
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot bootstrap an empty sample")
-    rng = np.random.default_rng(seed)
-    # draw the resample indices a block of rows at a time, so memory stays
-    # bounded; the generator's stream, and so every index, is the same as in
-    # one (n_resamples, n) draw
-    rows = max(1, RESAMPLE_BLOCK // arr.size)
-    blocks = []
-    for start in range(0, n_resamples, rows):
-        size = (min(rows, n_resamples - start), arr.size)
-        blocks.append(arr[rng.integers(0, arr.size, size=size)].mean(axis=1))
-    means = np.concatenate(blocks)
-    tail = (1.0 - confidence) / 2.0
-    low, high = np.quantile(means, [tail, 1.0 - tail])
-    # quantile interpolation can drift one ulp past the sample range
-    lo_bound, hi_bound = arr.min(), arr.max()
-    return float(np.clip(low, lo_bound, hi_bound)), float(np.clip(high, lo_bound, hi_bound))
+    return _intervals([arr], n_resamples, confidence, seed)[0]
 
 
-def _cell(values, n_resamples: int, seed: int) -> CellStat:
-    if not values:
-        return CellStat(0, None, None, None)
-    arr = np.asarray(values, dtype=float)
-    low, high = bootstrap_ci(arr, n_resamples=n_resamples, seed=seed)
-    return CellStat(len(values), float(arr.mean()), low, high)
+def _score_columns(records, key: str, groups) -> dict:
+    """{group value: {metric: float array of its scores}}, ``groups`` as in
+    :func:`group_table`."""
+    scores: dict = {}
+    for r in records:
+        scores.setdefault(r[key], []).append(r["scores"])
+    if groups is None:
+        groups = sorted(scores)
+    return {
+        group: {
+            metric: np.asarray([s[metric] for s in scores.get(group, ())], dtype=float)
+            for metric in METRICS
+        }
+        for group in groups
+    }
+
+
+def _stat_tables(tables: list, n_resamples: int, seed: int) -> list:
+    """Each table of :func:`_score_columns` as a table of :class:`CellStat`;
+    the nonempty columns of all ``tables`` are bootstrapped together."""
+    columns = [arr for table in tables for row in table.values() for arr in row.values() if arr.size]
+    intervals = iter(_intervals(columns, n_resamples, 0.95, seed))
+    return [
+        {
+            group: {
+                metric: CellStat(arr.size, float(arr.mean()), *next(intervals))
+                if arr.size
+                else CellStat(0, None, None, None)
+                for metric, arr in row.items()
+            }
+            for group, row in table.items()
+        }
+        for table in tables
+    ]
 
 
 def group_table(
@@ -87,29 +146,15 @@ def group_table(
     ``groups`` fixes the column set (empty groups included); by default the
     distinct values present in the records are used, sorted.
     """
-    scores: dict = {}
-    for r in records:
-        scores.setdefault(r[key], []).append(r["scores"])
-    if groups is None:
-        groups = sorted(scores)
-    return {
-        group: {
-            metric: _cell(
-                [s[metric] for s in scores.get(group, ())], n_resamples, seed
-            )
-            for metric in METRICS
-        }
-        for group in groups
-    }
+    [table] = _stat_tables([_score_columns(records, key, groups)], n_resamples, seed)
+    return table
 
 
 def aggregate_report(records, *, n_resamples: int = 10_000, seed: int = 0) -> dict:
     """{table name: group_table} for each axis of :data:`AXES`."""
     records = list(records)
-    return {
-        name: group_table(records, key, n_resamples=n_resamples, seed=seed)
-        for name, key, _, _ in AXES
-    }
+    tables = [_score_columns(records, key, None) for _, key, _, _ in AXES]
+    return {name: table for (name, *_), table in zip(AXES, _stat_tables(tables, n_resamples, seed))}
 
 
 def table_to_csv(table: dict, key_name: str) -> str:
@@ -162,6 +207,7 @@ def write_report(records, out_dir: str | Path, *, n_resamples: int = 10_000, see
 
     Returns {"by_size": Path, "by_length": Path, "text": Path}.
     """
+    _check(n_resamples)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = aggregate_report(records, n_resamples=n_resamples, seed=seed)

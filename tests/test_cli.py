@@ -369,6 +369,46 @@ def test_run_rejects_a_non_finite_retry_backoff(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"n_per_cell": "2"}, {"n_per_cell": True}, {"n_per_cell": 1.5}, {"max_parallel": "4"},
+     {"max_parallel": True}, {"translate_cap": True}, {"translate_cap": 2.5}, {"lengths": ["3"]},
+     {"lengths": [3.0]}, {"lengths": 3}, {"master_seed": "0"}, {"master_seed": 1.5},
+     {"model_name": float("nan")}, {"model_name": ""}, {"model_name": 5}],
+    ids=["n_per_cell-string", "n_per_cell-bool", "n_per_cell-fraction", "max_parallel-string",
+         "max_parallel-bool", "translate_cap-bool", "translate_cap-fraction", "lengths-string",
+         "lengths-float", "lengths-number", "master_seed-string", "master_seed-fraction",
+         "model_name-nan", "model_name-empty", "model_name-number"],
+)
+def test_run_rejects_a_malformed_config(tmp_path, capsys, fields):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "conditions": [{"size": 57, "seed": 0}],
+        "lengths": [3],
+        "n_per_cell": 1,
+        "endpoint": {"url": "mock://oracle"},
+        "model_name": "oracle",
+        "out_dir": str(tmp_path / "run"),
+        **fields,
+    }), "utf-8")
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {next(iter(fields))} ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("resamples", ["0", "-3"])
+def test_report_refuses_a_resample_count_below_one(tmp_path, capsys, resamples):
+    log = tmp_path / "runs.jsonl"
+    record = {"grammar_size": 57, "length": 3, "scores": {"exact": 1, "bag_of_words": 1, "bleu": 1.0, "chrfpp": 1.0}}
+    log.write_text(json.dumps(record) + "\n", "utf-8")
+    out = tmp_path / "report"
+    assert main(["report", "--log", str(log), "--out", str(out), "--resamples", resamples]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: n_resamples ") and err.count("\n") == 1 and resamples in err
+    assert not out.exists()
+
+
 def test_run_and_report(tmp_path, capsys):
     config = tmp_path / "config.json"
     run_dir = tmp_path / "run"

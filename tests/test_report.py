@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scfgkit.report import (
+    AXES,
     EMPTY_CELL,
     METRICS,
+    CellStat,
     aggregate_report,
     bootstrap_ci,
     group_table,
@@ -211,3 +213,79 @@ def test_empty_column_bytes_are_pinned():
     assert _sha256(table_to_text(table, "size")) == (
         "a859b93cad2bfa3fc6a98a1fadca7e131c680333987536e6787d09612d35c09e"
     )
+
+
+def _mixed_records() -> list:
+    # by_size: 600 records (two row blocks at 2,000 resamples), 30 and 1; by_length:
+    # two groups of 30, the size of size 117's group too, and one of 571
+    rng = random.Random(5)
+    sizes = [57] * 600 + [117] * 30 + [237]
+    lengths = [3] * 30 + [5] * 30 + [20] * 571
+    rng.shuffle(lengths)
+    return [
+        _pinned_record(size, length, [int(rng.random() < 0.6), int(rng.random() < 0.8),
+                                      round(rng.random(), 4), round(rng.random(), 4)])
+        for size, length in zip(sizes, lengths)
+    ]
+
+
+def test_report_cells_equal_one_shot_draws_of_their_own():
+    records = _mixed_records()
+    report = aggregate_report(records, n_resamples=2_000, seed=7)
+    for name, key, _, _ in AXES:
+        for group, row in report[name].items():
+            for metric in METRICS:
+                values = np.asarray([r["scores"][metric] for r in records if r[key] == group], dtype=float)
+                low, high = oracles.bootstrap_ci(values, n_resamples=2_000, seed=7)
+                assert row[metric] == CellStat(values.size, float(values.mean()), low, high), (name, group, metric)
+
+
+def test_cells_of_one_size_share_one_resample_stream(monkeypatch):
+    # 120 records: sizes of 60 and lengths of 40 give 20 cells of two sizes
+    records = [record(size, length) for size in (57, 237) for length in (5, 20, 50) for _ in range(20)]
+    seeded = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        seeded.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting_rng)
+    aggregate_report(records, n_resamples=100, seed=4)
+    assert seeded == [4, 4]
+
+
+def test_aggregate_report_memory_is_bounded():
+    # 32 columns of 2,000 records each, all of one size
+    values = np.random.default_rng(0).random(8_000)
+    records = [
+        _pinned_record((57, 117, 237, 400)[i % 4], (3, 5, 20, 50)[i // 4 % 4], [float(v)] * 4)
+        for i, v in enumerate(values)
+    ]
+    tracemalloc.start()
+    try:
+        aggregate_report(records)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("n_resamples", [0, -3, 2.5, "100", True])
+def test_bad_resample_counts_are_refused(tmp_path, n_resamples):
+    records = [record(57, 3), record(117, 5, 0.0)]
+    for call in (
+        lambda: bootstrap_ci([1.0, 0.0], n_resamples=n_resamples),
+        lambda: group_table(records, "grammar_size", n_resamples=n_resamples),
+        lambda: aggregate_report(records, n_resamples=n_resamples),
+        lambda: write_report(records, tmp_path / "report", n_resamples=n_resamples),
+    ):
+        with pytest.raises(ValueError, match="n_resamples must be a whole number >= 1"):
+            call()
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("confidence", [0, 1, -0.1, 1.5, float("nan"), "0.9", True])
+def test_bootstrap_ci_refuses_a_confidence_outside_the_unit_interval(confidence):
+    with pytest.raises(ValueError, match="confidence must lie in"):
+        bootstrap_ci([1.0, 0.0], confidence=confidence)
