@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         # covers bad specs, unreachable lengths, malformed grammars and
         # missing files; unexpected bugs still get a traceback
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) and exc.args else exc}", file=sys.stderr)
         return 2
 
 

@@ -20,11 +20,8 @@ with.  Records of schema version 1, which held the prompt itself, still read.
 Endpoints speak a minimal JSON POST ``{model, prompt} -> {text}``; a
 "chat" profile adapts that to chat-completion shaped payloads.  Two
 in-process mocks need no network: ``mock://oracle`` answers with the gold
-target, ``mock://echo-source`` parrots the source sentence back.  Refused at
-load: any other mock, NaN or Infinity in ``params``, a timeout or backoff
-that is not a finite number, a retry count that is not whole; and in the
-config, a count, cap, length or master seed that is not whole, or a model
-name that is not a non-empty string.  The POST
+target, ``mock://echo-source`` parrots the source sentence back.  Every
+config field is checked against its annotation at every level.  The POST
 uses stdlib ``urllib``, imported on first use: proxies come from ``*_proxy``
 variables, TLS is verified against the system CA store, a 307 or 308
 redirect is not followed, a 301, 302 or 303 is followed as a GET that
@@ -51,7 +48,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -67,7 +63,7 @@ import numpy as np
 from .errors import UNPARSEABLE, classify, sorted_labels
 from .grammar import SyncGrammar, word_vocab
 from .lexicon import english_words
-from .metagrammar import GrammarSpec, from_fields, generate
+from .metagrammar import GrammarSpec, check_fields, from_fields, generate
 from .metrics import ScoreRecord, score_candidate
 from .parsing import TRANSLATE_CAP, is_valid_translation, translate
 from .prompts import extract_answer, render_prompt, render_prompt_from_text
@@ -94,26 +90,17 @@ _MOCKS = {
 }
 
 
-def _whole(value) -> bool:
-    """Whether ``value`` is a whole number (an int, and not a bool)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _finite(value) -> bool:
-    """Whether ``value`` is a finite number >= 0 (and not a bool)."""
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and 0 <= value < math.inf
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     max_attempts: int = 3
     backoff_s: float = 0.5  # sleep backoff_s * 2**attempt between tries
 
     def __post_init__(self):
-        if not (_whole(self.max_attempts) and self.max_attempts >= 1):
-            raise ValueError(f"retry max_attempts must be a whole number >= 1: {self.max_attempts!r}")
-        if not _finite(self.backoff_s):
-            raise ValueError(f"retry backoff_s must be a finite number >= 0: {self.backoff_s!r}")
+        check_fields(self, "retry")
+        if self.max_attempts < 1:
+            raise ValueError(f"retry max_attempts must be >= 1: {self.max_attempts!r}")
+        if self.backoff_s < 0:
+            raise ValueError(f"retry backoff_s must be >= 0: {self.backoff_s!r}")
 
 
 def _names_a_host(url: str) -> bool:
@@ -144,18 +131,17 @@ class EndpointProfile:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        check_fields(self, "endpoint")
         if self.kind not in ("plain", "chat"):
             raise ValueError(f"unknown endpoint kind: {self.kind!r}")
-        if not (isinstance(self.url, str) and (self.url in _MOCKS or _names_a_host(self.url))):
+        if not (self.url in _MOCKS or _names_a_host(self.url)):
             raise ValueError(f"endpoint url must be http(s) with a host or one of {', '.join(_MOCKS)}: {self.url!r}")
-        if not (_finite(self.timeout_s) and self.timeout_s > 0):
-            raise ValueError(f"endpoint timeout_s must be a positive finite number: {self.timeout_s!r}")
+        if self.timeout_s <= 0:
+            raise ValueError(f"endpoint timeout_s must be positive: {self.timeout_s!r}")
         try:  # NaN is not JSON; json.dumps is left to the log append alone
-            encodable = isinstance(self.params, dict) and json.JSONEncoder(allow_nan=False).encode(self.params)
+            json.JSONEncoder(allow_nan=False).encode(self.params)
         except (ValueError, TypeError):
-            encodable = False
-        if not encodable:
-            raise ValueError(f"endpoint params must be a JSON object without NaN or Infinity: {self.params!r}")
+            raise ValueError(f"endpoint params must be a JSON object without NaN or Infinity: {self.params!r}") from None
 
     def metadata(self) -> dict:
         return {
@@ -180,40 +166,25 @@ class ExperimentConfig:
     translate_cap: int = TRANSLATE_CAP
 
     def __post_init__(self):
+        check_fields(self)
         if not self.conditions:
             raise ValueError("need at least one grammar condition")
         for name in ("n_per_cell", "max_parallel", "translate_cap"):
             value = getattr(self, name)
-            if not (_whole(value) and value >= 1):
-                raise ValueError(f"{name} must be a whole number >= 1: {value!r}")
-        if not (isinstance(self.lengths, (tuple, list)) and all(map(_whole, self.lengths))):
-            raise ValueError(f"lengths must be a list of whole numbers: {self.lengths!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1: {value!r}")
         if not self.lengths or len(set(self.lengths)) != len(self.lengths):
             raise ValueError("lengths must be nonempty and free of repeats")
         if any(not 3 <= n <= 50 for n in self.lengths):
             raise ValueError("lengths must lie in [3, 50]")
-        if not _whole(self.master_seed):
-            raise ValueError(f"master_seed must be a whole number: {self.master_seed!r}")
-        if not (isinstance(self.model_name, str) and self.model_name):
-            raise ValueError(f"model_name must be a non-empty string: {self.model_name!r}")
+        if not self.model_name:
+            raise ValueError("model_name must not be empty")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """The config from its JSON form.  Keys left out take the field
-        defaults; an unknown key at any level raises ``ValueError``."""
-
-        def nested(kind):
-            return lambda value: from_fields(kind, value) if isinstance(value, dict) else value
-
-        return from_fields(
-            cls,
-            raw,
-            conditions=lambda specs: tuple(map(nested(GrammarSpec), specs)),
-            lengths=lambda value: tuple(value) if isinstance(value, list) else value,
-            endpoint=nested(EndpointProfile),
-            out_dir=Path,
-            retry=nested(RetryPolicy),
-        )
+        defaults; an unknown or mistyped key at any level raises ``ValueError``."""
+        return from_fields(cls, raw)
 
     def to_dict(self) -> dict:
         """The config's JSON form, which :meth:`from_dict` reads back equal."""
@@ -519,13 +490,10 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> list[dict]:
     config (a larger grid, say) is written to the manifest.
     """
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "runs.jsonl"
     manifest_path = out_dir / MANIFEST_NAME
     prior = []
-    if not resume:
-        log_path.unlink(missing_ok=True)
-    elif log_path.exists():
+    if resume and log_path.exists():
         with log_path.open("r+b") as fh:
             prior = read_log(fh)  # leaves fh at the end of the last whole line
             if fh.tell() < os.fstat(fh.fileno()).st_size:
@@ -544,6 +512,9 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> list[dict]:
     if manifest is None:
         grammars = {ci: generate(spec) for ci, spec in enumerate(cfg.conditions)}
         entries = [_condition_entry(spec, grammars[ci]) for ci, spec in enumerate(cfg.conditions)]
+        out_dir.mkdir(parents=True, exist_ok=True)  # only once every spec has generated
+        if not resume:
+            log_path.unlink(missing_ok=True)
         _write_manifest(manifest_path, _manifest(cfg, entries))
     else:
         _check_resumable(cfg, manifest)

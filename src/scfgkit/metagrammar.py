@@ -30,9 +30,13 @@ of the output: changing either changes every generated grammar.
 
 from __future__ import annotations
 
+import math
+import os
 import random
-from dataclasses import MISSING, asdict, dataclass, fields
-from typing import Callable
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from functools import cache
+from pathlib import Path
+from typing import Callable, get_args, get_origin, get_type_hints
 
 from .grammar import SyncGrammar, SyncRule, nonterminal, terminal, validate
 from .lexicon import draw_word, english_words, generate_suffixes
@@ -82,6 +86,9 @@ class GrammarSpec:
     script_tgt: str = "Latin"
     seed: int = 0
 
+    def __post_init__(self):
+        check_fields(self)
+
     def to_dict(self) -> dict:
         # every field is a scalar, so asdict's deep copy would copy nothing
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -95,19 +102,55 @@ class GrammarSpec:
         return self.agreement_src or self.agreement_tgt
 
 
-def from_fields(cls, data: dict, **convert: Callable):
-    """Build the dataclass ``cls`` from ``data``, one key per field, passing
-    the value of each field named in ``convert`` through its function.
-    Raises ``ValueError`` naming any key that is not a field, and any
-    field without a default that has no key."""
+_hints = cache(get_type_hints)  # each config class's field types, resolved once
+
+
+def from_fields(cls, data, path: str = ""):
+    """Build the config dataclass ``cls`` from the JSON object ``data``, one key
+    per field, each value read by :func:`_typed`.  ``ValueError`` names any key
+    that is not a field, any field without a default or key, and any mistyped value."""
+    where = path or cls.__name__
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object: {data!r}")
     known = {f.name: f.default is MISSING and f.default_factory is MISSING for f in fields(cls)}
     unknown = [str(k) for k in data if k not in known]
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
     missing = [name for name, required in known.items() if required and name not in data]
     if missing:
-        raise ValueError(f"missing {cls.__name__} key(s): {', '.join(missing)}")
-    return cls(**{k: convert[k](v) if k in convert else v for k, v in data.items()})
+        raise ValueError(f"missing {where} key(s): {', '.join(missing)}")
+    return cls(**{k: _typed(v, _hints(cls)[k], f"{path} {k}".lstrip(), read=True) for k, v in data.items()})
+
+
+def check_fields(obj, path: str = "") -> None:
+    """Raise ``ValueError`` naming the first field of ``obj`` not of its type."""
+    for name, hint in _hints(type(obj)).items():
+        _typed(getattr(obj, name), hint, f"{path} {name}".lstrip(), read=False)
+
+
+# Each field type: the types its value may have, and their name; a float is finite.
+_KINDS = {int: (int, "a whole number"), float: ((int, float), "a finite number"), bool: (bool, "true or false"),
+          str: (str, "a string"), dict: (dict, "a JSON object"), tuple: ((list, tuple), "a list"),
+          Path: ((str, os.PathLike), "a path")}
+
+
+def _typed(value, hint, path: str, read: bool):
+    """``value`` checked against the field type ``hint``, or ``ValueError`` naming
+    ``path``; only a bool is a bool.  When ``read`` from JSON, a dataclass comes
+    from a JSON object, a list becomes a tuple and a string a ``Path``."""
+    kind, args = get_origin(hint) or hint, get_args(hint)
+    if args and kind is not tuple:  # X | None
+        return value if value is None else _typed(value, args[0], path, read)
+    if read and is_dataclass(kind):
+        return from_fields(kind, value, path)
+    accepted, called = _KINDS.get(kind) or (kind, f"of type {kind.__name__}")
+    if (not isinstance(value, accepted) or isinstance(value, bool) is not (kind is bool)
+            or kind is float and not abs(value) < math.inf):
+        raise ValueError(f"{path} must be {called}: {value!r}")
+    if kind is tuple:
+        items = tuple(_typed(item, args[0], f"{path} [{i}]", read) for i, item in enumerate(value))
+        return items if read else value
+    return Path(value) if read and kind is Path else value
 
 
 class SpecError(ValueError):

@@ -374,11 +374,18 @@ def test_run_rejects_a_non_finite_retry_backoff(tmp_path, capsys):
     [{"n_per_cell": "2"}, {"n_per_cell": True}, {"n_per_cell": 1.5}, {"max_parallel": "4"},
      {"max_parallel": True}, {"translate_cap": True}, {"translate_cap": 2.5}, {"lengths": ["3"]},
      {"lengths": [3.0]}, {"lengths": 3}, {"master_seed": "0"}, {"master_seed": 1.5},
-     {"model_name": float("nan")}, {"model_name": ""}, {"model_name": 5}],
+     {"model_name": float("nan")}, {"model_name": ""}, {"model_name": 5},
+     {"endpoint": "mock://oracle"}, {"conditions": [5]}, {"conditions": 5}, {"conditions": {"size": 57}},
+     {"out_dir": 5}, {"retry": 3}, {"conditions": [{"size": "57"}]}, {"conditions": [{"size": 57.0}]},
+     {"conditions": [{"size": 57, "seed": 1.5}]}, {"conditions": [{"size": 128, "agreement_tgt": "false"}]},
+     {"endpoint": {"url": "mock://oracle", "auth_env": 5}}],
     ids=["n_per_cell-string", "n_per_cell-bool", "n_per_cell-fraction", "max_parallel-string",
          "max_parallel-bool", "translate_cap-bool", "translate_cap-fraction", "lengths-string",
          "lengths-float", "lengths-number", "master_seed-string", "master_seed-fraction",
-         "model_name-nan", "model_name-empty", "model_name-number"],
+         "model_name-nan", "model_name-empty", "model_name-number",
+         "endpoint-string", "conditions-number-item", "conditions-number", "conditions-object",
+         "out_dir-number", "retry-number", "size-string", "size-float", "seed-fraction",
+         "agreement_tgt-string", "auth_env-number"],
 )
 def test_run_rejects_a_malformed_config(tmp_path, capsys, fields):
     config = tmp_path / "config.json"
@@ -395,6 +402,43 @@ def test_run_rejects_a_malformed_config(tmp_path, capsys, fields):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {next(iter(fields))} ") and err.count("\n") == 1
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "condition",
+    [{"size": 58}, {"size": 57, "word_order_tgt": "XYZ"}, {"size": 57, "script_tgt": "Klingon"}],
+    ids=["size", "word_order", "script"],
+)
+def test_run_refuses_an_unrealizable_condition_before_its_run_directory(tmp_path, capsys, condition):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "conditions": [{"size": 57, "seed": 0}, condition],
+        "lengths": [3],
+        "n_per_cell": 1,
+        "endpoint": {"url": "mock://oracle"},
+        "model_name": "oracle",
+        "out_dir": str(tmp_path / "run"),
+    }), "utf-8")
+    assert main(["run", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "spec, error",
+    [({"size": "57"}, "size "), ({"size": 57, "agreement_tgt": "yes"}, "agreement_tgt "),
+     ({"size": 57, "script_tgt": "Klingon"}, "unknown script 'Klingon'; known: ")],
+    ids=["size-string", "agreement-string", "unknown-script"],
+)
+def test_gen_refuses_a_malformed_spec_file(tmp_path, capsys, spec, error):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec), "utf-8")
+    out = tmp_path / "g.scfg"
+    assert main(["gen", "--spec", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("resamples", ["0", "-3"])

@@ -79,6 +79,19 @@ def test_config_validation(tmp_path):
         assert EndpointProfile(url=url).url == url
 
 
+@pytest.mark.parametrize(
+    "build, field",
+    [(lambda tmp_path: GrammarSpec(size=57.0), "size"),
+     (lambda tmp_path: GrammarSpec(size=57, agreement_tgt="false"), "agreement_tgt"),
+     (lambda tmp_path: EndpointProfile(url=MOCK_ORACLE, auth_env=5), "endpoint auth_env"),
+     (lambda tmp_path: make_config(tmp_path, retry=3), "retry")],
+    ids=["size-float", "agreement-string", "auth_env-number", "retry-number"],
+)
+def test_a_config_built_in_python_is_checked_against_its_annotations(tmp_path, build, field):
+    with pytest.raises(ValueError, match=f"^{field} must be "):
+        build(tmp_path)
+
+
 def test_config_from_dict(tmp_path):
     raw = {
         "conditions": [{"size": 57, "seed": 3}],
