@@ -21,7 +21,7 @@ from .metrics import score_candidate
 from .parsing import TRANSLATE_CAP, SourceParseError, Translations, translate
 from .report import write_report
 from .sampling import sample_pair
-from .scripts import SCRIPT_NAMES, load_script_tables, script_of
+from .scripts import SCRIPT_NAMES, get_script, script_of
 from .seeds import derive_seed
 
 
@@ -29,13 +29,23 @@ def _read_grammar(path: str):
     return parse_grammar_text(Path(path).read_text("utf-8"))
 
 
-def _read_jsonl(path: str) -> list:
-    records = []
-    for line in Path(path).read_text("utf-8").splitlines():
-        line = line.strip()
-        if line:
-            records.append(json.loads(line))
-    return records
+def _read_lines(path: str, read) -> list:
+    """``read(line)`` of each non-blank line of ``path``, stripped.  A line ends
+    only at ``\n``, as in a run log: ``json.dumps(..., ensure_ascii=False)``
+    writes U+0085, U+2028 and U+2029 raw inside strings, where
+    ``str.splitlines`` would also split.  A ``ValueError`` from ``read`` is
+    raised again naming the file and the line."""
+    values = []
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        for number, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                values.append(read(line))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {number}: {exc}") from None
+    return values
 
 
 def _write_jsonl(path: str, records) -> None:
@@ -44,9 +54,32 @@ def _write_jsonl(path: str, records) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def _candidate_text(record) -> str | None:
+def _pair(line: str) -> dict:
+    """A ``--pairs`` line: a JSON object whose ``source`` and ``target`` are
+    strings, as ``scfgkit sample`` writes."""
+    pair = json.loads(line)
+    if not isinstance(pair, dict):
+        raise ValueError(f"a pair is a JSON object with string source and target fields, not {pair!r}")
+    for field in ("source", "target"):
+        if field not in pair:
+            raise ValueError(f"pair has no {field!r} field")
+        if not isinstance(pair[field], str):
+            raise ValueError(f"pair field {field!r} is not a string: {pair[field]!r}")
+    return pair
+
+
+def _candidate(line: str) -> str | None:
+    """A ``--cands`` line: a JSON string, a JSON object with a
+    cand/candidate/text/extracted field (run logs work as-is), or plain text.
+    A field that is null, as in the record of a failed trial, gives None."""
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError:
+        return line
     if isinstance(record, str):
         return record
+    if not isinstance(record, dict):
+        return line
     for key in ("cand", "candidate", "text", "extracted"):
         if key in record:
             value = record[key]
@@ -58,31 +91,12 @@ def _candidate_text(record) -> str | None:
     raise ValueError(f"candidate record has no cand/candidate/text field: {record!r}")
 
 
-def _read_candidates(path: str) -> list[str | None]:
-    """One candidate per non-blank line: a JSON string, a JSON object with a
-    cand/candidate/text/extracted field (run logs work as-is), or plain text.
-    A field that is null, as in the record of a failed trial, gives None."""
-    cands = []
-    for line in Path(path).read_text("utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            record = line
-        if not isinstance(record, (str, dict)):
-            record = line
-        cands.append(_candidate_text(record))
-    return cands
-
-
 def _judged(args, grammar) -> list | None:
     """(pair, candidate or None if it has no answer, its gold set from
     :func:`~scfgkit.harness.gold_members`) per line of ``--pairs`` and
     ``--cands``; None once it has reported that the two differ in length."""
-    pairs = _read_jsonl(args.pairs)
-    cands = _read_candidates(args.cands)
+    pairs = _read_lines(args.pairs, _pair)
+    cands = _read_lines(args.cands, _candidate)
     if len(pairs) != len(cands):
         print("pairs and candidates differ in length", file=sys.stderr)
         return None
@@ -110,8 +124,7 @@ def _cmd_gen(args) -> int:
             script_tgt=args.tgt_script,
             seed=args.seed,
         )
-    tables = load_script_tables(args.script_table) if args.script_table else None
-    grammar, manifest = generate_with_manifest(spec, tables=tables)
+    grammar, manifest = generate_with_manifest(spec)
     text = serialize_grammar(grammar)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -202,8 +215,6 @@ def _cmd_classify(args) -> int:
 
 
 def _target_script(name: str | None, tgt_vocab):
-    from .scripts import get_script
-
     if name:
         return get_script(name)
     consistent = None
@@ -253,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src-script", default="Latin", choices=SCRIPT_NAMES)
     p.add_argument("--tgt-script", default="Latin", choices=SCRIPT_NAMES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--script-table", help="alternative script table JSON file")
     p.add_argument("--out", help="grammar output path (default stdout)")
     p.add_argument("--manifest", help="manifest output path")
     p.set_defaults(func=_cmd_gen)

@@ -402,16 +402,16 @@ def _lexical_rules(spec: GrammarSpec, src: _SideLexicon, tgt: _SideLexicon) -> l
     return rules
 
 
-def generate(spec: GrammarSpec, tables: dict[str, ScriptSpec] | None = None) -> SyncGrammar:
+def generate(spec: GrammarSpec) -> SyncGrammar:
     """Expand a spec into a grammar with exactly ``spec.size`` rules."""
-    return _build(spec, tables)[0]
+    return _build(spec)[0]
 
 
-def _build(spec: GrammarSpec, tables: dict[str, ScriptSpec] | None):
+def _build(spec: GrammarSpec):
     """The grammar of ``spec`` with its two lexicons and open-class counts."""
     counts = open_class_counts(spec)
-    script_src = get_script(spec.script_src, tables)
-    script_tgt = get_script(spec.script_tgt, tables)
+    script_src = get_script(spec.script_src)
+    script_tgt = get_script(spec.script_tgt)
     taken_words: set[str] = set()
     taken_renders: set[str] = set()
     src = _SideLexicon("src", spec, counts, script_src, taken_words, taken_renders)
@@ -426,11 +426,9 @@ def _build(spec: GrammarSpec, tables: dict[str, ScriptSpec] | None):
     return grammar, src, tgt, counts
 
 
-def generate_with_manifest(
-    spec: GrammarSpec, tables: dict[str, ScriptSpec] | None = None
-) -> tuple[SyncGrammar, dict]:
+def generate_with_manifest(spec: GrammarSpec) -> tuple[SyncGrammar, dict]:
     """Like :func:`generate`, also returning a manifest describing the draw."""
-    grammar, src, tgt, counts = _build(spec, tables)
+    grammar, src, tgt, counts = _build(spec)
     manifest = {
         "format_version": MANIFEST_VERSION,
         "spec": spec.to_dict(),

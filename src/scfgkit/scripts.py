@@ -6,8 +6,9 @@ character by character, into a writing system: Cyrillic substitutes letters
 one for one, Hebrew keeps the consonants and drops the vowels, pointed
 Hebrew turns each vowel into a pointing mark on the preceding consonant, and
 the diacritic Latin variant decorates a fixed subset of letters with
-combining marks.  The mapping tables live in a versioned data file
-(``data/script_tables.json``) so they can be inspected or replaced wholesale.
+combining marks.  The mapping tables live in one packaged data file
+(``data/script_tables.json``) so they can be inspected; it is the only
+table, so a script name means one rendering everywhere.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import re
 from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
-from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 Ranges = tuple[tuple[int, int], ...]
 
@@ -68,56 +70,46 @@ def _parse_ranges(raw: list[list[str]]) -> Ranges:
     return tuple((int(lo, 16), int(hi, 16)) for lo, hi in raw)
 
 
-def load_script_tables(path: str | Path | None = None) -> dict[str, ScriptSpec]:
-    """Load script specs from a table file (the packaged one by default)."""
-    if path is None:
-        data = resources.files("scfgkit.data").joinpath("script_tables.json").read_text("utf-8")
-    else:
-        data = Path(path).read_text("utf-8")
-    raw = json.loads(data)
-    if raw.get("version") != 1:
-        raise ValueError(f"unsupported script table version: {raw.get('version')!r}")
-    specs = {}
-    for name, entry in raw["scripts"].items():
-        specs[name] = ScriptSpec(
+@cache
+def load_script_tables() -> Mapping[str, ScriptSpec]:
+    """The packaged script specs, read once; read-only, since every caller
+    shares them."""
+    raw = json.loads(resources.files("scfgkit.data").joinpath("script_tables.json").read_text("utf-8"))
+    return MappingProxyType({
+        name: ScriptSpec(
             name=name,
             base_ranges=_parse_ranges(entry["base_ranges"]),
             diacritic_ranges=_parse_ranges(entry["diacritic_ranges"]),
             mapping=tuple(sorted(entry["map"].items())),
         )
-    return specs
-
-
-@cache
-def default_scripts() -> dict[str, ScriptSpec]:
-    return load_script_tables()
+        for name, entry in raw["scripts"].items()
+    })
 
 
 SCRIPT_NAMES = ("Latin", "LatinDiacritics", "Cyrillic", "Hebrew", "HebrewPointed")
 
 
-def get_script(script: str | ScriptSpec, tables: dict[str, ScriptSpec] | None = None) -> ScriptSpec:
+def get_script(script: str | ScriptSpec) -> ScriptSpec:
     if isinstance(script, ScriptSpec):
         return script
-    table = tables if tables is not None else default_scripts()
+    table = load_script_tables()
     try:
         return table[script]
     except KeyError:
         raise KeyError(f"unknown script {script!r}; known: {', '.join(sorted(table))}") from None
 
 
-def transliterate(word: str, script: str | ScriptSpec, tables: dict[str, ScriptSpec] | None = None) -> str:
+def transliterate(word: str, script: str | ScriptSpec) -> str:
     """Render a Latin-skeleton word in the given script, left to right."""
-    spec = get_script(script, tables)
+    spec = get_script(script)
     return "".join(spec.render(ch) for ch in word)
 
 
-def script_of(word: str, tables: dict[str, ScriptSpec] | None = None) -> frozenset[str]:
+def script_of(word: str) -> frozenset[str]:
     """All script names consistent with ``word``; empty for mixed-script text.
 
     A script is consistent when it covers every codepoint and, if it defines
     diacritics, at least one diacritic codepoint is present (so plain Latin
     text reads as Latin, not as diacritic-less LatinDiacritics).
     """
-    table = tables if tables is not None else default_scripts()
-    return frozenset(name for name, spec in table.items() if spec.covers(word))
+    return frozenset(name for name, spec in load_script_tables().items() if spec.covers(word))

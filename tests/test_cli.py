@@ -303,6 +303,68 @@ def test_a_malformed_candidate_field_exits_2(tmp_path, fig1_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["score", "classify"])
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"], ids=["U+2028", "U+2029", "U+0085"])
+def test_a_raw_unicode_line_break_inside_a_string_stays_in_its_line(tmp_path, fig1_path, command, char):
+    # json.dumps(..., ensure_ascii=False) writes these raw in run logs and in
+    # `scfgkit sample` output; only "\n" ends a line
+    pairs = tmp_path / "pairs.jsonl"
+    cands = tmp_path / "cands.jsonl"
+    out = tmp_path / "out.jsonl"
+    pair = {"source": "I open", "target": "watashi wa akemasu", "note": f"a{char}b"}
+    record = {"extracted": ["watashi", "wa", "akemasu"], "response": f"ok{char}Final answer: watashi wa akemasu"}
+    pairs.write_text(json.dumps(pair, ensure_ascii=False) + "\n", "utf-8")
+    cands.write_text(json.dumps(record, ensure_ascii=False) + "\n", "utf-8")
+    assert main([command, "--pairs", str(pairs), "--cands", str(cands),
+                 "--grammar", str(fig1_path), "--out", str(out)]) == 0
+    [row] = [json.loads(line) for line in out.read_text("utf-8").split("\n") if line]
+    assert row["cand"] == "watashi wa akemasu"
+    if command == "score":
+        assert row["exact"] == 1
+    else:
+        assert row["labels"] == []
+
+
+@pytest.mark.parametrize("command", ["score", "classify"])
+@pytest.mark.parametrize(
+    "record, field",
+    [({"src": "I open", "target": "watashi wa akemasu"}, "'source'"),
+     ("I open", "source and target"),
+     ([1], "source and target"),
+     ({"source": 5, "target": "watashi wa akemasu"}, "'source'"),
+     ({"source": "I open", "target": None}, "'target'")],
+    ids=["no-source", "string", "list", "source-number", "target-null"],
+)
+def test_a_malformed_pair_record_exits_2(tmp_path, fig1_path, capsys, command, record, field):
+    pairs = tmp_path / "pairs.jsonl"
+    cands = tmp_path / "cands.txt"
+    out = tmp_path / "out.jsonl"
+    good = {"source": "I open", "target": "watashi wa akemasu"}
+    pairs.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n", "utf-8")
+    cands.write_text("watashi wa akemasu\nwatashi wa akemasu\n", "utf-8")
+    assert main([command, "--pairs", str(pairs), "--cands", str(cands),
+                 "--grammar", str(fig1_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {pairs} line 2: ") and err.count("\n") == 1 and field in err
+    assert not out.exists()
+
+
+def test_gen_has_no_script_table_flag(tmp_path, capsys):
+    # the packaged table is the only one, so a spec names one grammar
+    upper = {c: c.upper() for c in "abcdefghijklmnopqrstuvwxyz"}
+    table = tmp_path / "t.json"
+    table.write_text(json.dumps({"version": 1, "scripts": {
+        "Latin": {"base_ranges": [["61", "7a"]], "diacritic_ranges": [], "map": {}},
+        "Cyrillic": {"base_ranges": [["41", "5a"]], "diacritic_ranges": [], "map": upper},
+    }}), "utf-8")
+    out = tmp_path / "g.scfg"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["gen", "--tgt-script", "Cyrillic", "--script-table", str(table), "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert "--script-table" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where", ["top", "endpoint", "retry", "condition"])
 def test_run_rejects_an_unknown_config_key(tmp_path, capsys, where):
     raw = {

@@ -181,6 +181,14 @@ def test_spec_dict_is_the_dataclass_dict():
     assert GrammarSpec.from_dict(spec.to_dict()) == spec
 
 
+@pytest.mark.parametrize("script", SCRIPT_NAMES)
+def test_the_manifest_spec_names_its_grammar(script):
+    # one script table: the spec a manifest file records regenerates its grammar
+    g, manifest = generate_with_manifest(GrammarSpec(size=57, script_tgt=script, seed=4))
+    spec = GrammarSpec.from_dict(json.loads(json.dumps(manifest))["spec"])
+    assert serialize_grammar(generate(spec)) == serialize_grammar(g)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=10**6),

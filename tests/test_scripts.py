@@ -1,12 +1,9 @@
-import json
-
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scfgkit.scripts import (
     SCRIPT_NAMES,
-    default_scripts,
     get_script,
     load_script_tables,
     script_of,
@@ -18,7 +15,7 @@ latin_words = st.text(alphabet="bcdfghjklmnpqrstvwxyzaeiou", min_size=1, max_siz
 script_chars = st.one_of(
     *(
         st.characters(min_codepoint=lo - 1, max_codepoint=hi + 1)
-        for spec in default_scripts().values()
+        for spec in load_script_tables().values()
         for lo, hi in spec.base_ranges + spec.diacritic_ranges
     ),
     st.characters(),
@@ -26,8 +23,16 @@ script_chars = st.one_of(
 
 
 def test_all_five_scripts_load():
-    tables = default_scripts()
+    tables = load_script_tables()
     assert set(SCRIPT_NAMES) == set(tables)
+
+
+def test_the_one_table_is_shared_and_read_only():
+    tables = load_script_tables()
+    assert load_script_tables() is tables
+    with pytest.raises(TypeError):
+        tables["Latin"] = tables["Cyrillic"]
+    assert transliterate("wugnat", "Latin") == "wugnat"
 
 
 def test_latin_is_identity():
@@ -86,31 +91,6 @@ def test_unknown_script_raises():
         get_script("Klingon")
 
 
-def test_tables_overridable_from_file(tmp_path):
-    custom = {
-        "version": 1,
-        "scripts": {
-            "Latin": {"base_ranges": [["61", "7a"]], "diacritic_ranges": [], "map": {}},
-            "Shout": {
-                "base_ranges": [["41", "5a"]],
-                "diacritic_ranges": [],
-                "map": {c: c.upper() for c in "abcdefghijklmnopqrstuvwxyz"},
-            },
-        },
-    }
-    path = tmp_path / "tables.json"
-    path.write_text(json.dumps(custom), encoding="utf-8")
-    tables = load_script_tables(path)
-    assert transliterate("abc", "Shout", tables) == "ABC"
-
-
-def test_version_mismatch_rejected(tmp_path):
-    path = tmp_path / "tables.json"
-    path.write_text(json.dumps({"version": 99, "scripts": {}}), encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_script_tables(path)
-
-
 @settings(max_examples=200, deadline=None)
 @given(word=latin_words)
 def test_transliteration_is_deterministic_and_in_range(word):
@@ -135,7 +115,7 @@ def test_injective_scripts_separate_distinct_words(a, b):
 @given(word=st.text(script_chars, max_size=12))
 @example(word="")
 def test_covers_matches_the_per_codepoint_definition(word):
-    for spec in default_scripts().values():
+    for spec in load_script_tables().values():
         marked = any(lo <= ord(ch) <= hi for ch in word for lo, hi in spec.diacritic_ranges)
         expected = all(spec.in_ranges(ch) for ch in word) and (marked or not spec.diacritic_ranges)
         assert spec.covers(word) == expected
