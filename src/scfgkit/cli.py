@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .grammar import parse_grammar_text, serialize_grammar, word_vocab
-from .harness import ExperimentConfig, gold_members, label_answer, run_experiment, scan_log, zero_scores
+from .harness import ExperimentConfig, LogRecords, gold_members, label_answer, run_experiment, zero_scores
 from .metagrammar import WORD_ORDERS, GrammarSpec, generate_with_manifest
 from .metrics import score_candidate
 from .parsing import TRANSLATE_CAP, SourceParseError, Translations, translate
@@ -71,10 +71,14 @@ def _pair(line: str) -> dict:
 def _candidate(line: str) -> str | None:
     """A ``--cands`` line: a JSON string, a JSON object with a
     cand/candidate/text/extracted field (run logs work as-is), or plain text.
-    A field that is null, as in the record of a failed trial, gives None."""
+    A field that is null, as in the record of a failed trial, gives None.  A
+    line that starts with ``{`` or ``"`` and does not parse, such as a torn
+    record, is refused rather than scored as plain text."""
     try:
         record = json.loads(line)
-    except json.JSONDecodeError:
+    except json.JSONDecodeError as exc:
+        if line.startswith(("{", '"')):  # a torn record, not an answer
+            raise ValueError(f"a line that starts with {line[0]} is JSON and does not parse: {exc}") from None
         return line
     if isinstance(record, str):
         return record
@@ -237,12 +241,11 @@ def _cmd_run(args) -> int:
 def _cmd_report(args) -> int:
     if not Path(args.log).is_file():
         raise FileNotFoundError(f"no run log at {args.log}")
-    records, corrupt = scan_log(args.log)
-    if corrupt:
-        print(f"warning: skipped {corrupt} corrupt line(s) in {args.log}", file=sys.stderr)
-    paths = write_report(
-        records, args.out, n_resamples=args.resamples, seed=args.seed
-    )
+    with open(args.log, "rb") as fh:
+        records = LogRecords(fh)
+        paths = write_report(records, args.out, n_resamples=args.resamples, seed=args.seed)
+    if records.corrupt:
+        print(f"warning: skipped {records.corrupt} corrupt line(s) in {args.log}", file=sys.stderr)
     print(paths["text"].read_text("utf-8"))
     return 0
 

@@ -55,7 +55,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 from urllib.parse import urlsplit  # already loaded by pathlib
 
 import numpy as np
@@ -375,32 +375,49 @@ def run_trial(
     }
 
 
-def scan_log(log: str | Path | BinaryIO) -> tuple[list[dict], int]:
-    """Records from a run log, and the number of corrupt lines skipped.
+class LogRecords:
+    """The records of a run log, in one forward pass, as an iterable used once.
 
     A line is a record once its newline is written: a last line without one
-    is a torn append (a run cut mid-write), neither a record nor corrupt.
-    ``log`` is a path or a binary file open at its start, which the one pass
+    is a torn append (a run cut mid-write), neither a record nor corrupt.  A
+    whole line that is not a JSON object (bad JSON, UTF-8 cut mid-character,
+    or JSON of another type) is corrupt: it is skipped and counted in
+    ``corrupt``.  ``log`` is a binary file open at its start, which the pass
     leaves at the end of the whole lines, where a resume truncates it.
     """
+
+    def __init__(self, log: BinaryIO):
+        self.log = log
+        self.corrupt = 0
+
+    def __iter__(self) -> Iterator[dict]:
+        for line in self.log:
+            if not line.endswith(b"\n"):  # only ever the last line
+                self.log.seek(-len(line), os.SEEK_CUR)
+                return
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                record = None
+            if isinstance(record, dict):
+                yield record
+            else:
+                self.corrupt += 1
+
+
+def scan_log(log: str | Path | BinaryIO) -> tuple[list[dict], int]:
+    """The records of a run log (a path, or a binary file open at its start)
+    and the number of corrupt lines skipped, as :class:`LogRecords` reads
+    them."""
     if isinstance(log, (str, os.PathLike)):
         if not os.path.exists(log):
             return [], 0
         with open(log, "rb") as fh:
             return scan_log(fh)
-    records = []
-    corrupt = 0
-    for line in log:
-        if not line.endswith(b"\n"):  # only ever the last line
-            log.seek(-len(line), os.SEEK_CUR)
-            break
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except ValueError:  # bad JSON, or UTF-8 cut mid-character
-            corrupt += 1
-    return records, corrupt
+    records = LogRecords(log)
+    return list(records), records.corrupt
 
 
 def read_log(log: str | Path | BinaryIO) -> list[dict]:

@@ -4,9 +4,12 @@ A report groups records along each axis of :data:`AXES` (grammar size,
 source length); each cell reports the per-metric mean with a 95%
 nonparametric bootstrap confidence interval (10,000 percentile resamples).
 Cells with the same number of records, on any axis and for any metric, share
-one resample stream: its indices are drawn once, and each cell's interval is
-the one :func:`bootstrap_ci` gives for its scores alone.  A resample count
-that is not a whole number >= 1, or a confidence outside (0, 1), is refused.
+one resample stream: its indices are drawn once, a block of
+:data:`RESAMPLE_BLOCK` indices at a time, and each cell's interval is the one
+:func:`bootstrap_ci` gives for its scores alone.  Records are read in one
+pass that keeps only their four scores under each axis's group, so a
+generator over a run log need not hold the records.  A resample count that is
+not a whole number >= 1, or a confidence outside (0, 1), is refused.
 Tables emit as CSV (long form) and as aligned text with metrics as rows and
 groups as columns; a group given to :func:`group_table` with no records
 renders as an em dash.
@@ -25,7 +28,7 @@ import numpy as np
 METRICS = ("exact", "bag_of_words", "bleu", "chrfpp")
 EMPTY_CELL = "—"
 # elements of resample indices drawn at once
-RESAMPLE_BLOCK = 1 << 20
+RESAMPLE_BLOCK = 1 << 16
 # (table name, record field, CSV column, text title), in report order
 AXES = (
     ("by_size", "grammar_size", "size", "grammar size"),
@@ -98,37 +101,36 @@ def bootstrap_ci(
     return _intervals([arr], n_resamples, confidence, seed)[0]
 
 
-def _score_columns(records, key: str, groups) -> dict:
-    """{group value: {metric: float array of its scores}}, ``groups`` as in
-    :func:`group_table`."""
-    scores: dict = {}
+def _score_columns(records, keys) -> list:
+    """For each field of ``keys``, {group value: (len(METRICS), n) float array
+    of its scores}, groups sorted, from one pass over the iterable
+    ``records``; only each record's four scores are kept."""
+    tables: list = [{} for _ in keys]
     for r in records:
-        scores.setdefault(r[key], []).append(r["scores"])
-    if groups is None:
-        groups = sorted(scores)
-    return {
-        group: {
-            metric: np.asarray([s[metric] for s in scores.get(group, ())], dtype=float)
-            for metric in METRICS
-        }
-        for group in groups
-    }
+        scores = r["scores"]
+        row = tuple(scores[metric] for metric in METRICS)
+        for key, table in zip(keys, tables):
+            table.setdefault(r[key], []).append(row)
+    return [
+        {group: np.asarray(table[group], dtype=float).T for group in sorted(table)}
+        for table in tables
+    ]
 
 
 def _stat_tables(tables: list, n_resamples: int, seed: int) -> list:
     """Each table of :func:`_score_columns` as a table of :class:`CellStat`;
     the nonempty columns of all ``tables`` are bootstrapped together."""
-    columns = [arr for table in tables for row in table.values() for arr in row.values() if arr.size]
+    columns = [col for table in tables for cols in table.values() for col in cols if col.size]
     intervals = iter(_intervals(columns, n_resamples, 0.95, seed))
     return [
         {
             group: {
-                metric: CellStat(arr.size, float(arr.mean()), *next(intervals))
-                if arr.size
+                metric: CellStat(col.size, float(col.mean()), *next(intervals))
+                if col.size
                 else CellStat(0, None, None, None)
-                for metric, arr in row.items()
+                for metric, col in zip(METRICS, cols)
             }
-            for group, row in table.items()
+            for group, cols in table.items()
         }
         for table in tables
     ]
@@ -144,16 +146,21 @@ def group_table(
     """{group value: {metric: CellStat}} for one grouping field.
 
     ``groups`` fixes the column set (empty groups included); by default the
-    distinct values present in the records are used, sorted.
+    distinct values present in the records are used, sorted.  ``records`` is
+    any iterable of records, used once.
     """
-    [table] = _stat_tables([_score_columns(records, key, groups)], n_resamples, seed)
-    return table
+    [table] = _score_columns(records, (key,))
+    if groups is not None:
+        empty = np.empty((len(METRICS), 0))
+        table = {group: table.get(group, empty) for group in groups}
+    [stats] = _stat_tables([table], n_resamples, seed)
+    return stats
 
 
 def aggregate_report(records, *, n_resamples: int = 10_000, seed: int = 0) -> dict:
-    """{table name: group_table} for each axis of :data:`AXES`."""
-    records = list(records)
-    tables = [_score_columns(records, key, None) for _, key, _, _ in AXES]
+    """{table name: group_table} for each axis of :data:`AXES`, from one pass
+    over ``records``, any iterable of records, used once."""
+    tables = _score_columns(records, [key for _, key, _, _ in AXES])
     return {name: table for (name, *_), table in zip(AXES, _stat_tables(tables, n_resamples, seed))}
 
 
@@ -204,6 +211,9 @@ def table_to_text(table: dict, key_name: str) -> str:
 
 def write_report(records, out_dir: str | Path, *, n_resamples: int = 10_000, seed: int = 0) -> dict:
     """Write one CSV per axis of :data:`AXES` plus a combined text report.
+
+    ``records`` is any iterable of records, used once: a generator over a run
+    log is read in one pass that keeps only each record's scores.
 
     Returns {"by_size": Path, "by_length": Path, "text": Path}.
     """

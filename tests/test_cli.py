@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -304,6 +305,25 @@ def test_a_malformed_candidate_field_exits_2(tmp_path, fig1_path, capsys, comman
 
 
 @pytest.mark.parametrize("command", ["score", "classify"])
+@pytest.mark.parametrize("torn", ["record", "string"])
+def test_a_torn_json_candidate_exits_2(tmp_path, fig1_path, capsys, command, torn):
+    # the first 120 bytes of a `scfgkit sample` line, or a JSON string cut
+    # short, is a torn record, not a plain-text answer
+    pairs = tmp_path / "pairs.jsonl"
+    cands = tmp_path / "cands.jsonl"
+    out = tmp_path / "out.jsonl"
+    assert main(["sample", "--grammar", str(fig1_path), "--len", "4", "--out", str(pairs)]) == 0
+    line = pairs.read_text("utf-8")
+    cands.write_text((line[:120] if torn == "record" else '"watashi wa') + "\n", "utf-8")
+    capsys.readouterr()
+    assert main([command, "--pairs", str(pairs), "--cands", str(cands),
+                 "--grammar", str(fig1_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cands} line 1: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["score", "classify"])
 @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"], ids=["U+2028", "U+2029", "U+0085"])
 def test_a_raw_unicode_line_break_inside_a_string_stays_in_its_line(tmp_path, fig1_path, command, char):
     # json.dumps(..., ensure_ascii=False) writes these raw in run logs and in
@@ -588,6 +608,58 @@ def test_report_counts_corrupt_lines(tmp_path, capsys):
     assert f"skipped 1 corrupt line(s) in {log}" in capsys.readouterr().err
     by_size = (tmp_path / "report" / "by_size.csv").read_text("utf-8")
     assert "57,exact,3,1.000000" in by_size
+
+
+def _mock_run_log(tmp_path, lengths=(3, 4)):
+    config = tmp_path / "config.json"
+    run_dir = tmp_path / "run"
+    config.write_text(json.dumps({
+        "conditions": [{"size": 57, "seed": 0}, {"size": 77, "seed": 1}],
+        "lengths": list(lengths),
+        "n_per_cell": 2,
+        "endpoint": {"url": "mock://oracle"},
+        "model_name": "oracle",
+        "out_dir": str(run_dir),
+    }), "utf-8")
+    assert main(["run", "--config", str(config)]) == 0
+    return run_dir / "runs.jsonl"
+
+
+def test_report_counts_a_line_that_is_not_a_json_object(tmp_path, capsys):
+    log = _mock_run_log(tmp_path)
+    with log.open("a", encoding="utf-8") as fh:
+        fh.write('[1, 2]\n"x"\n7\nnull\n')
+    capsys.readouterr()
+    assert main(["report", "--log", str(log), "--out", str(tmp_path / "report"),
+                 "--resamples", "200"]) == 0
+    assert f"skipped 4 corrupt line(s) in {log}" in capsys.readouterr().err
+    by_size = (tmp_path / "report" / "by_size.csv").read_text("utf-8")
+    assert "57,exact,4,1.000000" in by_size and "77,exact,4,1.000000" in by_size
+
+
+def test_report_memory_is_bounded_on_a_long_log(tmp_path, capsys):
+    # 5,040 records of a mock run, about 1 kB each, with varied scores; the
+    # report keeps four scores per record, not the records
+    log = _mock_run_log(tmp_path, lengths=(3, 4, 5))
+    templates = [json.loads(line) for line in log.read_text("utf-8").splitlines()]
+    with log.open("w", encoding="utf-8") as fh:
+        for i in range(5_040):
+            record = dict(templates[i % len(templates)], trial_id=f"t{i}")
+            record["scores"] = {**record["scores"], "exact": i % 3 % 2, "bleu": (i % 7) / 7}
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+    assert log.stat().st_size > 5_040 * 1_000
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        status = main(["report", "--log", str(log), "--out", str(tmp_path / "report"),
+                       "--resamples", "2000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert status == 0
+    assert (tmp_path / "report" / "by_length.csv").read_text("utf-8").count(",exact,1680,") == 3
+    # a list of the records alone holds about 40 MB
+    assert peak < 16 * 2**20
 
 
 def test_run_resume_via_cli(tmp_path, capsys):

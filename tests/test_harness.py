@@ -257,6 +257,19 @@ def test_read_log_counts_corrupt_lines_but_not_a_torn_tail(tmp_path, caplog):
     assert not caplog.records
 
 
+def test_a_resume_skips_a_line_that_is_not_a_json_object(tmp_path, caplog):
+    cfg = make_config(tmp_path)
+    first = run_experiment(cfg)
+    log = tmp_path / "run" / "runs.jsonl"
+    lines = log.read_text("utf-8").splitlines()
+    log.write_text("\n".join(lines[:2] + ["[1, 2]", '"x"'] + lines[2:-1]) + "\n", "utf-8")
+    with caplog.at_level("WARNING", logger="scfgkit.harness"):
+        resumed = run_experiment(cfg)
+    assert [r.getMessage() for r in caplog.records] == [f"skipped 2 corrupt line(s) in {log}"]
+    assert [r["trial_id"] for r in resumed] == [r["trial_id"] for r in first]
+    assert read_log(log) == resumed
+
+
 def test_exact_credit_does_not_depend_on_translate_cap(tmp_path):
     spec = GrammarSpec(
         size=128, word_order_src="SVO", word_order_tgt="SOV", agreement_tgt=True, seed=0
