@@ -1,23 +1,15 @@
 """Score candidate translations against a gold set with four metrics.
 
 exact match and bag-of-words are binary; BLEU and chrF++ are graded, so
-they tell near misses apart from noise.  Run:
+they tell near misses apart from noise.  score_candidate() gives all four
+for one candidate against a gold set.  Run:
 
     python demos/03_scoring_metrics.py
 """
 
-from scfgkit import (
-    BleuConfig,
-    bag_of_words,
-    bleu,
-    chrfpp,
-    corpus_bleu,
-    exact_match,
-    score_candidate,
-)
+from scfgkit import BleuConfig, score_candidate
 
 gold = "vihrah feqloj qivsat fojzot tugsig"
-golds = {gold}
 
 # Candidates arranged from perfect to hopeless.
 candidates = [
@@ -31,8 +23,9 @@ candidates = [
 print(f"gold: {gold}\n")
 print(f"{'candidate':<16} {'exact':>5} {'bag':>4} {'bleu':>7} {'chrf++':>7}")
 for name, cand in candidates:
-    print(f"{name:<16} {exact_match(cand, golds):>5} {bag_of_words(cand, gold):>4}"
-          f" {bleu(cand, gold):>7.4f} {chrfpp(cand, gold):>7.4f}")
+    rec = score_candidate(cand, [gold])
+    print(f"{name:<16} {rec.exact:>5} {rec.bag_of_words:>4}"
+          f" {rec.bleu:>7.4f} {rec.chrfpp:>7.4f}")
 
 # Things to notice:
 #  - reordering keeps bag-of-words at 1 but costs most of the BLEU n-grams;
@@ -41,9 +34,9 @@ for name, cand in candidates:
 #  - the unrelated candidate is not quite 0.0 under the default exponential
 #    smoothing.  Switch smoothing off for a hard zero:
 unrelated = "aaa bbb ccc ddd eee"
-print("\nunrelated, exp smoothing: ", f"{bleu(unrelated, gold):.4f}")
+print("\nunrelated, exp smoothing: ", f"{score_candidate(unrelated, [gold]).bleu:.4f}")
 print("unrelated, no smoothing:  ",
-      f'{bleu(unrelated, gold, BleuConfig(smoothing="none")):.4f}')
+      f'{score_candidate(unrelated, [gold], BleuConfig(smoothing="none")).bleu:.4f}')
 
 # --- multiple golds ----------------------------------------------------------
 # Ambiguous sources have several correct targets.  score_candidate() takes
@@ -51,12 +44,3 @@ print("unrelated, no smoothing:  ",
 golds2 = {"na bakomi", "ko bakomi"}
 record = score_candidate("ko bakomi", golds2)
 print("\nbest-over-golds record:", record.as_dict())
-
-# --- corpus scores -----------------------------------------------------------
-# Corpus BLEU pools n-gram counts over all segments before taking the ratio,
-# which is the standard definition and not the mean of sentence scores.
-cands = [gold, "feqloj vihrah qivsat fojzot tugsig"]
-refs = [gold, gold]
-print("\ncorpus BLEU over both segments:", f"{corpus_bleu(cands, refs):.4f}")
-print("mean of sentence BLEU:          ",
-      f"{(bleu(cands[0], gold) + bleu(cands[1], gold)) / 2:.4f}")

@@ -40,19 +40,12 @@ from .parsing import (
     Translations,
     is_valid_translation,
     merge_features,
-    recognizes,
     translate,
 )
 from .metrics import (
     BleuConfig,
     ChrfConfig,
     ScoreRecord,
-    bag_of_words,
-    bleu,
-    chrfpp,
-    corpus_bleu,
-    corpus_chrfpp,
-    exact_match,
     score_candidate,
 )
 from .errors import LABELS, aggregate, classify, sorted_labels
@@ -106,15 +99,9 @@ __all__ = [
     "aggregate",
     "aggregate_report",
     "as_words",
-    "bag_of_words",
-    "bleu",
     "bootstrap_ci",
-    "chrfpp",
     "classify",
-    "corpus_bleu",
-    "corpus_chrfpp",
     "derive_seed",
-    "exact_match",
     "extract_answer",
     "generate",
     "generate_with_manifest",
@@ -125,7 +112,6 @@ __all__ = [
     "open_class_counts",
     "parse_grammar_text",
     "read_log",
-    "recognizes",
     "render_prompt",
     "rule_text",
     "run_experiment",

@@ -5,10 +5,11 @@ agreement grammar, the parse tables, the sampler's count tables and the word
 vocabularies.  ``SyncGrammar.compiled`` builds one :class:`CompiledGrammar`
 on first use and keeps it on the grammar object, so a lookup is an attribute
 read and never hashes the frozen grammar.  Each part is built on first use,
-and only here.  Each side of a grammar passes
+and only here.  Only the source side is checked and parsed: it passes
 :func:`~scfgkit.grammar.check_well_founded` once, before the first tables or
-sampler built on it.  The merged grammar compiles itself like any other, so a
-merge that joins families into a cycle fails the same check.  Two threads may
+sampler built on it, and the target side is only ever read off a source
+parse.  The merged grammar compiles itself like any other, so a merge that
+joins families into a cycle fails the same check.  Two threads may
 build a part twice on a cold grammar; both results are equal, so no lock is
 needed.
 """
@@ -32,27 +33,19 @@ class CompiledGrammar:
     def __init__(self, grammar: SyncGrammar):
         self.grammar = grammar
         self.merged = merge_features(grammar)
-        self._nullable: dict[Side, frozenset[str]] = {}
-        self._tables: dict[Side, ParseTables] = {}
 
-    def nullable(self, side: Side) -> frozenset[str]:
-        """The grammar's nullable names on one side, from its well-foundedness
-        check (run on the first call per side; raises ``GrammarError``)."""
-        if side not in self._nullable:
-            self._nullable[side] = check_well_founded(self.grammar, side)
-        return self._nullable[side]
+    @cached_property
+    def nullable(self) -> frozenset[str]:
+        """The grammar's nullable names on the source side, from its
+        well-foundedness check (raises ``GrammarError``)."""
+        return check_well_founded(self.grammar, "src")
 
-    def tables(self, side: Side) -> ParseTables:
-        """Parse tables of one side of the grammar, features unmerged."""
-        if side not in self._tables:
-            self.nullable(side)
-            self._tables[side] = parse_tables(self.grammar, side)
-        return self._tables[side]
-
-    @property
+    @cached_property
     def src_tables(self) -> ParseTables:
-        """Source-side parse tables of the merged grammar."""
-        return self.merged.compiled.tables("src")
+        """Source-side parse tables of the merged grammar, built once the
+        merged grammar has passed its own source-side check."""
+        self.merged.compiled.nullable  # raises GrammarError on a cycle
+        return parse_tables(self.merged, "src")
 
     @cached_property
     def words(self) -> dict[Side, frozenset[str]]:

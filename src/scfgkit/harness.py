@@ -407,27 +407,20 @@ class LogRecords:
                 self.corrupt += 1
 
 
-def scan_log(log: str | Path | BinaryIO) -> tuple[list[dict], int]:
-    """The records of a run log (a path, or a binary file open at its start)
-    and the number of corrupt lines skipped, as :class:`LogRecords` reads
-    them."""
+def read_log(log: str | Path | BinaryIO) -> list[dict]:
+    """The records of a run log (a path, or a binary file open at its start),
+    as :class:`LogRecords` reads them; corrupt lines are skipped with a
+    warning on this module's logger, and a missing path has none."""
     if isinstance(log, (str, os.PathLike)):
         if not os.path.exists(log):
-            return [], 0
+            return []
         with open(log, "rb") as fh:
-            return scan_log(fh)
+            return read_log(fh)
     records = LogRecords(log)
-    return list(records), records.corrupt
-
-
-def read_log(log: str | Path | BinaryIO) -> list[dict]:
-    """The records of :func:`scan_log`; corrupt lines are skipped with a
-    warning on this module's logger."""
-    records, corrupt = scan_log(log)
-    if corrupt:
-        where = log if isinstance(log, (str, os.PathLike)) else log.name
-        logger.warning("skipped %d corrupt line(s) in %s", corrupt, where)
-    return records
+    listed = list(records)
+    if records.corrupt:
+        logger.warning("skipped %d corrupt line(s) in %s", records.corrupt, log.name)
+    return listed
 
 
 def _manifest(cfg: ExperimentConfig, conditions: list[dict]) -> dict:

@@ -11,7 +11,6 @@ generator in :mod:`scfgkit.metagrammar`.
 from __future__ import annotations
 
 import random
-import re
 from functools import cache
 from importlib import resources
 from typing import Callable
@@ -20,8 +19,6 @@ CONSONANTS = "bcdfghjklmnpqrstvwxyz"
 VOWELS = "aeiou"
 MIN_SYLLABLES = 2
 MAX_SYLLABLES = 5
-
-_CVC_RE = re.compile(f"(?:[{CONSONANTS}][{VOWELS}][{CONSONANTS}])+\\Z")
 
 # Suffix shapes for agreement morphology, mirroring natural agreement
 # paradigms (-o, -ik, -mi, -sar).
@@ -33,12 +30,6 @@ def english_words() -> frozenset[str]:
     """The embedded English wordlist (lowercase, one word per line)."""
     text = resources.files("scfgkit.data").joinpath("english_words.txt").read_text("utf-8")
     return frozenset(text.split())
-
-
-def is_cvc_word(word: str, min_syllables: int = MIN_SYLLABLES, max_syllables: int = MAX_SYLLABLES) -> bool:
-    if not _CVC_RE.match(word):
-        return False
-    return min_syllables <= len(word) // 3 <= max_syllables
 
 
 def draw_word(rng: random.Random) -> str:

@@ -1,8 +1,9 @@
 """Translation quality measures: exact match, bag of words, BLEU, chrF++.
 
-All four score into [0, 1] and agree directionally (1 best).  The languages
-here are whitespace-delimited by construction, so tokenization is plain
-whitespace splitting throughout.
+:func:`score_candidate` is the one entry point: it scores a candidate on all
+four against a gold set.  All four score into [0, 1] and agree directionally
+(1 best).  The languages here are whitespace-delimited by construction, so
+tokenization is plain whitespace splitting throughout.
 
 BLEU follows SacreBLEU's sentence-level behavior at ``tokenize='none'``:
 n-gram precisions up to the effective order (the largest order with any
@@ -215,16 +216,6 @@ class _CandidateNgrams:
             overlaps[n - 1].extend(np.minimum(cells, counts).sum(axis=1).tolist())
 
 
-def _word_stats(cand_words, golds, max_order: int):
-    return _CandidateNgrams(cand_words, max_order, chars=False).stats(golds)
-
-
-def exact_match(cand: Sentence, golds) -> int:
-    """1 iff the candidate equals some member of the gold set."""
-    words = as_words(cand)
-    return int(any(words == as_words(g) for g in golds))
-
-
 def _any_bag_match(words) -> int:
     """1 iff some gold has the candidate's word multiset: the unigram
     overlap equals both lengths."""
@@ -232,22 +223,14 @@ def _any_bag_match(words) -> int:
     return int(any(o == cand_len == m for o, m in zip(overlaps, gold_lens)))
 
 
-def bag_of_words(cand: Sentence, gold: Sentence) -> int:
-    """1 iff candidate and gold agree as unordered multisets of words."""
-    return _any_bag_match(_word_stats(as_words(cand), [as_words(gold)], 1))
-
-
-def _bleu_from_stats(
-    correct, total, sys_len: int, ref_len: int, cfg: BleuConfig, effective: bool
-) -> float:
+def _bleu_from_stats(correct, total, sys_len: int, ref_len: int, cfg: BleuConfig) -> float:
     precisions = [0.0] * cfg.max_order
     floor = 1.0
     effective_order = cfg.max_order
     for n in range(cfg.max_order):
         if total[n] == 0:
             break
-        if effective:
-            effective_order = n + 1
+        effective_order = n + 1
         if correct[n] == 0:
             if cfg.smoothing == "exp-floor":
                 floor *= 2.0
@@ -276,34 +259,8 @@ def _best_bleu(words, cfg: BleuConfig) -> float:
     sys_len, ref_lens, _ = words[0]
     total = [c for c, _, _ in orders]
     return max(
-        _clamp(_bleu_from_stats(correct, total, sys_len, ref_len, cfg, effective=True))
+        _clamp(_bleu_from_stats(correct, total, sys_len, ref_len, cfg))
         for ref_len, *correct in set(zip(ref_lens, *(o for _, _, o in orders)))
-    )
-
-
-def bleu(cand: Sentence, gold: Sentence, cfg: BleuConfig | None = None) -> float:
-    """Sentence-level BLEU in [0, 1] (effective-order, smoothed per cfg)."""
-    cfg = cfg or BleuConfig()
-    return _best_bleu(_word_stats(as_words(cand), [as_words(gold)], cfg.max_order), cfg)
-
-
-def corpus_bleu(cands, golds, cfg: BleuConfig | None = None) -> float:
-    """Corpus-level BLEU: statistics pooled over pairs, fixed n-gram order."""
-    cfg = cfg or BleuConfig()
-    correct = [0] * cfg.max_order
-    total = [0] * cfg.max_order
-    sys_len = ref_len = 0
-    if len(cands) != len(golds):
-        raise ValueError("candidate and gold streams differ in length")
-    for cand, gold in zip(cands, golds):
-        words = _word_stats(as_words(cand), [as_words(gold)], cfg.max_order)
-        for n, (c, _, o) in enumerate(words):
-            correct[n] += o[0]
-            total[n] += c
-        sys_len += words[0][0]
-        ref_len += words[0][1][0]
-    return _clamp(
-        _bleu_from_stats(correct, total, sys_len, ref_len, cfg, effective=False)
     )
 
 
@@ -321,17 +278,6 @@ def _chrf_from_stats(stats, beta: float) -> float:
     return total / effective if effective else 0.0
 
 
-def _chrf_orders(cand: Sentence, golds, cfg: ChrfConfig, words=None):
-    """Per chrF++ order, chars first: (candidate count, gold counts, overlaps).
-    ``words`` may pass word statistics already measured to order >= word_order."""
-    cand_words = as_words(cand)
-    golds = [as_words(g) for g in golds]
-    if words is None:
-        words = _word_stats(cand_words, golds, cfg.word_order)
-    chars = _CandidateNgrams(cand_words, cfg.char_order, chars=True).stats(golds)
-    return chars + words[: cfg.word_order]
-
-
 def _best_chrf(orders, cfg: ChrfConfig) -> float:
     """Highest chrF++ over the golds measured in ``orders``; golds with equal
     statistics score once."""
@@ -342,27 +288,6 @@ def _best_chrf(orders, cfg: ChrfConfig) -> float:
         (_clamp(_chrf_from_stats(zip(cand, key[:k], key[k:]), cfg.beta)) for key in keys),
         default=0.0,
     )
-
-
-def chrfpp(cand: Sentence, gold: Sentence, cfg: ChrfConfig | None = None) -> float:
-    """chrF++ in [0, 1]: mean per-order F(beta) of character and word n-grams."""
-    cfg = cfg or ChrfConfig()
-    return _best_chrf(_chrf_orders(cand, [gold], cfg), cfg)
-
-
-def corpus_chrfpp(cands, golds, cfg: ChrfConfig | None = None) -> float:
-    """Corpus-level chrF++: per-order statistics summed over pairs."""
-    cfg = cfg or ChrfConfig()
-    if len(cands) != len(golds):
-        raise ValueError("candidate and gold streams differ in length")
-    orders = cfg.char_order + cfg.word_order
-    pooled = [(0, 0, 0)] * orders
-    for cand, gold in zip(cands, golds):
-        stats = [(c, g[0], o[0]) for c, g, o in _chrf_orders(cand, [gold], cfg)]
-        pooled = [
-            (a + x, b + y, c + z) for (a, b, c), (x, y, z) in zip(pooled, stats)
-        ]
-    return _clamp(_chrf_from_stats(pooled, cfg.beta))
 
 
 def _member_scores_max(cand_words, bleu_cfg: BleuConfig, chrf_cfg: ChrfConfig) -> bool:
@@ -411,12 +336,12 @@ def score_candidate(
     exact = int(cand_words in golds)
     if exact and _member_scores_max(cand_words, bleu_cfg, chrf_cfg):
         return ScoreRecord(exact=1, bag_of_words=1, bleu=1.0, chrfpp=1.0)
-    words = _word_stats(
-        cand_words, golds, max(bleu_cfg.max_order, chrf_cfg.word_order)
-    )
+    word_orders = max(bleu_cfg.max_order, chrf_cfg.word_order)
+    words = _CandidateNgrams(cand_words, word_orders, chars=False).stats(golds)
+    chars = _CandidateNgrams(cand_words, chrf_cfg.char_order, chars=True).stats(golds)
     return ScoreRecord(
         exact=exact,
         bag_of_words=_any_bag_match(words),
         bleu=_best_bleu(words, bleu_cfg),
-        chrfpp=_best_chrf(_chrf_orders(cand_words, golds, chrf_cfg, words), chrf_cfg),
+        chrfpp=_best_chrf(chars + words[: chrf_cfg.word_order], chrf_cfg),
     )

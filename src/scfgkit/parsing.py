@@ -25,9 +25,9 @@ material (tense, aspect, silent complementizers) parses at any position
 without appearing in the input.  Grammars whose source derivations could
 loop without consuming input are rejected up front by
 :func:`~scfgkit.grammar.check_well_founded`, which the grammar's compiled
-state runs before it builds parse tables, so every forest is acyclic; the
-target side is never parsed, so a loop there alone is never followed.  The
-oracles read the merged grammar and its tables from ``grammar.compiled``,
+state runs before it builds parse tables, so every forest is acyclic.  Only
+the source side is checked and parsed: the target side is read off the
+source forest, so a loop there alone is never followed.  The oracles read the merged grammar and its tables from ``grammar.compiled``,
 built once per grammar object (see :mod:`scfgkit.compiled`).  Target
 strings are concatenated only up to the enumeration cap.
 
@@ -266,13 +266,6 @@ def _grouped_options(item: Item, forest: list[dict]) -> dict[int, list[tuple[Ite
 
 
 # --- oracles ---------------------------------------------------------------
-
-
-def recognizes(grammar: SyncGrammar, side: Side, sentence) -> bool:
-    """Plain CFG membership for one side of the grammar (no feature merge)."""
-    words = as_words(sentence)
-    forest = _parse(grammar.compiled.tables(side), words)
-    return grammar.start in forest[0].get(len(words), ())
 
 
 def _fold_targets(grammar: SyncGrammar, sentence, values):

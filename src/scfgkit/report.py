@@ -48,10 +48,12 @@ class CellStat:
         return self.n == 0
 
 
-def _check(n_resamples, confidence: float = 0.95) -> None:
+def _check(n_resamples, seed, confidence: float = 0.95) -> None:
     """Refuse bootstrap arguments that no interval can be drawn with."""
     if isinstance(n_resamples, bool) or not isinstance(n_resamples, Integral) or n_resamples < 1:
         raise ValueError(f"n_resamples must be a whole number >= 1: {n_resamples!r}")
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ValueError(f"seed must be a whole number >= 0: {seed!r}")
     if isinstance(confidence, bool) or not isinstance(confidence, Real) or not 0 < confidence < 1:
         raise ValueError(f"confidence must lie in (0, 1): {confidence!r}")
 
@@ -66,7 +68,7 @@ def _intervals(columns: list, n_resamples: int, confidence: float, seed: int) ->
     in one (n_resamples, n) draw, which is what each column would see alone.
     Only the resampled means of one size's columns are held at a time.
     """
-    _check(n_resamples, confidence)
+    _check(n_resamples, seed, confidence)
     by_size: dict = {}
     for i, arr in enumerate(columns):
         by_size.setdefault(arr.size, []).append(i)
@@ -217,7 +219,7 @@ def write_report(records, out_dir: str | Path, *, n_resamples: int = 10_000, see
 
     Returns {"by_size": Path, "by_length": Path, "text": Path}.
     """
-    _check(n_resamples)
+    _check(n_resamples, seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report = aggregate_report(records, n_resamples=n_resamples, seed=seed)

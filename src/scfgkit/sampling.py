@@ -17,8 +17,8 @@ pass 2**63 by length 30, so no fixed-width array holds them).  A suffix's
 count is a sum over the words its first name takes, of the first name's
 count times the rest's.  Within one length a cell reads other cells at that
 length only along the edges that the one source check of
-``grammar.compiled.nullable("src")`` proved acyclic, so the cells are
-written in one topological order fixed when the sampler is built.  That
+``grammar.compiled.nullable`` proved acyclic, so the cells are written in
+one topological order fixed when the sampler is built.  That
 check also rejects grammars whose counts would be infinite (a nonterminal
 deriving itself without consuming source words).
 
@@ -83,14 +83,6 @@ class SentencePair:
         return len(self.target)
 
 
-def src_yield(grammar: SyncGrammar, tree: Derivation) -> tuple[str, ...]:
-    return _read_yield(grammar.rules, tree, _children(grammar.rules, tree), "src")
-
-
-def tgt_yield(grammar: SyncGrammar, tree: Derivation) -> tuple[str, ...]:
-    return _read_yield(grammar.rules, tree, _children(grammar.rules, tree), "tgt")
-
-
 def _children(rules: tuple[SyncRule, ...], tree: Derivation) -> list[list[int]]:
     """Each node's children, as preorder positions in source order.
 
@@ -143,7 +135,7 @@ class Sampler:
 
     def __init__(self, grammar: SyncGrammar):
         self.grammar = grammar
-        nullable = grammar.compiled.nullable("src")
+        nullable = grammar.compiled.nullable
         # a cell is the empty sequence, a name or a suffix of two or more of
         # a rule's children; _cells maps each to its id
         self._cells: dict[tuple[str, ...] | str, int] = {(): _EMPTY}

@@ -44,10 +44,6 @@ class ScriptSpec:
             return char
         raise KeyError(f"script {self.name} has no mapping for {char!r}")
 
-    def in_ranges(self, char: str) -> bool:
-        cp = ord(char)
-        return any(lo <= cp <= hi for lo, hi in self.base_ranges + self.diacritic_ranges)
-
     @cached_property
     def _covered(self) -> re.Pattern:
         def char_class(ranges: Ranges) -> str:

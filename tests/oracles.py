@@ -33,16 +33,23 @@ preorder) and yields.
 
 The bootstrap oracle draws all ``(n_resamples, n)`` resample indices at once,
 the reference for ``scfgkit.report.bootstrap_ci``'s draw in row blocks.
+
+Helpers that only tests call live here too: one side's CFG membership
+(``recognizes``, which checks and indexes that side itself), a derivation's
+yields (``src_yield``, ``tgt_yield``), a script's codepoint ranges
+(``in_ranges``) and the CVC shape of a pseudo-word (``is_cvc_word``).
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from functools import lru_cache
 
 import numpy as np
 
-from scfgkit.grammar import Side, SyncGrammar, SyncRule, as_words
+from scfgkit.grammar import Side, SyncGrammar, SyncRule, as_words, check_well_founded
+from scfgkit.lexicon import CONSONANTS, MAX_SYLLABLES, MIN_SYLLABLES, VOWELS
 from scfgkit.metrics import (
     BleuConfig,
     ChrfConfig,
@@ -51,8 +58,16 @@ from scfgkit.metrics import (
     _chrf_from_stats,
     _clamp,
 )
-from scfgkit.parsing import ParseTables, SourceParseError, _grouped_options, _parse, _virtual
-from scfgkit.sampling import Derivation
+from scfgkit.parsing import (
+    ParseTables,
+    SourceParseError,
+    _grouped_options,
+    _parse,
+    _virtual,
+    parse_tables,
+)
+from scfgkit.sampling import Derivation, _children, _read_yield
+from scfgkit.scripts import ScriptSpec
 
 
 def min_src_lens(grammar: SyncGrammar) -> dict[str, int]:
@@ -178,6 +193,15 @@ def targets_for(grammar: SyncGrammar, src_words: tuple[str, ...]) -> set[str]:
 
 
 # --- chart parsing -------------------------------------------------------
+
+
+def recognizes(grammar: SyncGrammar, side: Side, sentence) -> bool:
+    """Plain CFG membership for one side of the grammar (no feature merge),
+    after that side's well-foundedness check."""
+    check_well_founded(grammar, side)
+    words = as_words(sentence)
+    forest = _parse(parse_tables(grammar, side), words)
+    return grammar.start in forest[0].get(len(words), ())
 
 
 def parse_tables_from_symbols(grammar: SyncGrammar, side: Side) -> ParseTables:
@@ -310,7 +334,7 @@ class RecursiveSampler:
 
     def __init__(self, grammar: SyncGrammar):
         self.grammar = grammar
-        self.nullable = grammar.compiled.nullable("src")
+        self.nullable = grammar.compiled.nullable
         # lhs -> [(rule index, child names, fixed count of source words)]
         self.rules: dict[str, list[tuple[int, tuple[str, ...], int]]] = {}
         for i, r in enumerate(grammar.rules):
@@ -397,6 +421,14 @@ def preorder_recursive(tree: Tree) -> Derivation:
     return (idx,) + tuple(i for child in children for i in preorder_recursive(child))
 
 
+def src_yield(grammar: SyncGrammar, tree: Derivation) -> tuple[str, ...]:
+    return _read_yield(grammar.rules, tree, _children(grammar.rules, tree), "src")
+
+
+def tgt_yield(grammar: SyncGrammar, tree: Derivation) -> tuple[str, ...]:
+    return _read_yield(grammar.rules, tree, _children(grammar.rules, tree), "tgt")
+
+
 def walk_yield_recursive(grammar: SyncGrammar, tree: Tree, side: Side) -> tuple[str, ...]:
     idx, children = tree
     out: list[str] = []
@@ -453,46 +485,12 @@ def bleu(cand, gold, cfg: BleuConfig | None = None) -> float:
     cand_words = as_words(cand)
     gold_words = as_words(gold)
     correct, total = _bleu_stats(cand_words, gold_words, cfg.max_order)
-    return _clamp(
-        _bleu_from_stats(
-            correct, total, len(cand_words), len(gold_words), cfg, effective=True
-        )
-    )
-
-
-def corpus_bleu(cands, golds, cfg: BleuConfig | None = None) -> float:
-    cfg = cfg or BleuConfig()
-    correct = [0] * cfg.max_order
-    total = [0] * cfg.max_order
-    sys_len = ref_len = 0
-    for cand, gold in zip(cands, golds):
-        cand_words = as_words(cand)
-        gold_words = as_words(gold)
-        c, t = _bleu_stats(cand_words, gold_words, cfg.max_order)
-        for n in range(cfg.max_order):
-            correct[n] += c[n]
-            total[n] += t[n]
-        sys_len += len(cand_words)
-        ref_len += len(gold_words)
-    return _clamp(
-        _bleu_from_stats(correct, total, sys_len, ref_len, cfg, effective=False)
-    )
+    return _clamp(_bleu_from_stats(correct, total, len(cand_words), len(gold_words), cfg))
 
 
 def chrfpp(cand, gold, cfg: ChrfConfig | None = None) -> float:
     cfg = cfg or ChrfConfig()
     return _clamp(_chrf_from_stats(_chrf_order_stats(cand, gold, cfg), cfg.beta))
-
-
-def corpus_chrfpp(cands, golds, cfg: ChrfConfig | None = None) -> float:
-    cfg = cfg or ChrfConfig()
-    pooled = [(0, 0, 0)] * (cfg.char_order + cfg.word_order)
-    for cand, gold in zip(cands, golds):
-        stats = _chrf_order_stats(cand, gold, cfg)
-        pooled = [
-            (a + x, b + y, c + z) for (a, b, c), (x, y, z) in zip(pooled, stats)
-        ]
-    return _clamp(_chrf_from_stats(pooled, cfg.beta))
 
 
 def score_candidate(cand, golds, bleu_cfg=None, chrf_cfg=None) -> ScoreRecord:
@@ -550,3 +548,19 @@ def bootstrap_ci(values, n_resamples: int = 10_000, confidence: float = 0.95, se
     low, high = np.quantile(means, [tail, 1.0 - tail])
     lo_bound, hi_bound = arr.min(), arr.max()
     return float(np.clip(low, lo_bound, hi_bound)), float(np.clip(high, lo_bound, hi_bound))
+
+
+# --- words and scripts ------------------------------------------------------
+
+_CVC_RE = re.compile(f"(?:[{CONSONANTS}][{VOWELS}][{CONSONANTS}])+\\Z")
+
+
+def is_cvc_word(word: str, min_syllables: int = MIN_SYLLABLES, max_syllables: int = MAX_SYLLABLES) -> bool:
+    if not _CVC_RE.match(word):
+        return False
+    return min_syllables <= len(word) // 3 <= max_syllables
+
+
+def in_ranges(spec: ScriptSpec, char: str) -> bool:
+    cp = ord(char)
+    return any(lo <= cp <= hi for lo, hi in spec.base_ranges + spec.diacritic_ranges)

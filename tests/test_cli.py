@@ -6,9 +6,8 @@ import pytest
 
 from scfgkit.cli import main
 from scfgkit.grammar import parse_grammar_text
-from scfgkit.sampling import src_yield, tgt_yield
-
 from .conftest import FIG1_TEXT
+from .oracles import src_yield, tgt_yield
 from .test_parsing import AMBIG_TEXT, DEEP_TEXT, deep_pair
 
 
@@ -532,6 +531,17 @@ def test_report_refuses_a_resample_count_below_one(tmp_path, capsys, resamples):
     assert main(["report", "--log", str(log), "--out", str(out), "--resamples", resamples]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: n_resamples ") and err.count("\n") == 1 and resamples in err
+    assert not out.exists()
+
+
+def test_report_refuses_a_negative_seed(tmp_path, capsys):
+    log = tmp_path / "runs.jsonl"
+    record = {"grammar_size": 57, "length": 3, "scores": {"exact": 1, "bag_of_words": 1, "bleu": 1.0, "chrfpp": 1.0}}
+    log.write_text(json.dumps(record) + "\n", "utf-8")
+    out = tmp_path / "report"
+    assert main(["report", "--log", str(log), "--out", str(out), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed ") and err.count("\n") == 1 and "-1" in err
     assert not out.exists()
 
 

@@ -19,7 +19,7 @@ from scfgkit.lexicon import english_words
 from scfgkit.metagrammar import GrammarSpec, generate
 from scfgkit.scripts import SCRIPT_NAMES, get_script, transliterate
 
-from .oracles import edit_distance
+from .oracles import edit_distance, in_ranges
 
 SRC = frozenset({"wug", "nat", "ido"})
 TGT = frozenset({"lomu", "bako", "zatpuj", "kem"})
@@ -279,7 +279,7 @@ def test_misspelling_matches_the_oracle(grammar, script, pick, edits):
     # MISSPELLING_DISTANCE of its own; the oracle compares it with all of them
     tgt = target_vocab(*grammar, script)
     alphabet = "".join(sorted(set("".join(tgt))))
-    foreign = next(ch for ch in "qжא" if not get_script(script).in_ranges(ch))
+    foreign = next(ch for ch in "qжא" if not in_ranges(get_script(script), ch))
     word = tgt[pick % len(tgt)]
     for edit in edits:
         word = apply_edit(word, edit, alphabet, foreign)

@@ -217,7 +217,9 @@ def test_a_record_is_a_line_once_its_newline_is_written(tmp_path, monkeypatch, c
     log = tmp_path / "run" / "runs.jsonl"
     log.write_bytes(log.read_bytes()[:-1])
     assert read_log(log) == first[:-1]
-    assert harness.scan_log(log) == (first[:-1], 0)
+    with open(log, "rb") as fh:
+        records = harness.LogRecords(fh)
+        assert list(records) == first[:-1] and records.corrupt == 0
     assert main(["report", "--log", str(log), "--out", str(tmp_path / "report"),
                  "--resamples", "200"]) == 0
     by_size = (tmp_path / "report" / "by_size.csv").read_text("utf-8")
@@ -250,6 +252,9 @@ def test_read_log_counts_corrupt_lines_but_not_a_torn_tail(tmp_path, caplog):
     with caplog.at_level("WARNING", logger="scfgkit.harness"):
         assert read_log(log) == records[:2]
     assert [r.getMessage() for r in caplog.records] == [f"skipped 1 corrupt line(s) in {log}"]
+    with open(log, "rb") as fh:
+        scanned = harness.LogRecords(fh)
+        assert list(scanned) == records[:2] and scanned.corrupt == 1
     caplog.clear()
     log.write_bytes((lines[0] + "\n").encode("utf-8") + torn)
     with caplog.at_level("WARNING", logger="scfgkit.harness"):

@@ -9,10 +9,11 @@ from scfgkit.lexicon import (
     VOWELS,
     english_words,
     generate_suffixes,
-    is_cvc_word,
 )
 from scfgkit.metagrammar import GrammarSpec, generate_with_manifest
 from scfgkit.scripts import script_of
+
+from .oracles import is_cvc_word
 
 
 def test_english_wordlist_loads():

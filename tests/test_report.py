@@ -296,6 +296,20 @@ def test_bad_resample_counts_are_refused(tmp_path, n_resamples):
     assert not (tmp_path / "report").exists()
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, "3", True])
+def test_bad_seeds_are_refused(tmp_path, seed):
+    records = [record(57, 3), record(117, 5, 0.0)]
+    for call in (
+        lambda: bootstrap_ci([1.0, 0.0], seed=seed),
+        lambda: group_table(records, "grammar_size", seed=seed),
+        lambda: aggregate_report(records, seed=seed),
+        lambda: write_report(records, tmp_path / "report", seed=seed),
+    ):
+        with pytest.raises(ValueError, match="seed must be a whole number >= 0"):
+            call()
+    assert not (tmp_path / "report").exists()
+
+
 @pytest.mark.parametrize("confidence", [0, 1, -0.1, 1.5, float("nan"), "0.9", True])
 def test_bootstrap_ci_refuses_a_confidence_outside_the_unit_interval(confidence):
     with pytest.raises(ValueError, match="confidence must lie in"):

@@ -12,8 +12,6 @@ from scfgkit.sampling import (
     Sampler,
     SentencePair,
     sample_pair,
-    src_yield,
-    tgt_yield,
 )
 
 from .conftest import DATA, FIG1_TEXT
@@ -22,6 +20,8 @@ from .oracles import (
     count_derivations,
     draw_recursive,
     preorder_recursive,
+    src_yield,
+    tgt_yield,
     walk_yield_recursive,
 )
 from .test_parsing import random_grammars
