@@ -19,6 +19,7 @@ from .harness import ExperimentConfig, LogRecords, gold_members, label_answer, r
 from .metagrammar import WORD_ORDERS, GrammarSpec, generate_with_manifest
 from .metrics import score_candidate
 from .parsing import TRANSLATE_CAP, SourceParseError, Translations, translate
+from .prompts import extract_answer
 from .report import write_report
 from .sampling import sample_pair
 from .scripts import SCRIPT_NAMES, get_script, script_of
@@ -70,9 +71,11 @@ def _pair(line: str) -> dict:
 
 def _candidate(line: str) -> str | None:
     """A ``--cands`` line: a JSON string, a JSON object with a
-    cand/candidate/text/extracted field (run logs work as-is), or plain text.
-    A field that is null, as in the record of a failed trial, gives None.  A
-    line that starts with ``{`` or ``"`` and does not parse, such as a torn
+    cand/candidate/text/extracted field, or else a ``response`` field whose
+    answer :func:`~scfgkit.prompts.extract_answer` takes (run logs work
+    as-is), or plain text.  A field that is null, as in the record of a
+    failed trial, or a response without the answer marker gives None.  A line
+    that starts with ``{`` or ``"`` and does not parse, such as a torn
     record, is refused rather than scored as plain text."""
     try:
         record = json.loads(line)
@@ -92,7 +95,13 @@ def _candidate(line: str) -> str | None:
             if isinstance(value, list) and all(isinstance(word, str) for word in value):
                 return " ".join(value)
             raise ValueError(f"candidate field {key!r} is not a string, a list of strings or null: {value!r}")
-    raise ValueError(f"candidate record has no cand/candidate/text field: {record!r}")
+    if "response" in record:
+        response = record["response"]
+        if response is not None and not isinstance(response, str):
+            raise ValueError(f"candidate field 'response' is not a string or null: {response!r}")
+        words = None if response is None else extract_answer(response)
+        return None if words is None else " ".join(words)
+    raise ValueError(f"candidate record has no cand/candidate/text/extracted/response field: {record!r}")
 
 
 def _judged(args, grammar) -> list | None:
@@ -245,7 +254,10 @@ def _cmd_report(args) -> int:
         records = LogRecords(fh)
         paths = write_report(records, args.out, n_resamples=args.resamples, seed=args.seed)
     if records.corrupt:
-        print(f"warning: skipped {records.corrupt} corrupt line(s) in {args.log}", file=sys.stderr)
+        print(f"warning: skipped {records.corrupt} corrupt line(s) in {args.log} (first: {records.first_error})",
+              file=sys.stderr)
+    if records.repeated:
+        print(f"warning: skipped {records.repeated} repeated trial id(s) in {args.log}", file=sys.stderr)
     print(paths["text"].read_text("utf-8"))
     return 0
 

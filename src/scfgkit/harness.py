@@ -15,7 +15,16 @@ Python and numpy versions, and each condition's grammar text with its
 SHA-256; :func:`record_prompt` rebuilds a record's prompt from it.  A resumed
 run reads the manifest instead of generating every grammar, and refuses a
 config whose grammars, seeds or model differ from the ones the log was made
-with.  Records of schema version 1, which held the prompt itself, still read.
+with.
+
+A line of the log (schema version 3) also leaves out the fields of
+:data:`REBUILT_FIELDS`: ``spec`` and ``model``, which the manifest holds for
+every record of the log (both are resume keys), and ``extracted``, which is
+``extract_answer(response)``.  :func:`read_log` puts them back from the
+``run.json`` beside the log, so it returns the records :func:`run_trial`
+made.  Records of schema versions 1 (which held the prompt itself) and 2
+(which held every field) read as they are.  Reading a log checks the fields
+its readers use and skips a repeated trial id (see :class:`LogRecords`).
 
 Endpoints speak a minimal JSON POST ``{model, prompt} -> {text}``; a
 "chat" profile adapts that to chat-completion shaped payloads.  Two
@@ -67,12 +76,16 @@ from .metagrammar import GrammarSpec, check_fields, from_fields, generate
 from .metrics import ScoreRecord, score_candidate
 from .parsing import TRANSLATE_CAP, is_valid_translation, translate
 from .prompts import extract_answer, render_prompt, render_prompt_from_text
+from .report import AXES, METRICS
 from .sampling import sample_pair
 from .scripts import ScriptSpec, get_script
 from .seeds import derive_seed
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 MANIFEST_NAME = "run.json"
+# The record fields a log line leaves out and read_log rebuilds: spec and
+# model from the manifest, extracted from the response.
+REBUILT_FIELDS = ("spec", "model", "extracted")
 # The config fields that fix what a finished trial id stands for: its
 # grammar, its sentence and gold set, and the model that answered.  A resumed
 # run must agree on them with the manifest; the others (the grid's extent,
@@ -375,23 +388,57 @@ def run_trial(
     }
 
 
+# The fields a log's readers use, each checked on every record read: the
+# trial id keys a resume, and the scores and the group keys of report.AXES
+# make the report.
+_GROUP_KEYS = tuple(key for _, key, _, _ in AXES)
+
+
+def _record_error(record: dict) -> str | None:
+    """What is wrong with the fields a log's readers use in ``record``, or
+    None: ``trial_id`` must be a string, each of the four ``scores`` a finite
+    number and each group key a whole number (a bool is neither)."""
+    if type(record.get("trial_id")) is not str:
+        return f"trial_id must be a string: {record.get('trial_id')!r}"
+    scores = record.get("scores")
+    if type(scores) is not dict:
+        return f"scores must be an object: {scores!r}"
+    for metric in METRICS:
+        value = scores.get(metric)
+        # NaN, the infinities and ints beyond float range fail the bound
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            return f"scores {metric} must be a finite number: {value!r}"
+    for key in _GROUP_KEYS:
+        if type(record.get(key)) is not int:
+            return f"{key} must be a whole number: {record.get(key)!r}"
+    return None
+
+
 class LogRecords:
     """The records of a run log, in one forward pass, as an iterable used once.
 
     A line is a record once its newline is written: a last line without one
     is a torn append (a run cut mid-write), neither a record nor corrupt.  A
     whole line that is not a JSON object (bad JSON, UTF-8 cut mid-character,
-    or JSON of another type) is corrupt: it is skipped and counted in
-    ``corrupt``.  ``log`` is a binary file open at its start, which the pass
-    leaves at the end of the whole lines, where a resume truncates it.
+    or JSON of another type), or whose ``trial_id``, scores or report group
+    keys are not of their types, is corrupt: it is skipped and counted in
+    ``corrupt``, and ``first_error`` names the first by file, line and field.
+    A record whose trial id an earlier record has is skipped and counted in
+    ``repeated``.  Records are yielded as the line holds them: nothing is
+    rebuilt (see :func:`read_log`).  ``log`` is a binary file open at its
+    start, which the pass leaves at the end of the whole lines, where a
+    resume truncates it.
     """
 
     def __init__(self, log: BinaryIO):
         self.log = log
         self.corrupt = 0
+        self.first_error: str | None = None
+        self.repeated = 0
 
     def __iter__(self) -> Iterator[dict]:
-        for line in self.log:
+        seen = set()
+        for number, line in enumerate(self.log, 1):
             if not line.endswith(b"\n"):  # only ever the last line
                 self.log.seek(-len(line), os.SEEK_CUR)
                 return
@@ -399,27 +446,70 @@ class LogRecords:
                 continue
             try:
                 record = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):  # RecursionError: nested too deep to parse
                 record = None
-            if isinstance(record, dict):
-                yield record
-            else:
+            error = _record_error(record) if isinstance(record, dict) else "not a JSON object"
+            if error:
                 self.corrupt += 1
+                if self.first_error is None:
+                    self.first_error = f"{getattr(self.log, 'name', 'log')} line {number}: {error}"
+            elif record["trial_id"] in seen:
+                self.repeated += 1
+            else:
+                seen.add(record["trial_id"])
+                yield record
 
 
-def read_log(log: str | Path | BinaryIO) -> list[dict]:
+def _rebuild(record: dict, manifest: dict) -> None:
+    """Put the fields of :data:`REBUILT_FIELDS` back into a schema-3 ``record``
+    of the run whose manifest is ``manifest``, as :func:`run_trial` made them."""
+    record["spec"] = dict(manifest["conditions"][record["condition_index"]]["spec"])
+    record["model"] = manifest["config"]["model_name"]
+    extracted = None if record["response"] is None else extract_answer(record["response"])
+    record["extracted"] = None if extracted is None else list(extracted)
+
+
+def _manifest_beside(log: BinaryIO) -> dict:
+    """The manifest in the directory of the run log open as ``log``."""
+    name = getattr(log, "name", None)
+    if not isinstance(name, str):
+        raise ValueError(f"{log!r} holds schema-3 records: give read_log their run's manifest")
+    path = Path(name).parent / MANIFEST_NAME
+    if not path.is_file():
+        raise ValueError(f"{name} holds schema-3 records, and {path}, the manifest their "
+                         f"{', '.join(REBUILT_FIELDS)} are rebuilt from, is missing")
+    return read_manifest(path.parent)
+
+
+def read_log(log: str | Path | BinaryIO, manifest: dict | None = None) -> list[dict]:
     """The records of a run log (a path, or a binary file open at its start),
-    as :class:`LogRecords` reads them; corrupt lines are skipped with a
-    warning on this module's logger, and a missing path has none."""
+    as :class:`LogRecords` reads them, with the fields a schema-3 line leaves
+    out rebuilt from ``manifest``: by default the ``run.json`` beside the log,
+    read at most once, and ``ValueError`` when it is needed and missing.
+    Corrupt lines and repeated trial ids are skipped with a warning on this
+    module's logger, and a missing path has no records."""
     if isinstance(log, (str, os.PathLike)):
         if not os.path.exists(log):
             return []
         with open(log, "rb") as fh:
-            return read_log(fh)
+            return read_log(fh, manifest)
     records = LogRecords(log)
-    listed = list(records)
+    listed = []
+    for record in records:
+        if record.get("schema_version") == SCHEMA_VERSION:
+            if manifest is None:
+                manifest = _manifest_beside(log)
+            try:
+                _rebuild(record, manifest)
+            except (LookupError, TypeError, AttributeError) as exc:
+                raise ValueError(f"{record['trial_id']} in {getattr(log, 'name', log)} cannot be "
+                                 f"rebuilt from its manifest: {exc!r}") from None
+        listed.append(record)
     if records.corrupt:
-        logger.warning("skipped %d corrupt line(s) in %s", records.corrupt, log.name)
+        logger.warning("skipped %d corrupt line(s) in %s (first: %s)",
+                       records.corrupt, log.name, records.first_error)
+    if records.repeated:
+        logger.warning("skipped %d repeated trial id(s) in %s", records.repeated, log.name)
     return listed
 
 
@@ -485,7 +575,8 @@ def _check_resumable(cfg: ExperimentConfig, manifest: dict) -> None:
 def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> list[dict]:
     """Run (or resume) the full grid; returns all records including prior ones.
 
-    Each finished trial is appended to ``<out_dir>/runs.jsonl`` immediately.
+    Each finished trial is appended to ``<out_dir>/runs.jsonl`` immediately,
+    without the fields of :data:`REBUILT_FIELDS`.
     Records are written in grid order (conditions x lengths x replicates) so
     identical configs yield identical logs up to timing fields.  A resumed
     log is read in one pass that also cuts off a torn last line, so the log
@@ -503,9 +594,12 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> list[dict]:
     log_path = out_dir / "runs.jsonl"
     manifest_path = out_dir / MANIFEST_NAME
     prior = []
+    manifest = None
     if resume and log_path.exists():
+        if manifest_path.exists():
+            manifest = read_manifest(out_dir)
         with log_path.open("r+b") as fh:
-            prior = read_log(fh)  # leaves fh at the end of the last whole line
+            prior = read_log(fh, manifest)  # leaves fh at the end of the last whole line
             if fh.tell() < os.fstat(fh.fileno()).st_size:
                 fh.truncate()
     done = {r["trial_id"] for r in prior}
@@ -518,8 +612,7 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> list[dict]:
     ]
 
     # a log with records and no manifest predates manifests: it gets one now
-    manifest = read_manifest(out_dir) if prior and manifest_path.exists() else None
-    if manifest is None:
+    if manifest is None or not prior:
         grammars = {ci: generate(spec) for ci, spec in enumerate(cfg.conditions)}
         entries = [_condition_entry(spec, grammars[ci]) for ci, spec in enumerate(cfg.conditions)]
         out_dir.mkdir(parents=True, exist_ok=True)  # only once every spec has generated
@@ -547,7 +640,8 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> list[dict]:
         with log_path.open("a", encoding="utf-8") as fh:
             for future in futures:
                 record = future.result()
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+                line = {key: value for key, value in record.items() if key not in REBUILT_FIELDS}
+                fh.write(json.dumps(line, ensure_ascii=False) + "\n")
                 fh.flush()
                 fresh.append(record)
     return prior + fresh

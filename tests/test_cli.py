@@ -647,13 +647,57 @@ def test_report_counts_a_line_that_is_not_a_json_object(tmp_path, capsys):
     assert "57,exact,4,1.000000" in by_size and "77,exact,4,1.000000" in by_size
 
 
+@pytest.mark.parametrize(
+    "edit, error",
+    [(lambda record: {}, "trial_id must be a string: None"),
+     (lambda record: dict(record, grammar_size=[1]), "grammar_size must be a whole number: [1]"),
+     (lambda record: dict(record, scores=dict(record["scores"], bleu="0.5")),
+      "scores bleu must be a finite number: '0.5'")],
+    ids=["empty", "size-list", "score-string"],
+)
+def test_report_skips_a_record_whose_checked_fields_are_wrong(tmp_path, capsys, edit, error):
+    log = _mock_run_log(tmp_path)
+    lines = log.read_text("utf-8").splitlines()
+    log.write_text("\n".join([json.dumps(edit(json.loads(lines[0]))), *lines[1:]]) + "\n", "utf-8")
+    capsys.readouterr()
+    assert main(["report", "--log", str(log), "--out", str(tmp_path / "report"),
+                 "--resamples", "200"]) == 0
+    err = capsys.readouterr().err
+    assert f"warning: skipped 1 corrupt line(s) in {log} (first: {log} line 1: {error})" in err
+    by_size = (tmp_path / "report" / "by_size.csv").read_text("utf-8")
+    assert "57,exact,3,1.000000" in by_size and "77,exact,4,1.000000" in by_size
+    # a resume skips the line too, and runs its trial again
+    assert main(["run", "--config", str(tmp_path / "config.json")]) == 0
+    assert "8 trials (8 ok)" in capsys.readouterr().out
+
+
+def test_report_counts_a_repeated_trial_id_once(tmp_path, capsys):
+    log = _mock_run_log(tmp_path)
+    assert main(["report", "--log", str(log), "--out", str(tmp_path / "once"), "--resamples", "200"]) == 0
+    log.write_bytes(log.read_bytes() * 2)
+    capsys.readouterr()
+    assert main(["report", "--log", str(log), "--out", str(tmp_path / "twice"), "--resamples", "200"]) == 0
+    assert f"warning: skipped 8 repeated trial id(s) in {log}" in capsys.readouterr().err
+    for name in ("by_size.csv", "by_length.csv", "report.txt"):
+        assert (tmp_path / "twice" / name).read_bytes() == (tmp_path / "once" / name).read_bytes()
+
+
+def test_a_resume_without_the_manifest_of_its_schema_3_log_exits_2(tmp_path, capsys):
+    log = _mock_run_log(tmp_path)
+    (log.parent / "run.json").unlink()
+    capsys.readouterr()
+    assert main(["run", "--config", str(tmp_path / "config.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(log.parent / "run.json") in err
+
+
 def test_report_memory_is_bounded_on_a_long_log(tmp_path, capsys):
-    # 5,040 records of a mock run, about 1 kB each, with varied scores; the
-    # report keeps four scores per record, not the records
+    # 7,200 records of a mock run, about 780 bytes each, with varied scores;
+    # the report keeps four scores per record, not the records
     log = _mock_run_log(tmp_path, lengths=(3, 4, 5))
     templates = [json.loads(line) for line in log.read_text("utf-8").splitlines()]
     with log.open("w", encoding="utf-8") as fh:
-        for i in range(5_040):
+        for i in range(7_200):
             record = dict(templates[i % len(templates)], trial_id=f"t{i}")
             record["scores"] = {**record["scores"], "exact": i % 3 % 2, "bleu": (i % 7) / 7}
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
@@ -667,8 +711,8 @@ def test_report_memory_is_bounded_on_a_long_log(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert status == 0
-    assert (tmp_path / "report" / "by_length.csv").read_text("utf-8").count(",exact,1680,") == 3
-    # a list of the records alone holds about 40 MB
+    assert (tmp_path / "report" / "by_length.csv").read_text("utf-8").count(",exact,2400,") == 3
+    # a list of the records alone holds about 25 MB
     assert peak < 16 * 2**20
 
 

@@ -34,6 +34,7 @@ from scfgkit.harness import (
 from scfgkit.metagrammar import GrammarSpec, generate
 from scfgkit.parsing import is_valid_translation, translate
 from scfgkit.prompts import render_prompt
+from scfgkit.report import write_report
 from scfgkit.sampling import sample_pair
 from scfgkit.seeds import derive_seed
 
@@ -44,6 +45,17 @@ def make_config(tmp_path, url=MOCK_ORACLE, **kw):
     kw.setdefault("n_per_cell", 2)
     kw.setdefault("model_name", "test-model")
     return ExperimentConfig(endpoint=EndpointProfile(url=url), out_dir=tmp_path / "run", **kw)
+
+
+def logged(record: dict) -> dict:
+    """``record`` as its log line holds it."""
+    return {key: value for key, value in record.items() if key not in harness.REBUILT_FIELDS}
+
+
+def whole_record(trial: str, **fields) -> dict:
+    """A schema-2 record holding every field a log's readers check."""
+    return {"schema_version": 2, "trial_id": trial, "grammar_size": 57, "length": 3,
+            "scores": {"exact": 1, "bag_of_words": 1, "bleu": 1.0, "chrfpp": 1.0}, **fields}
 
 
 def test_config_validation(tmp_path):
@@ -219,7 +231,7 @@ def test_a_record_is_a_line_once_its_newline_is_written(tmp_path, monkeypatch, c
     assert read_log(log) == first[:-1]
     with open(log, "rb") as fh:
         records = harness.LogRecords(fh)
-        assert list(records) == first[:-1] and records.corrupt == 0
+        assert list(records) == [logged(r) for r in first[:-1]] and records.corrupt == 0
     assert main(["report", "--log", str(log), "--out", str(tmp_path / "report"),
                  "--resamples", "200"]) == 0
     by_size = (tmp_path / "report" / "by_size.csv").read_text("utf-8")
@@ -243,7 +255,7 @@ def test_a_record_is_a_line_once_its_newline_is_written(tmp_path, monkeypatch, c
 
 def test_read_log_counts_corrupt_lines_but_not_a_torn_tail(tmp_path, caplog):
     log = tmp_path / "runs.jsonl"
-    records = [{"trial_id": f"t{i}", "target": "Вася ест"} for i in range(3)]
+    records = [dict(whole_record(f"t{i}"), target="Вася ест") for i in range(3)]
     lines = [json.dumps(r, ensure_ascii=False) for r in records]
     torn = lines[2].encode("utf-8")[:-12]  # cut inside a Cyrillic letter
     log.write_bytes(
@@ -251,7 +263,9 @@ def test_read_log_counts_corrupt_lines_but_not_a_torn_tail(tmp_path, caplog):
     )
     with caplog.at_level("WARNING", logger="scfgkit.harness"):
         assert read_log(log) == records[:2]
-    assert [r.getMessage() for r in caplog.records] == [f"skipped 1 corrupt line(s) in {log}"]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipped 1 corrupt line(s) in {log} (first: {log} line 2: not a JSON object)"
+    ]
     with open(log, "rb") as fh:
         scanned = harness.LogRecords(fh)
         assert list(scanned) == records[:2] and scanned.corrupt == 1
@@ -270,7 +284,9 @@ def test_a_resume_skips_a_line_that_is_not_a_json_object(tmp_path, caplog):
     log.write_text("\n".join(lines[:2] + ["[1, 2]", '"x"'] + lines[2:-1]) + "\n", "utf-8")
     with caplog.at_level("WARNING", logger="scfgkit.harness"):
         resumed = run_experiment(cfg)
-    assert [r.getMessage() for r in caplog.records] == [f"skipped 2 corrupt line(s) in {log}"]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"skipped 2 corrupt line(s) in {log} (first: {log} line 3: not a JSON object)"
+    ]
     assert [r["trial_id"] for r in resumed] == [r["trial_id"] for r in first]
     assert read_log(log) == resumed
 
@@ -391,7 +407,7 @@ def test_records_are_json_round_trippable(tmp_path):
     records = run_experiment(cfg)
     for r in records:
         assert json.loads(json.dumps(r)) == r
-    assert r["schema_version"] == 2
+    assert r["schema_version"] == 3
     assert r["endpoint"]["url"] == MOCK_ORACLE
     assert r["model"] == "test-model"
     assert "prompt" not in r and len(r["prompt_sha256"]) == 64
@@ -566,9 +582,168 @@ def test_a_schema_1_log_still_reads_reports_and_rebuilds(tmp_path, capsys):
     shutil.copy(log, cfg.out_dir / "runs.jsonl")
     resumed = run_experiment(cfg)
     assert resumed[:2] == records
-    assert resumed[2]["schema_version"] == 2
+    assert resumed[2]["schema_version"] == 3
     assert [record_prompt(cfg.out_dir, r) for r in resumed[:2]] == [r["prompt"] for r in records]
     assert record_prompt(cfg.out_dir, resumed[2]) == render_prompt(grammar, resumed[2]["source"])
+    assert read_log(cfg.out_dir / "runs.jsonl") == resumed
+
+
+def _failing_client(monkeypatch):
+    """Answer trials in grid order: the second raises (transport_failed), the
+    third has no answer marker (extraction_failed), the rest give the gold."""
+    calls = []
+
+    def answer(self, prompt, gold, source):
+        calls.append(source)
+        if len(calls) == 2:
+            raise RuntimeError("connection refused")
+        return "no marker here" if len(calls) == 3 else f"Final answer: {gold}"
+
+    monkeypatch.setattr(_Client, "__call__", answer)
+
+
+def test_a_log_line_leaves_out_what_the_manifest_and_the_response_give(tmp_path, monkeypatch):
+    _failing_client(monkeypatch)
+    cfg = make_config(tmp_path, max_parallel=1)
+    records = run_experiment(cfg)
+    assert [r["status"] for r in records[:4]] == ["ok", "transport_failed", "extraction_failed", "ok"]
+    assert [r["extracted"] for r in records[1:3]] == [None, None]
+    assert records[0]["extracted"] == records[0]["gold"].split()
+    assert {r["model"] for r in records} == {"test-model"}
+    assert [r["spec"] for r in records] == [spec.to_dict() for spec in cfg.conditions for _ in range(4)]
+    lines = [json.loads(line) for line in (cfg.out_dir / "runs.jsonl").read_text("utf-8").splitlines()]
+    assert lines == [logged(r) for r in records]
+    assert all(line["schema_version"] == 3 and not set(harness.REBUILT_FIELDS) & set(line) for line in lines)
+    assert read_log(cfg.out_dir / "runs.jsonl") == records
+    # each rebuilt record has its own spec
+    first, second = read_log(cfg.out_dir / "runs.jsonl")[:2]
+    assert first["spec"] == second["spec"] and first["spec"] is not second["spec"]
+
+
+def test_a_schema_2_log_resumes_into_a_mixed_log(tmp_path, monkeypatch):
+    _failing_client(monkeypatch)
+    cfg = make_config(tmp_path, max_parallel=1)
+    records = run_experiment(cfg)
+    log = cfg.out_dir / "runs.jsonl"
+    schema_2 = [dict(r, schema_version=2) for r in records]
+    log.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in schema_2[:5]), "utf-8")
+    resumed = run_experiment(cfg)
+    assert [r["schema_version"] for r in resumed] == [2] * 5 + [3] * 3
+    assert resumed[:5] == schema_2[:5]
+    assert [dict(r, timing=None) for r in resumed[5:]] == [dict(r, timing=None) for r in records[5:]]
+    assert read_log(log) == resumed
+    # the mixed log reports as the records do, and resumes with nothing to run
+    assert main(["report", "--log", str(log), "--out", str(tmp_path / "mixed"), "--resamples", "200"]) == 0
+    write_report(records, tmp_path / "records", n_resamples=200)
+    for name in ("by_size.csv", "by_length.csv", "report.txt"):
+        assert (tmp_path / "mixed" / name).read_bytes() == (tmp_path / "records" / name).read_bytes()
+    monkeypatch.setattr(harness, "run_trial", lambda *a, **kw: pytest.fail("ran a finished trial"))
+    assert run_experiment(cfg) == resumed
+
+
+def test_a_schema_3_log_without_its_manifest_is_refused(tmp_path, capsys):
+    cfg = make_config(tmp_path)
+    run_experiment(cfg)
+    log = cfg.out_dir / "runs.jsonl"
+    manifest = cfg.out_dir / "run.json"
+    manifest.unlink()
+    with pytest.raises(ValueError, match=f"{manifest}.* is missing"):
+        read_log(log)
+    with pytest.raises(ValueError, match=f"{manifest}.* is missing"):
+        run_experiment(cfg)
+    # the report reads only fields a line holds
+    assert main(["report", "--log", str(log), "--out", str(tmp_path / "report"), "--resamples", "200"]) == 0
+    assert "57,exact,4,1.000000" in (tmp_path / "report" / "by_size.csv").read_text("utf-8")
+
+
+def test_a_schema_3_log_scores_as_cands_as_its_schema_2_form(tmp_path, monkeypatch):
+    spec = GrammarSpec(size=128, agreement_tgt=True, script_tgt="Cyrillic", seed=4)
+    inner, calls = _Client.__call__, []
+
+    def answer(self, prompt, gold, source):  # every third trial gives no answer
+        calls.append(source)
+        return "no marker" if len(calls) % 3 == 0 else inner(self, prompt, gold, source)
+
+    monkeypatch.setattr(_Client, "__call__", answer)
+    cfg = make_config(tmp_path, url=MOCK_ECHO_SOURCE, conditions=(spec,), lengths=(5, 8), n_per_cell=4,
+                      max_parallel=1)
+    records = run_experiment(cfg)
+    assert {"ok", "extraction_failed"} == {r["status"] for r in records}
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(json.dumps({"source": r["source"], "target": r["gold"]}) + "\n" for r in records), "utf-8")
+    schema_2 = tmp_path / "schema_2.jsonl"
+    schema_2.write_text("".join(json.dumps(dict(r, schema_version=2), ensure_ascii=False) + "\n"
+                                for r in records), "utf-8")
+    for name, cands in (("3", cfg.out_dir / "runs.jsonl"), ("2", schema_2)):
+        assert main(["score", "--pairs", str(pairs), "--cands", str(cands), "--out", str(tmp_path / f"scores{name}")]) == 0
+    assert (tmp_path / "scores3").read_bytes() == (tmp_path / "scores2").read_bytes()
+    scored = [json.loads(line) for line in (tmp_path / "scores3").read_text("utf-8").splitlines()]
+    assert [row["cand"] for row in scored] == [r["extracted"] and " ".join(r["extracted"]) for r in records]
+
+
+@pytest.mark.parametrize(
+    "edit, error",
+    [
+        ({"trial_id": 5}, "trial_id must be a string: 5"),
+        ({"scores": None}, "scores must be an object: None"),
+        ({"scores": {"exact": 1, "bag_of_words": 1, "bleu": "0.5", "chrfpp": 1.0}},
+         "scores bleu must be a finite number: '0.5'"),
+        ({"scores": {"exact": True, "bag_of_words": 1, "bleu": 1.0, "chrfpp": 1.0}},
+         "scores exact must be a finite number: True"),
+        ({"scores": {"exact": 1, "bag_of_words": 1, "bleu": 1.0}}, "scores chrfpp must be a finite number: None"),
+        ({"scores": {"exact": 1, "bag_of_words": 1, "bleu": float("nan"), "chrfpp": 1.0}},
+         "scores bleu must be a finite number: nan"),
+        ({"scores": {"exact": 1, "bag_of_words": 10**400, "bleu": 1.0, "chrfpp": 1.0}},
+         "scores bag_of_words must be a finite number: 1000"),
+        ({"grammar_size": [1]}, "grammar_size must be a whole number: [1]"),
+        ({"grammar_size": True}, "grammar_size must be a whole number: True"),
+        ({"length": 3.0}, "length must be a whole number: 3.0"),
+    ],
+    ids=["trial_id", "scores", "score-string", "score-bool", "score-missing", "score-nan", "score-huge",
+         "size-list", "size-bool", "length-float"],
+)
+def test_a_record_with_a_checked_field_of_the_wrong_type_is_corrupt(tmp_path, edit, error):
+    log = tmp_path / "runs.jsonl"
+    records = [whole_record(f"t{i}") for i in range(3)]
+    lines = [json.dumps(r) for r in records[:2]] + [json.dumps({**records[2], **edit}), json.dumps(records[0])]
+    log.write_text("\n".join(lines) + "\n", "utf-8")
+    with open(log, "rb") as fh:
+        scanned = harness.LogRecords(fh)
+        assert list(scanned) == records[:2]
+        assert (scanned.corrupt, scanned.repeated) == (1, 1)
+        assert scanned.first_error.startswith(f"{log} line 3: {error}")
+
+
+def test_a_line_nested_too_deep_to_parse_is_corrupt(tmp_path):
+    log = tmp_path / "runs.jsonl"
+    log.write_text(json.dumps(whole_record("t0")) + "\n" + "[" * 100_000 + "\n", "utf-8")
+    with open(log, "rb") as fh:
+        scanned = harness.LogRecords(fh)
+        assert list(scanned) == [whole_record("t0")] and scanned.corrupt == 1
+        assert scanned.first_error == f"{log} line 2: not a JSON object"
+
+
+def test_a_schema_3_record_the_manifest_cannot_rebuild_is_refused(tmp_path):
+    cfg = make_config(tmp_path)
+    run_experiment(cfg)
+    log = cfg.out_dir / "runs.jsonl"
+    lines = log.read_text("utf-8").splitlines()
+    lines[2] = json.dumps(dict(json.loads(lines[2]), condition_index=9))
+    log.write_text("\n".join(lines) + "\n", "utf-8")
+    with pytest.raises(ValueError, match="c0_len4_r0 in .* cannot be rebuilt from its manifest"):
+        read_log(log)
+
+
+def test_a_repeated_trial_id_is_read_once(tmp_path, caplog, monkeypatch):
+    cfg = make_config(tmp_path)
+    records = run_experiment(cfg)
+    log = cfg.out_dir / "runs.jsonl"
+    log.write_bytes(log.read_bytes() * 2)
+    with caplog.at_level("WARNING", logger="scfgkit.harness"):
+        assert read_log(log) == records
+    assert [r.getMessage() for r in caplog.records] == [f"skipped 8 repeated trial id(s) in {log}"]
+    monkeypatch.setattr(harness, "run_trial", lambda *a, **kw: pytest.fail("ran a finished trial"))
+    assert run_experiment(cfg) == records
 
 
 class _Loopback:
