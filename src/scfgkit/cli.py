@@ -15,11 +15,12 @@ import sys
 from pathlib import Path
 
 from .grammar import parse_grammar_text, serialize_grammar, word_vocab
-from .harness import ExperimentConfig, LogRecords, gold_members, label_answer, run_experiment, zero_scores
+from .harness import (
+    ExperimentConfig, LogRecords, answer_words, gold_members, label_answer, run_experiment, zero_scores,
+)
 from .metagrammar import WORD_ORDERS, GrammarSpec, generate_with_manifest
 from .metrics import score_candidate
 from .parsing import TRANSLATE_CAP, SourceParseError, Translations, translate
-from .prompts import extract_answer
 from .report import write_report
 from .sampling import sample_pair
 from .scripts import SCRIPT_NAMES, get_script, script_of
@@ -72,7 +73,7 @@ def _pair(line: str) -> dict:
 def _candidate(line: str) -> str | None:
     """A ``--cands`` line: a JSON string, a JSON object with a
     cand/candidate/text/extracted field, or else a ``response`` field whose
-    answer :func:`~scfgkit.prompts.extract_answer` takes (run logs work
+    answer :func:`~scfgkit.harness.answer_words` takes (run logs work
     as-is), or plain text.  A field that is null, as in the record of a
     failed trial, or a response without the answer marker gives None.  A line
     that starts with ``{`` or ``"`` and does not parse, such as a torn
@@ -99,7 +100,7 @@ def _candidate(line: str) -> str | None:
         response = record["response"]
         if response is not None and not isinstance(response, str):
             raise ValueError(f"candidate field 'response' is not a string or null: {response!r}")
-        words = None if response is None else extract_answer(response)
+        words = answer_words(response)
         return None if words is None else " ".join(words)
     raise ValueError(f"candidate record has no cand/candidate/text/extracted/response field: {record!r}")
 

@@ -20,9 +20,10 @@ with.
 A line of the log (schema version 3) also leaves out the fields of
 :data:`REBUILT_FIELDS`: ``spec`` and ``model``, which the manifest holds for
 every record of the log (both are resume keys), and ``extracted``, which is
-``extract_answer(response)``.  :func:`read_log` puts them back from the
-``run.json`` beside the log, so it returns the records :func:`run_trial`
-made.  Records of schema versions 1 (which held the prompt itself) and 2
+:func:`answer_words` of the response.  :func:`read_log` puts them back from
+the ``run.json`` beside the log, so it returns the records :func:`run_trial`
+made, and refuses a record whose rebuilt answer disagrees with its status or
+exact score.  Records of schema versions 1 (which held the prompt itself) and 2
 (which held every field) read as they are.  Reading a log checks the fields
 its readers use and skips a repeated trial id (see :class:`LogRecords`).
 
@@ -351,7 +352,7 @@ def run_trial(
     scores = zero_scores()
     labels: list[str] = []
     if status == "ok":
-        extracted = extract_answer(response)
+        extracted = answer_words(response)
         if extracted is None:
             status = "extraction_failed"
             answer, members = None, gold_set
@@ -377,7 +378,7 @@ def run_trial(
         "golds_overflowed": golds.overflowed,
         "prompt_sha256": _sha256(prompt),
         "response": response,
-        "extracted": list(extracted) if extracted is not None else None,
+        "extracted": extracted,
         "status": status,
         "error": error,
         "scores": scores.as_dict(),
@@ -460,13 +461,36 @@ class LogRecords:
                 yield record
 
 
+def answer_words(response: str | None) -> list[str] | None:
+    """The words of the answer in a trial's ``response``, as its record's
+    ``extracted`` field holds them: None for a failed transport (no response)
+    or a response without the answer marker."""
+    words = None if response is None else extract_answer(response)
+    return None if words is None else list(words)
+
+
 def _rebuild(record: dict, manifest: dict) -> None:
     """Put the fields of :data:`REBUILT_FIELDS` back into a schema-3 ``record``
-    of the run whose manifest is ``manifest``, as :func:`run_trial` made them."""
-    record["spec"] = dict(manifest["conditions"][record["condition_index"]]["spec"])
+    of the run whose manifest is ``manifest``, as :func:`run_trial` made them.
+
+    ``ValueError`` if ``condition_index`` names no condition of the manifest,
+    or if the rebuilt answer disagrees with what the record says was scored:
+    there is one exactly when the trial is ``ok``, and an exact answer whose
+    gold set is the gold alone is the gold."""
+    index = record["condition_index"]
+    if type(index) is not int or not 0 <= index < len(manifest["conditions"]):
+        raise ValueError(f"condition_index {index!r} names no condition of the manifest")
+    record["spec"] = dict(manifest["conditions"][index]["spec"])
     record["model"] = manifest["config"]["model_name"]
-    extracted = None if record["response"] is None else extract_answer(record["response"])
-    record["extracted"] = None if extracted is None else list(extracted)
+    extracted = answer_words(record["response"])
+    status = record["status"]
+    if (extracted is None) != (status != "ok"):
+        raise ValueError(f"the answer rebuilt from the response is {extracted!r} for status {status!r}")
+    if (status == "ok" and record["scores"]["exact"] == 1 and record["gold_set_size"] == 1
+            and not record["golds_overflowed"] and " ".join(extracted) != record["gold"]):
+        raise ValueError(f"the answer rebuilt from the response, {extracted!r}, is not the gold "
+                         f"its exact score says it is")
+    record["extracted"] = extracted
 
 
 def _manifest_beside(log: BinaryIO) -> dict:
@@ -501,9 +525,9 @@ def read_log(log: str | Path | BinaryIO, manifest: dict | None = None) -> list[d
                 manifest = _manifest_beside(log)
             try:
                 _rebuild(record, manifest)
-            except (LookupError, TypeError, AttributeError) as exc:
+            except (ValueError, LookupError, TypeError, AttributeError) as exc:
                 raise ValueError(f"{record['trial_id']} in {getattr(log, 'name', log)} cannot be "
-                                 f"rebuilt from its manifest: {exc!r}") from None
+                                 f"rebuilt from its manifest: {exc}") from None
         listed.append(record)
     if records.corrupt:
         logger.warning("skipped %d corrupt line(s) in %s (first: %s)",

@@ -52,6 +52,16 @@ def logged(record: dict) -> dict:
     return {key: value for key, value in record.items() if key not in harness.REBUILT_FIELDS}
 
 
+def read_whole_log(log) -> list[dict]:
+    """``read_log(log)``, once a pass over ``log`` finds no corrupt line and
+    no repeated trial id, both of which read_log skips with only a warning."""
+    with open(log, "rb") as fh:
+        scanned = harness.LogRecords(fh)
+        list(scanned)
+    assert (scanned.corrupt, scanned.repeated) == (0, 0)
+    return read_log(log)
+
+
 def whole_record(trial: str, **fields) -> dict:
     """A schema-2 record holding every field a log's readers check."""
     return {"schema_version": 2, "trial_id": trial, "grammar_size": 57, "length": 3,
@@ -216,7 +226,7 @@ def test_resume_skips_finished_trials(tmp_path):
     assert sorted(ids) == sorted(r["trial_id"] for r in first)
     assert len(set(ids)) == len(ids) == len(first)
     # the first fresh record must not fuse with the torn fragment on disk
-    assert read_log(log) == resumed
+    assert read_whole_log(log) == resumed
     # rerunning a complete log adds nothing
     assert len(run_experiment(cfg)) == len(first)
 
@@ -249,7 +259,7 @@ def test_a_record_is_a_line_once_its_newline_is_written(tmp_path, monkeypatch, c
     resumed = run_experiment(cfg)
     assert ran == [first[-1]["trial_id"]]
     assert resumed[:-1] == first[:-1] and resumed[-1]["trial_id"] == first[-1]["trial_id"]
-    assert read_log(log) == resumed
+    assert read_whole_log(log) == resumed
     assert log.read_bytes().endswith(b"\n")
 
 
@@ -530,7 +540,7 @@ def test_resume_refuses_other_grammars_seeds_or_model(tmp_path, monkeypatch, cha
     with pytest.raises(ValueError, match=next(iter(change))):
         run_experiment(make_config(tmp_path, lengths=(3, 4), **change))
     assert ran == [] and generated == []
-    assert read_log(cfg.out_dir / "runs.jsonl") == records
+    assert read_whole_log(cfg.out_dir / "runs.jsonl") == records
 
 
 def test_resume_may_grow_the_grid(tmp_path):
@@ -585,7 +595,7 @@ def test_a_schema_1_log_still_reads_reports_and_rebuilds(tmp_path, capsys):
     assert resumed[2]["schema_version"] == 3
     assert [record_prompt(cfg.out_dir, r) for r in resumed[:2]] == [r["prompt"] for r in records]
     assert record_prompt(cfg.out_dir, resumed[2]) == render_prompt(grammar, resumed[2]["source"])
-    assert read_log(cfg.out_dir / "runs.jsonl") == resumed
+    assert read_whole_log(cfg.out_dir / "runs.jsonl") == resumed
 
 
 def _failing_client(monkeypatch):
@@ -614,7 +624,7 @@ def test_a_log_line_leaves_out_what_the_manifest_and_the_response_give(tmp_path,
     lines = [json.loads(line) for line in (cfg.out_dir / "runs.jsonl").read_text("utf-8").splitlines()]
     assert lines == [logged(r) for r in records]
     assert all(line["schema_version"] == 3 and not set(harness.REBUILT_FIELDS) & set(line) for line in lines)
-    assert read_log(cfg.out_dir / "runs.jsonl") == records
+    assert read_whole_log(cfg.out_dir / "runs.jsonl") == records
     # each rebuilt record has its own spec
     first, second = read_log(cfg.out_dir / "runs.jsonl")[:2]
     assert first["spec"] == second["spec"] and first["spec"] is not second["spec"]
@@ -631,7 +641,7 @@ def test_a_schema_2_log_resumes_into_a_mixed_log(tmp_path, monkeypatch):
     assert [r["schema_version"] for r in resumed] == [2] * 5 + [3] * 3
     assert resumed[:5] == schema_2[:5]
     assert [dict(r, timing=None) for r in resumed[5:]] == [dict(r, timing=None) for r in records[5:]]
-    assert read_log(log) == resumed
+    assert read_whole_log(log) == resumed
     # the mixed log reports as the records do, and resumes with nothing to run
     assert main(["report", "--log", str(log), "--out", str(tmp_path / "mixed"), "--resamples", "200"]) == 0
     write_report(records, tmp_path / "records", n_resamples=200)
@@ -728,10 +738,35 @@ def test_a_schema_3_record_the_manifest_cannot_rebuild_is_refused(tmp_path):
     run_experiment(cfg)
     log = cfg.out_dir / "runs.jsonl"
     lines = log.read_text("utf-8").splitlines()
-    lines[2] = json.dumps(dict(json.loads(lines[2]), condition_index=9))
-    log.write_text("\n".join(lines) + "\n", "utf-8")
-    with pytest.raises(ValueError, match="c0_len4_r0 in .* cannot be rebuilt from its manifest"):
-        read_log(log)
+    # a negative or bool index would pick a condition if taken as a list index
+    for index in (9, -1, True):
+        edited = lines[:2] + [json.dumps(dict(json.loads(lines[2]), condition_index=index))] + lines[3:]
+        log.write_text("\n".join(edited) + "\n", "utf-8")
+        with pytest.raises(ValueError, match=f"c0_len4_r0 in .* cannot be rebuilt from its manifest: "
+                                             f"condition_index {index!r} names no condition"):
+            read_log(log)
+
+
+def test_a_schema_3_record_whose_rebuilt_answer_disagrees_with_its_scores_is_refused(tmp_path, monkeypatch):
+    _failing_client(monkeypatch)
+    cfg = make_config(tmp_path, max_parallel=1)
+    records = run_experiment(cfg)
+    assert [r["status"] for r in records[:3]] == ["ok", "transport_failed", "extraction_failed"]
+    assert records[0]["scores"]["exact"] == 1 and records[0]["gold_set_size"] == 1
+    log = cfg.out_dir / "runs.jsonl"
+    lines = log.read_text("utf-8").splitlines()
+    # as an answer rule other than the one that scored the log would rebuild it
+    for number, response, error in (
+        (0, "no marker", "is None for status 'ok'"),
+        (0, "Final answer: other words", "\\['other', 'words'\\], is not the gold"),
+        (2, "Final answer: x", "is \\['x'\\] for status 'extraction_failed'"),
+        (1, "Final answer: x", "is \\['x'\\] for status 'transport_failed'"),
+    ):
+        edited = list(lines)
+        edited[number] = json.dumps(dict(json.loads(lines[number]), response=response))
+        log.write_text("\n".join(edited) + "\n", "utf-8")
+        with pytest.raises(ValueError, match=f"{records[number]['trial_id']} in .* cannot be rebuilt .*{error}"):
+            read_log(log)
 
 
 def test_a_repeated_trial_id_is_read_once(tmp_path, caplog, monkeypatch):
