@@ -44,7 +44,6 @@ from .parsing import (
 )
 from .metrics import (
     BleuConfig,
-    ChrfConfig,
     ScoreRecord,
     score_candidate,
 )
@@ -73,7 +72,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ANSWER_MARKER",
     "BleuConfig",
-    "ChrfConfig",
     "Derivation",
     "EndpointProfile",
     "ExperimentConfig",

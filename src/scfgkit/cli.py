@@ -35,8 +35,9 @@ def _read_lines(path: str, read) -> list:
     """``read(line)`` of each non-blank line of ``path``, stripped.  A line ends
     only at ``\n``, as in a run log: ``json.dumps(..., ensure_ascii=False)``
     writes U+0085, U+2028 and U+2029 raw inside strings, where
-    ``str.splitlines`` would also split.  A ``ValueError`` from ``read`` is
-    raised again naming the file and the line."""
+    ``str.splitlines`` would also split.  A ``ValueError`` from ``read``, or
+    the ``RecursionError`` of a line nested too deep to parse, is raised
+    again as a ``ValueError`` naming the file and the line."""
     values = []
     with open(path, encoding="utf-8", newline="\n") as fh:
         for number, line in enumerate(fh, 1):
@@ -45,7 +46,7 @@ def _read_lines(path: str, read) -> list:
                 continue
             try:
                 values.append(read(line))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ValueError(f"{path} line {number}: {exc}") from None
     return values
 
@@ -254,11 +255,8 @@ def _cmd_report(args) -> int:
     with open(args.log, "rb") as fh:
         records = LogRecords(fh)
         paths = write_report(records, args.out, n_resamples=args.resamples, seed=args.seed)
-    if records.corrupt:
-        print(f"warning: skipped {records.corrupt} corrupt line(s) in {args.log} (first: {records.first_error})",
-              file=sys.stderr)
-    if records.repeated:
-        print(f"warning: skipped {records.repeated} repeated trial id(s) in {args.log}", file=sys.stderr)
+    for warning in records.warnings():
+        print(f"warning: {warning}", file=sys.stderr)
     print(paths["text"].read_text("utf-8"))
     return 0
 

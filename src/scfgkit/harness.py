@@ -284,8 +284,12 @@ class _Client:
             try:
                 body = json.loads(raw)
                 if endpoint.kind == "chat":
-                    return body["choices"][0]["message"]["content"]
-                return body["text"]
+                    answer = body["choices"][0]["message"]["content"]
+                else:
+                    answer = body["text"]
+                if not isinstance(answer, str):
+                    raise TypeError(f"the answer is not a string: {answer!r}")
+                return answer
             except (ValueError, LookupError, TypeError) as exc:
                 raise RuntimeError(f"malformed response body (HTTP {status}): {exc!r}") from exc
         raise RuntimeError(f"endpoint failed after {self.cfg.retry.max_attempts} attempts: {last_error}")
@@ -425,8 +429,9 @@ class LogRecords:
     keys are not of their types, is corrupt: it is skipped and counted in
     ``corrupt``, and ``first_error`` names the first by file, line and field.
     A record whose trial id an earlier record has is skipped and counted in
-    ``repeated``.  Records are yielded as the line holds them: nothing is
-    rebuilt (see :func:`read_log`).  ``log`` is a binary file open at its
+    ``repeated``; :meth:`warnings` words both counts for the readers.
+    Records are yielded as the line holds them: nothing is rebuilt (see
+    :func:`read_log`).  ``log`` is a binary file open at its
     start, which the pass leaves at the end of the whole lines, where a
     resume truncates it.
     """
@@ -453,12 +458,25 @@ class LogRecords:
             if error:
                 self.corrupt += 1
                 if self.first_error is None:
-                    self.first_error = f"{getattr(self.log, 'name', 'log')} line {number}: {error}"
+                    self.first_error = f"{self._name()} line {number}: {error}"
             elif record["trial_id"] in seen:
                 self.repeated += 1
             else:
                 seen.add(record["trial_id"])
                 yield record
+
+    def _name(self) -> str:
+        return getattr(self.log, "name", "log")
+
+    def warnings(self) -> list[str]:
+        """One line for the corrupt lines and one for the repeated trial ids
+        that the pass skipped, each only when there were some."""
+        lines = []
+        if self.corrupt:
+            lines.append(f"skipped {self.corrupt} corrupt line(s) in {self._name()} (first: {self.first_error})")
+        if self.repeated:
+            lines.append(f"skipped {self.repeated} repeated trial id(s) in {self._name()}")
+        return lines
 
 
 def answer_words(response: str | None) -> list[str] | None:
@@ -529,11 +547,8 @@ def read_log(log: str | Path | BinaryIO, manifest: dict | None = None) -> list[d
                 raise ValueError(f"{record['trial_id']} in {getattr(log, 'name', log)} cannot be "
                                  f"rebuilt from its manifest: {exc}") from None
         listed.append(record)
-    if records.corrupt:
-        logger.warning("skipped %d corrupt line(s) in %s (first: %s)",
-                       records.corrupt, log.name, records.first_error)
-    if records.repeated:
-        logger.warning("skipped %d repeated trial id(s) in %s", records.repeated, log.name)
+    for warning in records.warnings():
+        logger.warning("%s", warning)
     return listed
 
 

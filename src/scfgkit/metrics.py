@@ -5,19 +5,20 @@ four against a gold set.  All four score into [0, 1] and agree directionally
 (1 best).  The languages here are whitespace-delimited by construction, so
 tokenization is plain whitespace splitting throughout.
 
-BLEU follows SacreBLEU's sentence-level behavior at ``tokenize='none'``:
-n-gram precisions up to the effective order (the largest order with any
-candidate n-grams), exponential smoothing for zero counts (each zero halves
-the floor again), and the standard brevity penalty.  chrF++ averages the
-per-order F(beta) of character n-grams (whitespace removed) and word n-grams
-over the orders where both sides have n-grams.
+BLEU and chrF++ run in the one configuration the paper reports, SacreBLEU's
+defaults at ``tokenize='none'`` (Post 2018).  BLEU is 4-gram with uniform
+weights: n-gram precisions up to the effective order (the largest order with
+any candidate n-grams), exponential smoothing for zero counts (each zero
+halves the floor again; :class:`BleuConfig` can turn it off), and the standard
+brevity penalty.  chrF++ (Popović 2017) averages the per-order F(beta), beta =
+2, of character n-grams of orders 1..6 (whitespace removed) and word n-grams of
+orders 1..2 over the orders where both sides have n-grams.
 
 For multi-reference items (a gold set with several credited variants) exact
 match is membership; the graded metrics take the maximum over the gold set.
-An exact member scores the maximum on every metric wherever its configs
-provably allow it (nonempty, some BLEU weight over its length, some chrF++
-order), so ``score_candidate`` returns that record from membership without
-counting n-grams.
+A nonempty exact member scores the maximum on every metric, so
+``score_candidate`` returns that record from membership without counting
+n-grams.
 
 Every metric reads one set of integer n-gram statistics: per order, the
 candidate's n-gram count, each gold's n-gram count and each gold's clipped
@@ -48,40 +49,24 @@ Sentence = "str | tuple[str, ...] | list[str]"
 # character of the block's golds (~1 MB for 32 golds of 600 characters).
 GOLD_BLOCK = 32
 
+# SacreBLEU's defaults: BLEU's orders and their uniform weights, chrF++'s
+# beta and its character and word orders
+BLEU_WEIGHTS = (0.25,) * 4
+CHRF_BETA = 2.0
+CHRF_CHAR_ORDER = 6
+CHRF_WORD_ORDER = 2
+
 
 @dataclass(frozen=True)
 class BleuConfig:
-    """max_order n-gram precisions, optionally weighted (uniform when None,
-    renormalized over the effective order); smoothing is "exp-floor"
-    (SacreBLEU's 'exp') or "none"."""
+    """BLEU's smoothing of zero n-gram counts: "exp-floor" (SacreBLEU's
+    'exp') or "none"."""
 
-    max_order: int = 4
-    weights: tuple[float, ...] | None = None
     smoothing: str = "exp-floor"
 
     def __post_init__(self):
-        if self.max_order < 1:
-            raise ValueError("max_order must be >= 1")
         if self.smoothing not in ("exp-floor", "none"):
             raise ValueError(f"unknown smoothing: {self.smoothing!r}")
-        if self.weights is not None:
-            if len(self.weights) != self.max_order:
-                raise ValueError("need one weight per order")
-            if any(w < 0 for w in self.weights):
-                raise ValueError("weights must be nonnegative")
-            if not math.isclose(sum(self.weights), 1.0, abs_tol=1e-9):
-                raise ValueError("weights must sum to 1")
-
-
-@dataclass(frozen=True)
-class ChrfConfig:
-    beta: float = 2.0
-    char_order: int = 6
-    word_order: int = 2
-
-    def __post_init__(self):
-        if self.beta <= 0:
-            raise ValueError("beta must be positive")
 
 
 @dataclass(frozen=True)
@@ -224,10 +209,11 @@ def _any_bag_match(words) -> int:
 
 
 def _bleu_from_stats(correct, total, sys_len: int, ref_len: int, cfg: BleuConfig) -> float:
-    precisions = [0.0] * cfg.max_order
+    order = len(BLEU_WEIGHTS)
+    precisions = [0.0] * order
     floor = 1.0
-    effective_order = cfg.max_order
-    for n in range(cfg.max_order):
+    effective_order = order
+    for n in range(order):
         if total[n] == 0:
             break
         effective_order = n + 1
@@ -240,11 +226,8 @@ def _bleu_from_stats(correct, total, sys_len: int, ref_len: int, cfg: BleuConfig
     if sys_len == 0:
         return 0.0
     brevity = math.exp(1 - ref_len / sys_len) if sys_len < ref_len else 1.0
-    weights = cfg.weights or tuple(1.0 / cfg.max_order for _ in range(cfg.max_order))
-    used = weights[:effective_order]
+    used = BLEU_WEIGHTS[:effective_order]
     norm = sum(used)
-    if norm == 0:
-        return 0.0
     log_sum = sum(
         w / norm * (math.log(p) if p > 0 else -9999999999)
         for w, p in zip(used, precisions)
@@ -255,16 +238,15 @@ def _bleu_from_stats(correct, total, sys_len: int, ref_len: int, cfg: BleuConfig
 def _best_bleu(words, cfg: BleuConfig) -> float:
     """Highest sentence BLEU over the golds measured in ``words``; golds with
     equal statistics (reference length, overlap per order) score once."""
-    orders = words[: cfg.max_order]
     sys_len, ref_lens, _ = words[0]
-    total = [c for c, _, _ in orders]
+    total = [c for c, _, _ in words]
     return max(
         _clamp(_bleu_from_stats(correct, total, sys_len, ref_len, cfg))
-        for ref_len, *correct in set(zip(ref_lens, *(o for _, _, o in orders)))
+        for ref_len, *correct in set(zip(ref_lens, *(o for _, _, o in words)))
     )
 
 
-def _chrf_from_stats(stats, beta: float) -> float:
+def _chrf_from_stats(stats) -> float:
     total = 0.0
     effective = 0
     for n_cand, n_gold, match in stats:
@@ -274,74 +256,46 @@ def _chrf_from_stats(stats, beta: float) -> float:
         prec = match / n_cand
         rec = match / n_gold
         if prec + rec > 0:
-            total += (1 + beta**2) * prec * rec / (beta**2 * prec + rec)
+            total += (1 + CHRF_BETA**2) * prec * rec / (CHRF_BETA**2 * prec + rec)
     return total / effective if effective else 0.0
 
 
-def _best_chrf(orders, cfg: ChrfConfig) -> float:
+def _best_chrf(orders) -> float:
     """Highest chrF++ over the golds measured in ``orders``; golds with equal
     statistics score once."""
     cand = [c for c, _, _ in orders]
     k = len(orders)
     keys = set(zip(*(g for _, g, _ in orders), *(o for _, _, o in orders)))
-    return max(
-        (_clamp(_chrf_from_stats(zip(cand, key[:k], key[k:]), cfg.beta)) for key in keys),
-        default=0.0,
-    )
+    return max(_clamp(_chrf_from_stats(zip(cand, key[:k], key[k:]))) for key in keys)
 
 
-def _member_scores_max(cand_words, bleu_cfg: BleuConfig, chrf_cfg: ChrfConfig) -> bool:
-    """True when a gold equal to ``cand_words`` scores 1 on every metric, so
-    the candidate's record is known without counting n-grams.
-
-    Against an equal gold every precision, recall and the brevity penalty
-    are exactly 1.  BLEU is then exactly 1.0 when the weights over its
-    effective order (the candidate's length, at most ``max_order``) sum to
-    more than 0, which an empty candidate never meets.  chrF++ averages
-    F(beta) = (1 + beta^2) / (beta^2 + 1), exactly 1.0 for a finite
-    ``beta**2``, over its orders; it has an order to average when some word
-    order is measured or some character order meets a word with characters.
-    """
-    weights = bleu_cfg.weights or (1.0,) * bleu_cfg.max_order
-    chrf_orders = chrf_cfg.word_order >= 1 or (chrf_cfg.char_order >= 1 and any(cand_words))
-    return (
-        sum(weights[: len(cand_words)]) > 0
-        and chrf_orders
-        and math.isfinite(chrf_cfg.beta**2)
-    )
-
-
-def score_candidate(
-    cand: Sentence,
-    golds,
-    bleu_cfg: BleuConfig | None = None,
-    chrf_cfg: ChrfConfig | None = None,
-) -> ScoreRecord:
+def score_candidate(cand: Sentence, golds, bleu_cfg: BleuConfig | None = None) -> ScoreRecord:
     """Score one candidate against a nonempty gold set.
 
     Exact match is membership in the gold set; bag of words, BLEU and chrF++
     each take their maximum over the set (the crediting rule for grammars
-    that pair one source with several target variants).  A member that
-    provably scores the maximum on every metric (see
-    :func:`_member_scores_max`) is scored from membership alone.  Otherwise
-    the n-gram statistics of the whole set come from one batched pass per
-    side (words, characters); BLEU and chrF++ share the word orders.
+    that pair one source with several target variants).  A nonempty member
+    scores the maximum on every metric and is scored from membership alone:
+    against an equal gold every precision, recall and the brevity penalty
+    are exactly 1, so BLEU is exactly 1.0, and each chrF++ order's F(beta)
+    is exactly 1.0, with word orders to average over.  An empty answer has
+    no n-gram and scores 0.  Otherwise the n-gram statistics of the whole
+    set come from one batched pass per side (words, characters); BLEU and
+    chrF++ share the word orders.
     """
     bleu_cfg = bleu_cfg or BleuConfig()
-    chrf_cfg = chrf_cfg or ChrfConfig()
     golds = [as_words(g) for g in golds]
     if not golds:
         raise ValueError("gold set is empty")
     cand_words = as_words(cand)
     exact = int(cand_words in golds)
-    if exact and _member_scores_max(cand_words, bleu_cfg, chrf_cfg):
+    if exact and cand_words:
         return ScoreRecord(exact=1, bag_of_words=1, bleu=1.0, chrfpp=1.0)
-    word_orders = max(bleu_cfg.max_order, chrf_cfg.word_order)
-    words = _CandidateNgrams(cand_words, word_orders, chars=False).stats(golds)
-    chars = _CandidateNgrams(cand_words, chrf_cfg.char_order, chars=True).stats(golds)
+    words = _CandidateNgrams(cand_words, len(BLEU_WEIGHTS), chars=False).stats(golds)
+    chars = _CandidateNgrams(cand_words, CHRF_CHAR_ORDER, chars=True).stats(golds)
     return ScoreRecord(
         exact=exact,
         bag_of_words=_any_bag_match(words),
         bleu=_best_bleu(words, bleu_cfg),
-        chrfpp=_best_chrf(chars + words[: chrf_cfg.word_order], chrf_cfg),
+        chrfpp=_best_chrf(chars + words[:CHRF_WORD_ORDER]),
     )

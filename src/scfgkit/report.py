@@ -8,11 +8,10 @@ one resample stream: its indices are drawn once, a block of
 :data:`RESAMPLE_BLOCK` indices at a time, and each cell's interval is the one
 :func:`bootstrap_ci` gives for its scores alone.  Records are read in one
 pass that keeps only their four scores under each axis's group, so a
-generator over a run log need not hold the records.  A resample count that is
-not a whole number >= 1, or a confidence outside (0, 1), is refused.
-Tables emit as CSV (long form) and as aligned text with metrics as rows and
-groups as columns; a group given to :func:`group_table` with no records
-renders as an em dash.
+generator over a run log need not hold the records, and every group has a
+record.  A resample count that is not a whole number >= 1, or a seed that is
+not one >= 0, is refused.  Tables emit as CSV (long form) and as aligned text
+with metrics as rows and groups as columns.
 """
 
 from __future__ import annotations
@@ -20,13 +19,15 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Integral
 from pathlib import Path
 
 import numpy as np
 
 METRICS = ("exact", "bag_of_words", "bleu", "chrfpp")
-EMPTY_CELL = "—"
+# each tail of the 95% interval as (1 - 0.95) / 2 computes it,
+# 0.025000000000000022: the literal 0.025 would move the quantiles
+TAIL = (1.0 - 0.95) / 2.0
 # elements of resample indices drawn at once
 RESAMPLE_BLOCK = 1 << 16
 # (table name, record field, CSV column, text title), in report order
@@ -39,27 +40,21 @@ AXES = (
 @dataclass(frozen=True)
 class CellStat:
     n: int
-    mean: float | None
-    ci_low: float | None
-    ci_high: float | None
-
-    @property
-    def empty(self) -> bool:
-        return self.n == 0
+    mean: float
+    ci_low: float
+    ci_high: float
 
 
-def _check(n_resamples, seed, confidence: float = 0.95) -> None:
+def _check(n_resamples, seed) -> None:
     """Refuse bootstrap arguments that no interval can be drawn with."""
     if isinstance(n_resamples, bool) or not isinstance(n_resamples, Integral) or n_resamples < 1:
         raise ValueError(f"n_resamples must be a whole number >= 1: {n_resamples!r}")
     if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
         raise ValueError(f"seed must be a whole number >= 0: {seed!r}")
-    if isinstance(confidence, bool) or not isinstance(confidence, Real) or not 0 < confidence < 1:
-        raise ValueError(f"confidence must lie in (0, 1): {confidence!r}")
 
 
-def _intervals(columns: list, n_resamples: int, confidence: float, seed: int) -> list:
-    """Percentile bootstrap interval for the mean of each nonempty float
+def _intervals(columns: list, n_resamples: int, seed: int) -> list:
+    """95% percentile bootstrap interval for the mean of each nonempty float
     array in ``columns``, in order.
 
     Columns of one size share one resample stream, drawn once from
@@ -68,11 +63,10 @@ def _intervals(columns: list, n_resamples: int, confidence: float, seed: int) ->
     in one (n_resamples, n) draw, which is what each column would see alone.
     Only the resampled means of one size's columns are held at a time.
     """
-    _check(n_resamples, seed, confidence)
+    _check(n_resamples, seed)
     by_size: dict = {}
     for i, arr in enumerate(columns):
         by_size.setdefault(arr.size, []).append(i)
-    tail = (1.0 - confidence) / 2.0
     intervals = [None] * len(columns)
     for n, same_size in by_size.items():
         rng = np.random.default_rng(seed)
@@ -83,29 +77,24 @@ def _intervals(columns: list, n_resamples: int, confidence: float, seed: int) ->
             for k, i in enumerate(same_size):
                 means[k, start:start + len(idx)] = columns[i][idx].mean(axis=1)
         for i, resampled in zip(same_size, means):
-            low, high = np.quantile(resampled, [tail, 1.0 - tail])
+            low, high = np.quantile(resampled, [TAIL, 1.0 - TAIL])
             # quantile interpolation can drift one ulp past the sample range
             lo_bound, hi_bound = columns[i].min(), columns[i].max()
             intervals[i] = float(np.clip(low, lo_bound, hi_bound)), float(np.clip(high, lo_bound, hi_bound))
     return intervals
 
 
-def bootstrap_ci(
-    values,
-    n_resamples: int = 10_000,
-    confidence: float = 0.95,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Percentile bootstrap interval for the mean of ``values``."""
+def bootstrap_ci(values, n_resamples: int = 10_000, seed: int = 0) -> tuple[float, float]:
+    """95% percentile bootstrap interval for the mean of ``values``."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot bootstrap an empty sample")
-    return _intervals([arr], n_resamples, confidence, seed)[0]
+    return _intervals([arr], n_resamples, seed)[0]
 
 
 def _score_columns(records, keys) -> list:
     """For each field of ``keys``, {group value: (len(METRICS), n) float array
-    of its scores}, groups sorted, from one pass over the iterable
+    of its scores, n >= 1}, groups sorted, from one pass over the iterable
     ``records``; only each record's four scores are kept."""
     tables: list = [{} for _ in keys]
     for r in records:
@@ -121,15 +110,13 @@ def _score_columns(records, keys) -> list:
 
 def _stat_tables(tables: list, n_resamples: int, seed: int) -> list:
     """Each table of :func:`_score_columns` as a table of :class:`CellStat`;
-    the nonempty columns of all ``tables`` are bootstrapped together."""
-    columns = [col for table in tables for cols in table.values() for col in cols if col.size]
-    intervals = iter(_intervals(columns, n_resamples, 0.95, seed))
+    the columns of all ``tables`` are bootstrapped together."""
+    columns = [col for table in tables for cols in table.values() for col in cols]
+    intervals = iter(_intervals(columns, n_resamples, seed))
     return [
         {
             group: {
                 metric: CellStat(col.size, float(col.mean()), *next(intervals))
-                if col.size
-                else CellStat(0, None, None, None)
                 for metric, col in zip(METRICS, cols)
             }
             for group, cols in table.items()
@@ -138,30 +125,10 @@ def _stat_tables(tables: list, n_resamples: int, seed: int) -> list:
     ]
 
 
-def group_table(
-    records,
-    key: str,
-    groups=None,
-    n_resamples: int = 10_000,
-    seed: int = 0,
-) -> dict:
-    """{group value: {metric: CellStat}} for one grouping field.
-
-    ``groups`` fixes the column set (empty groups included); by default the
-    distinct values present in the records are used, sorted.  ``records`` is
-    any iterable of records, used once.
-    """
-    [table] = _score_columns(records, (key,))
-    if groups is not None:
-        empty = np.empty((len(METRICS), 0))
-        table = {group: table.get(group, empty) for group in groups}
-    [stats] = _stat_tables([table], n_resamples, seed)
-    return stats
-
-
 def aggregate_report(records, *, n_resamples: int = 10_000, seed: int = 0) -> dict:
-    """{table name: group_table} for each axis of :data:`AXES`, from one pass
-    over ``records``, any iterable of records, used once."""
+    """{table name: {group value: {metric: CellStat}}} for each axis of
+    :data:`AXES`, from one pass over ``records``, any iterable of records,
+    used once."""
     tables = _score_columns(records, [key for _, key, _, _ in AXES])
     return {name: table for (name, *_), table in zip(AXES, _stat_tables(tables, n_resamples, seed))}
 
@@ -174,25 +141,13 @@ def table_to_csv(table: dict, key_name: str) -> str:
     for group, row in table.items():
         for metric in METRICS:
             stat = row[metric]
-            if stat.empty:
-                writer.writerow([group, metric, 0, "", "", ""])
-            else:
-                writer.writerow(
-                    [
-                        group,
-                        metric,
-                        stat.n,
-                        f"{stat.mean:.6f}",
-                        f"{stat.ci_low:.6f}",
-                        f"{stat.ci_high:.6f}",
-                    ]
-                )
+            writer.writerow(
+                [group, metric, stat.n, f"{stat.mean:.6f}", f"{stat.ci_low:.6f}", f"{stat.ci_high:.6f}"]
+            )
     return out.getvalue()
 
 
 def _format_stat(stat: CellStat) -> str:
-    if stat.empty:
-        return EMPTY_CELL
     return f"{stat.mean:.3f} [{stat.ci_low:.3f}, {stat.ci_high:.3f}]"
 
 

@@ -52,7 +52,6 @@ from scfgkit.grammar import Side, SyncGrammar, SyncRule, as_words, check_well_fo
 from scfgkit.lexicon import CONSONANTS, MAX_SYLLABLES, MIN_SYLLABLES, VOWELS
 from scfgkit.metrics import (
     BleuConfig,
-    ChrfConfig,
     ScoreRecord,
     _bleu_from_stats,
     _chrf_from_stats,
@@ -447,29 +446,31 @@ def _ngram_counts(tokens, n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def _bleu_stats(cand_words, gold_words, max_order: int):
-    correct = [0] * max_order
-    total = [0] * max_order
-    gold_counts = [_ngram_counts(gold_words, n + 1) for n in range(max_order)]
-    for n in range(max_order):
+def _bleu_stats(cand_words, gold_words):
+    """(overlap, candidate count) per word order 1..4."""
+    correct = [0] * 4
+    total = [0] * 4
+    gold_counts = [_ngram_counts(gold_words, n + 1) for n in range(4)]
+    for n in range(4):
         cand_counts = _ngram_counts(cand_words, n + 1)
         total[n] = sum(cand_counts.values())
         correct[n] = sum((cand_counts & gold_counts[n]).values())
     return correct, total
 
 
-def _chrf_order_stats(cand, gold, cfg: ChrfConfig):
-    """(cand count, gold count, overlap) per order: chars first, then words."""
+def _chrf_order_stats(cand, gold):
+    """(cand count, gold count, overlap) per order: character orders 1..6
+    first, then word orders 1..2."""
     cand_words = as_words(cand)
     gold_words = as_words(gold)
     cand_chars = "".join(cand_words)
     gold_chars = "".join(gold_words)
     stats = []
-    for n in range(1, cfg.char_order + 1):
+    for n in range(1, 7):
         c = _ngram_counts(cand_chars, n)
         g = _ngram_counts(gold_chars, n)
         stats.append((sum(c.values()), sum(g.values()), sum((c & g).values())))
-    for n in range(1, cfg.word_order + 1):
+    for n in range(1, 3):
         c = _ngram_counts(cand_words, n)
         g = _ngram_counts(gold_words, n)
         stats.append((sum(c.values()), sum(g.values()), sum((c & g).values())))
@@ -484,16 +485,15 @@ def bleu(cand, gold, cfg: BleuConfig | None = None) -> float:
     cfg = cfg or BleuConfig()
     cand_words = as_words(cand)
     gold_words = as_words(gold)
-    correct, total = _bleu_stats(cand_words, gold_words, cfg.max_order)
+    correct, total = _bleu_stats(cand_words, gold_words)
     return _clamp(_bleu_from_stats(correct, total, len(cand_words), len(gold_words), cfg))
 
 
-def chrfpp(cand, gold, cfg: ChrfConfig | None = None) -> float:
-    cfg = cfg or ChrfConfig()
-    return _clamp(_chrf_from_stats(_chrf_order_stats(cand, gold, cfg), cfg.beta))
+def chrfpp(cand, gold) -> float:
+    return _clamp(_chrf_from_stats(_chrf_order_stats(cand, gold)))
 
 
-def score_candidate(cand, golds, bleu_cfg=None, chrf_cfg=None) -> ScoreRecord:
+def score_candidate(cand, golds, bleu_cfg=None) -> ScoreRecord:
     """One Counter-based BLEU and chrF++ per gold, maximized over the set."""
     golds = [as_words(g) for g in golds]
     words = as_words(cand)
@@ -501,7 +501,7 @@ def score_candidate(cand, golds, bleu_cfg=None, chrf_cfg=None) -> ScoreRecord:
         exact=int(any(words == g for g in golds)),
         bag_of_words=max(bag_of_words(cand, g) for g in golds),
         bleu=max(bleu(cand, g, bleu_cfg) for g in golds),
-        chrfpp=max(chrfpp(cand, g, chrf_cfg) for g in golds),
+        chrfpp=max(chrfpp(cand, g) for g in golds),
     )
 
 
@@ -538,13 +538,13 @@ def nearest_gold(cand_words, golds) -> tuple[str, ...]:
     return tied[shared.index(max(shared))]
 
 
-def bootstrap_ci(values, n_resamples: int = 10_000, confidence: float = 0.95, seed: int = 0):
-    """Percentile bootstrap interval for the mean, from one index draw."""
+def bootstrap_ci(values, n_resamples: int = 10_000, seed: int = 0):
+    """95% percentile bootstrap interval for the mean, from one index draw."""
     arr = np.asarray(values, dtype=float)
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, arr.size, size=(n_resamples, arr.size))
     means = arr[idx].mean(axis=1)
-    tail = (1.0 - confidence) / 2.0
+    tail = (1.0 - 0.95) / 2.0
     low, high = np.quantile(means, [tail, 1.0 - tail])
     lo_bound, hi_bound = arr.min(), arr.max()
     return float(np.clip(low, lo_bound, hi_bound)), float(np.clip(high, lo_bound, hi_bound))

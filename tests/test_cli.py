@@ -322,6 +322,21 @@ def test_a_torn_json_candidate_exits_2(tmp_path, fig1_path, capsys, command, tor
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--pairs", "--cands"])
+def test_a_line_nested_too_deep_exits_2(tmp_path, capsys, flag):
+    # json.loads gives up on 100,000 nested arrays with a RecursionError
+    files = {"--pairs": tmp_path / "pairs.jsonl", "--cands": tmp_path / "cands.jsonl"}
+    out = tmp_path / "out.jsonl"
+    files["--pairs"].write_text(json.dumps({"source": "I open", "target": "watashi wa akemasu"}) + "\n", "utf-8")
+    files["--cands"].write_text("watashi wa akemasu\n", "utf-8")
+    files[flag].write_text("[" * 100_000 + "\n", "utf-8")
+    assert main(["score", "--pairs", str(files["--pairs"]), "--cands", str(files["--cands"]),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {files[flag]} line 1: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["score", "classify"])
 @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"], ids=["U+2028", "U+2029", "U+0085"])
 def test_a_raw_unicode_line_break_inside_a_string_stays_in_its_line(tmp_path, fig1_path, command, char):

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import scfgkit
-from scfgkit import harness
+from scfgkit import harness, report
 from scfgkit.cli import main
 from scfgkit.errors import UNPARSEABLE
 from scfgkit.grammar import SyncGrammar, SyncRule
@@ -284,6 +285,18 @@ def test_read_log_counts_corrupt_lines_but_not_a_torn_tail(tmp_path, caplog):
     with caplog.at_level("WARNING", logger="scfgkit.harness"):
         assert read_log(log) == records[:1]
     assert not caplog.records
+
+
+def test_read_log_warns_of_a_stream_without_a_name(caplog):
+    # a binary stream need not have a file name: the warnings call it "log"
+    line = json.dumps(whole_record("t0"))
+    stream = io.BytesIO(f"{{}}\n{line}\n{line}\n".encode("utf-8"))
+    with caplog.at_level("WARNING", logger="scfgkit.harness"):
+        assert read_log(stream) == [whole_record("t0")]
+    assert [r.getMessage() for r in caplog.records] == [
+        "skipped 1 corrupt line(s) in log (first: log line 1: trial_id must be a string: None)",
+        "skipped 1 repeated trial id(s) in log",
+    ]
 
 
 def test_a_resume_skips_a_line_that_is_not_a_json_object(tmp_path, caplog):
@@ -867,12 +880,12 @@ def second_loopback(loopback):
     server.close()
 
 
-def _loopback_trial(tmp_path, loopback, replies, backoff_s=0, timeout_s=60.0):
+def _loopback_trial(tmp_path, loopback, replies, backoff_s=0, timeout_s=60.0, kind="plain"):
     """One trial against ``loopback`` scripted with ``replies``; returns the
     record and the number of requests sent."""
     cfg = replace(
         make_config(tmp_path, retry=RetryPolicy(backoff_s=backoff_s)),
-        endpoint=EndpointProfile(url=loopback.script(replies).url, timeout_s=timeout_s),
+        endpoint=EndpointProfile(url=loopback.script(replies).url, timeout_s=timeout_s, kind=kind),
     )
     grammar = generate(cfg.conditions[0])
     return run_trial(cfg, grammar, 0, 3, 0, client=_Client(cfg)), len(loopback.sent)
@@ -964,6 +977,37 @@ def test_a_malformed_body_is_sent_once(tmp_path, loopback):
 
 
 @pytest.mark.parametrize(
+    "kind, body",
+    [
+        ("plain", {"text": 5}),
+        ("plain", {"text": None}),
+        ("plain", {"text": ["Final answer: x"]}),
+        ("chat", {"choices": [{"message": {"content": None}}]}),
+        ("chat", {"choices": [{"message": {"content": [{"type": "text", "text": "Final answer: x"}]}}]}),
+    ],
+    ids=["number", "null", "list", "chat-null", "chat-parts"],
+)
+def test_an_answer_that_is_not_a_string_is_a_malformed_body(tmp_path, loopback, kind, body):
+    # such an answer has no words to extract: the trial fails, and the run goes on
+    record, sent = _loopback_trial(tmp_path, loopback, [_reply(200, body)] * 3, kind=kind)
+    assert sent == 1
+    assert record["status"] == "transport_failed" and record["response"] is None
+    assert "malformed" in record["error"] and "not a string" in record["error"]
+
+
+def test_a_run_goes_on_past_an_answer_that_is_not_a_string(tmp_path, loopback):
+    loopback.script([_reply(200, {"text": 5}), _reply(200, {"text": "Final answer: x"})])
+    cfg = replace(
+        make_config(tmp_path, conditions=(GrammarSpec(size=57, seed=0),), lengths=(3,), max_parallel=1),
+        endpoint=EndpointProfile(url=loopback.url),
+        retry=RetryPolicy(max_attempts=1),
+    )
+    records = run_experiment(cfg)
+    assert [r["status"] for r in records] == ["transport_failed", "ok"]
+    assert read_log(cfg.out_dir / "runs.jsonl") == records
+
+
+@pytest.mark.parametrize(
     "failure",
     [_reply(503, {}), _reply(429, {}), _Loopback.DROP, _Loopback.HANG, _Loopback.SHORT],
     ids=["503", "429", "connection", "timeout", "short-body"],
@@ -1031,3 +1075,21 @@ def test_a_mock_run_imports_no_http_stack(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+# The names the benchmark's trace (perfbench/rep.py) replaces with timed
+# versions: renaming or removing one breaks only a traced benchmark run.
+TRACED_HARNESS_NAMES = (
+    "derive_seed", "sample_pair", "translate", "render_prompt", "extract_answer", "score_candidate",
+    "classify", "sorted_labels", "word_vocab", "get_script", "english_words", "run_trial", "trial_id",
+    "read_log",
+)
+
+
+def test_the_names_the_benchmark_traces_exist():
+    for name in TRACED_HARNESS_NAMES:
+        assert callable(getattr(harness, name, None)), name
+    assert "__call__" in vars(harness._Client)
+    assert callable(harness.json.dumps)
+    for name in ("bootstrap_ci", "write_report"):
+        assert callable(getattr(report, name, None)), name

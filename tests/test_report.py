@@ -11,12 +11,10 @@ from hypothesis import strategies as st
 
 from scfgkit.report import (
     AXES,
-    EMPTY_CELL,
     METRICS,
     CellStat,
     aggregate_report,
     bootstrap_ci,
-    group_table,
     table_to_csv,
     table_to_text,
     write_report,
@@ -74,17 +72,10 @@ def test_bootstrap_ci_memory_is_bounded():
 
 def test_group_table_means():
     records = [record(57, 3, 1.0), record(57, 3, 0.0), record(117, 3, 1.0)]
-    table = group_table(records, "grammar_size", n_resamples=200)
+    table = aggregate_report(records, n_resamples=200)["by_size"]
     assert table[57]["exact"].n == 2
     assert table[57]["exact"].mean == 0.5
     assert table[117]["bleu"].mean == 1.0
-
-
-def test_group_table_empty_groups():
-    table = group_table([record(57, 3)], "grammar_size", groups=[57, 117], n_resamples=50)
-    assert table[117]["exact"].empty
-    assert table[117]["exact"].n == 0
-    assert not table[57]["exact"].empty
 
 
 def test_aggregate_report_has_both_axes():
@@ -96,7 +87,8 @@ def test_aggregate_report_has_both_axes():
 
 
 def test_csv_shape_and_empty_cells():
-    table = group_table([record(57, 3)], "grammar_size", groups=[57, 117], n_resamples=50)
+    # a group is a value some record has, so no cell is empty
+    table = aggregate_report([record(57, 3), record(117, 5, 0.0)], n_resamples=50)["by_size"]
     text = table_to_csv(table, "grammar_size")
     rows = list(csv.reader(io.StringIO(text)))
     assert rows[0] == ["grammar_size", "metric", "n", "mean", "ci_low", "ci_high"]
@@ -104,18 +96,19 @@ def test_csv_shape_and_empty_cells():
     by_group = {(r[0], r[1]): r for r in rows[1:]}
     assert float(by_group[("57", "exact")][3]) == 1.0
     assert by_group[("57", "exact")][2] == "1"
-    assert by_group[("117", "exact")][2] == "0"
-    assert by_group[("117", "exact")][3] == ""
+    assert float(by_group[("117", "exact")][3]) == 0.0
+    assert all(all(row) for row in rows)
 
 
 def test_text_table_alignment_and_empty_marker():
-    table = group_table([record(57, 3)], "grammar_size", groups=[57, 117], n_resamples=50)
+    # every cell holds a mean and its interval; none needs a marker
+    table = aggregate_report([record(57, 3), record(117, 5, 0.0)], n_resamples=50)["by_size"]
     text = table_to_text(table, "size")
     lines = text.splitlines()
     assert len({len(l) for l in lines if l.strip()}) <= 2  # aligned columns
-    assert EMPTY_CELL in text
     assert "size=57" in lines[0] and "size=117" in lines[0]
-    assert "1.000 [1.000, 1.000]" in text
+    assert "1.000 [1.000, 1.000]" in text and "0.000 [0.000, 0.000]" in text
+    assert text.count("[") == 2 * len(METRICS)
 
 
 def test_write_report_files(tmp_path):
@@ -205,17 +198,6 @@ def test_report_bytes_are_pinned(tmp_path, name):
     assert digests == PINNED_REPORTS[name]
 
 
-def test_empty_column_bytes_are_pinned():
-    records = _pinned_record_sets()["unequal"]
-    table = group_table(records, "grammar_size", groups=[57, 99, 117, 237], n_resamples=300, seed=1)
-    assert _sha256(table_to_csv(table, "size")) == (
-        "0df9856ea843828d364e5f4a760b2425b43b1c26992d769d0861eb687b1fcb66"
-    )
-    assert _sha256(table_to_text(table, "size")) == (
-        "a859b93cad2bfa3fc6a98a1fadca7e131c680333987536e6787d09612d35c09e"
-    )
-
-
 def _mixed_records() -> list:
     # by_size: 600 records (two row blocks at 2,000 resamples), 30 and 1; by_length:
     # two groups of 30, the size of size 117's group too, and one of 571
@@ -287,7 +269,6 @@ def test_bad_resample_counts_are_refused(tmp_path, n_resamples):
     records = [record(57, 3), record(117, 5, 0.0)]
     for call in (
         lambda: bootstrap_ci([1.0, 0.0], n_resamples=n_resamples),
-        lambda: group_table(records, "grammar_size", n_resamples=n_resamples),
         lambda: aggregate_report(records, n_resamples=n_resamples),
         lambda: write_report(records, tmp_path / "report", n_resamples=n_resamples),
     ):
@@ -301,16 +282,9 @@ def test_bad_seeds_are_refused(tmp_path, seed):
     records = [record(57, 3), record(117, 5, 0.0)]
     for call in (
         lambda: bootstrap_ci([1.0, 0.0], seed=seed),
-        lambda: group_table(records, "grammar_size", seed=seed),
         lambda: aggregate_report(records, seed=seed),
         lambda: write_report(records, tmp_path / "report", seed=seed),
     ):
         with pytest.raises(ValueError, match="seed must be a whole number >= 0"):
             call()
     assert not (tmp_path / "report").exists()
-
-
-@pytest.mark.parametrize("confidence", [0, 1, -0.1, 1.5, float("nan"), "0.9", True])
-def test_bootstrap_ci_refuses_a_confidence_outside_the_unit_interval(confidence):
-    with pytest.raises(ValueError, match="confidence must lie in"):
-        bootstrap_ci([1.0, 0.0], confidence=confidence)

@@ -7,7 +7,6 @@ a block of 2 golds as well as the defaults puts block boundaries, and ties
 across blocks, inside small examples.
 """
 
-import math
 from contextlib import contextmanager
 from unittest import mock
 
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 from scfgkit import errors, metrics
 from scfgkit.grammar import as_words
 from scfgkit.metagrammar import GrammarSpec, generate
-from scfgkit.metrics import BleuConfig, ChrfConfig, ScoreRecord
+from scfgkit.metrics import BleuConfig, ScoreRecord
 from scfgkit.parsing import translate
 from scfgkit.sampling import sample_pair
 
@@ -59,82 +58,56 @@ def scoring_cases(draw):
     return cand, golds
 
 
-@st.composite
-def bleu_configs(draw):
-    max_order = draw(st.integers(1, 6))
-    weights = None
-    if draw(st.booleans()):
-        raw = draw(
-            st.lists(st.integers(0, 5), min_size=max_order, max_size=max_order).filter(any)
-        )
-        weights = tuple(w / sum(raw) for w in raw)
-    return BleuConfig(max_order, weights, draw(st.sampled_from(["exp-floor", "none"])))
-
-
-chrf_configs = st.builds(
-    ChrfConfig,
-    beta=st.sampled_from([0.5, 1.0, 2.0, 3.0]),
-    char_order=st.integers(0, 7),
-    word_order=st.integers(0, 3),
-)
+bleu_configs = st.builds(BleuConfig, smoothing=st.sampled_from(["exp-floor", "none"]))
 
 
 @BLOCKS
 @settings(max_examples=150, deadline=None)
-@given(case=scoring_cases(), bleu_cfg=bleu_configs(), chrf_cfg=chrf_configs)
-def test_score_candidate_matches_oracle(block, case, bleu_cfg, chrf_cfg):
+@given(case=scoring_cases(), bleu_cfg=bleu_configs)
+def test_score_candidate_matches_oracle(block, case, bleu_cfg):
     # the whole gold set, then each member alone
     cand, golds = case
     for gold_set in [golds] + [[gold] for gold in golds]:
         with gold_block(block):
-            got = metrics.score_candidate(cand, gold_set, bleu_cfg, chrf_cfg)
-        assert got == oracle.score_candidate(cand, gold_set, bleu_cfg, chrf_cfg)
+            got = metrics.score_candidate(cand, gold_set, bleu_cfg)
+        assert got == oracle.score_candidate(cand, gold_set, bleu_cfg)
 
 
 @BLOCKS
 @settings(max_examples=150, deadline=None)
-@given(case=scoring_cases(), bleu_cfg=bleu_configs(), chrf_cfg=chrf_configs)
-def test_gold_members_match_oracle(block, case, bleu_cfg, chrf_cfg):
-    # a member is scored from membership wherever its configs allow
+@given(case=scoring_cases(), bleu_cfg=bleu_configs)
+def test_gold_members_match_oracle(block, case, bleu_cfg):
+    # a nonempty member is scored from membership
     cand, golds = case
     golds = golds + [cand]
     with gold_block(block):
-        got = metrics.score_candidate(cand, golds, bleu_cfg, chrf_cfg)
-    assert got == oracle.score_candidate(cand, golds, bleu_cfg, chrf_cfg)
+        got = metrics.score_candidate(cand, golds, bleu_cfg)
+    assert got == oracle.score_candidate(cand, golds, bleu_cfg)
 
 
 MAXIMUM = ScoreRecord(exact=1, bag_of_words=1, bleu=1.0, chrfpp=1.0)
 
-# Gold members that score below the maximum, so must not be scored from
-# membership: the empty answer, BLEU weights of 0 over the effective order
-# (2 for a 2-word answer), chrF++ with no order (none at all, or character
-# orders over a word without characters), and an infinite beta.
-BELOW_MAXIMUM = [
-    ("", ["", "a b"], BleuConfig(), ChrfConfig()),
-    ("a b", ["a b"], BleuConfig(3, (0.0, 0.0, 1.0)), ChrfConfig()),
-    ("a b", ["a b"], BleuConfig(), ChrfConfig(char_order=0, word_order=0)),
-    (("",), [("",)], BleuConfig(), ChrfConfig(word_order=0)),
-    ("a b", ["a b"], BleuConfig(), ChrfConfig(beta=math.inf)),
-]
+# The one gold member that scores below the maximum, so must not be scored
+# from membership: the empty answer, which has no n-gram.
+BELOW_MAXIMUM = [("", ["", "a b"]), ((), [""])]
 
 
-@pytest.mark.parametrize("cand, golds, bleu_cfg, chrf_cfg", BELOW_MAXIMUM)
-def test_members_below_the_maximum_are_counted(cand, golds, bleu_cfg, chrf_cfg):
-    got = metrics.score_candidate(cand, golds, bleu_cfg, chrf_cfg)
-    assert got == oracle.score_candidate(cand, golds, bleu_cfg, chrf_cfg)
+@pytest.mark.parametrize("cand, golds", BELOW_MAXIMUM)
+def test_members_below_the_maximum_are_counted(cand, golds):
+    got = metrics.score_candidate(cand, golds)
+    assert got == oracle.score_candidate(cand, golds)
     assert got.exact == 1 and got != MAXIMUM
 
 
 def test_members_at_the_maximum_count_no_ngrams():
-    cases = [
-        ("a b a", ["x", "a b a"], BleuConfig(), ChrfConfig()),
-        ("é", ["é"], BleuConfig(3, (0.5, 0.0, 0.5)), ChrfConfig(char_order=0)),
-        ("a b", ["a b"], BleuConfig(3, (0.0, 1.0, 0.0)), ChrfConfig(word_order=0)),
-    ]
-    for cand, golds, bleu_cfg, chrf_cfg in cases:
-        assert oracle.score_candidate(cand, golds, bleu_cfg, chrf_cfg) == MAXIMUM
-        with mock.patch.object(metrics, "_CandidateNgrams", side_effect=AssertionError):
-            assert metrics.score_candidate(cand, golds, bleu_cfg, chrf_cfg) == MAXIMUM
+    # a repeated word, a one-character answer and a word without characters,
+    # which still has word n-grams
+    cases = [("a b a", ["x", "a b a"]), ("é", ["é"]), (("",), [("",)])]
+    for cand, golds in cases:
+        for bleu_cfg in (BleuConfig(), BleuConfig(smoothing="none")):
+            assert oracle.score_candidate(cand, golds, bleu_cfg) == MAXIMUM
+            with mock.patch.object(metrics, "_CandidateNgrams", side_effect=AssertionError):
+                assert metrics.score_candidate(cand, golds, bleu_cfg) == MAXIMUM
 
 
 @BLOCKS
