@@ -4,9 +4,10 @@ The harness samples gold pairs over a grid of (grammar condition, source
 length, replicate), prompts an endpoint, scores and labels each answer, and
 appends one JSON record per trial to a resumable log.  The two mock URLs
 stand in for a model: "mock://oracle" always answers with a gold target,
-"mock://echo-source" parrots the source back.  A record carries the SHA-256
-of its prompt; the run's manifest, run.json, holds each grammar once, and
-record_prompt rebuilds a record's prompt from it.  Run:
+"mock://echo-source" parrots the source back.  A record is its log line: it
+carries the SHA-256 of its prompt, and the run's manifest, run.json, holds
+each condition's spec and grammar once, so record_prompt rebuilds a record's
+prompt from it.  The answer's words come from the response.  Run:
 
     python demos/05_mock_experiment.py
 """
@@ -23,7 +24,7 @@ from scfgkit import (
     run_experiment,
     write_report,
 )
-from scfgkit.harness import MOCK_ECHO_SOURCE, MOCK_ORACLE, read_manifest, record_prompt
+from scfgkit.harness import MOCK_ECHO_SOURCE, MOCK_ORACLE, answer_words, read_manifest, record_prompt
 
 out_dir = Path(tempfile.mkdtemp(prefix="scfgkit_demo_"))
 config = ExperimentConfig(
@@ -46,15 +47,18 @@ print("every trial scored exact:",
 
 sample = records[0]
 print("\none record:")
-for key in ("trial_id", "grammar_size", "length", "source", "extracted", "scores", "prompt_sha256"):
+for key in ("trial_id", "grammar_size", "length", "source", "scores", "prompt_sha256"):
     print(f"  {key}: {sample[key]}")
+print(f"  answer: {answer_words(sample['response'])}")
 
 # --- the manifest ------------------------------------------------------------
-# run.json holds the config, the versions and each condition's grammar text,
-# so a record's prompt is rebuilt rather than stored in every line.
+# run.json holds the config, the versions and each condition's spec and
+# grammar text, so a record's spec and prompt are looked up rather than
+# stored in every line.
 manifest = read_manifest(config.out_dir)
 print(f"\nrun.json: scfgkit {manifest['version']}, "
       f"{len(manifest['conditions'])} grammars, Python {manifest['python']}")
+print("the record's spec:", manifest["conditions"][sample["condition_index"]]["spec"])
 prompt = record_prompt(config.out_dir, sample)
 assert hashlib.sha256(prompt.encode("utf-8")).hexdigest() == sample["prompt_sha256"]
 print("rebuilt prompt, first line:", prompt.splitlines()[0][:72] + "...")

@@ -17,15 +17,16 @@ run reads the manifest instead of generating every grammar, and refuses a
 config whose grammars, seeds or model differ from the ones the log was made
 with.
 
-A line of the log (schema version 3) also leaves out the fields of
-:data:`REBUILT_FIELDS`: ``spec`` and ``model``, which the manifest holds for
-every record of the log (both are resume keys), and ``extracted``, which is
-:func:`answer_words` of the response.  :func:`read_log` puts them back from
-the ``run.json`` beside the log, so it returns the records :func:`run_trial`
-made, and refuses a record whose rebuilt answer disagrees with its status or
-exact score.  Records of schema versions 1 (which held the prompt itself) and 2
-(which held every field) read as they are.  Reading a log checks the fields
-its readers use and skips a repeated trial id (see :class:`LogRecords`).
+A record (schema version 3) is its log line: :func:`run_trial` returns the
+dict :func:`run_experiment` writes, and :func:`read_log` returns each line as
+it was written.  A record holds nothing the manifest or its response gives:
+its condition's spec is ``manifest["conditions"][condition_index]["spec"]``,
+the model is ``manifest["config"]["model_name"]`` (both are resume keys), and
+the answer's words are :func:`answer_words` of the response.  Records of
+schema versions 1 (which held the prompt itself) and 2 (which also held
+``spec``, ``model`` and ``extracted``) read as they are.  Reading a log checks
+the fields its readers use and skips a repeated trial id (see
+:class:`LogRecords`).
 
 Endpoints speak a minimal JSON POST ``{model, prompt} -> {text}``; a
 "chat" profile adapts that to chat-completion shaped payloads.  Two
@@ -84,9 +85,6 @@ from .seeds import derive_seed
 
 SCHEMA_VERSION = 3
 MANIFEST_NAME = "run.json"
-# The record fields a log line leaves out and read_log rebuilds: spec and
-# model from the manifest, extracted from the response.
-REBUILT_FIELDS = ("spec", "model", "extracted")
 # The config fields that fix what a finished trial id stands for: its
 # grammar, its sentence and gold set, and the model that answered.  A resumed
 # run must agree on them with the manifest; the others (the grid's extent,
@@ -345,7 +343,6 @@ def run_trial(
     status = "ok"
     error = None
     response = None
-    extracted = None
     try:
         response = client(prompt, gold, source)
     except Exception as exc:  # noqa: BLE001 - failures become failed trials
@@ -356,12 +353,12 @@ def run_trial(
     scores = zero_scores()
     labels: list[str] = []
     if status == "ok":
-        extracted = answer_words(response)
-        if extracted is None:
+        words = answer_words(response)
+        if words is None:
             status = "extraction_failed"
             answer, members = None, gold_set
         else:
-            answer = " ".join(extracted)
+            answer = " ".join(words)
             members = gold_members(grammar, pair.source, answer, gold_set, golds.overflowed)
             scores = score_candidate(answer, members)
         if not scores.exact:
@@ -371,7 +368,6 @@ def run_trial(
         "schema_version": SCHEMA_VERSION,
         "trial_id": trial_id(condition_index, length, replicate),
         "condition_index": condition_index,
-        "spec": spec.to_dict(),
         "grammar_size": spec.size,
         "length": length,
         "replicate": replicate,
@@ -382,13 +378,11 @@ def run_trial(
         "golds_overflowed": golds.overflowed,
         "prompt_sha256": _sha256(prompt),
         "response": response,
-        "extracted": extracted,
         "status": status,
         "error": error,
         "scores": scores.as_dict(),
         "labels": labels,
         "endpoint": cfg.endpoint.metadata(),
-        "model": cfg.model_name,
         "timing": {"started_at": started, "elapsed_s": elapsed},
     }
 
@@ -430,10 +424,9 @@ class LogRecords:
     ``corrupt``, and ``first_error`` names the first by file, line and field.
     A record whose trial id an earlier record has is skipped and counted in
     ``repeated``; :meth:`warnings` words both counts for the readers.
-    Records are yielded as the line holds them: nothing is rebuilt (see
-    :func:`read_log`).  ``log`` is a binary file open at its
-    start, which the pass leaves at the end of the whole lines, where a
-    resume truncates it.
+    Records are yielded as the line holds them.  ``log`` is a binary file
+    open at its start, which the pass leaves at the end of the whole lines,
+    where a resume truncates it.
     """
 
     def __init__(self, log: BinaryIO):
@@ -480,72 +473,48 @@ class LogRecords:
 
 
 def answer_words(response: str | None) -> list[str] | None:
-    """The words of the answer in a trial's ``response``, as its record's
-    ``extracted`` field holds them: None for a failed transport (no response)
-    or a response without the answer marker."""
+    """The words of the answer in a trial's ``response`` (as a schema-2
+    record's ``extracted`` field held them): None for a failed transport (no
+    response) or a response without the answer marker."""
     words = None if response is None else extract_answer(response)
     return None if words is None else list(words)
 
 
-def _rebuild(record: dict, manifest: dict) -> None:
-    """Put the fields of :data:`REBUILT_FIELDS` back into a schema-3 ``record``
-    of the run whose manifest is ``manifest``, as :func:`run_trial` made them.
-
-    ``ValueError`` if ``condition_index`` names no condition of the manifest,
-    or if the rebuilt answer disagrees with what the record says was scored:
-    there is one exactly when the trial is ``ok``, and an exact answer whose
-    gold set is the gold alone is the gold."""
-    index = record["condition_index"]
-    if type(index) is not int or not 0 <= index < len(manifest["conditions"]):
-        raise ValueError(f"condition_index {index!r} names no condition of the manifest")
-    record["spec"] = dict(manifest["conditions"][index]["spec"])
-    record["model"] = manifest["config"]["model_name"]
-    extracted = answer_words(record["response"])
+def _check_answer(record: dict) -> None:
+    """``ValueError`` unless the answer in a schema-3 ``record``'s response
+    agrees with what the record says was scored: there is one exactly when
+    the trial is ``ok``, and an exact answer whose gold set is the gold alone
+    is the gold.  So a later change to the answer rule fails loudly on a log
+    the old rule scored."""
+    words = answer_words(record["response"])
     status = record["status"]
-    if (extracted is None) != (status != "ok"):
-        raise ValueError(f"the answer rebuilt from the response is {extracted!r} for status {status!r}")
+    if (words is None) != (status != "ok"):
+        raise ValueError(f"the answer in its response is {words!r} for status {status!r}")
     if (status == "ok" and record["scores"]["exact"] == 1 and record["gold_set_size"] == 1
-            and not record["golds_overflowed"] and " ".join(extracted) != record["gold"]):
-        raise ValueError(f"the answer rebuilt from the response, {extracted!r}, is not the gold "
-                         f"its exact score says it is")
-    record["extracted"] = extracted
+            and not record["golds_overflowed"] and " ".join(words) != record["gold"]):
+        raise ValueError(f"the answer in its response, {words!r}, is not the gold its exact score says it is")
 
 
-def _manifest_beside(log: BinaryIO) -> dict:
-    """The manifest in the directory of the run log open as ``log``."""
-    name = getattr(log, "name", None)
-    if not isinstance(name, str):
-        raise ValueError(f"{log!r} holds schema-3 records: give read_log their run's manifest")
-    path = Path(name).parent / MANIFEST_NAME
-    if not path.is_file():
-        raise ValueError(f"{name} holds schema-3 records, and {path}, the manifest their "
-                         f"{', '.join(REBUILT_FIELDS)} are rebuilt from, is missing")
-    return read_manifest(path.parent)
-
-
-def read_log(log: str | Path | BinaryIO, manifest: dict | None = None) -> list[dict]:
+def read_log(log: str | Path | BinaryIO) -> list[dict]:
     """The records of a run log (a path, or a binary file open at its start),
-    as :class:`LogRecords` reads them, with the fields a schema-3 line leaves
-    out rebuilt from ``manifest``: by default the ``run.json`` beside the log,
-    read at most once, and ``ValueError`` when it is needed and missing.
-    Corrupt lines and repeated trial ids are skipped with a warning on this
-    module's logger, and a missing path has no records."""
+    each as its line holds it, as :class:`LogRecords` reads them.  A schema-3
+    record whose response disagrees with its status or exact score raises
+    ``ValueError`` naming the trial (see :func:`_check_answer`).  Corrupt
+    lines and repeated trial ids are skipped with a warning on this module's
+    logger, and a missing path has no records."""
     if isinstance(log, (str, os.PathLike)):
         if not os.path.exists(log):
             return []
         with open(log, "rb") as fh:
-            return read_log(fh, manifest)
+            return read_log(fh)
     records = LogRecords(log)
     listed = []
     for record in records:
         if record.get("schema_version") == SCHEMA_VERSION:
-            if manifest is None:
-                manifest = _manifest_beside(log)
             try:
-                _rebuild(record, manifest)
+                _check_answer(record)
             except (ValueError, LookupError, TypeError, AttributeError) as exc:
-                raise ValueError(f"{record['trial_id']} in {getattr(log, 'name', log)} cannot be "
-                                 f"rebuilt from its manifest: {exc}") from None
+                raise ValueError(f"{record['trial_id']} in {getattr(log, 'name', log)}: {exc}") from None
         listed.append(record)
     for warning in records.warnings():
         logger.warning("%s", warning)
@@ -587,11 +556,16 @@ def read_manifest(run_dir: str | Path) -> dict:
 def record_prompt(run_dir: str | Path, record: dict) -> str:
     """The prompt the trial of ``record`` sent, rebuilt from the manifest of
     the run in ``run_dir`` and checked against the record's ``prompt_sha256``
-    (``ValueError`` on a mismatch).  A schema-1 record holds its prompt."""
+    (``ValueError`` on a mismatch, or when its ``condition_index`` is not an
+    int naming a condition of the manifest).  A schema-1 record holds its
+    prompt."""
     if record.get("schema_version", 1) < 2:
         return record["prompt"]
-    entry = read_manifest(run_dir)["conditions"][record["condition_index"]]
-    prompt = render_prompt_from_text(entry["grammar"], record["source"])
+    conditions = read_manifest(run_dir)["conditions"]
+    index = record["condition_index"]
+    if type(index) is not int or not 0 <= index < len(conditions):  # -1 or True would pick one
+        raise ValueError(f"{record['trial_id']}: condition_index {index!r} names no condition of {MANIFEST_NAME}")
+    prompt = render_prompt_from_text(conditions[index]["grammar"], record["source"])
     if _sha256(prompt) != record["prompt_sha256"]:
         raise ValueError(
             f"{record['trial_id']}: the prompt rebuilt from {MANIFEST_NAME} does not match "
@@ -614,12 +588,15 @@ def _check_resumable(cfg: ExperimentConfig, manifest: dict) -> None:
 def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> list[dict]:
     """Run (or resume) the full grid; returns all records including prior ones.
 
-    Each finished trial is appended to ``<out_dir>/runs.jsonl`` immediately,
-    without the fields of :data:`REBUILT_FIELDS`.
-    Records are written in grid order (conditions x lengths x replicates) so
-    identical configs yield identical logs up to timing fields.  A resumed
+    Each finished trial's record is appended to ``<out_dir>/runs.jsonl``
+    immediately, as one line.  Records are written in grid order (conditions
+    x lengths x replicates) so identical configs yield identical logs up to
+    timing fields.  A resumed
     log is read in one pass that also cuts off a torn last line, so the log
-    on disk reads back to exactly the records returned.
+    on disk reads back to exactly the records returned.  A log of schema-1
+    records alone predates manifests and is adopted under ``cfg``; a log
+    with any other record and no manifest raises ``ValueError`` naming the
+    missing ``run.json``, and is left as it was.
 
     A new log starts with ``<out_dir>/run.json``, the run's manifest.  A log
     with records resumed under its manifest generates only the conditions
@@ -638,7 +615,10 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> list[dict]:
         if manifest_path.exists():
             manifest = read_manifest(out_dir)
         with log_path.open("r+b") as fh:
-            prior = read_log(fh, manifest)  # leaves fh at the end of the last whole line
+            prior = read_log(fh)  # leaves fh at the end of the last whole line
+            if manifest is None and any(r.get("schema_version", 1) != 1 for r in prior):
+                raise ValueError(f"{log_path} holds records written under a manifest, and {manifest_path} "
+                                 "is missing; restore it, or use another out_dir or resume=False")
             if fh.tell() < os.fstat(fh.fileno()).st_size:
                 fh.truncate()
     done = {r["trial_id"] for r in prior}
@@ -679,8 +659,7 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> list[dict]:
         with log_path.open("a", encoding="utf-8") as fh:
             for future in futures:
                 record = future.result()
-                line = {key: value for key, value in record.items() if key not in REBUILT_FIELDS}
-                fh.write(json.dumps(line, ensure_ascii=False) + "\n")
+                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
                 fh.flush()
                 fresh.append(record)
     return prior + fresh

@@ -48,9 +48,12 @@ def make_config(tmp_path, url=MOCK_ORACLE, **kw):
     return ExperimentConfig(endpoint=EndpointProfile(url=url), out_dir=tmp_path / "run", **kw)
 
 
-def logged(record: dict) -> dict:
-    """``record`` as its log line holds it."""
-    return {key: value for key, value in record.items() if key not in harness.REBUILT_FIELDS}
+def schema_2_form(record: dict, manifest: dict) -> dict:
+    """``record`` as a schema-2 line held it: also with the ``spec``,
+    ``extracted`` and ``model`` that schema 3 leaves to ``manifest`` and the
+    response."""
+    return dict(record, schema_version=2, spec=manifest["conditions"][record["condition_index"]]["spec"],
+                extracted=harness.answer_words(record["response"]), model=manifest["config"]["model_name"])
 
 
 def read_whole_log(log) -> list[dict]:
@@ -242,7 +245,7 @@ def test_a_record_is_a_line_once_its_newline_is_written(tmp_path, monkeypatch, c
     assert read_log(log) == first[:-1]
     with open(log, "rb") as fh:
         records = harness.LogRecords(fh)
-        assert list(records) == [logged(r) for r in first[:-1]] and records.corrupt == 0
+        assert list(records) == first[:-1] and records.corrupt == 0
     assert main(["report", "--log", str(log), "--out", str(tmp_path / "report"),
                  "--resamples", "200"]) == 0
     by_size = (tmp_path / "report" / "by_size.csv").read_text("utf-8")
@@ -398,7 +401,7 @@ def test_extraction_failure_is_a_failed_trial(tmp_path):
     assert record["status"] == "extraction_failed"
     assert record["labels"] == [UNPARSEABLE]
     assert record["scores"]["exact"] == 0.0
-    assert record["extracted"] is None
+    assert harness.answer_words(record["response"]) is None and "extracted" not in record
 
 
 def test_an_unknown_mock_is_refused_at_load(tmp_path):
@@ -432,7 +435,8 @@ def test_records_are_json_round_trippable(tmp_path):
         assert json.loads(json.dumps(r)) == r
     assert r["schema_version"] == 3
     assert r["endpoint"]["url"] == MOCK_ORACLE
-    assert r["model"] == "test-model"
+    assert read_manifest(tmp_path / "run")["config"]["model_name"] == "test-model"
+    assert not {"spec", "model", "extracted"} & set(r)
     assert "prompt" not in r and len(r["prompt_sha256"]) == 64
     assert "Final answer:" in record_prompt(tmp_path / "run", r)
 
@@ -630,17 +634,17 @@ def test_a_log_line_leaves_out_what_the_manifest_and_the_response_give(tmp_path,
     cfg = make_config(tmp_path, max_parallel=1)
     records = run_experiment(cfg)
     assert [r["status"] for r in records[:4]] == ["ok", "transport_failed", "extraction_failed", "ok"]
-    assert [r["extracted"] for r in records[1:3]] == [None, None]
-    assert records[0]["extracted"] == records[0]["gold"].split()
-    assert {r["model"] for r in records} == {"test-model"}
-    assert [r["spec"] for r in records] == [spec.to_dict() for spec in cfg.conditions for _ in range(4)]
+    # a record is its line: what it leaves out is one lookup away
     lines = [json.loads(line) for line in (cfg.out_dir / "runs.jsonl").read_text("utf-8").splitlines()]
-    assert lines == [logged(r) for r in records]
-    assert all(line["schema_version"] == 3 and not set(harness.REBUILT_FIELDS) & set(line) for line in lines)
+    assert lines == records
+    assert all(line["schema_version"] == 3 and not {"spec", "model", "extracted"} & set(line) for line in lines)
     assert read_whole_log(cfg.out_dir / "runs.jsonl") == records
-    # each rebuilt record has its own spec
-    first, second = read_log(cfg.out_dir / "runs.jsonl")[:2]
-    assert first["spec"] == second["spec"] and first["spec"] is not second["spec"]
+    assert [harness.answer_words(r["response"]) for r in records[1:3]] == [None, None]
+    assert harness.answer_words(records[0]["response"]) == records[0]["gold"].split()
+    manifest = read_manifest(cfg.out_dir)
+    assert manifest["config"]["model_name"] == "test-model"
+    assert ([manifest["conditions"][r["condition_index"]]["spec"] for r in records]
+            == [spec.to_dict() for spec in cfg.conditions for _ in range(4)])
 
 
 def test_a_schema_2_log_resumes_into_a_mixed_log(tmp_path, monkeypatch):
@@ -648,7 +652,7 @@ def test_a_schema_2_log_resumes_into_a_mixed_log(tmp_path, monkeypatch):
     cfg = make_config(tmp_path, max_parallel=1)
     records = run_experiment(cfg)
     log = cfg.out_dir / "runs.jsonl"
-    schema_2 = [dict(r, schema_version=2) for r in records]
+    schema_2 = [schema_2_form(r, read_manifest(cfg.out_dir)) for r in records]
     log.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in schema_2[:5]), "utf-8")
     resumed = run_experiment(cfg)
     assert [r["schema_version"] for r in resumed] == [2] * 5 + [3] * 3
@@ -665,18 +669,41 @@ def test_a_schema_2_log_resumes_into_a_mixed_log(tmp_path, monkeypatch):
 
 
 def test_a_schema_3_log_without_its_manifest_is_refused(tmp_path, capsys):
+    # read_log needs no manifest, but a resume does: it is refused, and the
+    # log, torn tail included, is left as it was
     cfg = make_config(tmp_path)
-    run_experiment(cfg)
+    records = run_experiment(cfg)
     log = cfg.out_dir / "runs.jsonl"
     manifest = cfg.out_dir / "run.json"
     manifest.unlink()
-    with pytest.raises(ValueError, match=f"{manifest}.* is missing"):
-        read_log(log)
-    with pytest.raises(ValueError, match=f"{manifest}.* is missing"):
+    log.write_bytes(log.read_bytes() + b'{"trial_id": "c1_len4_r')
+    before = log.read_bytes()
+    assert read_log(log) == records == [json.loads(line) for line in before.splitlines()[:-1]]
+    with pytest.raises(ValueError, match=f"{manifest} is missing"):
         run_experiment(cfg)
+    assert log.read_bytes() == before and not manifest.exists()
     # the report reads only fields a line holds
     assert main(["report", "--log", str(log), "--out", str(tmp_path / "report"), "--resamples", "200"]) == 0
     assert "57,exact,4,1.000000" in (tmp_path / "report" / "by_size.csv").read_text("utf-8")
+
+
+def test_a_schema_2_log_without_its_manifest_is_refused(tmp_path, monkeypatch):
+    # without run.json a schema-2 log is not a pre-manifest (schema-1) log:
+    # adopted under another config, it would mix grammars and models
+    made = make_config(tmp_path, conditions=(GrammarSpec(size=57, seed=0),), lengths=(3,), model_name="a")
+    records = run_experiment(made)
+    log = made.out_dir / "runs.jsonl"
+    manifest = read_manifest(made.out_dir)
+    log.write_text("".join(json.dumps(schema_2_form(r, manifest), ensure_ascii=False) + "\n" for r in records),
+                   "utf-8")
+    (made.out_dir / "run.json").unlink()
+    before = log.read_bytes()
+    monkeypatch.setattr(harness, "run_trial", lambda *a, **kw: pytest.fail("ran a trial"))
+    other = make_config(tmp_path, conditions=(GrammarSpec(size=57, seed=1),), lengths=(3,), n_per_cell=3,
+                        model_name="b")
+    with pytest.raises(ValueError, match=f"{made.out_dir / 'run.json'} is missing"):
+        run_experiment(other)
+    assert log.read_bytes() == before and not (made.out_dir / "run.json").exists()
 
 
 def test_a_schema_3_log_scores_as_cands_as_its_schema_2_form(tmp_path, monkeypatch):
@@ -695,13 +722,15 @@ def test_a_schema_3_log_scores_as_cands_as_its_schema_2_form(tmp_path, monkeypat
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text("".join(json.dumps({"source": r["source"], "target": r["gold"]}) + "\n" for r in records), "utf-8")
     schema_2 = tmp_path / "schema_2.jsonl"
-    schema_2.write_text("".join(json.dumps(dict(r, schema_version=2), ensure_ascii=False) + "\n"
+    manifest = read_manifest(cfg.out_dir)
+    schema_2.write_text("".join(json.dumps(schema_2_form(r, manifest), ensure_ascii=False) + "\n"
                                 for r in records), "utf-8")
     for name, cands in (("3", cfg.out_dir / "runs.jsonl"), ("2", schema_2)):
         assert main(["score", "--pairs", str(pairs), "--cands", str(cands), "--out", str(tmp_path / f"scores{name}")]) == 0
     assert (tmp_path / "scores3").read_bytes() == (tmp_path / "scores2").read_bytes()
     scored = [json.loads(line) for line in (tmp_path / "scores3").read_text("utf-8").splitlines()]
-    assert [row["cand"] for row in scored] == [r["extracted"] and " ".join(r["extracted"]) for r in records]
+    words = [harness.answer_words(r["response"]) for r in records]
+    assert [row["cand"] for row in scored] == [w and " ".join(w) for w in words]
 
 
 @pytest.mark.parametrize(
@@ -746,18 +775,14 @@ def test_a_line_nested_too_deep_to_parse_is_corrupt(tmp_path):
         assert scanned.first_error == f"{log} line 2: not a JSON object"
 
 
-def test_a_schema_3_record_the_manifest_cannot_rebuild_is_refused(tmp_path):
-    cfg = make_config(tmp_path)
-    run_experiment(cfg)
-    log = cfg.out_dir / "runs.jsonl"
-    lines = log.read_text("utf-8").splitlines()
-    # a negative or bool index would pick a condition if taken as a list index
-    for index in (9, -1, True):
-        edited = lines[:2] + [json.dumps(dict(json.loads(lines[2]), condition_index=index))] + lines[3:]
-        log.write_text("\n".join(edited) + "\n", "utf-8")
-        with pytest.raises(ValueError, match=f"c0_len4_r0 in .* cannot be rebuilt from its manifest: "
-                                             f"condition_index {index!r} names no condition"):
-            read_log(log)
+@pytest.mark.parametrize("index", [9, -1, True, "0"], ids=["past-the-end", "negative", "bool", "string"])
+def test_record_prompt_refuses_a_condition_index_that_names_no_condition(tmp_path, index):
+    # in a one-condition run, -1 and True would pick condition 0 as list indices
+    cfg = make_config(tmp_path, conditions=(GrammarSpec(size=57, seed=0),))
+    record = run_experiment(cfg)[0]
+    assert record_prompt(cfg.out_dir, record)
+    with pytest.raises(ValueError, match=f"^{record['trial_id']}: condition_index {index!r} names no condition"):
+        record_prompt(cfg.out_dir, dict(record, condition_index=index))
 
 
 def test_a_schema_3_record_whose_rebuilt_answer_disagrees_with_its_scores_is_refused(tmp_path, monkeypatch):
@@ -778,7 +803,7 @@ def test_a_schema_3_record_whose_rebuilt_answer_disagrees_with_its_scores_is_ref
         edited = list(lines)
         edited[number] = json.dumps(dict(json.loads(lines[number]), response=response))
         log.write_text("\n".join(edited) + "\n", "utf-8")
-        with pytest.raises(ValueError, match=f"{records[number]['trial_id']} in .* cannot be rebuilt .*{error}"):
+        with pytest.raises(ValueError, match=f"{records[number]['trial_id']} in .*: the answer in its response.*{error}"):
             read_log(log)
 
 
