@@ -15,12 +15,10 @@ import sys
 from pathlib import Path
 
 from .grammar import parse_grammar_text, serialize_grammar, word_vocab
-from .harness import (
-    ExperimentConfig, LogRecords, answer_words, gold_members, label_answer, run_experiment, zero_scores,
-)
+from .harness import ExperimentConfig, LogRecords, answer_words, judge, run_experiment, zero_scores
 from .metagrammar import WORD_ORDERS, GrammarSpec, generate_with_manifest
 from .metrics import score_candidate
-from .parsing import TRANSLATE_CAP, SourceParseError, Translations, translate
+from .parsing import TRANSLATE_CAP, SourceParseError, translate
 from .report import write_report
 from .sampling import sample_pair
 from .scripts import SCRIPT_NAMES, get_script, script_of
@@ -106,10 +104,11 @@ def _candidate(line: str) -> str | None:
     raise ValueError(f"candidate record has no cand/candidate/text/extracted/response field: {record!r}")
 
 
-def _judged(args, grammar) -> list | None:
-    """(pair, candidate or None if it has no answer, its gold set from
-    :func:`~scfgkit.harness.gold_members`) per line of ``--pairs`` and
-    ``--cands``; None once it has reported that the two differ in length."""
+def _judged(args, grammar, script=None) -> list | None:
+    """(pair, candidate or None if it has no answer, and its
+    :func:`~scfgkit.harness.judge` result, None without a ``grammar``) per line
+    of ``--pairs`` and ``--cands``; None once it has reported that the two
+    differ in length."""
     pairs = _read_lines(args.pairs, _pair)
     cands = _read_lines(args.cands, _candidate)
     if len(pairs) != len(cands):
@@ -117,11 +116,10 @@ def _judged(args, grammar) -> list | None:
         return None
     judged = []
     for pair, cand in zip(pairs, cands):
-        targets = translate(grammar, pair["source"], cap=args.cap) if grammar is not None else Translations()
-        golds = sorted({" ".join(pair["target"].split())} | targets)
-        if cand is not None:
-            golds = gold_members(grammar, pair["source"], " ".join(cand.split()), golds, targets.overflowed)
-        judged.append((pair, cand, golds))
+        gold = " ".join(pair["target"].split())
+        words = None if cand is None else cand.split()
+        verdict = None if grammar is None else judge(grammar, pair["source"], gold, words, args.cap, script)
+        judged.append((pair, cand, verdict))
     return judged
 
 
@@ -207,8 +205,11 @@ def _cmd_score(args) -> int:
     if judged is None:
         return 1
     records = []
-    for pair, cand, golds in judged:
-        scores = zero_scores() if cand is None else score_candidate(cand, golds)
+    for pair, cand, verdict in judged:
+        if verdict is not None:
+            scores = verdict.scores
+        else:  # the pair's target is the one gold
+            scores = zero_scores() if cand is None else score_candidate(cand, [pair["target"]])
         records.append({**scores.as_dict(), "cand": cand, "source": pair["source"]})
     _write_jsonl(args.out, records)
     return 0
@@ -216,15 +217,11 @@ def _cmd_score(args) -> int:
 
 def _cmd_classify(args) -> int:
     grammar = _read_grammar(args.grammar)
-    judged = _judged(args, grammar)
+    script = _target_script(args.script, word_vocab(grammar, "tgt"))
+    judged = _judged(args, grammar, script)
     if judged is None:
         return 1
-    script = _target_script(args.script, word_vocab(grammar, "tgt"))
-    records = []
-    for pair, cand, golds in judged:
-        answer = None if cand is None else " ".join(cand.split())
-        labels = label_answer(grammar, answer, golds, script)
-        records.append({"cand": cand, "source": pair["source"], "labels": labels})
+    records = [{"cand": cand, "source": pair["source"], "labels": verdict.labels} for pair, cand, verdict in judged]
     _write_jsonl(args.out, records)
     return 0
 

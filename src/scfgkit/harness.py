@@ -46,12 +46,9 @@ errors (refused, dropped or timed-out connections, a body cut short), HTTP
 whole seconds waits at least that long before the next attempt.  Any other
 error status, or a body without the answer field, fails the trial at once.
 
-Exact credit never depends on ``translate_cap``: when enumeration overflowed
-and the answer is not among the enumerated targets, ``is_valid_translation``
-(a fold over the source forest that never enumerates) decides whether it is
-a gold member.  :func:`gold_members` holds this rule for the harness and the
-command line, and :func:`label_answer` holds the rule that labels an answer's
-errors against that gold set.
+One rule, :func:`judge`, turns (grammar, source, gold, answer) into the
+gold set, the scores and the error labels, for a run and for ``scfgkit
+score`` and ``scfgkit classify``.
 """
 
 from __future__ import annotations
@@ -293,31 +290,43 @@ class _Client:
         raise RuntimeError(f"endpoint failed after {self.cfg.retry.max_attempts} attempts: {last_error}")
 
 
-def gold_members(
-    grammar: SyncGrammar, source, candidate: str, golds: list[str], overflowed: bool
-) -> list[str]:
-    """The gold set to score ``candidate`` against: ``golds``, the enumerated
-    translations of ``source`` (space-joined, with any further reference
-    targets), plus ``candidate`` itself when the enumeration ``overflowed``
-    its cap and left out a candidate that is a translation."""
-    if overflowed and candidate not in golds and is_valid_translation(grammar, source, candidate):
-        return [*golds, candidate]
-    return golds
+@dataclass(frozen=True)
+class Judgement:
+    """What :func:`judge` finds of an answer; ``gold_set_size`` is before the answer may join."""
+
+    gold_set_size: int
+    overflowed: bool
+    scores: ScoreRecord
+    labels: list[str]
 
 
-def label_answer(
-    grammar: SyncGrammar, answer: str | None, members: list[str], script: ScriptSpec | None
-) -> list[str]:
-    """The error labels of ``answer`` (None if there is none) against its gold
-    set ``members`` from :func:`gold_members`: unparseable without an answer,
-    none for a member, else :func:`~scfgkit.errors.classify`'s against both
-    vocabularies of ``grammar``, the target ``script`` and English words."""
-    if answer is None:
-        return [UNPARSEABLE]
-    if answer in members:
-        return []
-    vocabs = word_vocab(grammar, "src"), word_vocab(grammar, "tgt")
-    return sorted_labels(classify(answer, members, *vocabs, script=script, english=english_words()))
+def judge(grammar: SyncGrammar, source, gold: str, words: list[str] | None, cap: int,
+          script: ScriptSpec | None) -> Judgement:
+    """Score and label the answer ``words`` (None if there is none) to
+    ``source`` against its gold set: ``gold`` and the translations of
+    ``source`` the grammar enumerates up to ``cap``, each space-joined.
+
+    Exact credit never depends on ``cap``: when the enumeration overflowed and
+    the answer is not in the set, ``is_valid_translation`` (a fold over the
+    source forest that never enumerates) decides whether it is a gold member,
+    and a member joins the set.  No answer scores zero and is unparseable; an
+    exact answer has no label; any other gets :func:`~scfgkit.errors.classify`'s
+    against both vocabularies of ``grammar``, the target ``script`` and
+    English words."""
+    golds = translate(grammar, source, cap=cap)
+    members = sorted(set(golds) | {gold})
+    size = len(members)
+    if words is None:
+        return Judgement(size, golds.overflowed, zero_scores(), [UNPARSEABLE])
+    answer = " ".join(words)
+    if golds.overflowed and answer not in members and is_valid_translation(grammar, source, answer):
+        members.append(answer)
+    scores = score_candidate(answer, members)
+    labels = []
+    if not scores.exact:
+        vocabs = word_vocab(grammar, "src"), word_vocab(grammar, "tgt")
+        labels = sorted_labels(classify(answer, members, *vocabs, script=script, english=english_words()))
+    return Judgement(size, golds.overflowed, scores, labels)
 
 
 def run_trial(
@@ -334,8 +343,6 @@ def run_trial(
     pair = sample_pair(grammar, length, rng_seed=seed)
     source = " ".join(pair.source)
     gold = " ".join(pair.target)
-    golds = translate(grammar, pair.source, cap=cfg.translate_cap)
-    gold_set = sorted(set(golds) | {gold})
     prompt = render_prompt(grammar, pair.source)
 
     started = datetime.now(timezone.utc).isoformat()
@@ -350,20 +357,10 @@ def run_trial(
         error = str(exc)
     elapsed = time.perf_counter() - t0
 
-    scores = zero_scores()
-    labels: list[str] = []
-    if status == "ok":
-        words = answer_words(response)
-        if words is None:
-            status = "extraction_failed"
-            answer, members = None, gold_set
-        else:
-            answer = " ".join(words)
-            members = gold_members(grammar, pair.source, answer, gold_set, golds.overflowed)
-            scores = score_candidate(answer, members)
-        if not scores.exact:
-            labels = label_answer(grammar, answer, members, get_script(spec.script_tgt))
-
+    words = answer_words(response)
+    if status == "ok" and words is None:
+        status = "extraction_failed"
+    verdict = judge(grammar, pair.source, gold, words, cfg.translate_cap, get_script(spec.script_tgt))
     return {
         "schema_version": SCHEMA_VERSION,
         "trial_id": trial_id(condition_index, length, replicate),
@@ -374,14 +371,14 @@ def run_trial(
         "seed": seed,
         "source": source,
         "gold": gold,
-        "gold_set_size": len(gold_set),
-        "golds_overflowed": golds.overflowed,
+        "gold_set_size": verdict.gold_set_size,
+        "golds_overflowed": verdict.overflowed,
         "prompt_sha256": _sha256(prompt),
         "response": response,
         "status": status,
         "error": error,
-        "scores": scores.as_dict(),
-        "labels": labels,
+        "scores": verdict.scores.as_dict(),
+        "labels": [] if status == "transport_failed" else verdict.labels,  # an unanswered trial has none
         "endpoint": cfg.endpoint.metadata(),
         "timing": {"started_at": started, "elapsed_s": elapsed},
     }
@@ -395,8 +392,13 @@ _GROUP_KEYS = tuple(key for _, key, _, _ in AXES)
 
 def _record_error(record: dict) -> str | None:
     """What is wrong with the fields a log's readers use in ``record``, or
-    None: ``trial_id`` must be a string, each of the four ``scores`` a finite
-    number and each group key a whole number (a bool is neither)."""
+    None: ``schema_version``, when present (a missing one reads as 1), must
+    be a whole number from 1 to :data:`SCHEMA_VERSION`, ``trial_id`` a string,
+    each of the four ``scores`` a finite number and each group key a whole
+    number (a bool is neither)."""
+    version = record.get("schema_version", 1)
+    if type(version) is not int or not 1 <= version <= SCHEMA_VERSION:
+        return f"schema_version must be a whole number from 1 to {SCHEMA_VERSION}: {version!r}"
     if type(record.get("trial_id")) is not str:
         return f"trial_id must be a string: {record.get('trial_id')!r}"
     scores = record.get("scores")
@@ -419,9 +421,9 @@ class LogRecords:
     A line is a record once its newline is written: a last line without one
     is a torn append (a run cut mid-write), neither a record nor corrupt.  A
     whole line that is not a JSON object (bad JSON, UTF-8 cut mid-character,
-    or JSON of another type), or whose ``trial_id``, scores or report group
-    keys are not of their types, is corrupt: it is skipped and counted in
-    ``corrupt``, and ``first_error`` names the first by file, line and field.
+    or JSON of another type), or one whose fields :func:`_record_error` finds
+    wrong, is corrupt: it is skipped and counted in ``corrupt``, and
+    ``first_error`` names the first by file, line and field.
     A record whose trial id an earlier record has is skipped and counted in
     ``repeated``; :meth:`warnings` words both counts for the readers.
     Records are yielded as the line holds them.  ``log`` is a binary file

@@ -667,8 +667,9 @@ def test_report_counts_a_line_that_is_not_a_json_object(tmp_path, capsys):
     [(lambda record: {}, "trial_id must be a string: None"),
      (lambda record: dict(record, grammar_size=[1]), "grammar_size must be a whole number: [1]"),
      (lambda record: dict(record, scores=dict(record["scores"], bleu="0.5")),
-      "scores bleu must be a finite number: '0.5'")],
-    ids=["empty", "size-list", "score-string"],
+      "scores bleu must be a finite number: '0.5'"),
+     (lambda record: dict(record, schema_version="3"), "schema_version must be a whole number from 1 to 3: '3'")],
+    ids=["empty", "size-list", "score-string", "version-string"],
 )
 def test_report_skips_a_record_whose_checked_fields_are_wrong(tmp_path, capsys, edit, error):
     log = _mock_run_log(tmp_path)

@@ -131,17 +131,17 @@ def test_a_reversed_gold_anchors_to_a_member_with_its_words():
     # gold sets are sorted, and with a Hebrew-script agreeing target every
     # variant ties with the pair's own gold; the first of them used to win,
     # labelling the reversal recall and omission instead of word order
-    from scfgkit.harness import label_answer
-    from scfgkit.parsing import translate
+    from scfgkit.harness import judge
+    from scfgkit.parsing import TRANSLATE_CAP
     from scfgkit.sampling import sample_pair
 
     grammar = generate(GrammarSpec(size=128, agreement_tgt=True, script_tgt="Hebrew", seed=3))
     for length in (5, 8, 20):
         for seed in range(10):
             pair = sample_pair(grammar, length, rng_seed=seed)
-            golds = sorted(translate(grammar, pair.source))
-            answer = " ".join(reversed(pair.target))
-            labels = label_answer(grammar, answer, golds, get_script("Hebrew"))
+            answer = list(reversed(pair.target))
+            gold = " ".join(pair.target)
+            labels = judge(grammar, pair.source, gold, answer, TRANSLATE_CAP, get_script("Hebrew")).labels
             assert "word_order" in labels, (length, seed, labels)
 
 
@@ -149,17 +149,17 @@ def test_a_reversed_gold_missing_a_word_anchors_to_its_own_gold():
     # the reversal ties its own gold and other agreement variants at the
     # minimum distance but has no variant's multiset; the sorted-first
     # variant used to win, labelling words of the answer's own gold recall
-    from scfgkit.harness import label_answer
-    from scfgkit.parsing import translate
+    from scfgkit.harness import judge
+    from scfgkit.parsing import TRANSLATE_CAP
     from scfgkit.sampling import sample_pair
 
     grammar = generate(GrammarSpec(size=128, agreement_tgt=True, script_tgt="Hebrew", seed=3))
     for length in (5, 8, 20):
         for seed in range(10):
             pair = sample_pair(grammar, length, rng_seed=seed)
-            golds = sorted(translate(grammar, pair.source))
-            answer = " ".join(reversed(pair.target[1:]))
-            labels = label_answer(grammar, answer, golds, get_script("Hebrew"))
+            answer = list(reversed(pair.target[1:]))
+            gold = " ".join(pair.target)
+            labels = judge(grammar, pair.source, gold, answer, TRANSLATE_CAP, get_script("Hebrew")).labels
             assert "recall" not in labels, (length, seed, labels)
             assert "omission" in labels, (length, seed, labels)
 

@@ -571,10 +571,12 @@ def test_resume_may_grow_the_grid(tmp_path):
         record_prompt(grown.out_dir, record)
 
 
-def test_the_cli_rejudges_a_run_log_to_its_own_records(tmp_path):
+def test_the_cli_rejudges_a_run_log_to_its_own_records(tmp_path, monkeypatch):
+    _failing_client(monkeypatch, MOCK_ECHO_SOURCE)
     spec = GrammarSpec(size=128, agreement_tgt=True, script_tgt="Cyrillic", seed=4)
-    cfg = make_config(tmp_path, url=MOCK_ECHO_SOURCE, conditions=(spec,), lengths=(5, 8, 12), n_per_cell=4)
+    cfg = make_config(tmp_path, conditions=(spec,), lengths=(5, 8, 12), n_per_cell=4, max_parallel=1)
     records = run_experiment(cfg)
+    assert [r["status"] for r in records[:4]] == ["ok", "transport_failed", "extraction_failed", "ok"]
     grammar = tmp_path / "grammar.scfg"
     grammar.write_text(read_manifest(cfg.out_dir)["conditions"][0]["grammar"], "utf-8")
     pairs = tmp_path / "pairs.jsonl"
@@ -585,8 +587,14 @@ def test_the_cli_rejudges_a_run_log_to_its_own_records(tmp_path):
     scored = [json.loads(line) for line in (tmp_path / "scores.jsonl").read_text("utf-8").splitlines()]
     labeled = [json.loads(line) for line in (tmp_path / "labels.jsonl").read_text("utf-8").splitlines()]
     assert [{key: s[key] for key in r["scores"]} for r, s in zip(records, scored)] == [r["scores"] for r in records]
-    assert [row["labels"] for row in labeled] == [r["labels"] for r in records]
     assert len(scored) == len(labeled) == len(records) == 12
+    # the run leaves a trial the endpoint never answered unlabelled, while
+    # classify reads its null response as no answer: the FOUND line in
+    # CHANGES.md on the transport-failed record that classify labels
+    assert (records[1]["labels"], labeled[1]["labels"]) == ([], [UNPARSEABLE])
+    assert records[2]["labels"] == labeled[2]["labels"] == [UNPARSEABLE]
+    assert [row["labels"] for i, row in enumerate(labeled) if i != 1] == [
+        r["labels"] for i, r in enumerate(records) if i != 1]
     assert {"source_vocab", "orthography", "omission"} <= {label for r in records for label in r["labels"]}
 
 
@@ -615,16 +623,17 @@ def test_a_schema_1_log_still_reads_reports_and_rebuilds(tmp_path, capsys):
     assert read_whole_log(cfg.out_dir / "runs.jsonl") == resumed
 
 
-def _failing_client(monkeypatch):
+def _failing_client(monkeypatch, mock=MOCK_ORACLE):
     """Answer trials in grid order: the second raises (transport_failed), the
-    third has no answer marker (extraction_failed), the rest give the gold."""
+    third has no answer marker (extraction_failed), the rest answer as the
+    ``mock`` endpoint does."""
     calls = []
 
     def answer(self, prompt, gold, source):
         calls.append(source)
         if len(calls) == 2:
             raise RuntimeError("connection refused")
-        return "no marker here" if len(calls) == 3 else f"Final answer: {gold}"
+        return "no marker here" if len(calls) == 3 else f"Final answer: {harness._MOCKS[mock](gold, source)}"
 
     monkeypatch.setattr(_Client, "__call__", answer)
 
