@@ -1,9 +1,11 @@
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scfgkit.cli import main
 from scfgkit.errors import (
     LABELS,
     MISSPELLING_DISTANCE,
@@ -288,3 +290,18 @@ def test_misspelling_matches_the_oracle(grammar, script, pick, edits):
     labels = classify(word, {tgt[0]}, src_vocab=frozenset(), tgt_vocab=frozenset(tgt))
     near = any(edit_distance(word, real) <= MISSPELLING_DISTANCE for real in tgt)
     assert ("misspelling" in labels) == (word not in tgt and near)
+
+
+# Seeded wrong answers on three generated grammars, with the labels
+# `scfgkit classify` gave them when they were pinned
+# (tools/gen_label_fixtures.py).
+LABEL_FIXTURES = sorted((Path(__file__).parent / "data" / "labels").iterdir())
+
+
+@pytest.mark.parametrize("fixture", LABEL_FIXTURES, ids=lambda path: path.name)
+def test_classify_keeps_the_pinned_labels(fixture, tmp_path):
+    grammar, out = tmp_path / "grammar.scfg", tmp_path / "labels.jsonl"
+    assert main(["gen", *(fixture / "flags").read_text("utf-8").split(), "--out", str(grammar)]) == 0
+    assert main(["classify", "--pairs", str(fixture / "pairs.jsonl"), "--cands", str(fixture / "cands.txt"),
+                 "--grammar", str(grammar), "--out", str(out)]) == 0
+    assert out.read_bytes() == (fixture / "labels.jsonl").read_bytes()
