@@ -23,11 +23,16 @@ are sorted, so without that preference a reordered gold, whole or with a
 word dropped, would anchor to another agreement variant and read as
 ``recall`` instead of ``word_order`` or ``omission``.
 
-One row-vectorized Levenshtein kernel gives the distances to ``GOLD_BLOCK``
-members per pass: over words to the gold members, and over characters from
-a hallucinated word to the target words whose length is within
-``MISSPELLING_DISTANCE`` of its own (a distance is at least the length
-difference; Ukkonen 1985).  Callers classify only failures; a candidate
+One exact Levenshtein kernel, bit-parallel (Myers 1999; Hyyrö 2003), gives
+the distances: over words from the candidate to each gold member, and over
+characters from a hallucinated word to the target words whose length is
+within ``MISSPELLING_DISTANCE`` of its own (a distance is at least the
+length difference; Ukkonen 1985).  Each member resumes from the state the
+one before it reached at the end of their common prefix, and both lists come
+sorted, so the agreement variants of a gold set cost only the words they
+differ in.
+The distances come one at a time: the misspelling check stops at the first
+target word within reach.  Callers classify only failures; a candidate
 equal to some gold member gets the empty set.
 """
 
@@ -35,10 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-import numpy as np
-
 from .grammar import as_words
-from .metrics import _word_coder
 from .scripts import ScriptSpec
 
 LABELS = (
@@ -66,44 +68,53 @@ def normalize_words(sentence) -> tuple[str, ...]:
 
 MISSPELLING_DISTANCE = 2
 
-# Members per Levenshtein pass; the table is GOLD_BLOCK x (longest member + 1).
-GOLD_BLOCK = 128
 
+def _distances(cand, members):
+    """Yield the Levenshtein distance from ``cand`` to each of ``members``, in
+    order, over symbols: words of word tuples, characters of strings.
 
-def _edit_distances(cand: list[int], block, code) -> np.ndarray:
-    """Levenshtein distance from ``cand`` (symbol ids) to each member.
-
-    Members are padded into one matrix of ids (``code`` numbers them); row i
-    of the table is computed for all members at once from row i-1: the
-    deletion and substitution moves first, then the insertion chain as a
-    running minimum of ``t[k] - k`` plus ``j``.  Padding never equals a
-    symbol id and lies right of every member's last column, so it changes no
-    distance.
+    Bit-parallel (Myers 1999, in Hyyrö's 2003 form for the global distance):
+    the candidate is the pattern, symbol i its bit i, and a member is read
+    one symbol at a time, each step updating the column of vertical deltas
+    (``vp``, ``vn``) and the bottom cell ``score`` in a few integer
+    operations.  Python ints have no width, so one int holds a candidate of
+    any length.  Each member resumes from the column it shares with the member
+    before it at the end of their common prefix, so sorted members, such as
+    the agreement variants of a gold set, each cost their own suffix.
     """
-    lengths = np.array([len(g) for g in block])
-    grid = np.full((len(block), lengths.max()), -1)
-    grid[np.arange(grid.shape[1]) < lengths[:, None]] = code(block)
-    cols = np.arange(grid.shape[1] + 1)
-    row = np.tile(cols, (len(block), 1))
-    step = np.empty_like(row)
-    for i, x in enumerate(cand, start=1):
-        step[:, 0] = i
-        np.minimum(row[:, 1:] + 1, row[:, :-1] + (grid != x), out=step[:, 1:])
-        row = np.minimum.accumulate(step - cols, axis=1) + cols
-    return row[np.arange(len(block)), lengths]
-
-
-def _distances(cand, members) -> np.ndarray:
-    """Levenshtein distance from ``cand`` to each of ``members``, over
-    symbols: words of word tuples, characters of strings."""
-    code, _ = _word_coder(cand)
-    ids = code([cand]).tolist()
-    return np.concatenate(
-        [
-            _edit_distances(ids, members[start : start + GOLD_BLOCK], code)
-            for start in range(0, len(members), GOLD_BLOCK)
-        ]
-    )
+    if not cand:
+        yield from map(len, members)
+        return
+    peq: dict = {}
+    for i, symbol in enumerate(cand):
+        peq[symbol] = peq.get(symbol, 0) | 1 << i
+    mask = (1 << len(cand)) - 1
+    top = 1 << (len(cand) - 1)
+    previous = ()
+    columns = [(mask, 0, len(cand))]  # (vp, vn, score) after each symbol of previous
+    for member in members:
+        shared = 0
+        for a, b in zip(previous, member):
+            if a != b:
+                break
+            shared += 1
+        del columns[shared + 1 :]
+        vp, vn, score = columns[-1]
+        for symbol in member[shared:]:
+            eq = peq.get(symbol, 0)
+            d0 = (((eq & vp) + vp) ^ vp) | eq | vn
+            hp = vn | (mask & ~(d0 | vp))
+            hn = vp & d0
+            if hp & top:
+                score += 1
+            elif hn & top:
+                score -= 1
+            hp = hp << 1 | 1
+            vp = (hn << 1 | ~(d0 | hp)) & mask
+            vn = hp & d0 & mask
+            columns.append((vp, vn, score))
+        previous = member
+        yield score
 
 
 def nearest_gold(cand_words: tuple[str, ...], golds) -> tuple[str, ...]:
@@ -113,12 +124,14 @@ def nearest_gold(cand_words: tuple[str, ...], golds) -> tuple[str, ...]:
     members = [as_words(g) for g in golds]
     if not members:
         raise ValueError("gold set is empty")
-    distances = _distances(cand_words, members)
-    tied = [members[i] for i in np.flatnonzero(distances == distances.min())]
+    distances = list(_distances(cand_words, members))
+    best = min(distances)
+    tied = [member for member, distance in zip(members, distances) if distance == best]
     bag = Counter(cand_words)
 
     def agreement(member: tuple[str, ...]) -> tuple[bool, int]:
-        shared = sum((Counter(member) & bag).values())
+        common = [word for word in member if word in bag]
+        shared = sum((Counter(common) & bag).values()) if common else 0
         return shared == len(member) == len(cand_words), shared
 
     return max(tied, key=agreement)
@@ -151,8 +164,8 @@ def classify(
             labels.add("recall")
         if word not in src_vocab and word not in tgt_vocab:
             labels.add("hallucination")
-            near = [r for r in tgt_vocab if abs(len(r) - len(word)) <= MISSPELLING_DISTANCE]
-            if near and _distances(word, near).min() <= MISSPELLING_DISTANCE:
+            near = sorted(r for r in tgt_vocab if abs(len(r) - len(word)) <= MISSPELLING_DISTANCE)
+            if any(d <= MISSPELLING_DISTANCE for d in _distances(word, near)):
                 labels.add("misspelling")
         if word in src_vocab and word not in tgt_vocab:
             labels.add("source_vocab")

@@ -235,6 +235,52 @@ def test_resume_skips_finished_trials(tmp_path):
     assert len(run_experiment(cfg)) == len(first)
 
 
+def cut_points(data: bytes) -> list[int]:
+    """Byte offsets at which to cut a log: each line boundary, 1 and 2 bytes
+    either side of it, and between the two bytes of each line's first
+    Cyrillic letter."""
+    boundaries = [0] + [i + 1 for i, byte in enumerate(data) if byte == 0x0A]
+    cuts = {b + d for b in boundaries for d in (-2, -1, 0, 1, 2) if 0 <= b + d <= len(data)}
+    for start, end in zip(boundaries, boundaries[1:]):
+        lead = next((i for i in range(start, end) if data[i] in (0xD0, 0xD1)), None)
+        if lead is not None:
+            cuts.add(lead + 1)
+    return sorted(cuts)
+
+
+# A Latin oracle condition and a Cyrillic agreement condition whose records
+# hold two-byte letters.
+CRASH_CONDITIONS = [
+    pytest.param(MOCK_ORACLE, GrammarSpec(size=57, seed=0), id="oracle"),
+    pytest.param(MOCK_ECHO_SOURCE, GrammarSpec(size=128, agreement_tgt=True, script_tgt="Cyrillic", seed=3),
+                 id="echo-cyrillic"),
+]
+
+
+@pytest.mark.parametrize("url, spec", CRASH_CONDITIONS)
+def test_a_resume_after_any_cut_of_the_log_returns_the_fresh_run(tmp_path, url, spec):
+    # a crash leaves some prefix of the log, and perhaps a stale temporary
+    # manifest: the resume must return the fresh run's records, timing
+    # aside, and leave a log that reads back to them
+    cfg = make_config(tmp_path, url=url, conditions=(spec,), lengths=(3, 5), n_per_cell=2, max_parallel=2)
+    first = run_experiment(cfg)
+    log, manifest = cfg.out_dir / "runs.jsonl", cfg.out_dir / "run.json"
+    data, manifest_bytes = log.read_bytes(), manifest.read_bytes()
+    cuts = cut_points(data)
+    if url == MOCK_ECHO_SOURCE:
+        assert any(data[cut - 1] in (0xD0, 0xD1) for cut in cuts)
+    cases = [(cut, False) for cut in cuts] + [(0, True), (cuts[len(cuts) // 2], True)]
+    for cut, stale in cases:
+        log.write_bytes(data[:cut])
+        manifest.write_bytes(manifest_bytes)
+        if stale:
+            manifest.with_name("run.json.tmp").write_bytes(manifest_bytes[: len(manifest_bytes) // 2])
+        resumed = run_experiment(cfg)
+        assert [dict(r, timing=None) for r in resumed] == [dict(r, timing=None) for r in first], (cut, stale)
+        assert read_whole_log(log) == resumed, (cut, stale)
+        assert read_manifest(cfg.out_dir) == json.loads(manifest_bytes), (cut, stale)
+
+
 def test_a_record_is_a_line_once_its_newline_is_written(tmp_path, monkeypatch, capsys):
     # the last record, whole but for its newline, is torn: every reader
     # leaves it out, and a resume runs that trial again

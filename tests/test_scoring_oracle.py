@@ -1,13 +1,15 @@
-"""Differential tests: batched scoring and nearest gold against the oracles.
+"""Differential tests: batched scoring, edit distances and nearest gold
+against the oracles.
 
-``tests/oracles.py`` keeps the Counter-based scorer and the enumerating
-nearest-gold search; every score here must equal theirs exactly (``==`` on
-floats) and the same gold member must be chosen.  Running each property with
-a block of 2 golds as well as the defaults puts block boundaries, and ties
-across blocks, inside small examples.
+``tests/oracles.py`` keeps the Counter-based scorer, the dynamic-programming
+edit distance and the enumerating nearest-gold search; every score here must
+equal theirs exactly (``==`` on floats), every distance theirs, and the same
+gold member must be chosen.  Running each scoring property with a block of 2
+golds as well as the default puts block boundaries inside small examples.
 """
 
 from contextlib import contextmanager
+from itertools import permutations
 from unittest import mock
 
 import pytest
@@ -32,13 +34,11 @@ BLOCKS = pytest.mark.parametrize("block", [2, None])
 
 @contextmanager
 def gold_block(size: int | None):
-    """Golds per batch in scoring and nearest-gold search (None: defaults)."""
+    """Golds per batch in scoring (None: the default)."""
     if size is None:
         yield
         return
-    with mock.patch.object(metrics, "GOLD_BLOCK", size), mock.patch.object(
-        errors, "GOLD_BLOCK", size
-    ):
+    with mock.patch.object(metrics, "GOLD_BLOCK", size):
         yield
 
 
@@ -121,20 +121,55 @@ def test_nearest_gold_matches_oracle(block, case):
     assert got == oracle.nearest_gold(cand_words, golds)
 
 
-def test_ties_keep_the_first_member_across_blocks():
-    # every gold is one substitution away; the first must win in any block
-    golds = ["x b", "a y", "a z", "w b", "a v"]
-    for block in (1, 2, 3, None):
-        with gold_block(block):
-            assert errors.nearest_gold(("a", "b"), golds) == ("x", "b")
+@st.composite
+def distance_cases(draw):
+    """A candidate and members over a small alphabet, as word tuples or as
+    strings: the candidate up to 150 symbols (past a 64-bit word) or empty,
+    the members in any order, with duplicates and prefixes of one another."""
+    words = draw(st.booleans())
+    symbol = st.sampled_from(["a", "b", "жы"] if words else "abж")
+    as_kind = tuple if words else "".join
+    sequence = st.integers(0, 150).flatmap(lambda n: st.lists(symbol, min_size=n, max_size=n))
+    cand = draw(sequence)
+    stems = draw(st.lists(sequence, min_size=1, max_size=3))
+    members = [stem[: draw(st.integers(0, len(stem)))] if draw(st.booleans()) else stem
+               for stem in draw(st.lists(st.sampled_from(stems), min_size=1, max_size=6))]
+    return as_kind(cand), [as_kind(member) for member in draw(st.permutations(members))]
 
 
-def test_ties_prefer_the_candidates_words_across_blocks():
-    # every gold is two edits away; the last has the candidate's words
-    golds = ["x y c", "a x z", "c b a", "b a c"]
-    for block in (1, 2, 3, None):
-        with gold_block(block):
-            assert errors.nearest_gold(("a", "b", "c"), golds) == ("c", "b", "a")
+@settings(max_examples=100, deadline=None)
+@given(case=distance_cases())
+def test_edit_distances_match_oracle(case):
+    cand, members = case
+    got = list(errors._distances(cand, members))
+    assert got == [oracle.edit_distance(cand, member) for member in members]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    word=st.text("abcж", min_size=1, max_size=9),
+    vocab=st.lists(st.text("abcж", min_size=1, max_size=9), min_size=1, max_size=30),
+)
+def test_misspelling_early_exit_matches_oracle(word, vocab):
+    # the check stops at the first target word within the distance
+    tgt = frozenset(vocab)
+    labels = errors.classify(word, {vocab[0]}, src_vocab=frozenset(), tgt_vocab=tgt)
+    near = any(oracle.edit_distance(word, real) <= errors.MISSPELLING_DISTANCE for real in tgt)
+    assert ("misspelling" in labels) == (word not in tgt and near)
+
+
+def test_ties_keep_the_first_member_in_any_member_order():
+    # every gold is one substitution away; the first must win in any order
+    for golds in permutations(["x b", "a y", "a z", "w b", "a v"]):
+        assert errors.nearest_gold(("a", "b"), golds) == tuple(golds[0].split())
+
+
+def test_ties_prefer_the_candidates_words_in_any_member_order():
+    # every gold is two edits away; two have the candidate's words, and the
+    # first of those wins
+    for golds in permutations(["x y c", "a x z", "c b a", "b a c"]):
+        first = next(gold for gold in golds if sorted(gold.split()) == ["a", "b", "c"])
+        assert errors.nearest_gold(("a", "b", "c"), golds) == tuple(first.split())
 
 
 def test_256_gold_agreement_case_matches_oracle():
