@@ -30,10 +30,9 @@ within ``MISSPELLING_DISTANCE`` of its own (a distance is at least the
 length difference; Ukkonen 1985).  Each member resumes from the state the
 one before it reached at the end of their common prefix, and both lists come
 sorted, so the agreement variants of a gold set cost only the words they
-differ in.
-The distances come one at a time: the misspelling check stops at the first
-target word within reach.  Callers classify only failures; a candidate
-equal to some gold member gets the empty set.
+differ in.  The distances come one at a time: the misspelling check stops
+at the first target word within reach.  Callers classify only failures; a
+candidate equal to some gold member gets the empty set.
 """
 
 from __future__ import annotations
