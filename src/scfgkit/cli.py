@@ -12,10 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from .grammar import parse_grammar_text, serialize_grammar, word_vocab
-from .harness import ExperimentConfig, LogRecords, answer_words, judge, run_experiment, zero_scores
+from .harness import ExperimentConfig, LogRecords, Run, answer_words, judge, zero_scores
 from .metagrammar import WORD_ORDERS, GrammarSpec, generate_with_manifest
 from .metrics import score_candidate
 from .parsing import TRANSLATE_CAP, SourceParseError, translate
@@ -240,9 +241,17 @@ def _target_script(name: str | None, tgt_vocab):
 
 def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
-    records = run_experiment(cfg, resume=not args.no_resume)
-    ok = sum(r["status"] == "ok" for r in records)
-    print(f"{len(records)} trials ({ok} ok) -> {Path(cfg.out_dir) / 'runs.jsonl'}")
+    log = Path(cfg.out_dir) / "runs.jsonl"
+    run = Run(cfg, resume=not args.no_resume)
+    ok = sum(r["status"] == "ok" for r in run.prior)
+    try:
+        with closing(iter(run)) as records:  # an interrupt between records closes them too
+            for record in records:
+                ok += record["status"] == "ok"
+    except KeyboardInterrupt:
+        print(f"interrupted: {run.logged} trials logged -> {log}", file=sys.stderr)
+        return 130
+    print(f"{run.logged} trials ({ok} ok) -> {log}")
     return 0
 
 

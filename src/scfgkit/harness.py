@@ -8,6 +8,15 @@ answer, and appends one JSON line to the run log.  Logs are append-only and
 resumable: a rerun skips trial ids already present.  A line is a record once
 its newline is written: a resume cuts off a last line without one.
 
+A run is a :class:`Run`, which yields each record once its line is written;
+:func:`run_experiment` collects them.  The calling thread runs trials, and
+``max_parallel - 1`` helper threads only overlap endpoint waits (a trial's
+own work holds the interpreter lock).  Memory does not grow with the grid.
+On Ctrl-C, any other exception or an early close, every finished record up
+to the first unfinished trial is written and the exception propagates; a
+resume runs the rest.  Each line is flushed, not fsynced, so power loss is
+out of scope.
+
 A record does not repeat its prompt, which is mostly the grammar: it carries
 the prompt's SHA-256 (``prompt_sha256``).  Before the first record of a log,
 the run writes a manifest, ``run.json``, holding the config, the package,
@@ -58,11 +67,12 @@ import json
 import logging
 import os
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from queue import SimpleQueue
 from typing import BinaryIO, Iterator
 from urllib.parse import urlsplit  # already loaded by pathlib
 
@@ -390,15 +400,23 @@ def run_trial(
 _GROUP_KEYS = tuple(key for _, key, _, _ in AXES)
 
 
-def _record_error(record: dict) -> str | None:
-    """What is wrong with the fields a log's readers use in ``record``, or
-    None: ``schema_version``, when present (a missing one reads as 1), must
-    be a whole number from 1 to :data:`SCHEMA_VERSION`, ``trial_id`` a string,
-    each of the four ``scores`` a finite number and each group key a whole
-    number (a bool is neither)."""
+def _version_error(record: dict) -> str | None:
+    """What is wrong with ``record``'s ``schema_version``, or None: when
+    present (a missing one reads as 1), it must be a whole number from 1 to
+    :data:`SCHEMA_VERSION` (a bool is not one)."""
     version = record.get("schema_version", 1)
     if type(version) is not int or not 1 <= version <= SCHEMA_VERSION:
         return f"schema_version must be a whole number from 1 to {SCHEMA_VERSION}: {version!r}"
+    return None
+
+
+def _record_error(record: dict) -> str | None:
+    """What is wrong with the fields a log's readers use in ``record``, or
+    None: ``schema_version`` as :func:`_version_error` says, ``trial_id`` a
+    string, each of the four ``scores`` a finite number and each group key a
+    whole number (a bool is neither)."""
+    if error := _version_error(record):
+        return error
     if type(record.get("trial_id")) is not str:
         return f"trial_id must be a string: {record.get('trial_id')!r}"
     scores = record.get("scores")
@@ -558,9 +576,11 @@ def read_manifest(run_dir: str | Path) -> dict:
 def record_prompt(run_dir: str | Path, record: dict) -> str:
     """The prompt the trial of ``record`` sent, rebuilt from the manifest of
     the run in ``run_dir`` and checked against the record's ``prompt_sha256``
-    (``ValueError`` on a mismatch, or when its ``condition_index`` is not an
-    int naming a condition of the manifest).  A schema-1 record holds its
-    prompt."""
+    (``ValueError`` on a mismatch, when its ``schema_version`` is not one a
+    log may hold, or when its ``condition_index`` is not an int naming a
+    condition of the manifest).  A schema-1 record holds its prompt."""
+    if error := _version_error(record):
+        raise ValueError(f"{record['trial_id']}: {error}")
     if record.get("schema_version", 1) < 2:
         return record["prompt"]
     conditions = read_manifest(run_dir)["conditions"]
@@ -587,13 +607,193 @@ def _check_resumable(cfg: ExperimentConfig, manifest: dict) -> None:
         )
 
 
+class Run:
+    """One run (or resume) of ``cfg``'s grid, set up when it is made; its
+    trials run as it is iterated, once.
+
+    Making it reads a resumed log and writes the manifest, as
+    :func:`run_experiment` describes; ``prior`` holds the records the log
+    already had.  Iterating it runs the trials left and yields each record
+    once its line is written; ``logged`` counts the records in the log,
+    ``prior`` included.
+
+    Each thread (the iterating one and at ``max_parallel`` above 1 its
+    helpers) takes the next trial in grid order, and may start trial ``i``
+    only while ``i`` is less than the first unwritten trial plus ``2 *
+    max_parallel``.  Whichever thread finishes the first unwritten trial
+    writes every finished record that follows it in order, each as one line,
+    flushed.  An exception in a helper is raised in the iterating thread.
+    That thread waits only in ``Lock.acquire`` and ``SimpleQueue.get``, which
+    an interrupt leaves holding no lock (an interrupt inside an executor's
+    ``Condition`` can leave its lock held and hang the run).
+    """
+
+    def __init__(self, cfg: ExperimentConfig, resume: bool = True):
+        self.cfg = cfg
+        out_dir = Path(cfg.out_dir)
+        self._log_path = out_dir / "runs.jsonl"
+        manifest_path = out_dir / MANIFEST_NAME
+        self.prior: list[dict] = []
+        manifest = None
+        if resume and self._log_path.exists():
+            if manifest_path.exists():
+                manifest = read_manifest(out_dir)
+            with self._log_path.open("r+b") as fh:
+                self.prior = read_log(fh)  # leaves fh at the end of the last whole line
+                if manifest is None and any(r.get("schema_version", 1) != 1 for r in self.prior):
+                    raise ValueError(f"{self._log_path} holds records written under a manifest, and "
+                                     f"{manifest_path} is missing; restore it, or use another out_dir or resume=False")
+                if fh.tell() < os.fstat(fh.fileno()).st_size:
+                    fh.truncate()
+        done = {r["trial_id"] for r in self.prior}
+
+        def todo():  # lazily, so memory does not grow with the grid
+            return (
+                (ci, length, rep)
+                for ci in range(len(cfg.conditions))
+                for length in cfg.lengths
+                for rep in range(cfg.n_per_cell)
+                if trial_id(ci, length, rep) not in done
+            )
+
+        # a log with records and no manifest predates manifests: it gets one now
+        if manifest is None or not self.prior:
+            grammars = {ci: generate(spec) for ci, spec in enumerate(cfg.conditions)}
+            entries = [_condition_entry(spec, grammars[ci]) for ci, spec in enumerate(cfg.conditions)]
+            out_dir.mkdir(parents=True, exist_ok=True)  # only once every spec has generated
+            if not resume:
+                self._log_path.unlink(missing_ok=True)
+            _write_manifest(manifest_path, _manifest(cfg, entries))
+        else:
+            _check_resumable(cfg, manifest)
+            grammars = {ci: generate(cfg.conditions[ci]) for ci in sorted({ci for ci, _, _ in todo()})}
+            for ci, grammar in grammars.items():
+                if _sha256(grammar.compiled.text) != manifest["conditions"][ci]["grammar_sha256"]:
+                    raise ValueError(
+                        f"condition {ci} generates a grammar other than the one in {manifest_path}"
+                    )
+            if manifest["config"] != cfg.to_dict():
+                _write_manifest(manifest_path, _manifest(cfg, manifest["conditions"]))
+        self._grammars = grammars
+        self._client = _Client(cfg)
+        # The state the threads share, each part read and changed under _lock.
+        self._lock = threading.Lock()
+        self._todo = todo()
+        self._exhausted = False  # _todo has no trial left
+        self._started = 0  # trials taken from _todo, numbered in grid order
+        self._unwritten = 0  # the number of the first trial whose line is not written
+        self._finished: dict[int, dict] = {}  # number -> record of a trial finished, not written
+        self._written: list[dict] = []  # records written and not yet yielded
+        self._waiting = 0  # threads blocked in _wake.get()
+        self._wake: SimpleQueue = SimpleQueue()
+        self._stopped = False
+        self._error: BaseException | None = None  # what a helper raised
+
+    @property
+    def logged(self) -> int:
+        """The number of records in the log."""
+        return len(self.prior) + self._unwritten
+
+    def __iter__(self) -> Iterator[dict]:
+        if self._stopped:  # iterated before
+            return
+        helpers = [threading.Thread(target=self._help, daemon=True) for _ in range(self.cfg.max_parallel - 1)]
+        with self._log_path.open("a", encoding="utf-8") as self._log:
+            for helper in helpers:
+                helper.start()
+            try:
+                while True:
+                    with self._lock:
+                        if self._error is not None:
+                            raise self._error
+                        ready, self._written = self._written, []
+                        taken = None if ready else self._take()
+                        if not ready and taken is None:
+                            if self._exhausted and self._unwritten == self._started:
+                                return
+                            self._waiting += 1
+                    if ready:
+                        yield from ready
+                    elif taken:
+                        self._run(*taken)
+                    else:
+                        self._wake.get()
+            finally:
+                with self._lock:
+                    self._stopped = True
+                for _ in helpers:
+                    self._wake.put(None)
+                for helper in helpers:
+                    helper.join()
+                with self._lock:
+                    self._write_ready()
+
+    def _help(self) -> None:
+        try:
+            while True:
+                with self._lock:
+                    taken = self._take()
+                    if taken is None:
+                        if self._stopped or self._exhausted:
+                            return
+                        self._waiting += 1
+                if taken:
+                    self._run(*taken)
+                else:
+                    self._wake.get()
+        except BaseException as exc:  # raised again in the iterating thread
+            with self._lock:
+                self._error, self._stopped = exc, True
+                self._wake_waiters()
+
+    def _take(self) -> tuple[int, tuple[int, int, int]] | None:
+        """Under the lock: the number and cell of the next trial, taken, or
+        None when none may start now."""
+        if self._stopped or self._exhausted or self._started >= self._unwritten + 2 * self.cfg.max_parallel:
+            return None
+        trial = next(self._todo, None)
+        if trial is None:
+            self._exhausted = True
+            return None
+        self._started += 1
+        return self._started - 1, trial
+
+    def _run(self, number: int, trial: tuple[int, int, int]) -> None:
+        ci, length, rep = trial
+        record = run_trial(self.cfg, self._grammars[ci], ci, length, rep, self._client)
+        with self._lock:
+            self._finished[number] = record
+            self._write_ready()
+
+    def _write_ready(self) -> None:
+        """Under the lock: write each finished record that follows the last
+        one written, in grid order, and wake the waiting threads."""
+        while self._unwritten in self._finished:
+            record = self._finished[self._unwritten]
+            line = json.dumps(record, ensure_ascii=False) + "\n"
+            # No call comes between these two statements, so an interrupt
+            # lands before or after both, and a line is written once.
+            del self._finished[self._unwritten]
+            self._unwritten += 1
+            self._log.write(line)
+            self._log.flush()
+            self._written.append(record)
+        self._wake_waiters()
+
+    def _wake_waiters(self) -> None:
+        """Under the lock: wake every thread blocked in ``_wake.get()``."""
+        for _ in range(self._waiting):
+            self._wake.put(None)
+        self._waiting = 0
+
+
 def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> list[dict]:
     """Run (or resume) the full grid; returns all records including prior ones.
 
     Each finished trial's record is appended to ``<out_dir>/runs.jsonl``
-    immediately, as one line.  Records are written in grid order (conditions
-    x lengths x replicates) so identical configs yield identical logs up to
-    timing fields.  A resumed
+    as one line, by :class:`Run`.  Records are written in grid order
+    (conditions x lengths x replicates) so identical configs yield identical
+    logs up to timing fields.  A resumed
     log is read in one pass that also cuts off a torn last line, so the log
     on disk reads back to exactly the records returned.  A log of schema-1
     records alone predates manifests and is adopted under ``cfg``; a log
@@ -608,60 +808,5 @@ def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> list[dict]:
     when a condition now generates another grammar; any other change of
     config (a larger grid, say) is written to the manifest.
     """
-    out_dir = Path(cfg.out_dir)
-    log_path = out_dir / "runs.jsonl"
-    manifest_path = out_dir / MANIFEST_NAME
-    prior = []
-    manifest = None
-    if resume and log_path.exists():
-        if manifest_path.exists():
-            manifest = read_manifest(out_dir)
-        with log_path.open("r+b") as fh:
-            prior = read_log(fh)  # leaves fh at the end of the last whole line
-            if manifest is None and any(r.get("schema_version", 1) != 1 for r in prior):
-                raise ValueError(f"{log_path} holds records written under a manifest, and {manifest_path} "
-                                 "is missing; restore it, or use another out_dir or resume=False")
-            if fh.tell() < os.fstat(fh.fileno()).st_size:
-                fh.truncate()
-    done = {r["trial_id"] for r in prior}
-    todo = [
-        (ci, length, rep)
-        for ci in range(len(cfg.conditions))
-        for length in cfg.lengths
-        for rep in range(cfg.n_per_cell)
-        if trial_id(ci, length, rep) not in done
-    ]
-
-    # a log with records and no manifest predates manifests: it gets one now
-    if manifest is None or not prior:
-        grammars = {ci: generate(spec) for ci, spec in enumerate(cfg.conditions)}
-        entries = [_condition_entry(spec, grammars[ci]) for ci, spec in enumerate(cfg.conditions)]
-        out_dir.mkdir(parents=True, exist_ok=True)  # only once every spec has generated
-        if not resume:
-            log_path.unlink(missing_ok=True)
-        _write_manifest(manifest_path, _manifest(cfg, entries))
-    else:
-        _check_resumable(cfg, manifest)
-        grammars = {ci: generate(cfg.conditions[ci]) for ci in sorted({ci for ci, _, _ in todo})}
-        for ci, grammar in grammars.items():
-            if _sha256(grammar.compiled.text) != manifest["conditions"][ci]["grammar_sha256"]:
-                raise ValueError(
-                    f"condition {ci} generates a grammar other than the one in {manifest_path}"
-                )
-        if manifest["config"] != cfg.to_dict():
-            _write_manifest(manifest_path, _manifest(cfg, manifest["conditions"]))
-
-    client = _Client(cfg)
-    fresh: list[dict] = []
-    with ThreadPoolExecutor(max_workers=cfg.max_parallel) as pool:
-        futures = [
-            pool.submit(run_trial, cfg, grammars[ci], ci, length, rep, client)
-            for ci, length, rep in todo
-        ]
-        with log_path.open("a", encoding="utf-8") as fh:
-            for future in futures:
-                record = future.result()
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-                fh.flush()
-                fresh.append(record)
-    return prior + fresh
+    run = Run(cfg, resume)
+    return run.prior + list(run)

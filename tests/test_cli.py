@@ -1,11 +1,21 @@
 import hashlib
 import json
+import os
+import random
+import re
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import scfgkit
 from scfgkit.cli import main
 from scfgkit.grammar import parse_grammar_text
+from scfgkit.harness import read_log
 from .conftest import FIG1_TEXT
 from .oracles import src_yield, tgt_yield
 from .test_parsing import AMBIG_TEXT, DEEP_TEXT, deep_pair
@@ -748,3 +758,41 @@ def test_run_resume_via_cli(tmp_path, capsys):
     main(["run", "--config", str(config)])
     assert "2 trials" in capsys.readouterr().out
     assert len(jsonl(run_dir / "runs.jsonl")) == 2
+
+
+@pytest.mark.parametrize("max_parallel", [1, 2])
+def test_run_stops_on_ctrl_c_and_says_how_many_trials_are_logged(tmp_path, max_parallel):
+    # SIGINT at a seeded delay after the first record: exit 130 within
+    # seconds, one stderr line whose count read_log confirms, and no torn
+    # line.  The interpreter itself is killed on a hang: a kill of an outer
+    # `timeout` would leave it running.
+    config = tmp_path / "config.json"
+    log = tmp_path / "run" / "runs.jsonl"
+    config.write_text(json.dumps({
+        "conditions": [{"size": 57, "seed": 0}], "lengths": [5], "n_per_cell": 20_000,
+        "endpoint": {"url": "mock://oracle"}, "model_name": "oracle", "out_dir": str(log.parent),
+        "max_parallel": max_parallel,
+    }), "utf-8")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(scfgkit.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-m", "scfgkit.cli", "run", "--config", str(config)], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not (log.exists() and log.stat().st_size) and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        time.sleep(random.Random(max_parallel).uniform(0.0, 0.3))
+        proc.send_signal(signal.SIGINT)
+        sent = time.monotonic()
+        _, err = proc.communicate(timeout=10)
+        waited = time.monotonic() - sent
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 130, err
+    assert waited < 5
+    found = re.fullmatch(f"interrupted: ([0-9]+) trials logged -> {re.escape(str(log))}\n", err)
+    assert found, err
+    assert int(found.group(1)) == len(read_log(log)) > 0
+    assert log.read_bytes().endswith(b"\n")

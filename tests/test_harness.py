@@ -1,11 +1,13 @@
 import hashlib
 import io
+import itertools
 import json
 import os
 import shutil
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -24,6 +26,7 @@ from scfgkit.harness import (
     EndpointProfile,
     ExperimentConfig,
     RetryPolicy,
+    Run,
     _Client,
     read_log,
     read_manifest,
@@ -838,6 +841,98 @@ def test_record_prompt_refuses_a_condition_index_that_names_no_condition(tmp_pat
     assert record_prompt(cfg.out_dir, record)
     with pytest.raises(ValueError, match=f"^{record['trial_id']}: condition_index {index!r} names no condition"):
         record_prompt(cfg.out_dir, dict(record, condition_index=index))
+
+
+@pytest.mark.parametrize("version", ["3", True, 0, 4])
+def test_record_prompt_refuses_a_schema_version_a_log_cannot_hold(tmp_path, version):
+    # the rule LogRecords applies: a whole number from 1 to SCHEMA_VERSION
+    cfg = make_config(tmp_path, conditions=(GrammarSpec(size=57, seed=0),))
+    record = run_experiment(cfg)[0]
+    with pytest.raises(ValueError, match=f"^{record['trial_id']}: schema_version must be a whole number"):
+        record_prompt(cfg.out_dir, dict(record, schema_version=version))
+
+
+def test_a_slow_first_trial_does_not_widen_the_look_ahead(tmp_path, monkeypatch):
+    # while the first trial waits on its endpoint, the other thread starts
+    # only trials less than 2 * max_parallel past it
+    calls, made, made_at_first_write, released = itertools.count(), [], [], threading.Event()
+    inner = _Client.__call__
+
+    def answer(self, prompt, gold, source):
+        call = next(calls)
+        made.append(call)
+        if call == 0:
+            released.wait(timeout=30)
+        return inner(self, prompt, gold, source)
+
+    class CountingJson:
+        def dumps(self, record, **kw):
+            if not made_at_first_write:
+                made_at_first_write.append(len(made))
+            return json.dumps(record, **kw)
+
+        def __getattr__(self, name):
+            return getattr(json, name)
+
+    monkeypatch.setattr(_Client, "__call__", answer)
+    monkeypatch.setattr(harness, "json", CountingJson())
+    cfg = make_config(tmp_path, n_per_cell=4, max_parallel=2)
+    release = threading.Timer(0.3, released.set)
+    release.start()
+    try:
+        records = run_experiment(cfg)
+    finally:
+        release.cancel()
+        released.set()
+    assert made_at_first_write == [2 * cfg.max_parallel]
+    assert [r["trial_id"] for r in records] == [
+        trial_id(ci, length, rep) for ci in range(2) for length in cfg.lengths for rep in range(4)]
+    assert read_whole_log(cfg.out_dir / "runs.jsonl") == records
+
+
+def test_more_threads_than_cores_switching_often_write_the_one_thread_log(tmp_path):
+    def masked(records):
+        return [dict(r, timing=None) for r in records]
+
+    one = run_experiment(make_config(tmp_path / "one", n_per_cell=8, max_parallel=1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        cfg = make_config(tmp_path / "six", n_per_cell=8, max_parallel=6)
+        six = run_experiment(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert masked(six) == masked(one)
+    assert read_whole_log(cfg.out_dir / "runs.jsonl") == six
+
+
+def test_the_run_core_streams_in_bounded_memory(tmp_path, monkeypatch):
+    # a record is dropped once it is yielded: over 2,000 trials the core's
+    # tracemalloc peak stays within a fixed budget of its peak over 500,
+    # where a list of the records grows by about 3.3 kB a trial.  Each trial
+    # returns a fresh copy of a mock://oracle record, so that 2,500 trials
+    # cost a fraction of a second under tracemalloc.
+    cfg = make_config(tmp_path, conditions=(GrammarSpec(size=57, seed=0),), lengths=(5,), n_per_cell=1,
+                      max_parallel=1)
+    [record] = run_experiment(cfg)
+    line = json.dumps(record, ensure_ascii=False)
+
+    def copy_trial(cfg, grammar, ci, length, rep, client):
+        return dict(json.loads(line), trial_id=trial_id(ci, length, rep), replicate=rep)
+
+    monkeypatch.setattr(harness, "run_trial", copy_trial)
+
+    def peak(n: int) -> int:
+        run = Run(replace(cfg, n_per_cell=n, out_dir=tmp_path / str(n)))
+        tracemalloc.start()
+        try:
+            assert sum(1 for _ in run) == n == run.logged
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small = peak(500)
+    assert peak(2_000) - small < 64 * 1024
 
 
 def test_a_schema_3_record_whose_rebuilt_answer_disagrees_with_its_scores_is_refused(tmp_path, monkeypatch):
