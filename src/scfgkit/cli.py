@@ -242,14 +242,16 @@ def _target_script(name: str | None, tgt_vocab):
 def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_json_file(args.config)
     log = Path(cfg.out_dir) / "runs.jsonl"
-    run = Run(cfg, resume=not args.no_resume)
-    ok = sum(r["status"] == "ok" for r in run.prior)
+    run = None
     try:
+        run = Run(cfg, resume=not args.no_resume)  # a resume reads the whole log first
+        ok = sum(r["status"] == "ok" for r in run.prior)
         with closing(iter(run)) as records:  # an interrupt between records closes them too
             for record in records:
                 ok += record["status"] == "ok"
     except KeyboardInterrupt:
-        print(f"interrupted: {run.logged} trials logged -> {log}", file=sys.stderr)
+        done = "set-up stopped before any trial ran" if run is None else f"{run.logged} trials logged"
+        print(f"interrupted: {done} -> {log}", file=sys.stderr)
         return 130
     print(f"{run.logged} trials ({ok} ok) -> {log}")
     return 0

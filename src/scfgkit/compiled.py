@@ -9,9 +9,16 @@ and only here.  Only the source side is checked and parsed: it passes
 :func:`~scfgkit.grammar.check_well_founded` once, before the first tables or
 sampler built on it, and the target side is only ever read off a source
 parse.  The merged grammar compiles itself like any other, so a merge that
-joins families into a cycle fails the same check.  Two threads may
-build a part twice on a cold grammar; both results are equal, so no lock is
-needed.
+joins families into a cycle fails the same check.
+
+Two stores fill in as sentences are parsed and stay for the grammar's
+life: the parse's templates on the source tables (see
+:func:`~scfgkit.parsing._parse`) and ``short_targets``, the target strings
+of source items at most one word wide (see
+:func:`~scfgkit.parsing._fold_targets`).  Their keys come from the lexicon
+and the name sets, never from an input word outside the lexicon, so both
+stay bounded.  Two threads may build a part or a store entry twice on a
+cold grammar; both results are equal, so no lock is needed.
 """
 
 from __future__ import annotations
@@ -33,6 +40,9 @@ class CompiledGrammar:
     def __init__(self, grammar: SyncGrammar):
         self.grammar = grammar
         self.merged = merge_features(grammar)
+        # (name, words) of a source item at most one word wide -> its target
+        # strings (see :func:`~scfgkit.parsing._fold_targets`)
+        self.short_targets: dict = {}
 
     @cached_property
     def nullable(self) -> frozenset[str]:

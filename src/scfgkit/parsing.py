@@ -20,6 +20,12 @@ can parse: from each start, the ends of its lexical matches and, for each
 span it has filled, the ends of the spans that continue it, in rising order
 from a min-heap.  So the forest, indexed by start position, holds only the
 spans that parse, in the order an all-spans CKY loop would build them.
+The work that does not depend on positions is done once per grammar: each
+cell's backpointers are placed from templates kept on the parse tables,
+keyed by the cell's words or names (see :func:`_parse`), and
+:func:`translate` keeps the target strings of items at most one word wide
+on the grammar (see :func:`_fold_targets`).  Keys come only from the lexicon
+and the name sets, so neither store grows with the sentences parsed.
 Phonetically null terminals become zero-width chart items, so covert
 material (tense, aspect, silent complementizers) parses at any position
 without appearing in the input.  Grammars whose source derivations could
@@ -43,7 +49,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 
 from .grammar import (
@@ -119,13 +125,22 @@ def _is_virtual(name: str) -> bool:
 
 @dataclass(frozen=True)
 class ParseTables:
-    """One side of a grammar, indexed for chart parsing."""
+    """One side of a grammar, indexed for chart parsing.  The last three
+    fields hold the parse's position-free templates (see :func:`_parse`),
+    filled in on first use and kept for every later sentence; they take no
+    part in equality."""
 
     lex: dict  # words tuple -> [(lhs, rule index)]; key () holds null rules
     unary: dict  # child name -> [(parent name, rule index)]
     binary_by_left: dict  # left name -> [(parent, right name, rule index)]
     binary_by_right: dict  # right name -> [(parent, left name, rule index)]
     longest: int  # words in the longest terminal run
+    # lexicon key () or (word,) -> (names, backpointers, shared cell or None)
+    cells: dict = field(default_factory=dict, compare=False, repr=False)
+    # a cell's names before its closure, in order -> (backpointers, names after)
+    closures: dict = field(default_factory=dict, compare=False, repr=False)
+    # (left cell's names, right cell's names) -> [(parent, rule, left, right)]
+    splits: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def parse_tables(grammar: SyncGrammar, side: Side) -> ParseTables:
@@ -158,6 +173,112 @@ def parse_tables(grammar: SyncGrammar, side: Side) -> ParseTables:
 
 # --- chart construction ---------------------------------------------------
 
+# A template backpointer is (name, rule, kind, a, b), without positions: a
+# lexical rule; a unary rule over the cell's item ``a``; or a binary rule over
+# ``a`` then ``b``, one of them the cell's item and the other a zero-width item
+# at its right edge (``b``) or its left edge (``a``).
+_LEXICAL, _UNARY, _RIGHT_NULL, _LEFT_NULL = range(4)
+
+
+def _backpointer(kind: int, idx: int, a: str, b: str | None, i: int, j: int) -> tuple:
+    """A template backpointer's children placed in the cell ``(i, j)``."""
+    if kind == _UNARY:
+        return (idx, ((a, i, j),))
+    if kind == _RIGHT_NULL:
+        return (idx, ((a, i, j), (b, j, j)))
+    if kind == _LEFT_NULL:
+        return (idx, ((a, i, i), (b, i, j)))
+    return (idx, ())
+
+
+def _fill(cell: dict, template: tuple, i: int, j: int) -> None:
+    """Add a template's backpointers to the cell ``(i, j)``, in order."""
+    for name, idx, kind, a, b in template:
+        bp = _backpointer(kind, idx, a, b, i, j)
+        bps = cell.get(name)
+        if bps is None:
+            cell[name] = [bp]
+        else:
+            bps.append(bp)
+
+
+def _close(tables: ParseTables, names: dict, template: list, nulls, width: int) -> None:
+    """The closure of a cell, without positions: unary rules, plus binary
+    rules one of whose children is a zero-width item at the cell's edge.
+    ``names`` holds the cell's names so far, in order, and gains each name
+    the closure adds; ``template`` gains each backpointer.  ``nulls`` are the
+    names of the zero-width cell, which is ``names`` itself while the
+    zero-width cell (``width`` 0) is closed.  ``width`` 1 stands for any
+    cell wider than zero: a backpointer's children differ between two such
+    cells only in their positions."""
+    seen: set = set()
+    queue = list(names)
+
+    def add(name: str, idx: int, kind: int, a: str, b: str | None = None) -> None:
+        bp = _backpointer(kind, idx, a, b, 0, width)
+        if bp in seen:  # only a zero-width cell can build one twice
+            return
+        seen.add(bp)
+        template.append((name, idx, kind, a, b))
+        if name not in names:
+            names[name] = None
+            queue.append(name)
+
+    while queue:
+        name = queue.pop()
+        for parent, idx in tables.unary.get(name, ()):
+            add(parent, idx, _UNARY, name)
+        for parent, right, idx in tables.binary_by_left.get(name, ()):
+            if right in nulls:
+                add(parent, idx, _RIGHT_NULL, name, right)
+        for parent, left, idx in tables.binary_by_right.get(name, ()):
+            if left in nulls:
+                add(parent, idx, _LEFT_NULL, left, name)
+
+
+def _lexical_cell(tables: ParseTables, words: tuple[str, ...]) -> tuple:
+    """The template of a cell over ``words`` (no word, or one), which holds
+    lexical backpointers and their closure: ``(names, template, shared)``,
+    built once and kept in ``tables.cells``.  When every backpointer is
+    lexical, ``shared`` is the one cell every position holds; else it is
+    None and each position fills its own."""
+    kept = tables.cells.get(words)
+    if kept is None:
+        names: dict = {}
+        template: list = []
+        for lhs, idx in tables.lex.get(words, ()):
+            names.setdefault(lhs, None)
+            template.append((lhs, idx, _LEXICAL, None, None))
+        nulls = _lexical_cell(tables, ())[0] if words else names
+        _close(tables, names, template, nulls, len(words))
+        shared = None
+        if all(kind == _LEXICAL for _, _, kind, _, _ in template):
+            shared = {}
+            _fill(shared, template, 0, 0)
+        kept = tables.cells[words] = (tuple(names), tuple(template), shared)
+    return kept
+
+
+def _closure(tables: ParseTables, seeds: tuple[str, ...]) -> tuple:
+    """The closure of a cell wider than zero whose names before it are
+    ``seeds``: ``(template, names after)``."""
+    names = dict.fromkeys(seeds)
+    template: list = []
+    _close(tables, names, template, _lexical_cell(tables, ())[0], 1)
+    return tuple(template), tuple(names)
+
+
+def _pieces(tables: ParseTables, left: tuple[str, ...], right: tuple[str, ...]) -> tuple:
+    """The binary pieces over a left cell with names ``left`` and a right
+    cell with names ``right``, as ``(parent, rule, left name, right name)``
+    in the order a split adds them."""
+    return tuple(
+        (parent, idx, lname, rname)
+        for lname in left
+        for parent, rname, idx in tables.binary_by_left.get(lname, ())
+        if rname in right
+    )
+
 
 def _parse(tables: ParseTables, words: tuple[str, ...]) -> list[dict]:
     """Build the packed forest: ``forest[i]`` maps each end ``j`` (rising) to
@@ -172,15 +293,28 @@ def _parse(tables: ParseTables, words: tuple[str, ...]) -> list[dict]:
     non-empty cell ``(i, k)``, the ends in ``forest[k]``; a min-heap yields
     them rising, so ``forest[i]`` fills in end order and a cell's split loop
     sees every shorter cell at its start.
+
+    What a cell holds, apart from positions, depends only on its words and
+    names, so the work is done once per grammar and kept on ``tables``:
+    the zero-width cell, the same at every position; each one-word cell,
+    keyed by its word; a closure, keyed by the cell's names before it; and
+    the pieces a split adds, keyed by the names of its two cells.  A
+    sentence only places them.  Keys come from the lexicon and the name
+    sets, so the templates stay bounded whatever words are parsed.  Two
+    threads that build one template on a cold grammar store equal values,
+    so no lock is needed.
     """
     n = len(words)
     forest: list[dict] = [{} for _ in range(n + 1)]
+    names: list[dict] = [{} for _ in range(n + 1)]  # names[i][j]: cell (i, j)'s names, in order
+    lex, closures, splits = tables.lex, tables.closures, tables.splits
 
     for i in range(n, -1, -1):
+        row, row_names = forest[i], names[i]
         ends = [i] + [
             i + width
             for width in range(1, min(tables.longest, n - i) + 1)
-            if words[i : i + width] in tables.lex
+            if words[i : i + width] in lex
         ]
         heapq.heapify(ends)
         last = -1
@@ -189,52 +323,43 @@ def _parse(tables: ParseTables, words: tuple[str, ...]) -> list[dict]:
             if j == last:
                 continue
             last = j
-            cell: dict = {}
-            seen_bps: set = set()
-            queue: list[str] = []
-
-            def add(name: str, bp: tuple) -> None:
-                if bp in seen_bps:
-                    return
-                seen_bps.add(bp)
-                bps = cell.get(name)
-                if bps is None:
-                    cell[name] = [bp]
-                    queue.append(name)
-                else:
-                    bps.append(bp)
-
-            for lhs, idx in tables.lex.get(words[i:j], ()):
-                add(lhs, (idx, ()))
-            # forest[i] has no cell (i, j) yet, so k == i finds no right cell
-            for k, left_cell in forest[i].items():
-                right_cell = forest[k].get(j)
-                if right_cell is None:
+            if j - i <= 1:  # a lexical match or the zero-width cell
+                shape, template, cell = _lexical_cell(tables, words[i:j])
+                if not shape:
                     continue
-                for lname in left_cell:
-                    for parent, right, idx in tables.binary_by_left.get(lname, ()):
-                        if right in right_cell:
-                            add(parent, (idx, ((lname, i, k), (right, k, j))))
-            # Closure: unary rules, plus binary rules one of whose children is
-            # a zero-width item at this span's edge.  Zero-width cells are
-            # complete before any wider span; when i == j the cell fills in
-            # within this loop, so it must already be visible as forest[i][i].
-            forest[i][j] = cell
-            left_nulls, right_nulls = forest[i].get(i, {}), forest[j].get(j, {})
-            while queue:
-                name = queue.pop()
-                item = (name, i, j)
-                for parent, idx in tables.unary.get(name, ()):
-                    add(parent, (idx, (item,)))
-                for parent, right, idx in tables.binary_by_left.get(name, ()):
-                    if right in right_nulls:
-                        add(parent, (idx, (item, (right, j, j))))
-                for parent, left, idx in tables.binary_by_right.get(name, ()):
-                    if left in left_nulls:
-                        add(parent, (idx, ((left, i, i), item)))
-            if not cell:
-                del forest[i][j]
-            elif j > i:
+                if cell is None:
+                    cell = {}
+                    _fill(cell, template, i, j)
+            else:
+                cell = {}
+                for lhs, idx in lex.get(words[i:j], ()):
+                    cell.setdefault(lhs, []).append((idx, ()))
+                # row has no cell (i, j) yet, so k == i finds no right cell
+                for k in row:
+                    if j not in forest[k]:
+                        continue
+                    key = (row_names[k], names[k][j])
+                    pieces = splits.get(key)
+                    if pieces is None:
+                        pieces = splits[key] = _pieces(tables, *key)
+                    for parent, idx, lname, rname in pieces:
+                        bp = (idx, ((lname, i, k), (rname, k, j)))
+                        bps = cell.get(parent)
+                        if bps is None:
+                            cell[parent] = [bp]
+                        else:
+                            bps.append(bp)
+                if not cell:
+                    continue
+                seeds = tuple(cell)
+                closure = closures.get(seeds)
+                if closure is None:
+                    closure = closures[seeds] = _closure(tables, seeds)
+                template, shape = closure
+                _fill(cell, template, i, j)
+            row[j] = cell
+            row_names[j] = shape
+            if j > i:
                 # a split (i, j) + (j, m) can parse only where (j, m) does
                 for m in forest[j]:
                     if m > j:
@@ -276,13 +401,21 @@ def _fold_targets(grammar: SyncGrammar, sentence, values):
     are ``()`` for a null one), and an item adds its options in chart order.
     Items that no complete parse uses are never visited.  Raises
     :class:`SourceParseError` when the sentence is not in the source
-    language."""
+    language.
+
+    Target strings of an item no wider than one word depend only on its name
+    and its words, so they are kept in ``grammar.compiled.short_targets``
+    for every later sentence.  A kept value is used only while it holds
+    fewer yields than the cap: values never shrink up the forest, so such a
+    value was never truncated and is exact at any larger cap.  Candidate
+    spans depend on the candidate and are never kept."""
     words = as_words(sentence)
     g = grammar.compiled.merged
     forest = _parse(grammar.compiled.src_tables, words)
     root = (g.start, 0, len(words))
     if g.start not in forest[0].get(len(words), ()):
         raise SourceParseError(f"not a source-language sentence: {' '.join(words)!r}")
+    short = grammar.compiled.short_targets if isinstance(values, _TargetStrings) else None
 
     value: dict = {}
     # an item is pushed with None; its first visit pushes it again with its
@@ -291,19 +424,26 @@ def _fold_targets(grammar: SyncGrammar, sentence, values):
     while stack:
         item, grouped = stack.pop()
         if grouped is None:
-            if item not in value:  # else pushed twice and already folded
-                bps = forest[item[1]][item[2]][item[0]]
-                idx, children = bps[0]
-                if len(bps) == 1 and not (children and _is_virtual(children[-1][0])):
-                    grouped = {idx: [children]}  # a lone option: nothing to group or expand
-                else:
-                    grouped = _grouped_options(item, forest)
-                stack.append((item, grouped))
-                for child_lists in grouped.values():
-                    for children in child_lists:
-                        for child in children:
-                            if child not in value:
-                                stack.append((child, None))
+            if item in value:  # pushed twice and already folded
+                continue
+            name, i, j = item
+            if short is not None and j - i <= 1:
+                kept = short.get((name, words[i:j]))
+                if kept is not None and len(kept) < values.cap:
+                    value[item] = kept
+                    continue
+            bps = forest[i][j][name]
+            idx, children = bps[0]
+            if len(bps) == 1 and not (children and _is_virtual(children[-1][0])):
+                grouped = {idx: [children]}  # a lone option: nothing to group or expand
+            else:
+                grouped = _grouped_options(item, forest)
+            stack.append((item, grouped))
+            for child_lists in grouped.values():
+                for children in child_lists:
+                    for child in children:
+                        if child not in value:
+                            stack.append((child, None))
             continue
         options = []
         for idx, child_lists in grouped.items():
@@ -314,7 +454,10 @@ def _fold_targets(grammar: SyncGrammar, sentence, values):
                     factor = value[children[part]] if isinstance(part, int) else values.words(part)
                     product = factor if product is None else values.times(product, factor)
                 options.append(product)
-        value[item] = values.plus(options)
+        folded = value[item] = values.plus(options)
+        name, i, j = item
+        if short is not None and j - i <= 1 and len(folded) < values.cap:
+            short[name, words[i:j]] = folded
     return value[root]
 
 

@@ -14,7 +14,9 @@ statistics in ``scfgkit.metrics`` and ``scfgkit.errors`` that they check.
 
 The chart oracle is the all-spans CKY loop the agenda-driven
 ``scfgkit.parsing._parse`` replaced: it visits every span, so the forests
-it builds, order included, are the reference for the parser's.  The table
+it builds, order included, are the reference for the parser's.  It closes
+each cell in place, with positions, so it is also the reference for the
+per-grammar templates the parser places.  The table
 oracle indexes a grammar side from its symbols, the way
 ``scfgkit.parsing.parse_tables`` did before it read the rules' layouts.
 
@@ -23,6 +25,10 @@ with a post-order walk on an explicit stack, with the value type's unit
 passed in: it reuses the parser and the value types, since only the
 traversal changed, and its values, order included, are the reference for
 ``scfgkit.parsing._fold_targets``.
+
+The pair-table oracle (``all_pairs``) enumerates, top-down from the rules,
+each name's distinct (source, target) pairs of each exact source length,
+once per name and length.
 
 The sampling oracles are the memoized recursive counts that
 ``scfgkit.sampling`` replaced with a bottom-up table, and the recursive,
@@ -141,12 +147,43 @@ def count_derivations(grammar: SyncGrammar, length: int) -> int:
 
 
 def all_pairs(grammar: SyncGrammar, length: int) -> dict[tuple[str, ...], set[str]]:
-    """Every derivable (source, target set) at exactly ``length`` source words."""
+    """Every derivable (source, target set) at exactly ``length`` source words,
+    built top-down from the rules: a name's distinct (source, target) pairs
+    of each exact length are enumerated once, over every way to share the
+    length among a rule's children, and reused wherever the name recurs."""
     lens = min_src_lens(grammar)
+
+    @lru_cache(maxsize=None)
+    def pairs(name: str, n: int) -> frozenset:
+        found = set()
+        for rule in grammar.rules_for(name):
+            if not rule.children:
+                if len(rule.src[0].words()) == n:
+                    found.add((rule.src[0].words(), rule.tgt[0].words()))
+                continue
+            src_names = [s.text for s in rule.src]
+            floors = [sum(lens[m] for m in src_names[k:]) for k in range(len(src_names) + 1)]
+
+            def walk(idx: int, left: int, parts):
+                if idx == len(src_names):
+                    if left == 0:
+                        yield parts
+                    return
+                for k in range(lens[src_names[idx]], left - floors[idx + 1] + 1):
+                    for sub in pairs(src_names[idx], k):
+                        yield from walk(idx + 1, left - k, parts + [sub])
+
+            for parts in walk(0, n, []):
+                by_name = dict(zip(src_names, parts))
+                tgt = []
+                for sym in rule.tgt:
+                    tgt.extend(sym.words() if sym.terminal else by_name[sym.text][1])
+                found.add((tuple(w for part in parts for w in part[0]), tuple(tgt)))
+        return frozenset(found)
+
     table: dict[tuple[str, ...], set[str]] = {}
-    for src, tgt in _expand(grammar, lens, grammar.start, length):
-        if len(src) == length:
-            table.setdefault(src, set()).add(" ".join(tgt))
+    for src, tgt in pairs(grammar.start, length):
+        table.setdefault(src, set()).add(" ".join(tgt))
     return table
 
 

@@ -796,3 +796,52 @@ def test_run_stops_on_ctrl_c_and_says_how_many_trials_are_logged(tmp_path, max_p
     assert found, err
     assert int(found.group(1)) == len(read_log(log)) > 0
     assert log.read_bytes().endswith(b"\n")
+
+
+# The child stops in the middle of read_log: a hook on the check each record
+# gets marks that reading has begun, then waits there for the signal.
+INTERRUPTED_READ = """\
+import pathlib, sys, time
+from scfgkit import cli, harness
+check = harness._check_answer
+def hook(record):
+    check(record)
+    pathlib.Path(sys.argv[1]).touch()
+    time.sleep(60)
+harness._check_answer = hook
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_ctrl_c_while_a_resume_reads_its_log_leaves_the_log_whole(tmp_path):
+    config = tmp_path / "config.json"
+    log = tmp_path / "run" / "runs.jsonl"
+    marker = tmp_path / "reading"
+    config.write_text(json.dumps({
+        "conditions": [{"size": 57, "seed": 0}], "lengths": [5], "n_per_cell": 400,
+        "endpoint": {"url": "mock://oracle"}, "model_name": "oracle", "out_dir": str(log.parent),
+    }), "utf-8")
+    assert main(["run", "--config", str(config)]) == 0
+    logged = log.read_bytes()
+    manifest = (log.parent / "run.json").read_bytes()
+    with log.open("ab") as fh:  # a torn last line, which a finished set-up would cut
+        fh.write(b'{"trial_id": "c0_len5_r400"')
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(scfgkit.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", INTERRUPTED_READ, str(marker), "run", "--config", str(config)],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not marker.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=10)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 130, err
+    assert err == f"interrupted: set-up stopped before any trial ran -> {log}\n"
+    assert out == ""
+    assert log.read_bytes() == logged + b'{"trial_id": "c0_len5_r400"'
+    assert (log.parent / "run.json").read_bytes() == manifest

@@ -1,5 +1,8 @@
 import gc
 import hashlib
+import random
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 from unittest import mock
@@ -378,13 +381,16 @@ def random_grammars(draw):
             break
         except GrammarError:
             lines.remove(next(line for line in reversed(lines) if "'" not in line))
+    return g, draw_words(draw, g)
+
+
+def draw_words(draw, g):
+    """A word sequence to parse with ``g``: sampled from it, or random."""
     length = draw(st.integers(0, 9))
     sampler = Sampler(g)
     if length and sampler.count(length) and draw(st.booleans()):
-        words = src_yield(g, sampler.sample_tree(length, draw(st.randoms())))
-    else:
-        words = tuple(draw(st.lists(st.sampled_from(WORDS), max_size=length)))
-    return g, words
+        return src_yield(g, sampler.sample_tree(length, draw(st.randoms())))
+    return tuple(draw(st.lists(st.sampled_from(WORDS), max_size=length)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -394,6 +400,17 @@ def test_agenda_parse_matches_all_spans_on_random_grammars(case, side):
     tables = parsing.parse_tables(g, side)
     assert tables == parse_tables_from_symbols(g, side)
     assert _ordered(parsing._parse(tables, words)) == _ordered(parse_all_spans(tables, words))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=random_grammars(), side=st.sampled_from(["src", "tgt"]), data=st.data())
+def test_warm_templates_parse_each_later_sentence_as_all_spans_does(case, side, data):
+    # one tables object parses three sentences in turn, so the second and
+    # third place templates the sentences before them built
+    g, words = case
+    tables = parsing.parse_tables(g, side)
+    for sentence in (words, draw_words(data.draw, g), words[::-1]):
+        assert _ordered(parsing._parse(tables, sentence)) == _ordered(parse_all_spans(tables, sentence))
 
 
 @settings(max_examples=30, deadline=None)
@@ -587,3 +604,83 @@ def test_merged_grammar_is_checked_as_a_grammar():
     assert recognizes(g, "src", "a")
     with pytest.raises(GrammarError, match="unbounded"):
         translate(g, "a")
+
+
+THREE_TARGETS_TEXT = """\
+S -> <A B, B A>
+A -> <'a', 'x'>
+A -> <'a', 'y'>
+A -> <'a', 'z'>
+B -> <'b', 'w'>
+"""
+
+
+def test_kept_target_strings_are_exact_at_any_cap():
+    # the word "a" has 3 targets: kept at the default cap, they must not
+    # stand in at a cap they reach, and a capped fold must keep nothing
+    g = parse_grammar_text(THREE_TARGETS_TEXT)
+    full = translate(g, "a b")
+    assert full == {"w x", "w y", "w z"} and not full.overflowed
+    for cap in (2, 3, 4, 2):
+        out = translate(g, "a b", cap=cap)
+        fresh = translate(parse_grammar_text(THREE_TARGETS_TEXT), "a b", cap=cap)
+        assert (out, out.overflowed) == (fresh, fresh.overflowed)
+    assert translate(g, "a b", cap=2).overflowed
+    again = translate(g, "a b")
+    assert (again, again.overflowed) == (full, False)
+
+
+def test_templates_hold_no_key_from_a_word_outside_the_lexicon():
+    g = generate(GrammarSpec(size=57))
+    tables = g.compiled.src_tables
+    lexicon = sorted(g.compiled.words["src"])
+    rnd = random.Random(0)
+    for n in range(1000):
+        if n % 2:
+            words = [rnd.choice(lexicon + ["zz0", "zz1"]) for _ in range(rnd.randint(0, 8))]
+        else:  # a sentence of the grammar, with an unknown word now and then
+            words = list(sample_pair(g, rnd.choice([3, 5, 8]), rng_seed=n).source)
+            if rnd.random() < 0.5:
+                words[rnd.randrange(len(words))] = "zz2"
+        try:
+            translate(g, words)
+        except SourceParseError:
+            pass
+    names = set(g.compiled.merged.nonterminals)
+    for pieces in tables.binary_by_left.values():
+        names.update(name for parent, right, _ in pieces for name in (parent, right))
+    assert tables.cells and set(tables.cells) <= set(tables.lex) | {()}
+    assert all(len(key) <= 1 for key in tables.cells)
+    assert tables.closures and all(set(seeds) <= names for seeds in tables.closures)
+    assert tables.splits and all(set(left) | set(right) <= names for left, right in tables.splits)
+    short = g.compiled.short_targets
+    assert short and all(name in names and words in tables.cells for name, words in short)
+
+
+def test_threads_translating_on_a_cold_grammar_agree():
+    # more threads than a CI runner has cores, each building the templates
+    # and kept target strings of one cold grammar while the others read them
+    sources = [sample_pair(generate(AGREE_SPEC), length, rng_seed=n).source
+               for length in (5, 20) for n in range(10)]
+    expected = [translate(generate(AGREE_SPEC), s, cap=cap) for s in sources for cap in (10_000, 3)]
+    g = generate(AGREE_SPEC)
+    start = threading.Barrier(4)
+    results: list = [None] * 4
+
+    def work(k):
+        start.wait()
+        results[k] = [translate(g, s, cap=cap) for s in sources for cap in (10_000, 3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for out in results:
+        assert [(t, t.overflowed) for t in out] == [(t, t.overflowed) for t in expected]
