@@ -13,12 +13,12 @@ joins families into a cycle fails the same check.
 
 Two stores fill in as sentences are parsed and stay for the grammar's
 life: the parse's templates on the source tables (see
-:func:`~scfgkit.parsing._parse`) and ``short_targets``, the target strings
-of source items at most one word wide (see
-:func:`~scfgkit.parsing._fold_targets`).  Their keys come from the lexicon
-and the name sets, never from an input word outside the lexicon, so both
-stay bounded.  Two threads may build a part or a store entry twice on a
-cold grammar; both results are equal, so no lock is needed.
+:func:`~scfgkit.parsing._parse`) and ``short_targets``, the untruncated
+target strings of source items at most one word wide, per cap (see
+:func:`~scfgkit.parsing._fold_targets`).  Their keys come from the lexicon,
+the name sets and the caps asked for, never from an input word outside the
+lexicon, so both stay bounded.  Two threads may build a part or a store
+entry twice on a cold grammar; both results are equal, so no lock is needed.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ class CompiledGrammar:
     def __init__(self, grammar: SyncGrammar):
         self.grammar = grammar
         self.merged = merge_features(grammar)
-        # (name, words) of a source item at most one word wide -> its target
-        # strings (see :func:`~scfgkit.parsing._fold_targets`)
+        # (name, words, cap) of a source item at most one word wide -> its
+        # untruncated target strings (see :func:`~scfgkit.parsing._fold_targets`)
         self.short_targets: dict = {}
 
     @cached_property

@@ -23,9 +23,10 @@ spans that parse, in the order an all-spans CKY loop would build them.
 The work that does not depend on positions is done once per grammar: each
 cell's backpointers are placed from templates kept on the parse tables,
 keyed by the cell's words or names (see :func:`_parse`), and
-:func:`translate` keeps the target strings of items at most one word wide
-on the grammar (see :func:`_fold_targets`).  Keys come only from the lexicon
-and the name sets, so neither store grows with the sentences parsed.
+:func:`translate` keeps the untruncated target strings of items at most one
+word wide on the grammar, per cap (see :func:`_fold_targets`).  Keys come
+only from the lexicon, the name sets and the caps asked for, so neither
+store grows with the sentences parsed.
 Phonetically null terminals become zero-width chart items, so covert
 material (tense, aspect, silent complementizers) parses at any position
 without appearing in the input.  Grammars whose source derivations could
@@ -135,7 +136,7 @@ class ParseTables:
     binary_by_left: dict  # left name -> [(parent, right name, rule index)]
     binary_by_right: dict  # right name -> [(parent, left name, rule index)]
     longest: int  # words in the longest terminal run
-    # lexicon key () or (word,) -> (names, backpointers, shared cell or None)
+    # lexicon key () or (word,) -> (names, backpointers)
     cells: dict = field(default_factory=dict, compare=False, repr=False)
     # a cell's names before its closure, in order -> (backpointers, names after)
     closures: dict = field(default_factory=dict, compare=False, repr=False)
@@ -238,10 +239,8 @@ def _close(tables: ParseTables, names: dict, template: list, nulls, width: int) 
 
 def _lexical_cell(tables: ParseTables, words: tuple[str, ...]) -> tuple:
     """The template of a cell over ``words`` (no word, or one), which holds
-    lexical backpointers and their closure: ``(names, template, shared)``,
-    built once and kept in ``tables.cells``.  When every backpointer is
-    lexical, ``shared`` is the one cell every position holds; else it is
-    None and each position fills its own."""
+    lexical backpointers and their closure: ``(names, template)``, built
+    once and kept in ``tables.cells``."""
     kept = tables.cells.get(words)
     if kept is None:
         names: dict = {}
@@ -251,11 +250,7 @@ def _lexical_cell(tables: ParseTables, words: tuple[str, ...]) -> tuple:
             template.append((lhs, idx, _LEXICAL, None, None))
         nulls = _lexical_cell(tables, ())[0] if words else names
         _close(tables, names, template, nulls, len(words))
-        shared = None
-        if all(kind == _LEXICAL for _, _, kind, _, _ in template):
-            shared = {}
-            _fill(shared, template, 0, 0)
-        kept = tables.cells[words] = (tuple(names), tuple(template), shared)
+        kept = tables.cells[words] = (tuple(names), tuple(template))
     return kept
 
 
@@ -324,12 +319,11 @@ def _parse(tables: ParseTables, words: tuple[str, ...]) -> list[dict]:
                 continue
             last = j
             if j - i <= 1:  # a lexical match or the zero-width cell
-                shape, template, cell = _lexical_cell(tables, words[i:j])
+                shape, template = _lexical_cell(tables, words[i:j])
                 if not shape:
                     continue
-                if cell is None:
-                    cell = {}
-                    _fill(cell, template, i, j)
+                cell = {}
+                _fill(cell, template, i, j)
             else:
                 cell = {}
                 for lhs, idx in lex.get(words[i:j], ()):
@@ -403,12 +397,12 @@ def _fold_targets(grammar: SyncGrammar, sentence, values):
     :class:`SourceParseError` when the sentence is not in the source
     language.
 
-    Target strings of an item no wider than one word depend only on its name
-    and its words, so they are kept in ``grammar.compiled.short_targets``
-    for every later sentence.  A kept value is used only while it holds
-    fewer yields than the cap: values never shrink up the forest, so such a
-    value was never truncated and is exact at any larger cap.  Candidate
-    spans depend on the candidate and are never kept."""
+    Target strings of an item no wider than one word depend only on its
+    name, its words and the cap, so they are kept in
+    ``grammar.compiled.short_targets`` under that key for every later
+    sentence.  A value is kept only while nothing in this fold has been
+    truncated, so a kept value is exact and reusing it skips no overflow.
+    Candidate spans depend on the candidate and are never kept."""
     words = as_words(sentence)
     g = grammar.compiled.merged
     forest = _parse(grammar.compiled.src_tables, words)
@@ -428,8 +422,8 @@ def _fold_targets(grammar: SyncGrammar, sentence, values):
                 continue
             name, i, j = item
             if short is not None and j - i <= 1:
-                kept = short.get((name, words[i:j]))
-                if kept is not None and len(kept) < values.cap:
+                kept = short.get((name, words[i:j], values.cap))
+                if kept is not None:
                     value[item] = kept
                     continue
             bps = forest[i][j][name]
@@ -456,8 +450,8 @@ def _fold_targets(grammar: SyncGrammar, sentence, values):
                 options.append(product)
         folded = value[item] = values.plus(options)
         name, i, j = item
-        if short is not None and j - i <= 1 and len(folded) < values.cap:
-            short[name, words[i:j]] = folded
+        if short is not None and j - i <= 1 and not values.overflowed:
+            short[name, words[i:j], values.cap] = folded
     return value[root]
 
 

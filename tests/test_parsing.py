@@ -15,6 +15,7 @@ from scfgkit import compiled, parsing, sampling
 from scfgkit.grammar import GrammarError, check_well_founded, parse_grammar_text
 from scfgkit.metagrammar import GrammarSpec, generate
 from scfgkit.parsing import (
+    TRANSLATE_CAP,
     SourceParseError,
     Translations,
     _CandidateSpans,
@@ -461,6 +462,44 @@ def test_fold_matches_the_recursive_fold_on_random_grammars(case):
     _assert_fold_matches_recursion(*case)
 
 
+@st.composite
+def many_target_grammars(draw):
+    """A grammar whose items at most one word wide have several targets, all
+    over the one word "x", so two concatenations often spell the same
+    string: names A, B and C pair "a" or a null with targets of 0 to 3
+    words, and S joins two or three of them in a drawn target order.
+    Returned with a sentence of 0 to 3 words "a"."""
+    lines = []
+    for name in "ABC":
+        for src in draw(st.lists(st.sampled_from(["a", f"∅_{name}"]), min_size=1, max_size=4)):
+            tgt = draw(st.sampled_from(["∅_t", "x", "x x", "x x x"]))
+            lines.append(f"{name} -> <'{src}', '{tgt}'>")
+    for _ in range(draw(st.integers(1, 3))):
+        rhs = draw(st.permutations("ABC"))[: draw(st.integers(2, 3))]
+        tgt = draw(st.permutations(rhs))
+        lines.append(f"S -> <{' '.join(rhs)}, {' '.join(tgt)}>")
+    return parse_grammar_text("\n".join(lines), start="S"), ("a",) * draw(st.integers(0, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.one_of(random_grammars(), many_target_grammars()), data=st.data())
+def test_warm_fold_matches_the_recursive_fold_at_rising_and_repeated_caps(case, data):
+    # one grammar translates three sentences in turn, each at caps that rise
+    # and repeat, so a value kept at one cap meets every later cap
+    g, words = case
+    for sentence in (words, draw_words(data.draw, g), words[::-1]):
+        for cap in (1, 2, 3, 4, 5, 6, 7, 10_000, 7, 6, 5, 4, 3, 2, 1):
+            values, reference = _TargetStrings(cap), _TargetStrings(cap)
+            try:
+                expected = fold_targets_recursive(g, sentence, reference, [()])
+            except SourceParseError:
+                with pytest.raises(SourceParseError):
+                    _fold_targets(g, sentence, values)
+                continue
+            assert _fold_targets(g, sentence, values) == expected
+            assert values.overflowed == reference.overflowed
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     spec=st.sampled_from([GrammarSpec(size=57), GrammarSpec(size=237), AGREE_SPEC]),
@@ -615,19 +654,36 @@ B -> <'b', 'w'>
 """
 
 
-def test_kept_target_strings_are_exact_at_any_cap():
-    # the word "a" has 3 targets: kept at the default cap, they must not
-    # stand in at a cap they reach, and a capped fold must keep nothing
-    g = parse_grammar_text(THREE_TARGETS_TEXT)
-    full = translate(g, "a b")
-    assert full == {"w x", "w y", "w z"} and not full.overflowed
-    for cap in (2, 3, 4, 2):
-        out = translate(g, "a b", cap=cap)
-        fresh = translate(parse_grammar_text(THREE_TARGETS_TEXT), "a b", cap=cap)
+# The one-word source "a" has 4 concatenations of which 3 differ ("x" +
+# "y z" is "x y" + "z"), so a cap of 3 truncates the product to 3 and the
+# deduplication leaves 2: fewer than the cap, yet truncated.
+REPEATED_CONCATENATION_TEXT = """\
+S -> <P N, P N>
+P -> <'a', 'x'>
+P -> <'a', 'x y'>
+N -> <'∅_n', 'z'>
+N -> <'∅_n', 'y z'>
+"""
+
+
+@pytest.mark.parametrize(
+    "text, source, caps",
+    [
+        # the word "a" has 3 targets: kept at the default cap, they must not
+        # stand in at a cap they reach
+        (THREE_TARGETS_TEXT, "a b", (TRANSLATE_CAP, 2, 3, 4, 2, TRANSLATE_CAP)),
+        # a truncated value must not be kept, whatever its length
+        (REPEATED_CONCATENATION_TEXT, "a", (3, 3, TRANSLATE_CAP, 3, 2, TRANSLATE_CAP)),
+    ],
+    ids=["three-targets", "repeated-concatenation"],
+)
+def test_kept_target_strings_match_a_fresh_grammar_at_each_cap(text, source, caps):
+    g = parse_grammar_text(text)
+    for cap in caps:
+        out = translate(g, source, cap=cap)
+        fresh = translate(parse_grammar_text(text), source, cap=cap)
         assert (out, out.overflowed) == (fresh, fresh.overflowed)
-    assert translate(g, "a b", cap=2).overflowed
-    again = translate(g, "a b")
-    assert (again, again.overflowed) == (full, False)
+    assert translate(g, source, cap=caps[1]).overflowed  # so some cap above truncated
 
 
 def test_templates_hold_no_key_from_a_word_outside_the_lexicon():
@@ -654,7 +710,7 @@ def test_templates_hold_no_key_from_a_word_outside_the_lexicon():
     assert tables.closures and all(set(seeds) <= names for seeds in tables.closures)
     assert tables.splits and all(set(left) | set(right) <= names for left, right in tables.splits)
     short = g.compiled.short_targets
-    assert short and all(name in names and words in tables.cells for name, words in short)
+    assert short and all(name in names and words in tables.cells for name, words, _ in short)
 
 
 def test_threads_translating_on_a_cold_grammar_agree():
