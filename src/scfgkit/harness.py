@@ -9,9 +9,11 @@ resumable: a rerun skips trial ids already present.  A line is a record once
 its newline is written: a resume cuts off a last line without one.
 
 A run is a :class:`Run`, which yields each record once its line is written;
-:func:`run_experiment` collects them.  The calling thread runs trials, and
-``max_parallel - 1`` helper threads only overlap endpoint waits (a trial's
-own work holds the interpreter lock).  Memory does not grow with the grid.
+:func:`run_experiment` collects them.  The calling thread alone writes the
+log.  At ``max_parallel`` 1 it runs the trials too; above 1, ``max_parallel``
+helper threads run them, each handing its record back through a one-shot
+queue, and only overlap endpoint waits (a trial's own work holds the
+interpreter lock).  Memory does not grow with the grid.
 On Ctrl-C, any other exception or an early close, every finished record up
 to the first unfinished trial is written and the exception propagates; a
 resume runs the rest.  Each line is flushed, not fsynced, so power loss is
@@ -69,11 +71,13 @@ import os
 import sys
 import threading
 import time
+from collections import deque
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from queue import SimpleQueue
-from typing import BinaryIO, Iterator
+from queue import Empty, SimpleQueue
+from typing import BinaryIO, Iterator, TextIO
 from urllib.parse import urlsplit  # already loaded by pathlib
 
 import numpy as np
@@ -617,15 +621,21 @@ class Run:
     once its line is written; ``logged`` counts the records in the log,
     ``prior`` included.
 
-    Each thread (the iterating one and at ``max_parallel`` above 1 its
-    helpers) takes the next trial in grid order, and may start trial ``i``
-    only while ``i`` is less than the first unwritten trial plus ``2 *
-    max_parallel``.  Whichever thread finishes the first unwritten trial
-    writes every finished record that follows it in order, each as one line,
-    flushed.  An exception in a helper is raised in the iterating thread.
-    That thread waits only in ``Lock.acquire`` and ``SimpleQueue.get``, which
-    an interrupt leaves holding no lock (an interrupt inside an executor's
-    ``Condition`` can leave its lock held and hang the run).
+    The iterating thread is the only one that writes the log.  It walks the
+    trials in grid order and keeps a one-shot ``SimpleQueue`` for each trial
+    started and not written.  At ``max_parallel`` 1 it runs each trial itself
+    and writes the record at once; what a trial raises is raised at once.
+    Above 1, it hands each trial with its queue to ``max_parallel`` helper
+    threads, and starts trial ``i`` only while ``i`` is less than the first
+    unwritten trial plus ``2 * max_parallel``.  It waits on the oldest queue,
+    writes its record as one line, flushed, and yields it; a helper puts what
+    its trial raised in the queue, and it is raised when that trial comes
+    up.  On an exception, Ctrl-C or an early close, no trial starts after it,
+    the helpers finish the trials they run, and the records that follow the
+    last one written are written up to the first trial without one.  The
+    iterating thread waits only in ``SimpleQueue.get`` and ``Thread.join``,
+    which an interrupt leaves holding no lock (an interrupt inside an
+    executor's ``Condition`` can leave its lock held and hang the run).
     """
 
     def __init__(self, cfg: ExperimentConfig, resume: bool = True):
@@ -676,115 +686,79 @@ class Run:
                 _write_manifest(manifest_path, _manifest(cfg, manifest["conditions"]))
         self._grammars = grammars
         self._client = _Client(cfg)
-        # The state the threads share, each part read and changed under _lock.
-        self._lock = threading.Lock()
         self._todo = todo()
-        self._exhausted = False  # _todo has no trial left
-        self._started = 0  # trials taken from _todo, numbered in grid order
-        self._unwritten = 0  # the number of the first trial whose line is not written
-        self._finished: dict[int, dict] = {}  # number -> record of a trial finished, not written
-        self._written: list[dict] = []  # records written and not yet yielded
-        self._waiting = 0  # threads blocked in _wake.get()
-        self._wake: SimpleQueue = SimpleQueue()
-        self._stopped = False
-        self._error: BaseException | None = None  # what a helper raised
+        self._appended = 0  # lines this run wrote to the log
 
     @property
     def logged(self) -> int:
         """The number of records in the log."""
-        return len(self.prior) + self._unwritten
+        return len(self.prior) + self._appended
 
     def __iter__(self) -> Iterator[dict]:
-        if self._stopped:  # iterated before
-            return
-        helpers = [threading.Thread(target=self._help, daemon=True) for _ in range(self.cfg.max_parallel - 1)]
-        with self._log_path.open("a", encoding="utf-8") as self._log:
+        todo, self._todo = self._todo, iter(())  # a second iteration has nothing to do
+        parallel = self.cfg.max_parallel
+        jobs: SimpleQueue = SimpleQueue()  # (trial, its one-shot queue), read by the helpers
+        helpers = [threading.Thread(target=self._help, args=(jobs,), daemon=True)
+                   for _ in range(parallel if parallel > 1 else 0)]
+        window = 2 * parallel if helpers else 1
+        pending: deque[SimpleQueue] = deque()  # one queue per trial started and not written, in grid order
+        with self._log_path.open("a", encoding="utf-8") as log:
             for helper in helpers:
                 helper.start()
             try:
                 while True:
-                    with self._lock:
-                        if self._error is not None:
-                            raise self._error
-                        ready, self._written = self._written, []
-                        taken = None if ready else self._take()
-                        if not ready and taken is None:
-                            if self._exhausted and self._unwritten == self._started:
-                                return
-                            self._waiting += 1
-                    if ready:
-                        yield from ready
-                    elif taken:
-                        self._run(*taken)
-                    else:
-                        self._wake.get()
+                    while len(pending) < window and (trial := next(todo, None)):
+                        done = SimpleQueue()
+                        pending.append(done)
+                        if helpers:
+                            jobs.put((trial, done))
+                        else:
+                            done.put(self._run(trial))
+                    if not pending:
+                        return
+                    # An interrupt that lands as get returns drops the
+                    # record: its trial counts as unfinished, and the
+                    # finally clause stops at its queue, now empty.
+                    record = pending[0].get()
+                    if isinstance(record, BaseException):
+                        raise record
+                    self._append(log, record)
+                    pending.popleft()
+                    yield record
             finally:
-                with self._lock:
-                    self._stopped = True
+                with suppress(Empty):  # no trial starts from here on
+                    while True:
+                        jobs.get_nowait()
                 for _ in helpers:
-                    self._wake.put(None)
+                    jobs.put(None)
                 for helper in helpers:
                     helper.join()
-                with self._lock:
-                    self._write_ready()
+                for done in pending:  # no thread puts any more
+                    record = None if done.empty() else done.get()
+                    if not isinstance(record, dict):
+                        break
+                    self._append(log, record)
 
-    def _help(self) -> None:
-        try:
-            while True:
-                with self._lock:
-                    taken = self._take()
-                    if taken is None:
-                        if self._stopped or self._exhausted:
-                            return
-                        self._waiting += 1
-                if taken:
-                    self._run(*taken)
-                else:
-                    self._wake.get()
-        except BaseException as exc:  # raised again in the iterating thread
-            with self._lock:
-                self._error, self._stopped = exc, True
-                self._wake_waiters()
+    def _help(self, jobs: SimpleQueue) -> None:
+        while (job := jobs.get()) is not None:
+            trial, done = job
+            try:
+                done.put(self._run(trial))
+            except BaseException as exc:  # raised in the iterating thread when this trial comes up
+                done.put(exc)
 
-    def _take(self) -> tuple[int, tuple[int, int, int]] | None:
-        """Under the lock: the number and cell of the next trial, taken, or
-        None when none may start now."""
-        if self._stopped or self._exhausted or self._started >= self._unwritten + 2 * self.cfg.max_parallel:
-            return None
-        trial = next(self._todo, None)
-        if trial is None:
-            self._exhausted = True
-            return None
-        self._started += 1
-        return self._started - 1, trial
-
-    def _run(self, number: int, trial: tuple[int, int, int]) -> None:
+    def _run(self, trial: tuple[int, int, int]) -> dict:
         ci, length, rep = trial
-        record = run_trial(self.cfg, self._grammars[ci], ci, length, rep, self._client)
-        with self._lock:
-            self._finished[number] = record
-            self._write_ready()
+        return run_trial(self.cfg, self._grammars[ci], ci, length, rep, self._client)
 
-    def _write_ready(self) -> None:
-        """Under the lock: write each finished record that follows the last
-        one written, in grid order, and wake the waiting threads."""
-        while self._unwritten in self._finished:
-            record = self._finished[self._unwritten]
-            line = json.dumps(record, ensure_ascii=False) + "\n"
-            # No call comes between these two statements, so an interrupt
-            # lands before or after both, and a line is written once.
-            del self._finished[self._unwritten]
-            self._unwritten += 1
-            self._log.write(line)
-            self._log.flush()
-            self._written.append(record)
-        self._wake_waiters()
-
-    def _wake_waiters(self) -> None:
-        """Under the lock: wake every thread blocked in ``_wake.get()``."""
-        for _ in range(self._waiting):
-            self._wake.put(None)
-        self._waiting = 0
+    def _append(self, log: TextIO, record: dict) -> None:
+        """Write ``record`` to ``log`` as one line, flushed."""
+        line = json.dumps(record, ensure_ascii=False) + "\n"
+        # No call comes between these two statements, so an interrupt lands
+        # before or after both, and ``logged`` counts each line written.
+        self._appended += 1
+        log.write(line)
+        log.flush()
 
 
 def run_experiment(cfg: ExperimentConfig, resume: bool = True) -> list[dict]:

@@ -935,6 +935,65 @@ def test_the_run_core_streams_in_bounded_memory(tmp_path, monkeypatch):
     assert peak(2_000) - small < 64 * 1024
 
 
+def grid_ids(cfg) -> list[str]:
+    return [trial_id(ci, length, rep) for ci in range(len(cfg.conditions)) for length in cfg.lengths
+            for rep in range(cfg.n_per_cell)]
+
+
+@pytest.mark.parametrize("max_parallel", [1, 3])
+def test_a_trial_that_raises_stops_the_run_with_no_gap(tmp_path, monkeypatch, max_parallel):
+    # the 4th trial raises, on the iterating thread or on a helper: the run
+    # raises it, the log holds the three trials before it, and at one thread
+    # no trial starts after it; a resume then completes the fresh run
+    def masked(records):
+        return [dict(r, timing=None) for r in records]
+
+    cfg = make_config(tmp_path, n_per_cell=4, max_parallel=max_parallel)
+    calls = []
+
+    def raising(cfg, grammar, ci, length, rep, client):
+        calls.append(trial_id(ci, length, rep))
+        if (ci, length, rep) == (0, cfg.lengths[0], 3):
+            raise RuntimeError("the 4th trial failed")
+        return run_trial(cfg, grammar, ci, length, rep, client)
+
+    monkeypatch.setattr(harness, "run_trial", raising)
+    with pytest.raises(RuntimeError, match="^the 4th trial failed$"):
+        run_experiment(cfg)
+    log = cfg.out_dir / "runs.jsonl"
+    assert [r["trial_id"] for r in read_whole_log(log)] == grid_ids(cfg)[:3]
+    if max_parallel == 1:
+        assert calls == grid_ids(cfg)[:4]
+    monkeypatch.setattr(harness, "run_trial", run_trial)
+    resumed = run_experiment(cfg)
+    fresh = run_experiment(replace(cfg, out_dir=tmp_path / "fresh"))
+    assert masked(resumed) == masked(fresh)
+    assert read_whole_log(log) == resumed
+
+
+def test_a_run_closed_early_logs_a_prefix_and_iterates_once(tmp_path, monkeypatch):
+    cfg = make_config(tmp_path, n_per_cell=4, max_parallel=2)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:5])
+        return run_trial(*args)
+
+    monkeypatch.setattr(harness, "run_trial", counted)
+    run = Run(cfg)
+    trials = iter(run)
+    taken = list(itertools.islice(trials, 3))
+    trials.close()
+    log = cfg.out_dir / "runs.jsonl"
+    logged = read_whole_log(log)
+    assert run.logged == len(logged)
+    assert logged[:3] == taken
+    assert [r["trial_id"] for r in logged] == grid_ids(cfg)[:len(logged)]
+    made = len(calls)
+    assert list(run) == [] and len(calls) == made
+    assert read_whole_log(log) == logged
+
+
 def test_a_schema_3_record_whose_rebuilt_answer_disagrees_with_its_scores_is_refused(tmp_path, monkeypatch):
     _failing_client(monkeypatch)
     cfg = make_config(tmp_path, max_parallel=1)
