@@ -12,13 +12,14 @@ parse.  The merged grammar compiles itself like any other, so a merge that
 joins families into a cycle fails the same check.
 
 Two stores fill in as sentences are parsed and stay for the grammar's
-life: the parse's templates on the source tables (see
-:func:`~scfgkit.parsing._parse`) and ``short_targets``, the untruncated
+life: the parse's templates on the source tables, keyed by names (see
+:func:`~scfgkit.parsing._parse`), and ``short_targets``, the untruncated
 target strings of source items at most one word wide, per cap (see
-:func:`~scfgkit.parsing._fold_targets`).  Their keys come from the lexicon,
-the name sets and the caps asked for, never from an input word outside the
-lexicon, so both stay bounded.  Two threads may build a part or a store
-entry twice on a cold grammar; both results are equal, so no lock is needed.
+:func:`~scfgkit.parsing._fold_targets`), keyed by name, words and cap.
+Their keys come from the name sets, the lexicon and the caps asked for,
+never from an input word outside the lexicon, so both stay bounded.  Two
+threads may build a part or a store entry twice on a cold grammar; both
+results are equal, so no lock is needed.
 """
 
 from __future__ import annotations

@@ -22,11 +22,11 @@ from a min-heap.  So the forest, indexed by start position, holds only the
 spans that parse, in the order an all-spans CKY loop would build them.
 The work that does not depend on positions is done once per grammar: each
 cell's backpointers are placed from templates kept on the parse tables,
-keyed by the cell's words or names (see :func:`_parse`), and
-:func:`translate` keeps the untruncated target strings of items at most one
-word wide on the grammar, per cap (see :func:`_fold_targets`).  Keys come
-only from the lexicon, the name sets and the caps asked for, so neither
-store grows with the sentences parsed.
+keyed by names (see :func:`_parse`), and :func:`translate` keeps the
+untruncated target strings of items at most one word wide on the grammar,
+per cap (see :func:`_fold_targets`).  Keys come only from the lexicon, the
+name sets and the caps asked for, so neither store grows with the sentences
+parsed.
 Phonetically null terminals become zero-width chart items, so covert
 material (tense, aspect, silent complementizers) parses at any position
 without appearing in the input.  Grammars whose source derivations could
@@ -51,6 +51,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import islice
 
 from .grammar import (
@@ -126,22 +127,34 @@ def _is_virtual(name: str) -> bool:
 
 @dataclass(frozen=True)
 class ParseTables:
-    """One side of a grammar, indexed for chart parsing.  The last three
-    fields hold the parse's position-free templates (see :func:`_parse`),
-    filled in on first use and kept for every later sentence; they take no
-    part in equality."""
+    """One side of a grammar, indexed for chart parsing.  The last two
+    fields hold the parse's position-free templates, keyed by names, and
+    ``null`` the zero-width cell's (see :func:`_parse`); each is built on
+    first use and kept for every later sentence, and none takes part in
+    equality."""
 
     lex: dict  # words tuple -> [(lhs, rule index)]; key () holds null rules
     unary: dict  # child name -> [(parent name, rule index)]
     binary_by_left: dict  # left name -> [(parent, right name, rule index)]
     binary_by_right: dict  # right name -> [(parent, left name, rule index)]
     longest: int  # words in the longest terminal run
-    # lexicon key () or (word,) -> (names, backpointers)
-    cells: dict = field(default_factory=dict, compare=False, repr=False)
     # a cell's names before its closure, in order -> (backpointers, names after)
     closures: dict = field(default_factory=dict, compare=False, repr=False)
     # (left cell's names, right cell's names) -> [(parent, rule, left, right)]
     splits: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def null(self) -> tuple:
+        """The zero-width cell's template, the same at every position:
+        ``(names, template)``.  Its nulls are its own names and its width is
+        0, so its closure is not a wider cell's."""
+        names: dict = {}
+        template: list = []
+        for lhs, idx in self.lex.get((), ()):
+            names.setdefault(lhs, None)
+            template.append((lhs, idx, _LEXICAL, None, None))
+        _close(self, names, template, names, 0)
+        return tuple(names), tuple(template)
 
 
 def parse_tables(grammar: SyncGrammar, side: Side) -> ParseTables:
@@ -237,29 +250,12 @@ def _close(tables: ParseTables, names: dict, template: list, nulls, width: int) 
                 add(parent, idx, _LEFT_NULL, left, name)
 
 
-def _lexical_cell(tables: ParseTables, words: tuple[str, ...]) -> tuple:
-    """The template of a cell over ``words`` (no word, or one), which holds
-    lexical backpointers and their closure: ``(names, template)``, built
-    once and kept in ``tables.cells``."""
-    kept = tables.cells.get(words)
-    if kept is None:
-        names: dict = {}
-        template: list = []
-        for lhs, idx in tables.lex.get(words, ()):
-            names.setdefault(lhs, None)
-            template.append((lhs, idx, _LEXICAL, None, None))
-        nulls = _lexical_cell(tables, ())[0] if words else names
-        _close(tables, names, template, nulls, len(words))
-        kept = tables.cells[words] = (tuple(names), tuple(template))
-    return kept
-
-
 def _closure(tables: ParseTables, seeds: tuple[str, ...]) -> tuple:
     """The closure of a cell wider than zero whose names before it are
     ``seeds``: ``(template, names after)``."""
     names = dict.fromkeys(seeds)
     template: list = []
-    _close(tables, names, template, _lexical_cell(tables, ())[0], 1)
+    _close(tables, names, template, tables.null[0], 1)
     return tuple(template), tuple(names)
 
 
@@ -289,15 +285,16 @@ def _parse(tables: ParseTables, words: tuple[str, ...]) -> list[dict]:
     them rising, so ``forest[i]`` fills in end order and a cell's split loop
     sees every shorter cell at its start.
 
-    What a cell holds, apart from positions, depends only on its words and
-    names, so the work is done once per grammar and kept on ``tables``:
-    the zero-width cell, the same at every position; each one-word cell,
-    keyed by its word; a closure, keyed by the cell's names before it; and
-    the pieces a split adds, keyed by the names of its two cells.  A
-    sentence only places them.  Keys come from the lexicon and the name
-    sets, so the templates stay bounded whatever words are parsed.  Two
-    threads that build one template on a cold grammar store equal values,
-    so no lock is needed.
+    Apart from positions, a cell's closure depends only on the names of its
+    lexical and split backpointers, and a split's pieces only on the names
+    of its two cells, so the work is done once per grammar and kept on
+    ``tables``: the zero-width cell, the same at every position
+    (``tables.null``); the closure of each cell one word wide or more, keyed
+    by those names; and the pieces of each split, keyed by its two cells'
+    names.  A sentence adds a cell's lexical backpointers and places the
+    rest.  Keys are names only, so the templates stay bounded whatever
+    words are parsed.  Two threads that build one template on a cold
+    grammar store equal values, so no lock is needed.
     """
     n = len(words)
     forest: list[dict] = [{} for _ in range(n + 1)]
@@ -318,14 +315,12 @@ def _parse(tables: ParseTables, words: tuple[str, ...]) -> list[dict]:
             if j == last:
                 continue
             last = j
-            if j - i <= 1:  # a lexical match or the zero-width cell
-                shape, template = _lexical_cell(tables, words[i:j])
+            cell = {}
+            if j == i:  # the zero-width cell
+                shape, template = tables.null
                 if not shape:
                     continue
-                cell = {}
-                _fill(cell, template, i, j)
             else:
-                cell = {}
                 for lhs, idx in lex.get(words[i:j], ()):
                     cell.setdefault(lhs, []).append((idx, ()))
                 # row has no cell (i, j) yet, so k == i finds no right cell
@@ -350,7 +345,7 @@ def _parse(tables: ParseTables, words: tuple[str, ...]) -> list[dict]:
                 if closure is None:
                     closure = closures[seeds] = _closure(tables, seeds)
                 template, shape = closure
-                _fill(cell, template, i, j)
+            _fill(cell, template, i, j)
             row[j] = cell
             row_names[j] = shape
             if j > i:

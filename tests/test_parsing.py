@@ -705,12 +705,45 @@ def test_templates_hold_no_key_from_a_word_outside_the_lexicon():
     names = set(g.compiled.merged.nonterminals)
     for pieces in tables.binary_by_left.values():
         names.update(name for parent, right, _ in pieces for name in (parent, right))
-    assert tables.cells and set(tables.cells) <= set(tables.lex) | {()}
-    assert all(len(key) <= 1 for key in tables.cells)
     assert tables.closures and all(set(seeds) <= names for seeds in tables.closures)
     assert tables.splits and all(set(left) | set(right) <= names for left, right in tables.splits)
     short = g.compiled.short_targets
-    assert short and all(name in names and words in tables.cells for name, words, _ in short)
+    assert short and all(
+        name in names and (words == () or words in tables.lex) for name, words, _ in short
+    )
+
+
+def _template_keys(tables) -> dict:
+    """The keys of every store kept on ``tables``."""
+    return {name: set(store) for name, store in vars(tables).items() if isinstance(store, dict)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=random_grammars(), data=st.data())
+def test_templates_are_keyed_by_names_alone(case, data):
+    # two new words "y" and "z" have one set of lexical names, so a sentence
+    # that differs from a parsed one only in "z" for "y" adds no template
+    g, words = case
+    lhs = data.draw(st.lists(st.sampled_from(sorted(g.nonterminals)), min_size=1, unique=True))
+    extra = "".join(f"{name} -> <'{word}', '{word}'>\n" for word in "yz" for name in lhs)
+    g = parse_grammar_text(g.compiled.text + extra, start="S")
+    tables = parsing.parse_tables(g, "src")
+    position = data.draw(st.integers(0, len(words)))
+    for sentence in (words, draw_words(data.draw, g), words[:position] + ("y",) + words[position:]):
+        parsing._parse(tables, sentence)
+    kept = _template_keys(tables)
+    parsing._parse(tables, words[:position] + ("z",) + words[position:])
+    assert _template_keys(tables) == kept
+
+    names = set(g.nonterminals)
+    for pieces in tables.binary_by_left.values():
+        names.update(name for parent, right, _ in pieces for name in (parent, right))
+
+    def is_names(key) -> bool:
+        return isinstance(key, tuple) and all(name in names for name in key)
+
+    assert all(is_names(seeds) for seeds in tables.closures)
+    assert all(len(key) == 2 and is_names(key[0]) and is_names(key[1]) for key in tables.splits)
 
 
 def test_threads_translating_on_a_cold_grammar_agree():
