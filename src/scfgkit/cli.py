@@ -155,6 +155,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1: {args.n}")
     grammar = _read_grammar(args.grammar)
     records = []
     for i in range(args.n):

@@ -95,14 +95,17 @@ class SyncRule:
     @cached_property
     def layout(self) -> dict[Side, tuple[tuple[str, ...] | int, ...]]:
         """Per side, each right-hand-side symbol as its surface words or, for a
-        nonterminal, the index of its child in :attr:`children`."""
-        return {
-            side: tuple(
-                s.words() if s.terminal else self.children.index(s.text)
-                for s in self.side(side)
-            )
-            for side in ("src", "tgt")
-        }
+        nonterminal, the index of its first occurrence in :attr:`children`."""
+        index: dict[str, int] = {}
+        src: list[tuple[str, ...] | int] = []
+        child = 0
+        for s in self.src:
+            if s.terminal:
+                src.append(s.words())
+            else:
+                src.append(index.setdefault(s.text, child))
+                child += 1
+        return {"src": tuple(src), "tgt": tuple(s.words() if s.terminal else index[s.text] for s in self.tgt)}
 
 
 @dataclass(frozen=True)
@@ -307,22 +310,35 @@ def check_well_founded(grammar: SyncGrammar, side: Side) -> frozenset[str]:
     no input on this side (unary cycles, including through null terminals).
 
     Returns the nullable nonterminals (those that can derive no words on this
-    side).  The edges checked, ``A -> B`` for a rule of ``A`` whose other
-    names are all nullable, are then proved acyclic.
+    side), found with a worklist: each rule of names counts those not yet
+    known nullable, and a name found nullable counts down the rules that use
+    it, so every rule is read once.  The edges checked, ``A -> B`` for a rule
+    of ``A`` whose other names are all nullable, are then proved acyclic.
+    The grammar must be validated: each rule lexical or all names.
     """
+    # a rule of names waits on those not yet known nullable; once none is
+    # left, its left-hand side is nullable and wakes the rules that use it
+    waiting = [0] * len(grammar.rules)
+    users: dict[str, list[int]] = {}
+    found: list[str] = []  # nullable, not yet woken
+    for i, r in enumerate(grammar.rules):
+        if not r.children:  # validated rules are homogeneous: lexical
+            if not any(r.layout[side]):
+                found.append(r.lhs)
+            continue
+        for p in r.layout[side]:
+            users.setdefault(r.children[p], []).append(i)
+        waiting[i] = len(r.children)
     nullable: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for r in grammar.rules:
-            if r.lhs in nullable:
-                continue
-            if all(
-                r.children[p] in nullable if isinstance(p, int) else not p
-                for p in r.layout[side]
-            ):
-                nullable.add(r.lhs)
-                changed = True
+    while found:
+        name = found.pop()
+        if name in nullable:
+            continue
+        nullable.add(name)
+        for i in users.get(name, ()):
+            waiting[i] -= 1
+            if not waiting[i]:
+                found.append(grammar.rules[i].lhs)
     edges: dict[str, set[str]] = {}
     for r in grammar.rules:
         if not r.children:  # validated rules are homogeneous: lexical

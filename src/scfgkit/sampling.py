@@ -22,16 +22,28 @@ one topological order fixed when the sampler is built.  That
 check also rejects grammars whose counts would be infinite (a nonterminal
 deriving itself without consuming source words).
 
-One method gives the weights of a cell's choices at a length.  A fill sums
-them into the cell's count; a draw picks each rule, and then where each of
-its children's suffixes splits, with one ``randrange`` below that count and
-a bisection of the weights' running total, kept once built for a (cell,
-length).  So a count is the very total a draw bisects.
+A fill sums only terms that can be nonzero.  A name sums its rules grouped
+by (children's cell, fixed words), each group's count times its number of
+rules.  A suffix sums over the lengths at which its first name's count is
+nonzero, kept per cell as the fill writes it, so a first name that takes
+one or two words costs one or two products at every length, and on a
+finite grammar a length no derivation reaches costs little however long.
+
+One method, :meth:`Sampler._weights`, gives the weights of a cell's
+choices at a length, zeros included, in draw order: a draw picks each
+rule, and then where each of its children's suffixes splits, with one draw
+below their total and a bisection of their running total, kept once built
+for a (cell, length).  That total must equal the filled count, or the draw
+raises; so a count is the very total a draw bisects.  The draw below a total is the one
+``random.Random.randrange`` makes, inlined: ``getrandbits`` of the total's
+bit length until the result is below it, so equal seeds give the draws
+they gave through ``randrange``.
 
 ``grammar.compiled.sampler`` is shared by threads.  A fill holds the
-sampler's lock, and a length becomes readable only once every cell at it is
-written, so reading filled counts takes no lock.  Cumulative weights are
-built without it: two threads building the same ones store equal lists.
+sampler's lock while it writes counts and supports, and a length becomes
+readable only once every cell at it is written, so reading filled counts
+takes no lock.  Cumulative weights are built without it: two threads
+building the same ones store equal lists.
 
 A derivation is the tuple of its rules' indices in preorder, children in
 source order; each rule's arity comes from the grammar.  Drawing one and
@@ -147,10 +159,13 @@ class Sampler:
         # order below writes that cell first
         self._splits: list[tuple[int, int, int, int] | None] = [None]
         for i, r in enumerate(grammar.rules):
-            words = sum(len(p) for p in r.layout["src"] if not isinstance(p, int))
-            children = r.children[0] if len(r.children) == 1 else r.children
-            lhs = self._cell(r.lhs, nullable)
-            self._rules[lhs].append((i, self._cell(children, nullable), words))
+            # the nullable check took validated rules: lexical, or names only
+            if r.children:
+                children = r.children[0] if len(r.children) == 1 else r.children
+                child, words = self._cell(children, nullable), 0
+            else:
+                child, words = _EMPTY, sum(map(len, r.layout["src"]))
+            self._rules[self._cell(r.lhs, nullable)].append((i, child, words))
         self._start = self._cell(grammar.start, nullable)
         # same-length reads: a name reads its rules' children without fixed
         # words; a suffix reads its head when its rest is nullable and its
@@ -165,8 +180,19 @@ class Sampler:
                 reads[cell] = {c for c, free in ((head, not rest_min), (rest, not head_min)) if free}
         self._order = [c for c in TopologicalSorter(reads).static_order() if c != _EMPTY]
         self._table: list[list[int]] = [[] for _ in self._splits]
+        # name cell -> its rules grouped by (children's cell, fixed words),
+        # as (children's counts, words, number of rules): a count sums groups
+        self._groups: list[list[tuple[list[int], int, int]]] = []
+        for rules in self._rules:
+            group: dict[tuple[int, int], int] = {}
+            for _, child, words in rules:
+                group[child, words] = group.get((child, words), 0) + 1
+            self._groups.append([(self._table[c], w, n) for (c, w), n in group.items()])
+        # each cell's lengths of nonzero count, rising, appended as the fill
+        # writes them: a suffix sums only over its head's
+        self._support: list[list[int]] = [[] for _ in self._splits]
         # lengths below _filled are written in every cell; only _fill,
-        # holding _lock, writes the table
+        # holding _lock, writes the table and the supports
         self._filled = 0
         self._lock = threading.Lock()
         self._cumulative_at: list[dict[int, list[int]]] = [{} for _ in self._splits]
@@ -202,15 +228,34 @@ class Sampler:
         return self._table[self._start][length]
 
     def _fill(self, top: int) -> None:
-        """Write every cell at each length up to ``top`` not yet written.
+        """Write every cell at each length up to ``top`` not yet written, and
+        the lengths of nonzero count to its support.
 
         Within a length, cells go in the fixed order, so each reads only
-        cells at shorter lengths or already written at this one."""
-        table, weights = self._table, self._weights
+        cells at shorter lengths or already written at this one.  A suffix
+        reads its head only at lengths in the head's support, up to those
+        that leave its rest the fewest words it takes."""
+        table, groups, splits, support = self._table, self._groups, self._splits, self._support
         for length in range(self._filled, top + 1):
             table[_EMPTY].append(int(length == 0))
             for cell in self._order:
-                table[cell].append(sum(weights(cell, length)))
+                split = splits[cell]
+                count = 0
+                if split is None:
+                    for counts, words, n in groups[cell]:
+                        if words <= length:
+                            count += n * counts[length - words]
+                else:
+                    head, rest, _, rest_min = split
+                    heads, rests = table[head], table[rest]
+                    top_head = length - rest_min
+                    for h in support[head]:
+                        if h > top_head:
+                            break
+                        count += heads[h] * rests[length - h]
+                table[cell].append(count)
+                if count:
+                    support[cell].append(length)
             self._filled = length + 1
 
     def _weights(self, cell: int, length: int):
@@ -237,8 +282,8 @@ class Sampler:
 
     def _cumulative(self, cell: int, length: int) -> list[int]:
         """The running total of :meth:`_weights` at a filled (cell, length),
-        whose last entry is the cell's count.  Built once per key and kept; a
-        racing build stores an equal list.
+        whose last entry is the cell's count (``RuntimeError`` if not).
+        Built once per key and kept; a racing build stores an equal list.
 
         The choices after the last one of positive weight are cut off, as a
         bisection below the total never reaches them: a right-recursive
@@ -247,6 +292,8 @@ class Sampler:
         at = self._cumulative_at[cell]
         if length not in at:
             cumulative = list(accumulate(self._weights(cell, length)))
+            if cumulative[-1] != self._table[cell][length]:
+                raise RuntimeError(f"the weights of cell {cell} at length {length} do not sum to its count")
             del cumulative[cumulative.index(cumulative[-1]) + 1 :]
             at[length] = cumulative
         return at[length]
@@ -257,9 +304,9 @@ class Sampler:
         Choosing each step proportionally to the derivation counts below it
         makes the whole draw exactly uniform: the step probabilities telescope
         to 1/count(length).  Each rule, then each split of its children
-        between the first name and the rest, is picked with one
-        ``rng.randrange`` over the total weight and a bisection of the
-        cumulative weights.
+        between the first name and the rest, is picked with one draw below
+        the total weight, the bits ``rng.randrange`` would take from
+        ``rng.getrandbits``, and a bisection of the cumulative weights.
 
         Nodes are drawn in preorder without recursion: the stack holds the
         (cell, length) of the children still to draw, next on top, and each
@@ -271,24 +318,35 @@ class Sampler:
                 f"no derivation with source length {length}; "
                 f"nearest achievable lengths: {sorted(closest) or 'none'}"
             )
-        rules, splits, cumulative = self._rules, self._splits, self._cumulative
-        randrange = rng.randrange
+        rules, splits, cumulative_at = self._rules, self._splits, self._cumulative_at
+        getrandbits = rng.getrandbits
         preorder: list[int] = []
         pending = [(self._start, length)]
         while pending:
             cell, length = pending.pop()
-            weights = cumulative(cell, length)
-            idx, child, words = rules[cell][bisect_right(weights, randrange(weights[-1]))]
-            preorder.append(idx)
-            length -= words
             children: list[tuple[int, int]] = []
-            while (split := splits[child]) is not None:
-                weights = cumulative(child, length)
-                head_length = split[2] + bisect_right(weights, randrange(weights[-1]))
-                children.append((split[0], head_length))
-                child, length = split[1], length - head_length
-            if child != _EMPTY:
-                children.append((child, length))
+            split = None
+            while True:  # the node's rule, then each split of its children
+                weights = cumulative_at[cell].get(length) or self._cumulative(cell, length)
+                # rng.randrange(total), drawn as random.Random draws it
+                total = weights[-1]
+                bits = total.bit_length()
+                r = getrandbits(bits)
+                while r >= total:
+                    r = getrandbits(bits)
+                choice = bisect_right(weights, r)
+                if split is None:
+                    idx, cell, words = rules[cell][choice]
+                    preorder.append(idx)
+                    length -= words
+                else:
+                    head_length = split[2] + choice
+                    children.append((split[0], head_length))
+                    cell, length = split[1], length - head_length
+                if (split := splits[cell]) is None:
+                    break
+            if cell != _EMPTY:
+                children.append((cell, length))
             pending.extend(reversed(children))
         return tuple(preorder)
 

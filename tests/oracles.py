@@ -37,6 +37,11 @@ bisection, over nested ``(rule index, children)`` trees; they must give the
 same counts, and equal seeds the same derivations (a tree's recursive
 preorder) and yields.
 
+The well-foundedness oracle is the check ``scfgkit.grammar.check_well_founded``
+made before it found nullable names with a worklist: it rescans every rule
+until a pass adds none.  Its nullable set and its ``GrammarError`` text are
+the reference.
+
 The bootstrap oracle draws all ``(n_resamples, n)`` resample indices at once,
 the reference for ``scfgkit.report.bootstrap_ci``'s draw in row blocks.
 
@@ -54,7 +59,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from scfgkit.grammar import Side, SyncGrammar, SyncRule, as_words, check_well_founded
+from scfgkit.grammar import GrammarError, Side, SyncGrammar, SyncRule, as_words, check_well_founded
 from scfgkit.lexicon import CONSONANTS, MAX_SYLLABLES, MIN_SYLLABLES, VOWELS
 from scfgkit.metrics import (
     BleuConfig,
@@ -450,6 +455,44 @@ def draw_recursive(sampler: RecursiveSampler, name: str, length: int, rng) -> Tr
             return idx, tuple(draw_recursive(sampler, c, l, rng) for c, l in zip(names, lengths))
         pick -= weight
     raise AssertionError("counts out of sync with rules")
+
+
+def check_well_founded_fixpoint(grammar: SyncGrammar, side: Side) -> frozenset[str]:
+    """The nullable names of ``side``, found by rescanning every rule until a
+    pass adds none, then the same edge check and error as
+    ``check_well_founded``."""
+    nullable: set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for r in grammar.rules:
+            if r.lhs in nullable:
+                continue
+            if all(
+                r.children[p] in nullable if isinstance(p, int) else not p
+                for p in r.layout[side]
+            ):
+                nullable.add(r.lhs)
+                changed = True
+    edges: dict[str, set[str]] = {}
+    for r in grammar.rules:
+        if not r.children:
+            continue
+        names = [r.children[p] for p in r.layout[side]]
+        for i, name in enumerate(names):
+            others = names[:i] + names[i + 1 :]
+            if all(o in nullable for o in others):
+                edges.setdefault(r.lhs, set()).add(name)
+    while edges:
+        peeled = [a for a, bs in edges.items() if not bs & edges.keys()]
+        if not peeled:
+            raise GrammarError(
+                f"grammar admits unbounded derivations without consuming {side} "
+                f"input, through {', '.join(sorted(edges))}"
+            )
+        for a in peeled:
+            del edges[a]
+    return frozenset(nullable)
 
 
 def preorder_recursive(tree: Tree) -> Derivation:

@@ -131,6 +131,15 @@ def test_sample_unreachable_length_fails(tmp_path, fig1_path, capsys):
     assert "nearest achievable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_sample_refuses_a_count_below_one(tmp_path, fig1_path, capsys, n):
+    out = tmp_path / "x.jsonl"
+    assert main(["sample", "--grammar", str(fig1_path), "--len", "4", "--n", n, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --n ") and err.count("\n") == 1 and n in err
+    assert not out.exists()
+
+
 def test_translate_stdout(fig1_path, capsys):
     assert main(["translate", "--grammar", str(fig1_path),
                  "--sentence", "I open the box"]) == 0

@@ -353,10 +353,10 @@ WORDS = ("a", "b", "c")
 
 
 @st.composite
-def random_grammars(draw):
-    """A well-founded grammar over a few names and words, with null and
-    multi-word terminals, unary chains and rules of 2 to 4 names, and a
-    word sequence to parse: sampled from the grammar, or random."""
+def random_grammar_lines(draw):
+    """The rules, one per line, of a grammar over a few names and words, with
+    null and multi-word terminals, unary chains and rules of 2 to 4 names.
+    A side may derive a name from itself without consuming words."""
     names = NAMES[: draw(st.integers(2, len(NAMES)))]
     surface = st.lists(st.sampled_from(WORDS), min_size=1, max_size=3).map(" ".join)
     lines = []
@@ -372,6 +372,14 @@ def random_grammars(draw):
         rhs = list(order[:arity])
         tgt = rnd.sample(rhs, len(rhs))
         lines.insert(rnd.randrange(len(lines) + 1), f"{lhs} -> <{' '.join(rhs)}, {' '.join(tgt)}>")
+    return lines
+
+
+@st.composite
+def random_grammars(draw):
+    """A well-founded grammar from :func:`random_grammar_lines`, and a word
+    sequence to parse: sampled from the grammar, or random."""
+    lines = draw(random_grammar_lines())
     # drop structural rules until no side derives a name from itself
     # without consuming words (what a GrammarError would reject)
     while True:

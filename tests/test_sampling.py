@@ -1,10 +1,11 @@
 import random
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scfgkit.grammar import GrammarError, parse_grammar_text
+from scfgkit.grammar import GrammarError, check_well_founded, parse_grammar_text
 from scfgkit.metagrammar import GrammarSpec, generate
 from scfgkit.parsing import translate
 from scfgkit.sampling import (
@@ -17,6 +18,7 @@ from scfgkit.sampling import (
 from .conftest import DATA, FIG1_TEXT
 from .oracles import (
     RecursiveSampler,
+    check_well_founded_fixpoint,
     count_derivations,
     draw_recursive,
     preorder_recursive,
@@ -24,7 +26,7 @@ from .oracles import (
     tgt_yield,
     walk_yield_recursive,
 )
-from .test_parsing import random_grammars
+from .test_parsing import random_grammar_lines, random_grammars
 
 SPINE_TEXT = "S -> <A S, A S>\nS -> <A, A>\nA -> <'a', 'a'>\n"
 
@@ -166,6 +168,92 @@ def test_random_grammars_match_the_recursive_reference(case):
     # suffix read other cells at their own length
     g, _ = case
     _assert_matches_the_recursive_reference(g, 12, range(13), range(3))
+
+
+def _assert_counts_are_the_sums_of_their_weights(sampler, top):
+    """Every count the sparse fill writes up to ``top`` is the total a draw
+    bisects, and each cell's support lists the lengths of nonzero count."""
+    sampler.count(top)
+    for cell in sampler._order:
+        counts = sampler._table[cell]
+        assert [sum(sampler._weights(cell, length)) for length in range(top + 1)] == counts[: top + 1]
+        assert sampler._support[cell] == [length for length, count in enumerate(counts) if count]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=random_grammars())
+def test_random_grammars_fill_each_count_from_its_weights(case):
+    g, _ = case
+    _assert_counts_are_the_sums_of_their_weights(Sampler(g), 60)
+
+
+BENCHMARK_FAMILIES = {
+    "plain57": lambda seed: GrammarSpec(size=57, seed=seed),
+    "plain237": lambda seed: GrammarSpec(size=237, seed=seed),
+    "agree128": lambda seed: GrammarSpec(size=128, agreement_tgt=True, seed=seed),
+}
+
+
+@settings(max_examples=15, deadline=None)
+@given(family=st.sampled_from(sorted(BENCHMARK_FAMILIES)), seed=st.integers(0, 10**6))
+def test_benchmark_grammars_fill_each_count_from_its_weights(family, seed):
+    _assert_counts_are_the_sums_of_their_weights(Sampler(generate(BENCHMARK_FAMILIES[family](seed))), 60)
+
+
+def test_a_count_that_is_not_its_weights_total_is_refused(fig1_grammar):
+    s = Sampler(fig1_grammar)
+    s.count(4)
+    s._table[s._start][4] += 1
+    with pytest.raises(RuntimeError, match="do not sum to its count"):
+        s.sample_tree(4, random.Random(0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 2**401 + 5), seed=st.integers(0, 2**32))
+@example(n=1, seed=0)
+@example(n=2**400, seed=1)
+@example(n=2**400 + 1, seed=2)
+@example(n=2**401 + 5, seed=3)
+def test_the_draw_below_a_total_is_randrange(n, seed):
+    # sample_tree draws below a cumulative total inline, as
+    # random.Random.randrange does through getrandbits; the frozen draws
+    # rest on the two taking the same bits. The start's cumulative weights
+    # are set to [r, r + 1, n], so the middle rule is picked exactly when the
+    # draw is randrange's r
+    s = Sampler(parse_grammar_text("S -> <'a', 'a'>\nS -> <'b', 'b'>\nS -> <'c', 'c'>\n"))
+    s.count(1)
+    reference = random.Random(seed)
+    r = reference.randrange(n)
+    s._cumulative_at[s._start][1] = [r, r + 1, n]
+    rng = random.Random(seed)
+    assert s.sample_tree(1, rng) == (1,)
+    assert rng.getstate() == reference.getstate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=random_grammar_lines(), side=st.sampled_from(["src", "tgt"]))
+@example(lines=["S -> <S, S>", "S -> <'a', 'b'>"], side="src")
+@example(lines=["S -> <A B, B A>", "A -> <'∅_A', 'x'>", "B -> <S, S>", "B -> <'b', 'y'>"], side="src")
+def test_the_worklist_finds_the_nullable_names_the_fixpoint_does(lines, side):
+    # grammars the check rejects are included: both must give the same error
+    def outcome(check, g):
+        try:
+            return check(g, side)
+        except GrammarError as exc:
+            return str(exc)
+
+    g = parse_grammar_text("\n".join(lines), start="S")
+    assert outcome(check_well_founded, g) == outcome(check_well_founded_fixpoint, g)
+
+
+def test_an_unreachable_long_length_is_refused_quickly():
+    # the hint counts every length up to 10,010, so the fill may not sum
+    # every head length at each one (about 5 s)
+    g = parse_grammar_text(FIG1_TEXT)
+    start = time.perf_counter()
+    with pytest.raises(LengthError, match=r"nearest achievable lengths: \[2, 3, 4, 5\]"):
+        sample_pair(g, 10_000, rng_seed=0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_right_recursion_is_counted_at_any_length():
