@@ -22,22 +22,18 @@ one topological order fixed when the sampler is built.  That
 check also rejects grammars whose counts would be infinite (a nonterminal
 deriving itself without consuming source words).
 
-A fill sums only terms that can be nonzero.  A name sums its rules grouped
-by (children's cell, fixed words), each group's count times its number of
-rules.  A suffix sums over the lengths at which its first name's count is
-nonzero, kept per cell as the fill writes it, so a first name that takes
-one or two words costs one or two products at every length, and on a
-finite grammar a length no derivation reaches costs little however long.
-
-One method, :meth:`Sampler._weights`, gives the weights of a cell's
-choices at a length, zeros included, in draw order: a draw picks each
-rule, and then where each of its children's suffixes splits, with one draw
-below their total and a bisection of their running total, kept once built
-for a (cell, length).  That total must equal the filled count, or the draw
-raises; so a count is the very total a draw bisects.  The draw below a total is the one
-``random.Random.randrange`` makes, inlined: ``getrandbits`` of the total's
-bit length until the result is below it, so equal seeds give the draws
-they gave through ``randrange``.
+One method gives the weights of a cell's choices at a length, in draw
+order: a name's rules, and a suffix's splits at the lengths where its
+first name's count is nonzero, a list per cell that the fill appends to.
+So a first name that takes one or two words costs one or two products at
+every length, filled or drawn, and on a finite grammar a length no
+derivation reaches costs little however long.  A fill sums a suffix's
+weights into its count; a name's count sums its rules grouped by
+(children's cell, fixed words), each group's count times its number of
+rules, the same total with one term for a name's many one-word lexical
+rules.  A draw picks each rule, and then where each of its children's
+suffixes splits, with one ``randrange`` below the count and a bisection
+of the weights' running total, kept once built for a (cell, length).
 
 ``grammar.compiled.sampler`` is shared by threads.  A fill holds the
 sampler's lock while it writes counts and supports, and a length becomes
@@ -63,7 +59,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from graphlib import TopologicalSorter
 from itertools import accumulate
-from operator import mul
 
 from .grammar import Side, SyncGrammar, SyncRule
 
@@ -181,7 +176,8 @@ class Sampler:
         self._order = [c for c in TopologicalSorter(reads).static_order() if c != _EMPTY]
         self._table: list[list[int]] = [[] for _ in self._splits]
         # name cell -> its rules grouped by (children's cell, fixed words),
-        # as (children's counts, words, number of rules): a count sums groups
+        # as (children's counts, words, number of rules): a fill sums the
+        # groups, so a name's many one-word lexical rules are one term
         self._groups: list[list[tuple[list[int], int, int]]] = []
         for rules in self._rules:
             group: dict[tuple[int, int], int] = {}
@@ -189,7 +185,7 @@ class Sampler:
                 group[child, words] = group.get((child, words), 0) + 1
             self._groups.append([(self._table[c], w, n) for (c, w), n in group.items()])
         # each cell's lengths of nonzero count, rising, appended as the fill
-        # writes them: a suffix sums only over its head's
+        # writes them: a suffix weighs only its head's
         self._support: list[list[int]] = [[] for _ in self._splits]
         # lengths below _filled are written in every cell; only _fill,
         # holding _lock, writes the table and the supports
@@ -232,27 +228,20 @@ class Sampler:
         the lengths of nonzero count to its support.
 
         Within a length, cells go in the fixed order, so each reads only
-        cells at shorter lengths or already written at this one.  A suffix
-        reads its head only at lengths in the head's support, up to those
-        that leave its rest the fewest words it takes."""
-        table, groups, splits, support = self._table, self._groups, self._splits, self._support
+        cells at shorter lengths or already written at this one.  A name
+        sums its groups of rules; a suffix sums its :meth:`_weights`."""
+        table, groups, splits, weights = self._table, self._groups, self._splits, self._weights
+        support = self._support
         for length in range(self._filled, top + 1):
             table[_EMPTY].append(int(length == 0))
             for cell in self._order:
-                split = splits[cell]
-                count = 0
-                if split is None:
+                if splits[cell] is None:
+                    count = 0
                     for counts, words, n in groups[cell]:
                         if words <= length:
                             count += n * counts[length - words]
                 else:
-                    head, rest, _, rest_min = split
-                    heads, rests = table[head], table[rest]
-                    top_head = length - rest_min
-                    for h in support[head]:
-                        if h > top_head:
-                            break
-                        count += heads[h] * rests[length - h]
+                    count = sum(weights(cell, length))
                 table[cell].append(count)
                 if count:
                     support[cell].append(length)
@@ -261,8 +250,11 @@ class Sampler:
     def _weights(self, cell: int, length: int):
         """The weights of the choices at (``cell``, ``length``) in draw order:
         a name's rules, each its children's count at the words its own leave;
-        a suffix's head lengths rising from the head's least, each head count
-        times rest count, one C-level product."""
+        a suffix's head lengths, those in the head's support up to the length
+        that leaves the rest its fewest words, each head count times rest
+        count.  A head length left out has weight 0, and a support only
+        grows, so a suffix's i-th weight is at its head's i-th support
+        length."""
         table = self._table
         split = self._splits[cell]
         if split is None:
@@ -270,10 +262,9 @@ class Sampler:
                 table[child][length - words] if words <= length else 0
                 for _, child, words in self._rules[cell]
             )
-        head, rest, head_min, rest_min = split
-        top = length - rest_min
-        heads = table[head][head_min : top + 1]
-        return map(mul, heads, reversed(table[rest][length - top : length - head_min + 1]))
+        head, rest, _, rest_min = split
+        heads, rests, support = table[head], table[rest], self._support[head]
+        return (heads[h] * rests[length - h] for h in support[: bisect_right(support, length - rest_min)])
 
     def achievable_lengths(self, lo: int = 1, hi: int = 60) -> list[int]:
         return [l for l in range(lo, hi + 1) if self.count(l) > 0]
@@ -282,18 +273,14 @@ class Sampler:
 
     def _cumulative(self, cell: int, length: int) -> list[int]:
         """The running total of :meth:`_weights` at a filled (cell, length),
-        whose last entry is the cell's count (``RuntimeError`` if not).
-        Built once per key and kept; a racing build stores an equal list.
+        whose last entry is the cell's count.  Built once per key and kept; a
+        racing build stores an equal list.
 
         The choices after the last one of positive weight are cut off, as a
-        bisection below the total never reaches them: a right-recursive
-        rule whose first child takes one word then keeps one weight per
-        length of a long draw, not one per word of that length."""
+        bisection below the total never reaches them."""
         at = self._cumulative_at[cell]
         if length not in at:
             cumulative = list(accumulate(self._weights(cell, length)))
-            if cumulative[-1] != self._table[cell][length]:
-                raise RuntimeError(f"the weights of cell {cell} at length {length} do not sum to its count")
             del cumulative[cumulative.index(cumulative[-1]) + 1 :]
             at[length] = cumulative
         return at[length]
@@ -304,9 +291,9 @@ class Sampler:
         Choosing each step proportionally to the derivation counts below it
         makes the whole draw exactly uniform: the step probabilities telescope
         to 1/count(length).  Each rule, then each split of its children
-        between the first name and the rest, is picked with one draw below
-        the total weight, the bits ``rng.randrange`` would take from
-        ``rng.getrandbits``, and a bisection of the cumulative weights.
+        between the first name and the rest, is picked with one
+        ``rng.randrange`` over the total weight and a bisection of the
+        cumulative weights; a split's pick indexes the head's support.
 
         Nodes are drawn in preorder without recursion: the stack holds the
         (cell, length) of the children still to draw, next on top, and each
@@ -318,35 +305,24 @@ class Sampler:
                 f"no derivation with source length {length}; "
                 f"nearest achievable lengths: {sorted(closest) or 'none'}"
             )
-        rules, splits, cumulative_at = self._rules, self._splits, self._cumulative_at
-        getrandbits = rng.getrandbits
+        rules, splits, support, cumulative = self._rules, self._splits, self._support, self._cumulative
+        randrange = rng.randrange
         preorder: list[int] = []
         pending = [(self._start, length)]
         while pending:
             cell, length = pending.pop()
+            weights = cumulative(cell, length)
+            idx, child, words = rules[cell][bisect_right(weights, randrange(weights[-1]))]
+            preorder.append(idx)
+            length -= words
             children: list[tuple[int, int]] = []
-            split = None
-            while True:  # the node's rule, then each split of its children
-                weights = cumulative_at[cell].get(length) or self._cumulative(cell, length)
-                # rng.randrange(total), drawn as random.Random draws it
-                total = weights[-1]
-                bits = total.bit_length()
-                r = getrandbits(bits)
-                while r >= total:
-                    r = getrandbits(bits)
-                choice = bisect_right(weights, r)
-                if split is None:
-                    idx, cell, words = rules[cell][choice]
-                    preorder.append(idx)
-                    length -= words
-                else:
-                    head_length = split[2] + choice
-                    children.append((split[0], head_length))
-                    cell, length = split[1], length - head_length
-                if (split := splits[cell]) is None:
-                    break
-            if cell != _EMPTY:
-                children.append((cell, length))
+            while (split := splits[child]) is not None:
+                weights = cumulative(child, length)
+                head_length = support[split[0]][bisect_right(weights, randrange(weights[-1]))]
+                children.append((split[0], head_length))
+                child, length = split[1], length - head_length
+            if child != _EMPTY:
+                children.append((child, length))
             pending.extend(reversed(children))
         return tuple(preorder)
 
