@@ -21,8 +21,8 @@ out of scope.
 
 A record does not repeat its prompt, which is mostly the grammar: it carries
 the prompt's SHA-256 (``prompt_sha256``).  Before the first record of a log,
-the run writes a manifest, ``run.json``, holding the config, the package,
-Python and numpy versions, and each condition's grammar text with its
+the run writes a manifest, ``run.json``, holding the config, the package
+and Python versions, and each condition's grammar text with its
 SHA-256; :func:`record_prompt` rebuilds a record's prompt from it.  A resumed
 run reads the manifest instead of generating every grammar, and refuses a
 config whose grammars, seeds or model differ from the ones the log was made
@@ -79,8 +79,6 @@ from pathlib import Path
 from queue import Empty, SimpleQueue
 from typing import BinaryIO, Iterator, TextIO
 from urllib.parse import urlsplit  # already loaded by pathlib
-
-import numpy as np
 
 from .errors import UNPARSEABLE, classify, sorted_labels
 from .grammar import SyncGrammar, word_vocab
@@ -552,7 +550,6 @@ def _manifest(cfg: ExperimentConfig, conditions: list[dict]) -> dict:
         "version": __version__,
         "config": cfg.to_dict(),
         "python": ".".join(map(str, sys.version_info[:3])),
-        "numpy": np.__version__,
         "conditions": conditions,
     }
 

@@ -22,12 +22,18 @@ n-grams.
 
 Every metric reads one set of integer n-gram statistics: per order, the
 candidate's n-gram count, each gold's n-gram count and each gold's clipped
-overlap.  The candidate's n-grams are coded once per call as exact integers
-(symbols numbered among the candidate's distinct symbols, order-n codes built
-as ``rank(n-1) * base + symbol`` and re-ranked with ``np.unique``, so no
-hashing and no collisions in any script).  Gold n-grams are ranked against
-those codes by binary search, ``GOLD_BLOCK`` golds per numpy pass, which
-bounds the temporary arrays for gold sets of any size.
+overlap.  One pure-Python walk gives them for gold sets of any size, on each
+side: words at orders 1..4, and the words' characters joined without spaces
+at orders 1..6.  The candidate's n-grams of every order are counted once, in
+one ``Counter``; its keys are the sentence's n-grams themselves (a symbol at
+order 1, a slice above), so keys of different orders never compare equal and
+no two n-grams share a key in any script.  The members are read in the order
+given (:func:`~scfgkit.harness.judge` sorts them), and each member resumes
+from the prefix it shares with the member before it: only the n-grams that
+start within ``max_order - 1`` symbols of the end of that prefix, or past it,
+are taken back from the previous member's counts and added from this
+member's.  So a member costs only its suffix past that prefix, and the walk
+keeps one count per n-gram of the candidate, for any number of members.
 Word orders are shared by BLEU and chrF++, bag of words is read off the
 unigram overlap, and the floats come from the same per-gold formulas, so
 every score is what one Counter per n-gram order would give.
@@ -36,18 +42,12 @@ every score is what one Counter per n-gram order would give.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, count, repeat
-
-import numpy as np
 
 from .grammar import as_words
 
 Sentence = "str | tuple[str, ...] | list[str]"
-
-# Golds measured per numpy pass: the temporaries hold about 60 bytes per
-# character of the block's golds (~1 MB for 32 golds of 600 characters).
-GOLD_BLOCK = 32
 
 # SacreBLEU's defaults: BLEU's orders and their uniform weights, chrF++'s
 # beta and its character and word orders
@@ -91,114 +91,72 @@ def _clamp(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def _lookup(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Index of each value in the sorted ``keys``, or ``len(keys)`` if absent."""
-    at = np.searchsorted(keys, values)
-    if not len(keys):
-        return at
-    return np.where(keys[np.minimum(at, len(keys) - 1)] == values, at, len(keys))
+def _shared_prefix(a, b) -> int:
+    """Length of the longest common prefix of the sequences ``a`` and ``b``,
+    bisected by slice comparisons."""
+    low, high = 0, min(len(a), len(b))
+    while low < high:
+        mid = (low + high + 1) >> 1
+        if a[:mid] == b[:mid]:
+            low = mid
+        else:
+            high = mid - 1
+    return low
 
 
-def _word_coder(cand):
-    """Numbers the candidate's distinct words 0..V-1; any other word is V."""
-    vocab = dict(zip(dict.fromkeys(cand), count()))
-    absent = len(vocab)
+def _ngram_stats(cand, golds, max_order: int) -> list[tuple[int, list[int], list[int]]]:
+    """Per order 1..max_order: (the candidate's n-gram count, each gold's
+    n-gram count, each gold's clipped overlap with the candidate), for a
+    candidate and golds that are all strs or all word tuples.
 
-    def code(seqs) -> np.ndarray:
-        words = chain.from_iterable(seqs)
-        return np.fromiter(map(vocab.get, words, repeat(absent)), np.int64)
-
-    return code, absent
-
-
-def _char_coder(cand):
-    """Numbers the candidate's distinct characters 0..V-1; any other is V.
-    A sentence's characters are those of its words joined without spaces."""
-    alphabet = np.array(sorted(map(ord, set("".join(cand)))), np.uint32)
-
-    def code(seqs) -> np.ndarray:
-        text = "".join(chain.from_iterable(seqs))
-        points = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
-        return _lookup(alphabet, points)
-
-    return code, len(alphabet)
-
-
-def _char_count(words) -> int:
-    return sum(map(len, words))
-
-
-class _CandidateNgrams:
-    """One candidate's n-grams of orders 1..max_order, coded and counted once.
-
-    Order-1 ranks are the symbol ids; an order-n code is the order-(n-1) rank
-    of its prefix times ``base`` plus its last symbol, ranked among the
-    candidate's distinct codes.  Gold positions are followed order by order
-    only while the candidate has their n-gram: an (n+1)-gram can match only
-    where its n-gram prefix did, so the work shrinks with the order.
+    ``room[g]`` is the candidate's count of the n-gram ``g`` minus the
+    current member's, so adding one ``g`` to the member raises its overlap
+    while ``room[g]`` is above 0, and taking one back lowers it while
+    ``room[g]`` is at least 0.  Each member takes back the previous member's
+    n-grams from where the two differ and adds its own.  A position is
+    followed order by order only while the candidate has its n-gram: every
+    prefix of a candidate n-gram is one too.
     """
-
-    def __init__(self, cand, max_order: int, chars: bool):
-        self.size = _char_count if chars else len
-        self.length = self.size(cand)
-        self.max_order = max_order
-        self.code, symbols = _char_coder(cand) if chars else _word_coder(cand)
-        self.base = symbols + 1
-        ids = self.code([cand])
-        ranks = ids
-        self.orders: list[tuple[np.ndarray, np.ndarray]] = []
-        for n in range(1, max_order + 1):
-            if n == 1:
-                uniq, counts = np.arange(symbols), np.bincount(ids, minlength=symbols)
-            else:
-                codes = ranks[:-1] * self.base + ids[n - 1 :]
-                uniq, ranks, counts = np.unique(
-                    codes, return_inverse=True, return_counts=True
-                )
-            if not len(uniq):
-                break
-            self.orders.append((uniq, counts))
-
-    def stats(self, golds) -> list[tuple[int, list[int], list[int]]]:
-        """Per order 1..max_order: (candidate n-gram count, each gold's
-        n-gram count, each gold's clipped overlap), as Python ints."""
-        lengths = [self.size(g) for g in golds]
-        overlaps: list[list[int]] = [[] for _ in range(self.max_order)]
-        for start in range(0, len(golds), GOLD_BLOCK):
-            stop = start + GOLD_BLOCK
-            self._overlaps(golds[start:stop], lengths[start:stop], overlaps)
-        return [
-            (
-                max(0, self.length - n + 1),
-                [max(0, m - n + 1) for m in lengths],
-                overlaps[n - 1],
-            )
-            for n in range(1, self.max_order + 1)
-        ]
-
-    def _overlaps(self, block, lengths, overlaps) -> None:
-        rows = len(block)
-        ids = self.code(block)
-        ends = np.cumsum(lengths, dtype=np.int64)
-        # positions whose n-gram the candidate has: start, gold, n-gram rank
-        at = np.flatnonzero(ids < self.base - 1)
-        gold = np.searchsorted(ends, at, side="right")
-        ranks = ids[at]
-        for n in range(1, self.max_order + 1):
-            if n > len(self.orders) or not len(at):
-                overlaps[n - 1].extend([0] * rows)
-                continue
-            uniq, counts = self.orders[n - 1]
-            if n > 1:
-                fits = ends[gold] - at >= n  # the n-gram ends inside its gold
-                at, gold = at[fits], gold[fits]
-                ranks = _lookup(uniq, ranks[fits] * self.base + ids[at + n - 1])
-                found = ranks < len(uniq)
-                at, gold, ranks = at[found], gold[found], ranks[found]
-            cells = np.bincount(
-                gold * len(uniq) + ranks, minlength=rows * len(uniq)
-            ).reshape(rows, len(uniq))
-            overlaps[n - 1].extend(np.minimum(cells, counts).sum(axis=1).tolist())
+    size = len(cand)
+    room = Counter(cand)
+    room.update(cand[i:i + n] for n in range(2, max_order + 1) for i in range(size - n + 1))
+    get = room.get
+    running = [0] * (max_order + 1)  # the current member's overlap by order
+    overlaps: list[list[int]] = [[] for _ in range(max_order)]
+    prev = cand[:0]
+    for gold in golds:
+        start = max(0, _shared_prefix(prev, gold) - max_order + 1)
+        # (sequence, change in its count, room above which a change is overlap)
+        for seq, step, floor in ((prev, -1, -1), (gold, 1, 0)):
+            end = len(seq)
+            for i, symbol in enumerate(seq[start:], start):
+                left = get(symbol)
+                if left is None:
+                    continue
+                room[symbol] = left - step
+                if left > floor:
+                    running[1] += step
+                stop = i + max_order
+                if stop > end:  # min() costs a call per position
+                    stop = end
+                n = 1
+                for j in range(i + 2, stop + 1):
+                    n += 1
+                    gram = seq[i:j]
+                    left = get(gram)
+                    if left is None:
+                        break
+                    room[gram] = left - step
+                    if left > floor:
+                        running[n] += step
+        for n in range(max_order):
+            overlaps[n].append(running[n + 1])
+        prev = gold
+    lengths = list(map(len, golds))
+    return [
+        (max(0, size - n + 1), [m - n + 1 if m >= n else 0 for m in lengths], overlaps[n - 1])
+        for n in range(1, max_order + 1)
+    ]
 
 
 def _any_bag_match(words) -> int:
@@ -280,8 +238,10 @@ def score_candidate(cand: Sentence, golds, bleu_cfg: BleuConfig | None = None) -
     are exactly 1, so BLEU is exactly 1.0, and each chrF++ order's F(beta)
     is exactly 1.0, with word orders to average over.  An empty answer has
     no n-gram and scores 0.  Otherwise the n-gram statistics of the whole
-    set come from one batched pass per side (words, characters); BLEU and
-    chrF++ share the word orders.
+    set come from one walk over the members per side (words, characters),
+    in which a member costs only its suffix past the prefix it shares with
+    the member before it, so sorted members cost least; BLEU and chrF++
+    share the word orders.
     """
     bleu_cfg = bleu_cfg or BleuConfig()
     golds = [as_words(g) for g in golds]
@@ -291,8 +251,8 @@ def score_candidate(cand: Sentence, golds, bleu_cfg: BleuConfig | None = None) -
     exact = int(cand_words in golds)
     if exact and cand_words:
         return ScoreRecord(exact=1, bag_of_words=1, bleu=1.0, chrfpp=1.0)
-    words = _CandidateNgrams(cand_words, len(BLEU_WEIGHTS), chars=False).stats(golds)
-    chars = _CandidateNgrams(cand_words, CHRF_CHAR_ORDER, chars=True).stats(golds)
+    words = _ngram_stats(cand_words, golds, len(BLEU_WEIGHTS))
+    chars = _ngram_stats("".join(cand_words), ["".join(g) for g in golds], CHRF_CHAR_ORDER)
     return ScoreRecord(
         exact=exact,
         bag_of_words=_any_bag_match(words),

@@ -11,7 +11,9 @@ pass that keeps only their four scores under each axis's group, so a
 generator over a run log need not hold the records, and every group has a
 record.  A resample count that is not a whole number >= 1, or a seed that is
 not one >= 0, is refused.  Tables emit as CSV (long form) and as aligned text
-with metrics as rows and groups as columns.
+with metrics as rows and groups as columns.  numpy is imported by the
+functions that build and bootstrap the score arrays, not with the module, so
+importing the package for :data:`AXES` and :data:`METRICS` does not load it.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ import io
 from dataclasses import dataclass
 from numbers import Integral
 from pathlib import Path
-
-import numpy as np
 
 METRICS = ("exact", "bag_of_words", "bleu", "chrfpp")
 # each tail of the 95% interval as (1 - 0.95) / 2 computes it,
@@ -63,6 +63,8 @@ def _intervals(columns: list, n_resamples: int, seed: int) -> list:
     in one (n_resamples, n) draw, which is what each column would see alone.
     Only the resampled means of one size's columns are held at a time.
     """
+    import numpy as np
+
     _check(n_resamples, seed)
     by_size: dict = {}
     for i, arr in enumerate(columns):
@@ -86,6 +88,8 @@ def _intervals(columns: list, n_resamples: int, seed: int) -> list:
 
 def bootstrap_ci(values, n_resamples: int = 10_000, seed: int = 0) -> tuple[float, float]:
     """95% percentile bootstrap interval for the mean of ``values``."""
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("cannot bootstrap an empty sample")
@@ -96,6 +100,8 @@ def _score_columns(records, keys) -> list:
     """For each field of ``keys``, {group value: (len(METRICS), n) float array
     of its scores, n >= 1}, groups sorted, from one pass over the iterable
     ``records``; only each record's four scores are kept."""
+    import numpy as np
+
     tables: list = [{} for _ in keys]
     for r in records:
         scores = r["scores"]

@@ -9,8 +9,8 @@ The scoring oracles count n-grams with one ``Counter`` per sentence, order
 and metric, and find the nearest gold by a pure-Python Levenshtein
 (``edit_distance``, also the reference for the misspelling label) against
 each member in turn.  They share only the float formulas
-(``_bleu_from_stats``, ``_chrf_from_stats``) with the batched integer
-statistics in ``scfgkit.metrics`` and ``scfgkit.errors`` that they check.
+(``_bleu_from_stats``, ``_chrf_from_stats``) with the prefix walks over the
+members in ``scfgkit.metrics`` and ``scfgkit.errors`` that they check.
 
 The chart oracle is the all-spans CKY loop the agenda-driven
 ``scfgkit.parsing._parse`` replaced: it visits every span, so the forests

@@ -12,7 +12,6 @@ from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import scfgkit
@@ -530,7 +529,7 @@ def test_manifest_holds_config_versions_and_grammars(tmp_path):
     manifest = read_manifest(cfg.out_dir)
     assert ExperimentConfig.from_dict(manifest["config"]) == cfg
     assert manifest["version"] == scfgkit.__version__
-    assert manifest["numpy"] == np.__version__
+    assert "numpy" not in manifest  # no record depends on numpy
     assert manifest["python"] == "{}.{}.{}".format(*sys.version_info)
     assert len(manifest["conditions"]) == len(cfg.conditions)
     for spec, entry in zip(cfg.conditions, manifest["conditions"]):
@@ -611,11 +610,19 @@ def test_resume_refuses_other_grammars_seeds_or_model(tmp_path, monkeypatch, cha
 
 def test_resume_may_grow_the_grid(tmp_path):
     small = make_config(tmp_path, lengths=(3,), n_per_cell=1)
-    run_experiment(small)
+    records = run_experiment(small)
+    # a manifest with the numpy version, as earlier versions wrote it,
+    # resumes, and is rewritten without it once the config changes
+    manifest_path = small.out_dir / "run.json"
+    manifest_path.write_text(json.dumps(dict(read_manifest(small.out_dir), numpy="1.26.4")), "utf-8")
+    assert run_experiment(small) == records
+    assert read_manifest(small.out_dir)["numpy"] == "1.26.4"
     grown = make_config(tmp_path, lengths=(3, 4), n_per_cell=2, max_parallel=1)
     records = run_experiment(grown)
     assert len(records) == 8
-    assert ExperimentConfig.from_dict(read_manifest(grown.out_dir)["config"]) == grown
+    manifest = read_manifest(grown.out_dir)
+    assert ExperimentConfig.from_dict(manifest["config"]) == grown
+    assert "numpy" not in manifest
     for record in records:
         record_prompt(grown.out_dir, record)
 
@@ -1309,6 +1316,42 @@ def test_a_mock_run_imports_no_http_stack(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_runs_scoring_and_labelling_import_no_numpy(tmp_path):
+    # only the report's bootstrap needs numpy, and it loads numpy on first use
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "import scfgkit\n"
+        "from scfgkit import harness\n"
+        "out = Path(sys.argv[1])\n"
+        "def grid(spec, url, name):\n"
+        "    cfg = harness.ExperimentConfig(conditions=(spec,), lengths=(5, 20), n_per_cell=2,\n"
+        "        endpoint=harness.EndpointProfile(url=url), model_name=name, out_dir=out / name)\n"
+        "    return harness.run_experiment(cfg)\n"
+        "spec = scfgkit.GrammarSpec(size=128, agreement_tgt=True)\n"
+        "agree = grid(spec, harness.MOCK_ECHO_SOURCE, 'agree')\n"
+        "plain = grid(scfgkit.GrammarSpec(size=57), harness.MOCK_ORACLE, 'plain')\n"
+        "assert all(r['status'] == 'ok' for r in agree + plain)\n"
+        "assert all(r['labels'] and not r['scores']['exact'] for r in agree), agree\n"
+        "assert all(r['scores']['exact'] for r in plain), plain\n"
+        "gold = agree[-1]['gold']\n"
+        "wrong = ' '.join(reversed(gold.split()))\n"
+        "assert scfgkit.score_candidate(wrong, [gold]).exact == 0\n"
+        "grammar = scfgkit.generate(spec)\n"
+        "vocabs = scfgkit.word_vocab(grammar, 'src'), scfgkit.word_vocab(grammar, 'tgt')\n"
+        "assert scfgkit.classify(wrong, [gold], *vocabs)\n"
+        "print('numpy' in sys.modules)\n"
+        "paths = scfgkit.write_report(agree + plain, out / 'report', n_resamples=50)\n"
+        "print(sorted(path.name for path in paths.values() if path.stat().st_size))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(scfgkit.__file__).parents[1]),
+                                                        os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n['by_length.csv', 'by_size.csv', 'report.txt']\n"
 
 
 # The names the benchmark's trace (perfbench/rep.py) replaces with timed
