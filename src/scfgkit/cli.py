@@ -16,9 +16,8 @@ from contextlib import closing
 from pathlib import Path
 
 from .grammar import parse_grammar_text, serialize_grammar, word_vocab
-from .harness import ExperimentConfig, LogRecords, Run, answer_words, judge, zero_scores
+from .harness import ExperimentConfig, GoldSet, LogRecords, Run, answer_words
 from .metagrammar import WORD_ORDERS, GrammarSpec, generate_with_manifest
-from .metrics import score_candidate
 from .parsing import TRANSLATE_CAP, SourceParseError, translate
 from .report import write_report
 from .sampling import sample_pair
@@ -30,21 +29,22 @@ def _read_grammar(path: str):
     return parse_grammar_text(Path(path).read_text("utf-8"))
 
 
-def _read_lines(path: str, read) -> list:
-    """``read(line)`` of each non-blank line of ``path``, stripped.  A line ends
+def _read_lines(path: str, read) -> dict:
+    """``read(line)`` of each non-blank line of ``path``, stripped, keyed by
+    the line's number (counted from 1) in the file's order.  A line ends
     only at ``\n``, as in a run log: ``json.dumps(..., ensure_ascii=False)``
     writes U+0085, U+2028 and U+2029 raw inside strings, where
     ``str.splitlines`` would also split.  A ``ValueError`` from ``read``, or
     the ``RecursionError`` of a line nested too deep to parse, is raised
     again as a ``ValueError`` naming the file and the line."""
-    values = []
+    values = {}
     with open(path, encoding="utf-8", newline="\n") as fh:
         for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                values.append(read(line))
+                values[number] = read(line)
             except (ValueError, RecursionError) as exc:
                 raise ValueError(f"{path} line {number}: {exc}") from None
     return values
@@ -105,22 +105,28 @@ def _candidate(line: str) -> str | None:
     raise ValueError(f"candidate record has no cand/candidate/text/extracted/response field: {record!r}")
 
 
-def _judged(args, grammar, script=None) -> list | None:
-    """(pair, candidate or None if it has no answer, and its
-    :func:`~scfgkit.harness.judge` result, None without a ``grammar``) per line
-    of ``--pairs`` and ``--cands``; None once it has reported that the two
-    differ in length."""
+def _judged(args, grammar) -> list | None:
+    """(pair, candidate and its words, both None if it has no answer, and the
+    :class:`~scfgkit.harness.GoldSet` they are judged against) per line of
+    ``--pairs`` and ``--cands``; a run of lines with one source and gold shares
+    one gold set.  None once it has reported that the two differ in length or
+    that a source does not parse."""
     pairs = _read_lines(args.pairs, _pair)
     cands = _read_lines(args.cands, _candidate)
     if len(pairs) != len(cands):
         print("pairs and candidates differ in length", file=sys.stderr)
         return None
-    judged = []
-    for pair, cand in zip(pairs, cands):
+    judged, key, golds = [], None, None
+    for (number, pair), cand in zip(pairs.items(), cands.values()):
         gold = " ".join(pair["target"].split())
-        words = None if cand is None else cand.split()
-        verdict = None if grammar is None else judge(grammar, pair["source"], gold, words, args.cap, script)
-        judged.append((pair, cand, verdict))
+        if (pair["source"], gold) != key:
+            key = pair["source"], gold
+            try:
+                golds = GoldSet.of(grammar, pair["source"], gold, args.cap)
+            except SourceParseError as exc:
+                print(f"error: {args.pairs} line {number}: {exc}", file=sys.stderr)
+                return None
+        judged.append((pair, cand, None if cand is None else cand.split(), golds))
     return judged
 
 
@@ -207,13 +213,8 @@ def _cmd_score(args) -> int:
     judged = _judged(args, _read_grammar(args.grammar) if args.grammar else None)
     if judged is None:
         return 1
-    records = []
-    for pair, cand, verdict in judged:
-        if verdict is not None:
-            scores = verdict.scores
-        else:  # the pair's target is the one gold
-            scores = zero_scores() if cand is None else score_candidate(cand, [pair["target"]])
-        records.append({**scores.as_dict(), "cand": cand, "source": pair["source"]})
+    records = [{**golds.scores(words).as_dict(), "cand": cand, "source": pair["source"]}
+               for pair, cand, words, golds in judged]
     _write_jsonl(args.out, records)
     return 0
 
@@ -221,10 +222,11 @@ def _cmd_score(args) -> int:
 def _cmd_classify(args) -> int:
     grammar = _read_grammar(args.grammar)
     script = _target_script(args.script, word_vocab(grammar, "tgt"))
-    judged = _judged(args, grammar, script)
+    judged = _judged(args, grammar)
     if judged is None:
         return 1
-    records = [{"cand": cand, "source": pair["source"], "labels": verdict.labels} for pair, cand, verdict in judged]
+    records = [{"cand": cand, "source": pair["source"], "labels": golds.labels(words, script)}
+               for pair, cand, words, golds in judged]
     _write_jsonl(args.out, records)
     return 0
 

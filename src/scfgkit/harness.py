@@ -57,9 +57,9 @@ errors (refused, dropped or timed-out connections, a body cut short), HTTP
 whole seconds waits at least that long before the next attempt.  Any other
 error status, or a body without the answer field, fails the trial at once.
 
-One rule, :func:`judge`, turns (grammar, source, gold, answer) into the
-gold set, the scores and the error labels, for a run and for ``scfgkit
-score`` and ``scfgkit classify``.
+An answer is judged against its source's :class:`GoldSet`, which reads its
+scores and its error labels: a run reads both, ``scfgkit score`` only the
+scores and ``scfgkit classify`` only the labels.
 """
 
 from __future__ import annotations
@@ -85,7 +85,7 @@ from .grammar import SyncGrammar, word_vocab
 from .lexicon import english_words
 from .metagrammar import GrammarSpec, check_fields, from_fields, generate
 from .metrics import ScoreRecord, score_candidate
-from .parsing import TRANSLATE_CAP, is_valid_translation, translate
+from .parsing import TRANSLATE_CAP, Translations, is_valid_translation, translate
 from .prompts import extract_answer, render_prompt, render_prompt_from_text
 from .report import AXES, METRICS
 from .sampling import sample_pair
@@ -227,10 +227,6 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def zero_scores() -> ScoreRecord:
-    return ScoreRecord(exact=0, bag_of_words=0, bleu=0.0, chrfpp=0.0)
-
-
 def _retry_after_s(resp) -> float:
     """The wait a response's ``Retry-After`` header asks for in whole seconds;
     0 when it is absent or not whole seconds (an HTTP-date, say)."""
@@ -303,42 +299,48 @@ class _Client:
 
 
 @dataclass(frozen=True)
-class Judgement:
-    """What :func:`judge` finds of an answer; ``gold_set_size`` is before the answer may join."""
+class GoldSet:
+    """The gold set of ``source``: ``members``, sorted and each space-joined, and
+    whether their enumeration ``overflowed`` its cap.  Exact credit never depends
+    on the cap: past an overflow, ``is_valid_translation`` (a fold over the source
+    forest that never enumerates) decides whether an answer that is not a member
+    is one, and such an answer joins a copy of the members made for it alone."""
 
-    gold_set_size: int
+    grammar: SyncGrammar | None
+    source: str | tuple[str, ...] | list[str]
+    members: list[str]
     overflowed: bool
-    scores: ScoreRecord
-    labels: list[str]
 
+    @classmethod
+    def of(cls, grammar: SyncGrammar | None, source, gold: str, cap: int) -> GoldSet:
+        """``gold`` and the translations of ``source`` up to ``cap``, or ``gold`` alone without a grammar."""
+        golds = Translations() if grammar is None else translate(grammar, source, cap=cap)
+        return cls(grammar, source, sorted(set(golds) | {gold}), golds.overflowed)
 
-def judge(grammar: SyncGrammar, source, gold: str, words: list[str] | None, cap: int,
-          script: ScriptSpec | None) -> Judgement:
-    """Score and label the answer ``words`` (None if there is none) to
-    ``source`` against its gold set: ``gold`` and the translations of
-    ``source`` the grammar enumerates up to ``cap``, each space-joined.
+    def _members_for(self, answer: str) -> list[str]:
+        if self.overflowed and answer not in self.members and is_valid_translation(self.grammar, self.source, answer):
+            return [*self.members, answer]
+        return self.members
 
-    Exact credit never depends on ``cap``: when the enumeration overflowed and
-    the answer is not in the set, ``is_valid_translation`` (a fold over the
-    source forest that never enumerates) decides whether it is a gold member,
-    and a member joins the set.  No answer scores zero and is unparseable; an
-    exact answer has no label; any other gets :func:`~scfgkit.errors.classify`'s
-    against both vocabularies of ``grammar``, the target ``script`` and
-    English words."""
-    golds = translate(grammar, source, cap=cap)
-    members = sorted(set(golds) | {gold})
-    size = len(members)
-    if words is None:
-        return Judgement(size, golds.overflowed, zero_scores(), [UNPARSEABLE])
-    answer = " ".join(words)
-    if golds.overflowed and answer not in members and is_valid_translation(grammar, source, answer):
-        members.append(answer)
-    scores = score_candidate(answer, members)
-    labels = []
-    if not scores.exact:
-        vocabs = word_vocab(grammar, "src"), word_vocab(grammar, "tgt")
-        labels = sorted_labels(classify(answer, members, *vocabs, script=script, english=english_words()))
-    return Judgement(size, golds.overflowed, scores, labels)
+    def scores(self, words: list[str] | None) -> ScoreRecord:
+        """The scores of the answer ``words``; no answer (None) scores zero."""
+        if words is None:
+            return ScoreRecord(exact=0, bag_of_words=0, bleu=0.0, chrfpp=0.0)
+        answer = " ".join(words)
+        return score_candidate(answer, self._members_for(answer))
+
+    def labels(self, words: list[str] | None, script: ScriptSpec | None) -> list[str]:
+        """The error labels of the answer ``words``: no answer (None) is
+        unparseable, an exact answer has none, and any other gets
+        :func:`~scfgkit.errors.classify`'s against both vocabularies of the
+        grammar, the target ``script`` and English words."""
+        if words is None:
+            return [UNPARSEABLE]
+        answer = " ".join(words)
+        if answer in (members := self._members_for(answer)):
+            return []
+        vocabs = word_vocab(self.grammar, "src"), word_vocab(self.grammar, "tgt")
+        return sorted_labels(classify(answer, members, *vocabs, script=script, english=english_words()))
 
 
 def run_trial(
@@ -372,7 +374,7 @@ def run_trial(
     words = answer_words(response)
     if status == "ok" and words is None:
         status = "extraction_failed"
-    verdict = judge(grammar, pair.source, gold, words, cfg.translate_cap, get_script(spec.script_tgt))
+    golds = GoldSet.of(grammar, pair.source, gold, cfg.translate_cap)
     return {
         "schema_version": SCHEMA_VERSION,
         "trial_id": trial_id(condition_index, length, replicate),
@@ -383,14 +385,14 @@ def run_trial(
         "seed": seed,
         "source": source,
         "gold": gold,
-        "gold_set_size": verdict.gold_set_size,
-        "golds_overflowed": verdict.overflowed,
+        "gold_set_size": len(golds.members),
+        "golds_overflowed": golds.overflowed,
         "prompt_sha256": _sha256(prompt),
         "response": response,
         "status": status,
         "error": error,
-        "scores": verdict.scores.as_dict(),
-        "labels": [] if status == "transport_failed" else verdict.labels,  # an unanswered trial has none
+        "scores": golds.scores(words).as_dict(),
+        "labels": [] if status == "transport_failed" else golds.labels(words, get_script(spec.script_tgt)),
         "endpoint": cfg.endpoint.metadata(),
         "timing": {"started_at": started, "elapsed_s": elapsed},
     }

@@ -28,7 +28,7 @@ at orders 1..6.  The candidate's n-grams of every order are counted once, in
 one ``Counter``; its keys are the sentence's n-grams themselves (a symbol at
 order 1, a slice above), so keys of different orders never compare equal and
 no two n-grams share a key in any script.  The members are read in the order
-given (:func:`~scfgkit.harness.judge` sorts them), and each member resumes
+given (:class:`~scfgkit.harness.GoldSet` sorts them), and each member resumes
 from the prefix it shares with the member before it: only the n-grams that
 start within ``max_order - 1`` symbols of the end of that prefix, or past it,
 are taken back from the previous member's counts and added from this

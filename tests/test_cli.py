@@ -237,6 +237,21 @@ def test_exact_credit_does_not_depend_on_cap(tmp_path):
     assert jsonl(tmp_path / "scores.jsonl")[0]["exact"] == 1.0
     assert main(["classify", *common, "--out", str(tmp_path / "labels.jsonl")]) == 0
     assert jsonl(tmp_path / "labels.jsonl")[0]["labels"] == []
+    # the lines of one pair share its gold set: the credited 's z' joins only
+    # its own copy of the members, so each row is the row of its line alone
+    answers = ["s z", "s", "z s", "s z s", "p", "s z"]
+
+    def judge(command, lines):
+        pairs.write_text("".join(json.dumps({"source": "a a", "target": "p w"}) + "\n" for _ in lines), "utf-8")
+        cands.write_text("".join(answer + "\n" for answer in lines), "utf-8")
+        assert main([command, *common, "--out", str(tmp_path / "out.jsonl")]) == 0
+        return jsonl(tmp_path / "out.jsonl")
+
+    for command in ("score", "classify"):
+        rows = judge(command, answers)
+        assert rows == [row for answer in answers for row in judge(command, [answer])], command
+    assert [row["exact"] for row in judge("score", answers)] == [1, 0, 0, 0, 0, 1]
+    assert [row["labels"] == [] for row in judge("classify", answers)] == [True, False, False, False, False, True]
 
 
 def test_classify_pipeline(tmp_path, fig1_path):
@@ -399,6 +414,23 @@ def test_a_malformed_pair_record_exits_2(tmp_path, fig1_path, capsys, command, r
                  "--grammar", str(fig1_path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {pairs} line 2: ") and err.count("\n") == 1 and field in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["score", "classify"])
+def test_a_source_the_grammar_does_not_parse_exits_1(tmp_path, fig1_path, capsys, command):
+    # a data problem, as in `scfgkit translate`: one error line that names
+    # the pairs file and the line of the source, past a blank line
+    pairs = tmp_path / "pairs.jsonl"
+    cands = tmp_path / "cands.txt"
+    out = tmp_path / "out.jsonl"
+    good = {"source": "I open", "target": "watashi wa akemasu"}
+    pairs.write_text(json.dumps(good) + "\n\n" + json.dumps({"source": "box I", "target": "hako"}) + "\n", "utf-8")
+    cands.write_text("watashi wa akemasu\nhako\n", "utf-8")
+    assert main([command, "--pairs", str(pairs), "--cands", str(cands),
+                 "--grammar", str(fig1_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {pairs} line 3: ") and err.count("\n") == 1 and "box I" in err
     assert not out.exists()
 
 

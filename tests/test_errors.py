@@ -133,7 +133,7 @@ def test_a_reversed_gold_anchors_to_a_member_with_its_words():
     # gold sets are sorted, and with a Hebrew-script agreeing target every
     # variant ties with the pair's own gold; the first of them used to win,
     # labelling the reversal recall and omission instead of word order
-    from scfgkit.harness import judge
+    from scfgkit.harness import GoldSet
     from scfgkit.parsing import TRANSLATE_CAP
     from scfgkit.sampling import sample_pair
 
@@ -143,7 +143,7 @@ def test_a_reversed_gold_anchors_to_a_member_with_its_words():
             pair = sample_pair(grammar, length, rng_seed=seed)
             answer = list(reversed(pair.target))
             gold = " ".join(pair.target)
-            labels = judge(grammar, pair.source, gold, answer, TRANSLATE_CAP, get_script("Hebrew")).labels
+            labels = GoldSet.of(grammar, pair.source, gold, TRANSLATE_CAP).labels(answer, get_script("Hebrew"))
             assert "word_order" in labels, (length, seed, labels)
 
 
@@ -151,7 +151,7 @@ def test_a_reversed_gold_missing_a_word_anchors_to_its_own_gold():
     # the reversal ties its own gold and other agreement variants at the
     # minimum distance but has no variant's multiset; the sorted-first
     # variant used to win, labelling words of the answer's own gold recall
-    from scfgkit.harness import judge
+    from scfgkit.harness import GoldSet
     from scfgkit.parsing import TRANSLATE_CAP
     from scfgkit.sampling import sample_pair
 
@@ -161,7 +161,7 @@ def test_a_reversed_gold_missing_a_word_anchors_to_its_own_gold():
             pair = sample_pair(grammar, length, rng_seed=seed)
             answer = list(reversed(pair.target[1:]))
             gold = " ".join(pair.target)
-            labels = judge(grammar, pair.source, gold, answer, TRANSLATE_CAP, get_script("Hebrew")).labels
+            labels = GoldSet.of(grammar, pair.source, gold, TRANSLATE_CAP).labels(answer, get_script("Hebrew"))
             assert "recall" not in labels, (length, seed, labels)
             assert "omission" in labels, (length, seed, labels)
 
@@ -293,8 +293,8 @@ def test_misspelling_matches_the_oracle(grammar, script, pick, edits):
 
 
 # Seeded wrong answers on three generated grammars, with the labels
-# `scfgkit classify` gave them when they were pinned
-# (tools/gen_label_fixtures.py).
+# `scfgkit classify` and the scores `scfgkit score --grammar` gave them when
+# they were pinned (tools/gen_label_fixtures.py).
 LABEL_FIXTURES = sorted((Path(__file__).parent / "data" / "labels").iterdir())
 
 
@@ -305,3 +305,34 @@ def test_classify_keeps_the_pinned_labels(fixture, tmp_path):
     assert main(["classify", "--pairs", str(fixture / "pairs.jsonl"), "--cands", str(fixture / "cands.txt"),
                  "--grammar", str(grammar), "--out", str(out)]) == 0
     assert out.read_bytes() == (fixture / "labels.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("fixture", LABEL_FIXTURES, ids=lambda path: path.name)
+def test_score_keeps_the_pinned_scores(fixture, tmp_path):
+    grammar, out = tmp_path / "grammar.scfg", tmp_path / "scores.jsonl"
+    assert main(["gen", *(fixture / "flags").read_text("utf-8").split(), "--out", str(grammar)]) == 0
+    assert main(["score", "--pairs", str(fixture / "pairs.jsonl"), "--cands", str(fixture / "cands.txt"),
+                 "--grammar", str(grammar), "--out", str(out)]) == 0
+    assert out.read_bytes() == (fixture / "scores.jsonl").read_bytes()
+
+
+def test_each_command_does_only_its_own_work(tmp_path, monkeypatch):
+    # classify never scores and score never labels; each enumerates one gold
+    # set per run of lines with one source and gold: 15 runs of 8 answers
+    from scfgkit import harness
+
+    fixture = Path(__file__).parent / "data" / "labels" / "latin-agr"
+    grammar = tmp_path / "grammar.scfg"
+    assert main(["gen", *(fixture / "flags").read_text("utf-8").split(), "--out", str(grammar)]) == 0
+    calls = {}
+    for name in ("translate", "score_candidate", "classify"):
+        def counted(*args, _name=name, _inner=getattr(harness, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    inputs = ["--pairs", str(fixture / "pairs.jsonl"), "--cands", str(fixture / "cands.txt"), "--grammar", str(grammar)]
+    for command, work in (("classify", {"translate": 15, "score_candidate": 0, "classify": 120}),
+                          ("score", {"translate": 15, "score_candidate": 120, "classify": 0})):
+        calls.update(dict.fromkeys(work, 0))
+        assert main([command, *inputs, "--out", str(tmp_path / "out.jsonl")]) == 0
+        assert calls == work, command

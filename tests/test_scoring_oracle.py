@@ -5,7 +5,7 @@ against the oracles.
 edit distance and the enumerating nearest-gold search; every score here must
 equal theirs exactly (``==`` on floats), every distance theirs, and the same
 gold member must be chosen.  Each scoring property runs on the members as
-drawn and sorted (the order ``harness.judge`` passes them in), so the n-gram
+drawn and sorted (the order ``harness.GoldSet`` passes them in), so the n-gram
 walk resumes from neighbours that share all, some or none of a prefix.
 """
 

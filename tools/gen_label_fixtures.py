@@ -9,12 +9,14 @@ For each grammar below, a directory holds:
   sample`` could write (source and target, at lengths 5, 20 and 50, with at
   least one source of 256 or more golds on an agreement grammar);
 - ``cands.txt``: the seeded wrong answers, one per pair line;
-- ``labels.jsonl``: what ``scfgkit classify`` writes for them.
+- ``labels.jsonl``: what ``scfgkit classify`` writes for them;
+- ``scores.jsonl``: what ``scfgkit score --grammar`` writes for them.
 
-``tests/test_errors.py`` rebuilds each grammar and compares ``classify``'s
-output with ``labels.jsonl`` byte for byte, so a change to the labelling
-code that moves any label fails there.  Run this script only to pin labels
-that are meant to change.
+``tests/test_errors.py`` rebuilds each grammar and compares the output of
+``classify`` and ``score --grammar`` with ``labels.jsonl`` and
+``scores.jsonl`` byte for byte, so a change to the judging code that moves
+any label or score fails there.  Run this script only to pin labels or
+scores that are meant to change.
 """
 
 from __future__ import annotations
@@ -120,8 +122,9 @@ def build(name: str, flags: str, work: Path) -> None:
     (out / "flags").write_text(flags + "\n", encoding="utf-8")
     (out / "pairs.jsonl").write_text("".join(line + "\n" for line in pair_lines), encoding="utf-8")
     (out / "cands.txt").write_text("".join(line + "\n" for line in cand_lines), encoding="utf-8")
-    assert main(["classify", "--pairs", str(out / "pairs.jsonl"), "--cands", str(out / "cands.txt"),
-                 "--grammar", str(grammar_path), "--out", str(out / "labels.jsonl")]) == 0
+    inputs = ["--pairs", str(out / "pairs.jsonl"), "--cands", str(out / "cands.txt"), "--grammar", str(grammar_path)]
+    assert main(["classify", *inputs, "--out", str(out / "labels.jsonl")]) == 0
+    assert main(["score", *inputs, "--out", str(out / "scores.jsonl")]) == 0
 
 
 def run() -> int:
